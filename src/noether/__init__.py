@@ -100,7 +100,6 @@ from .digraph import (
     extract_zz_digraph,
     zz_sheaf_value,
     count_digraph_space,
-    count_digraph_space_vocab,
 )
 from .cech import (
     CechComplex,

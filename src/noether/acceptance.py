@@ -26,9 +26,8 @@ from .fields import GF, QQ
 from .finite import (FiniteModule, all_homs, enumerate_ideals,
                      enumerate_submodules, free_module, gf_poly_quotient,
                      noetherian_witness, quotient_module, ring_as_module,
-                     span, submodule, zero_module, zmod)
-from .groebner import groebner_basis
-from .poly import DEGREVLEX, Polynomial
+                     span, zero_module, zmod)
+from .poly import Polynomial
 from .rings import IdealHandle, PresentedRing, ideal_equal, ideal_membership
 from .topology import DistinguishedOpen, FiniteSpace, coordinate_ring
 from .tower import run_tower_suite, tower_ring

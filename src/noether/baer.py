@@ -16,14 +16,14 @@ property that the usual colimit argument rests on.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field as dc_field
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .config import Budgets, DEFAULT_BUDGETS
 from .errors import BoundExceededError, DomainError, ValidationError
 from .finite import (FiniteModule, FiniteRing, all_homs, enumerate_ideals,
                      enumerate_submodules, free_module, hom_from_ideal,
-                     quotient_module, ring_as_module, submodule, zero_module)
+                     quotient_module, submodule)
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
-from math import comb
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .config import Budgets, DEFAULT_BUDGETS
@@ -24,7 +22,7 @@ from .fields import FieldSpec, QQ
 from .poly import Polynomial
 from .rings import IdealHandle, PresentedRing
 from .topology import OpenCover, cover_check, open_contains
-from .univar import poly_degree
+from .univar import exact_quotient, poly_degree
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +353,7 @@ def cech_complex_affine(R: PresentedRing, I: IdealHandle, cover: OpenCover,
                     # the bigger chart: image = g * x^? * (stuff); since the
                     # basis is {g, g*x, ...} the coordinates are the
                     # coefficients of image/g.
-                    quot = _exact_quotient(image, g, R)
+                    quot = exact_quotient(image, g)
                     qvec = [zero] * numdim(big)
                     for mono, c in quot.terms.items():
                         qvec[mono[0]] = c
@@ -365,11 +363,6 @@ def cech_complex_affine(R: PresentedRing, I: IdealHandle, cover: OpenCover,
                             matrix[row0 + r][col0 + k] = val
         diffs.append(matrix)
     return CechComplex(R.field, dims, diffs, meta)
-
-
-def _exact_quotient(p: Polynomial, g: Polynomial, R: PresentedRing) -> Polynomial:
-    from .univar import exact_quotient
-    return exact_quotient(p, g)
 
 
 def affine_vanishing_check(R: PresentedRing, I: IdealHandle, cover: OpenCover,

@@ -12,11 +12,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 from typing import List, Optional
 
 from .config import Budgets
 from .errors import ParseError
-from .jobs import (COMMANDS, EXIT_PARSE, JobSpec, Report, parse_job, run_job)
+from .jobs import COMMANDS, EXIT_PARSE, JobSpec, JsonObject, decode_object, run_job
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -49,19 +50,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_payload(args: argparse.Namespace) -> dict:
-    payload = {}
+    payload = JsonObject()
     if args.payload is not None:
-        text = (sys.stdin.read() if args.payload == "-"
-                else open(args.payload, "r", encoding="utf-8").read())
-        if not text.strip():
-            raise ParseError("empty payload input")
         try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON payload: {exc.msg}",
-                             line=exc.lineno, column=exc.colno) from exc
-        if not isinstance(payload, dict):
-            raise ParseError("payload must be a JSON object")
+            text = (sys.stdin.read() if args.payload == "-"
+                    else Path(args.payload).read_text(encoding="utf-8"))
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ParseError(f"cannot read payload {args.payload!r}: {exc}") from exc
+        payload = decode_object(text, "payload")
     if args.command == "cech-projective":
         if getattr(args, "n", None) is not None:
             payload["n"] = args.n

@@ -669,44 +669,3 @@ def count_digraph_space(R: FiniteRing, budgets: Budgets = DEFAULT_BUDGETS) -> in
                         if all(t in reach for t in targets):
                             count += 1
     return count
-
-
-def count_digraph_space_vocab(
-    ring: PresentedRing,
-    candidate_opens: Sequence[DistinguishedOpen],
-    candidate_ideals: Sequence[Sequence[Polynomial]],
-    budgets: Budgets = DEFAULT_BUDGETS,
-) -> int:
-    """Enumerate all valid digraphs over an explicit finite vocabulary."""
-    if not candidate_opens or not candidate_ideals:
-        raise DomainError("empty digraph vocabulary")
-    opens = []
-    for u in candidate_opens:
-        if u.is_empty(budgets):
-            continue
-        if not any(open_equal(u, v, budgets) for v in opens):
-            opens.append(u)
-    root_open = DistinguishedOpen(ring, ring.one())
-    if not any(open_equal(u, root_open, budgets) for u in opens):
-        raise DomainError("vocabulary must contain the whole space D(1)")
-    m = len(opens)
-    count = 0
-    total = (len(candidate_ideals) + 1) ** m
-    if total > budgets.digraph_vocab_cap:
-        raise BoundExceededError("digraph_vocab_cap", budgets.digraph_vocab_cap)
-    root_idx = next(i for i in range(m) if open_equal(opens[i], root_open, budgets))
-    non_root = [i for i in range(m) if i != root_idx]
-    for k in range(len(non_root) + 1):
-        for chosen in itertools.combinations(non_root, k):
-            node_open_idx = [root_idx] + list(chosen)
-            for gens in itertools.product(candidate_ideals, repeat=len(node_open_idx)):
-                nodes = tuple(DigraphNode(opens[i], tuple(g))
-                              for i, g in zip(node_open_idx, gens))
-                allowed = [(a, b) for a in range(len(nodes)) for b in range(len(nodes))
-                           if a != b and open_strictly_below(nodes[b].open, nodes[a].open, budgets)]
-                for r in range(len(allowed) + 1):
-                    for es in itertools.combinations(allowed, r):
-                        d = IdealDigraph(ring, nodes, tuple(es), 0)
-                        if validate_digraph(d, budgets).valid:
-                            count += 1
-    return count

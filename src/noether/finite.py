@@ -10,8 +10,8 @@ is sized for exhaustive, sub-minute brute force.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field as dc_field
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
 from .config import Budgets, DEFAULT_BUDGETS
 from .errors import BoundExceededError, DomainError, ValidationError
@@ -333,15 +333,6 @@ class FiniteModule:
 
     def __repr__(self):
         return f"FiniteModule({self.name}, size={self.size})"
-
-
-def module_from_tables(ring: FiniteRing, elements: Sequence, add_table: Dict,
-                       smul_table: Dict, zero, name: str = "M") -> FiniteModule:
-    """Explicit table-backed module; axioms checked on construction."""
-    return FiniteModule(ring, elements,
-                        lambda a, b: add_table[(a, b)],
-                        lambda r, a: smul_table[(r, a)],
-                        zero, name=name, check=True)
 
 
 def ring_as_module(R: FiniteRing) -> FiniteModule:

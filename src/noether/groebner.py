@@ -8,7 +8,7 @@ strategy; Buchberger's coprimality and chain criteria prune pairs.  Budgets
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from .config import Budgets, DEFAULT_BUDGETS
 from .errors import ResourceBudgetError

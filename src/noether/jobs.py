@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field as dc_field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field as dc_field, fields, replace
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .baer import (baer_chain, baer_step, baer_test,
                    injective_envelope_bruteforce)
@@ -24,7 +24,7 @@ from .digraph import (DigraphNode, IdealDigraph, ZZSheafData,
                       extract_zz_digraph, is_quasi_coherent,
                       quasi_coherent_oracle, section_membership,
                       validate_digraph, zz_sheaf_value)
-from .errors import (CapabilityError, DomainError, NoetherError, OracleError,
+from .errors import (CapabilityError, DomainError, OracleError,
                      ParseError, ResourceBudgetError, ValidationError)
 from .fields import GF, QQ, FieldSpec
 from .finite import (FiniteModule, FiniteRing, direct_sum, enumerate_ideals,
@@ -120,30 +120,50 @@ def _render_text(value: Any, indent: int = 0) -> List[str]:
 # Descriptor parsing
 # ---------------------------------------------------------------------------
 
-def parse_job(text: str) -> JobSpec:
-    """Parse a complete job document {"command": ..., "payload": {...}}."""
+class JsonObject(dict):
+    """A decoded JSON object: reading a key it lacks is a ParseError naming
+    the key, so a payload missing a required field exits 2."""
+
+    def __missing__(self, key):
+        raise ParseError(f"missing required key {key!r}")
+
+
+def decode_object(text: str, what: str) -> JsonObject:
+    """Decode a JSON document that must be an object; every defect of the
+    text is a ParseError (``what`` names the document in messages)."""
     if not text.strip():
-        raise ParseError("empty job input")
+        raise ParseError(f"empty {what} input")
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_hook=JsonObject)
     except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc.msg}",
+        raise ParseError(f"invalid JSON {what}: {exc.msg}",
                          line=exc.lineno, column=exc.colno) from exc
     if not isinstance(doc, dict):
-        raise ParseError("job document must be a JSON object")
+        raise ParseError(f"{what} must be a JSON object")
+    return doc
+
+
+def parse_job(text: str) -> JobSpec:
+    """Parse a complete job document
+    {"command": ..., "payload": {...}, "budgets": {"<field>": <int>}}."""
+    doc = decode_object(text, "job")
     command = doc.get("command")
     if command not in COMMANDS:
         raise ParseError(f"unknown command {command!r}; "
                          f"expected one of {', '.join(COMMANDS)}")
-    payload = doc.get("payload", {})
+    payload = doc.get("payload", JsonObject())
     if not isinstance(payload, dict):
         raise ParseError("payload must be a JSON object")
-    budgets = Budgets.from_env()
-    for name, value in doc.get("budgets", {}).items():
-        if not hasattr(budgets, name):
+    overrides = doc.get("budgets", {})
+    if not isinstance(overrides, dict):
+        raise ParseError("budgets must be a JSON object")
+    names = {f.name for f in fields(Budgets)}
+    for name, value in overrides.items():
+        if name not in names:
             raise ParseError(f"unknown budget field {name!r}")
-        budgets = __import__("dataclasses").replace(budgets, **{name: int(value)})
-    return JobSpec(command, payload, budgets)
+        if type(value) is not int:
+            raise ParseError(f"budget {name!r} must be an integer, got {value!r}")
+    return JobSpec(command, payload, replace(Budgets.from_env(), **overrides))
 
 
 def _field_from_json(desc: str) -> FieldSpec:

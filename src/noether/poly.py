@@ -295,3 +295,26 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({self.render([f'v{i}' for i in range(self.nvars)])})"
+
+
+def exact_divmod(g: Polynomial, p: Polynomial):
+    """Single-divisor division in degrevlex; returns (quotient, remainder).
+
+    Stops at the first leading monomial that p's does not divide, so the
+    remainder is zero exactly when p divides g.
+    """
+    order = DEGREVLEX
+    F = g.field
+    pm, pc = p.leading_monomial(order), p.leading_coeff(order)
+    quotient = Polynomial.zero(F, g.nvars)
+    work = g
+    while not work.is_zero():
+        lm = work.leading_monomial(order)
+        if not mono_divides(pm, lm):
+            return quotient, work
+        piece = mono_div(lm, pm)
+        coeff = F.div(work.terms[lm], pc)
+        term = Polynomial(F, g.nvars, {piece: coeff})
+        quotient = quotient + term
+        work = work - term * p
+    return quotient, Polynomial.zero(F, g.nvars)

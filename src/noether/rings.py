@@ -10,15 +10,16 @@ canonical forms coincide, which makes equality decidable in R_f.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
+from . import univar
 from .config import Budgets, DEFAULT_BUDGETS
 from .errors import DomainError, ResourceBudgetError
 from .fields import FieldSpec
 from .groebner import groebner_basis, normal_form
 from .parse import parse_polynomial
-from .poly import BlockElim, DEGREVLEX, Polynomial, mono_div, mono_divides, order_by_name
+from .poly import BlockElim, DEGREVLEX, Polynomial, exact_divmod, order_by_name
 
 
 @dataclass(frozen=True)
@@ -94,44 +95,19 @@ class PresentedRing:
         return "".join(parts)
 
 
-def _check_degrees(gens: Sequence[Polynomial], budgets: Budgets):
-    """The same degree budget Buchberger applies to its input generators."""
-    for g in gens:
-        if g.total_degree() > budgets.max_degree:
-            raise ResourceBudgetError("max_degree", budgets.max_degree)
+def _eliminate_aux(lifted: List[Polynomial], budgets: Budgets) -> List[Polynomial]:
+    """Basis elements free of the one auxiliary variable, with it dropped."""
+    basis = groebner_basis(lifted, BlockElim(1), budgets)
+    return [g.drop_aux(1) for g in basis if not g.uses_aux(1)]
 
 
-def _gcd_univar(polys: Sequence[Polynomial], field: FieldSpec) -> Polynomial:
-    """Monic gcd in k[x]; zero for an empty or all-zero family."""
-    acc = None
-    for p in polys:
-        if p.is_zero():
-            continue
-        acc = p if acc is None else _euclid_univar(acc, p)
-    if acc is None:
-        return Polynomial.zero(field, 1)
-    return acc.monic(DEGREVLEX)
-
-
-def _euclid_univar(a: Polynomial, b: Polynomial) -> Polynomial:
-    while not b.is_zero():
-        _, r = _exact_divmod(a, b)
-        a, b = b, r
-    return a
-
-
-def _saturate_univar(gens: Sequence[Polynomial], f: Polynomial,
-                     field: FieldSpec) -> List[Polynomial]:
-    """(g) : f^infinity in k[x] strips from g every factor it shares with f."""
-    g = _gcd_univar(gens, field)
-    if g.is_zero():
-        return []
-    while True:
-        d = _euclid_univar(g, f).monic(DEGREVLEX)
-        if d.is_one():
-            return [g]
-        g, _ = _exact_divmod(g, d)
-        g = g.monic(DEGREVLEX)
+def _intersection_gens(field: FieldSpec, nvars: int, gi: Sequence[Polynomial],
+                       gj: Sequence[Polynomial], budgets: Budgets) -> List[Polynomial]:
+    """Generators of (gi) intersect (gj): eliminate t from t*(gi) + (1-t)*(gj)."""
+    t = Polynomial.var(field, nvars + 1, 0)
+    one = Polynomial.const(field, nvars + 1, 1)
+    lifted = [t * g.lift(1) for g in gi] + [(one - t) * g.lift(1) for g in gj]
+    return _eliminate_aux(lifted, budgets)
 
 
 def _saturate_gens(
@@ -145,13 +121,13 @@ def _saturate_gens(
     if f.is_zero():
         raise DomainError("cannot saturate with respect to zero")
     if nvars == 1:
-        return _saturate_univar(gens, f, field)
+        g = univar.gcd(gens, field)
+        return [] if g.is_zero() else [univar.strip_shared(g, f)]
     lifted = [g.lift(1) for g in gens]
     t = Polynomial.var(field, nvars + 1, 0)
     one = Polynomial.const(field, nvars + 1, 1)
     lifted.append(one - t * f.lift(1))
-    basis = groebner_basis(lifted, BlockElim(1), budgets)
-    return [g.drop_aux(1) for g in basis if not g.uses_aux(1)]
+    return _eliminate_aux(lifted, budgets)
 
 
 class IdealHandle:
@@ -172,12 +148,7 @@ class IdealHandle:
         """Reduced Groebner basis of (generators + quotient), no saturation."""
         if self._plain_basis is None:
             gens = list(self.generators) + list(self.ring.quotient)
-            if self.ring.nvars == 1:
-                _check_degrees(gens, budgets)
-                g = _gcd_univar(gens, self.ring.field)
-                self._plain_basis = () if g.is_zero() else (g,)
-            else:
-                self._plain_basis = tuple(groebner_basis(gens, self.ring.order, budgets))
+            self._plain_basis = self._reduced_basis(gens, budgets)
         return self._plain_basis
 
     def canonical_basis(self, budgets: Budgets = DEFAULT_BUDGETS) -> Tuple[Polynomial, ...]:
@@ -192,13 +163,19 @@ class IdealHandle:
             if self.ring.inverted:
                 s = self.ring.inverted_product()
                 gens = _saturate_gens(gens, s, self.ring.field, self.ring.nvars, budgets)
-            if self.ring.nvars == 1:
-                _check_degrees(gens, budgets)
-                g = _gcd_univar(gens, self.ring.field)
-                self._canonical = () if g.is_zero() else (g,)
-            else:
-                self._canonical = tuple(groebner_basis(gens, self.ring.order, budgets))
+            self._canonical = self._reduced_basis(gens, budgets)
         return self._canonical
+
+    def _reduced_basis(self, gens: List[Polynomial], budgets: Budgets) -> Tuple[Polynomial, ...]:
+        """Reduced Groebner basis of gens: the monic gcd in k[x], else Buchberger."""
+        if self.ring.nvars != 1:
+            return tuple(groebner_basis(gens, self.ring.order, budgets))
+        # The same degree budget Buchberger applies to its input generators.
+        for g in gens:
+            if g.total_degree() > budgets.max_degree:
+                raise ResourceBudgetError("max_degree", budgets.max_degree)
+        g = univar.gcd(gens, self.ring.field)
+        return () if g.is_zero() else (g,)
 
     # -- predicates ----------------------------------------------------------
 
@@ -267,23 +244,14 @@ def ideal_combine(op: str, I: IdealHandle, J: IdealHandle,
         gens = tuple(a * b for a in I.generators for b in J.generators)
         return IdealHandle(ring, gens)
     if op == "intersection":
-        # t*I + (1-t)*J, eliminate t.
-        nv = ring.nvars
-        gi = list(I.canonical_basis(budgets)) or []
-        gj = list(J.canonical_basis(budgets)) or []
-        t = Polynomial.var(ring.field, nv + 1, 0)
-        one = Polynomial.const(ring.field, nv + 1, 1)
-        lifted = [t * g.lift(1) for g in gi] + [(one - t) * g.lift(1) for g in gj]
-        basis = groebner_basis(lifted, BlockElim(1), budgets)
-        gens = tuple(g.drop_aux(1) for g in basis if not g.uses_aux(1))
-        return IdealHandle(ring, gens)
+        gens = _intersection_gens(ring.field, ring.nvars, I.canonical_basis(budgets),
+                                  J.canonical_basis(budgets), budgets)
+        return IdealHandle(ring, tuple(gens))
     raise DomainError(f"unknown ideal operation {op!r}")
 
 
 def saturate(I: IdealHandle, f: Polynomial, budgets: Budgets = DEFAULT_BUDGETS) -> IdealHandle:
     """The saturation I : f^infinity as a new handle over the same ring."""
-    if f.is_zero():
-        raise DomainError("cannot saturate with respect to zero")
     gens = _saturate_gens(list(I.generators) + list(I.ring.quotient), f,
                           I.ring.field, I.ring.nvars, budgets)
     return IdealHandle(I.ring, tuple(gens))
@@ -298,39 +266,13 @@ def colon_ideal(I: IdealHandle, p: Polynomial, budgets: Budgets = DEFAULT_BUDGET
     ring = I.ring
     if p.is_zero():
         return IdealHandle(ring, (ring.one(),))
-    gi = list(I.plain_basis(budgets))
-    t = Polynomial.var(ring.field, ring.nvars + 1, 0)
-    one = Polynomial.const(ring.field, ring.nvars + 1, 1)
-    lifted = [t * g.lift(1) for g in gi] + [(one - t) * p.lift(1)]
-    basis = groebner_basis(lifted, BlockElim(1), budgets)
     gens = []
-    for g in basis:
-        if g.uses_aux(1):
-            continue
-        q, r = _exact_divmod(g.drop_aux(1), p)
+    for g in _intersection_gens(ring.field, ring.nvars, I.plain_basis(budgets), [p], budgets):
+        q, r = exact_divmod(g, p)
         if not r.is_zero():
             raise DomainError("intersection generator not divisible by the colon element")
         gens.append(q)
     return IdealHandle(ring, tuple(gens))
-
-
-def _exact_divmod(g: Polynomial, p: Polynomial):
-    """Single-divisor polynomial division; returns (quotient, remainder)."""
-    order = DEGREVLEX
-    F = g.field
-    pm, pc = p.leading_monomial(order), p.leading_coeff(order)
-    quotient = Polynomial.zero(F, g.nvars)
-    work = g
-    while not work.is_zero():
-        lm = work.leading_monomial(order)
-        if not mono_divides(pm, lm):
-            return quotient, work
-        piece = mono_div(lm, pm)
-        coeff = F.div(work.terms[lm], pc)
-        term = Polynomial(F, g.nvars, {piece: coeff})
-        quotient = quotient + term
-        work = work - term * p
-    return quotient, Polynomial.zero(F, g.nvars)
 
 
 def radical_membership(f: Polynomial, I: IdealHandle, budgets: Budgets = DEFAULT_BUDGETS) -> bool:
@@ -348,13 +290,7 @@ def radical_membership(f: Polynomial, I: IdealHandle, budgets: Budgets = DEFAULT
         basis = I.canonical_basis(budgets)
         if not basis:
             return f.is_zero()
-        g = basis[0]
-        while True:
-            d = _euclid_univar(g, f).monic(DEGREVLEX)
-            if d.is_one():
-                return g.is_one()
-            g, _ = _exact_divmod(g, d)
-            g = g.monic(DEGREVLEX)
+        return univar.strip_shared(basis[0], f).is_one()
     naux = 2 if ring.inverted else 1
     nv = ring.nvars + naux
     gens = [g.lift(naux) for g in list(I.generators) + list(ring.quotient)]

@@ -7,12 +7,11 @@ Point sets never appear except for finite rings, where Spec is enumerable.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import FrozenSet, List, Sequence, Set, Tuple
 
 from .config import Budgets, DEFAULT_BUDGETS
-from .errors import DomainError, ValidationError
+from .errors import DomainError
 from .finite import FiniteRing, enumerate_ideals, is_prime_ideal
 from .poly import Polynomial
 from .rings import IdealHandle, PresentedRing, radical_membership

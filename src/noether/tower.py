@@ -12,11 +12,11 @@ that no finite set of sections generates every level's ideal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, List, Optional
 
 from .config import Budgets, DEFAULT_BUDGETS
-from .errors import DomainError, ValidationError
+from .errors import DomainError
 from .fields import FieldSpec
 from .poly import Polynomial
 from .rings import (IdealHandle, PresentedRing, ideal_contains, ideal_equal,

@@ -1,21 +1,18 @@
 """Univariate helpers: exact gcd, divisibility, irreducible factorization.
 
-Factorization over Q and F_p delegates to sympy; everything else is plain
-Euclidean arithmetic on our own polynomial type.
+Factorization over Q and F_p delegates to sympy, imported only when a
+caller factors; everything else is plain Euclidean arithmetic on our own
+polynomial type.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import List, Sequence, Tuple
-
-import sympy
 
 from .errors import CapabilityError
 from .fields import FieldSpec
-from .poly import DEGREVLEX, Polynomial
-from .rings import _exact_divmod
-
-_X = sympy.Symbol("x")
+from .poly import DEGREVLEX, Polynomial, exact_divmod
 
 
 def _require_univariate(p: Polynomial):
@@ -33,7 +30,7 @@ def poly_degree(p: Polynomial) -> int:
 
 def exact_quotient(p: Polynomial, g: Polynomial) -> Polynomial:
     """p / g when g divides p exactly; raises on a nonzero remainder."""
-    quo, r = _exact_divmod(p, g)
+    quo, r = exact_divmod(p, g)
     if not r.is_zero():
         raise CapabilityError("exact quotient requested for a non-multiple")
     return quo
@@ -43,7 +40,7 @@ def divides(a: Polynomial, b: Polynomial) -> bool:
     """True iff a | b in k[x]; zero divides only zero."""
     if a.is_zero():
         return b.is_zero()
-    _, r = _exact_divmod(b, a)
+    _, r = exact_divmod(b, a)
     return r.is_zero()
 
 
@@ -62,16 +59,26 @@ def gcd(polys: Sequence[Polynomial], field: FieldSpec) -> Polynomial:
 
 def _euclid(a: Polynomial, b: Polynomial) -> Polynomial:
     while not b.is_zero():
-        _, r = _exact_divmod(a, b)
+        _, r = exact_divmod(a, b)
         a, b = b, r
     return a
+
+
+def strip_shared(g: Polynomial, f: Polynomial) -> Polynomial:
+    """Monic nonzero g with every irreducible factor it shares with f
+    divided out: the generator of (g) : f^infinity in k[x]."""
+    while True:
+        d = _euclid(g, f).monic(DEGREVLEX)
+        if d.is_one():
+            return g
+        g = exact_divmod(g, d)[0].monic(DEGREVLEX)
 
 
 def multiplicity(q: Polynomial, g: Polynomial) -> int:
     """Largest e with q^e | g (g nonzero, q nonconstant)."""
     e = 0
     while True:
-        quo, r = _exact_divmod(g, q)
+        quo, r = exact_divmod(g, q)
         if not r.is_zero():
             return e
         g = quo
@@ -79,22 +86,24 @@ def multiplicity(q: Polynomial, g: Polynomial) -> int:
 
 
 def _domain(field: FieldSpec):
+    import sympy
+
     return sympy.QQ if field.kind == "q" else sympy.GF(field.p)
 
 
-def to_sympy(p: Polynomial) -> sympy.Poly:
+def to_sympy(p: Polynomial) -> "sympy.Poly":
+    import sympy
+
     _require_univariate(p)
     terms = {(e,): int(c) if p.field.kind == "fp" else c for (e,), c in p.terms.items()}
-    return sympy.Poly.from_dict(terms, _X, domain=_domain(p.field))
+    return sympy.Poly.from_dict(terms, sympy.Symbol("x"), domain=_domain(p.field))
 
 
-def from_sympy(sp: sympy.Poly, field: FieldSpec) -> Polynomial:
+def from_sympy(sp: "sympy.Poly", field: FieldSpec) -> Polynomial:
     terms = {}
     for mono, coeff in sp.as_dict().items():
         e = mono[0]
         if field.kind == "q":
-            from fractions import Fraction
-
             c = Fraction(int(coeff.numerator), int(coeff.denominator))
         else:
             c = int(coeff) % field.p
@@ -104,6 +113,8 @@ def from_sympy(sp: sympy.Poly, field: FieldSpec) -> Polynomial:
 
 def irreducible_factors(p: Polynomial) -> List[Tuple[Polynomial, int]]:
     """Monic irreducible factors of a nonzero univariate polynomial."""
+    import sympy
+
     _require_univariate(p)
     if p.is_zero():
         raise CapabilityError("cannot factor zero")
@@ -112,7 +123,7 @@ def irreducible_factors(p: Polynomial) -> List[Tuple[Polynomial, int]]:
     _, factors = to_sympy(p).factor_list()
     out = []
     for fac, mult in factors:
-        q = from_sympy(sympy.Poly(fac, _X, domain=_domain(p.field)), p.field)
+        q = from_sympy(sympy.Poly(fac, sympy.Symbol("x"), domain=_domain(p.field)), p.field)
         if q.is_constant():
             continue
         out.append((q.monic(DEGREVLEX), int(mult)))

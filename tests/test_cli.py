@@ -6,6 +6,9 @@ import json
 import pytest
 
 from noether.cli import main
+from noether.config import Budgets
+from noether.errors import ParseError
+from noether.jobs import parse_job
 
 
 def run(capsys, *argv, stdin=None, monkeypatch=None):
@@ -185,6 +188,56 @@ def test_unknown_op_exit_code(capsys, monkeypatch):
     code, doc = run(capsys, "ideal", "-", stdin='{"op": "nonsense"}',
                     monkeypatch=monkeypatch)
     assert code == 2
+
+
+def test_unreadable_payload_file_exit_code(tmp_path, capsys):
+    code, doc = run(capsys, "groebner", str(tmp_path / "missing.json"))
+    assert (code, doc["status"]) == (2, "error")
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes('{"ring": {"vars": ["\xe9"]}}'.encode("latin-1"))
+    code, doc = run(capsys, "groebner", str(latin1))
+    assert (code, doc["status"]) == (2, "error")
+
+
+@pytest.mark.parametrize("command,payload,key", [
+    ("ideal", {"op": "membership", "ideal": ["x"]}, "element"),
+    ("open", {"op": "contains", "b": "x"}, "a"),
+    ("open", {"op": "cover-check", "pieces": ["x"]}, "target"),
+])
+def test_missing_required_key_exit_code(capsys, monkeypatch, command, payload, key):
+    code, doc = run(capsys, command, "-", stdin=json.dumps(payload),
+                    monkeypatch=monkeypatch)
+    assert code == 2
+    assert doc["config"]["error_type"] == "ParseError"
+    assert doc["result"]["error"] == f"missing required key {key!r}"
+
+
+def test_parse_job_document():
+    job = parse_job('{"command": "ideal", "payload": {"ideal": ["x"]}, '
+                    '"budgets": {"max_degree": 7}}')
+    assert (job.command, job.payload) == ("ideal", {"ideal": ["x"]})
+    assert job.budgets == Budgets(max_degree=7)
+    with pytest.raises(ParseError, match="missing required key 'element'"):
+        job.payload["element"]
+
+
+@pytest.mark.parametrize("text,message", [
+    ('{"command": "nonsense"}', "unknown command 'nonsense'"),
+    ('{"command": "groebner", "budgets": {"max_dgree": 7}}',
+     "unknown budget field 'max_dgree'"),
+    ('{"command": "groebner", "budgets": {"from_env": 7}}',
+     "unknown budget field 'from_env'"),
+    ('{"command": "groebner", "budgets": {"max_degree": "abc"}}',
+     "budget 'max_degree' must be an integer"),
+    ('{"command": "groebner", "budgets": [1]}', "budgets must be a JSON object"),
+    ('{"command": "groebner", "payload": [1]}', "payload must be a JSON object"),
+    ('["groebner"]', "job must be a JSON object"),
+    ("  ", "empty job input"),
+    ('{"command": ', "invalid JSON job"),
+])
+def test_parse_job_rejects(text, message):
+    with pytest.raises(ParseError, match=message):
+        parse_job(text)
 
 
 def test_budget_exit_code(tmp_path, capsys, monkeypatch):
