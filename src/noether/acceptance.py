@@ -46,6 +46,13 @@ class AcceptanceResult:
 # 1. Groebner membership vs. brute-force combination enumeration over F2
 # ---------------------------------------------------------------------------
 
+# A window of degree pdeg + 8 misses members.  With f = 1 + u,
+# u = x^2*y + y^2 and g = f + y^3, 1 lies in <f, g> with no certificate
+# below degree 9: 1 = f*(1 + u + u^2) + (f + g)*(x^2 + y)^3, as u^3 =
+# y^3*(x^2 + y)^3.  The slack is twice the Bezout number 3*3 of two cubics.
+ORACLE_SLACK = 2 * 3 * 3
+
+
 def _f2_combination_member(p: Polynomial, gens: Sequence[Polynomial],
                            max_degree: int) -> bool:
     """Membership by GF(2) linear algebra over all monomial multiples of the
@@ -110,7 +117,8 @@ def criterion_1(budgets: Budgets = DEFAULT_BUDGETS) -> Tuple[bool, str]:
         handle = ring.ideal(gens)
         via_basis = ideal_membership(p, handle, budgets)
         pdeg = max(sum(m) for m in p.terms)
-        via_oracle = _f2_combination_member(p, gens, max_degree=pdeg + 8)
+        via_oracle = _f2_combination_member(
+            p, gens, max_degree=pdeg + ORACLE_SLACK)
         if via_basis != via_oracle:
             mismatches += 1
     return mismatches == 0, f"{instances} instances, {mismatches} mismatches"

@@ -21,9 +21,9 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .config import Budgets, DEFAULT_BUDGETS
 from .errors import BoundExceededError, DomainError, ValidationError
-from .finite import (FiniteModule, FiniteRing, all_homs, enumerate_ideals,
-                     enumerate_submodules, free_module, hom_from_ideal,
-                     quotient_module, submodule)
+from .finite import (FiniteModule, all_homs, coset_representatives,
+                     enumerate_ideals, enumerate_submodules, free_module,
+                     hom_from_ideal, quotient_module, submodule)
 
 
 # ---------------------------------------------------------------------------
@@ -46,8 +46,7 @@ class BaerReport:
         return out
 
 
-def _extension_images(R: FiniteRing, M: FiniteModule, ideal: FrozenSet,
-                      graph: Dict) -> List:
+def _extension_images(M: FiniteModule, ideal: FrozenSet, graph: Dict) -> List:
     """All module elements m with x*m = graph[x] for every x in the ideal."""
     return [m for m in M.elements
             if all(M.smul(x, m) == graph[x] for x in ideal)]
@@ -62,7 +61,7 @@ def baer_test(M: FiniteModule, budgets: Budgets = DEFAULT_BUDGETS) -> BaerReport
     R = M.ring
     for ideal in enumerate_ideals(R, budgets):
         for graph in hom_from_ideal(R, ideal, M, budgets):
-            if not _extension_images(R, M, ideal, graph):
+            if not _extension_images(M, ideal, graph):
                 return BaerReport(False, witness=(ideal, graph))
     return BaerReport(True)
 
@@ -101,14 +100,7 @@ class BaerModule:
         self._transversals: List[List] = []
         size = base.size
         for entry in self.ledger:
-            rep_of: Dict = {}
-            transversal: List = []
-            for r in R.elements:  # zero first, so the zero coset rep is zero
-                if r in rep_of:
-                    continue
-                transversal.append(r)
-                for x in entry.ideal:
-                    rep_of[R.add(r, x)] = r
+            rep_of, transversal = coset_representatives(R, entry.ideal)
             self._reps.append(rep_of)
             self._transversals.append(transversal)
             size *= len(transversal)
@@ -150,9 +142,6 @@ class BaerModule:
         R = self.ring
         return self._normalize(self.base.smul(r, a[0]),
                                [R.mul(r, x) for x in a[1]])
-
-    def neg(self, a: Tuple) -> Tuple:
-        return self.smul(self.ring.neg(self.ring.one), a)
 
     def materialize(self, name: str = "M1",
                     budgets: Budgets = DEFAULT_BUDGETS) -> FiniteModule:
@@ -294,7 +283,6 @@ def chain_fixed_pointwise(chain: BaerChain) -> bool:
     if not chain.steps:
         return True
     base = chain.stages[0]
-    images = [base.elements]
     current = list(base.elements)
     for step in chain.steps:
         current = [step.embedding(m) for m in current]
@@ -327,7 +315,6 @@ def injective_envelope_bruteforce(M: FiniteModule, bound: int = 256,
     """
     R = M.ring
     candidates: List[FiniteModule] = []
-    seen_sizes_shapes = set()
     for rank in (1, 2):
         if R.size ** rank > max(bound, R.size):
             break

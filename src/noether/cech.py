@@ -185,8 +185,6 @@ def _count_multidegrees(n: int, d: int, negatives: FrozenSet[int],
                         window: int) -> int:
     """Count integer vectors a in [-window, window]^(n+1) with sum d whose
     strictly negative coordinates are exactly ``negatives``."""
-    total = 0
-    counts = [1]  # distribution of the running sum, offset handled below
     # dynamic programming over coordinates; sums range over a finite band
     span = (n + 1) * window
     dist = {0: 1}
@@ -297,7 +295,7 @@ def cech_complex_affine(R: PresentedRing, I: IdealHandle, cover: OpenCover,
     gdeg = poly_degree(g)
     hs = [piece.f for piece in cover.pieces]
     hdeg = [poly_degree(h) for h in hs]
-    zero, one = R.field.zero(), R.field.one()
+    zero = R.field.zero()
 
     levels: List[List[Tuple[int, ...]]] = [
         list(itertools.combinations(range(m), p + 1)) for p in range(m)]
@@ -328,17 +326,10 @@ def cech_complex_affine(R: PresentedRing, I: IdealHandle, cover: OpenCover,
         offsets.append(off)
         dims.append(total)
 
-    def coeff_vector(p: Polynomial, cap_deg: int) -> List:
-        vec = [zero] * (cap_deg + 1)
-        for mono, c in p.terms.items():
-            vec[mono[0]] = c
-        return vec
-
     diffs: List[List[List]] = []
     for p in range(m - 1):
         matrix = [[zero] * dims[p] for _ in range(dims[p + 1])]
         for big in levels[p + 1]:
-            big_cap = cap(big)
             for drop in range(len(big)):
                 small = big[:drop] + big[drop + 1:]
                 sign = 1 if drop % 2 == 0 else -1
@@ -348,7 +339,6 @@ def cech_complex_affine(R: PresentedRing, I: IdealHandle, cover: OpenCover,
                 row0 = offsets[p + 1][big]
                 for k, bp in enumerate(basis_polys(small)):
                     image = bp * mult
-                    vec = coeff_vector(image, big_cap)
                     # express the image in the monomial-multiples basis of
                     # the bigger chart: image = g * x^? * (stuff); since the
                     # basis is {g, g*x, ...} the coordinates are the

@@ -11,6 +11,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, fields
 
+from .errors import ParseError
+
 
 @dataclass(frozen=True)
 class Budgets:
@@ -39,9 +41,13 @@ class Budgets:
     def from_env() -> "Budgets":
         overrides = {}
         for f in fields(Budgets):
-            raw = os.environ.get(f"NOETHER_BUDGET_{f.name.upper()}")
+            var = f"NOETHER_BUDGET_{f.name.upper()}"
+            raw = os.environ.get(var)
             if raw is not None:
-                overrides[f.name] = int(raw)
+                try:
+                    overrides[f.name] = int(raw)
+                except ValueError:
+                    raise ParseError(f"{var} must be an integer, got {raw!r}") from None
         return Budgets(**overrides)
 
 

@@ -28,7 +28,8 @@ from .errors import (
     ResourceBudgetError,
     ValidationError,
 )
-from .finite import FiniteRing, enumerate_ideals, ideal_closure
+from .finite import (FiniteRing, coset_representatives, enumerate_ideals,
+                     ideal_closure)
 from .poly import Polynomial
 from .rings import (
     IdealHandle,
@@ -575,26 +576,13 @@ def localize_finite(R: FiniteRing, a) -> Tuple[FiniteRing, Dict]:
         powers.append(R.mul(powers[-1], a))
     kernel = frozenset(r for r in R.elements
                        if any(R.mul(p, r) == R.zero for p in powers[1:]))
-    rep: Dict = {}
-    classes = []
-    for r in R.elements:
-        if r in rep:
-            continue
-        coset = sorted((R.add(r, k) for k in kernel), key=R.index)
-        c = coset[0]
-        for x in coset:
-            rep[x] = c
-        classes.append(c)
-    classes.sort(key=R.index)
-    zero = rep[R.zero]
-    classes.remove(zero)
-    classes.insert(0, zero)
+    rep, classes = coset_representatives(R, kernel)
     Q = FiniteRing(
         f"{R.name}_loc", classes,
         lambda x, y: rep[R.add(x, y)],
         lambda x, y: rep[R.mul(x, y)],
         lambda x: rep[R.neg(x)],
-        zero, rep[R.one],
+        R.zero, rep[R.one],
     )
     return Q, rep
 

@@ -1,17 +1,23 @@
 """Explicit finite commutative rings and finite modules.
 
 Finite rings are Z/n, F_p[x]/(f) and finite direct products of these;
-elements are plain hashable values with the zero element listed first.
-Modules carry callable add / scalar-action maps; explicit table-backed
-modules have the module axioms verified on construction.  Everything here
-is sized for exhaustive, sub-minute brute force.
+modules carry callable add / scalar-action maps.  Elements are plain
+hashable values with the zero element listed first.
+
+The ideals of a finite ring R are exactly the R-submodules of R, so the
+ideal functions (``ideal_closure``, ``is_ideal``, ``enumerate_ideals``,
+``minimal_generators``) are the module functions applied to
+``ring_as_module(R)``.  There is one closure, ``span``, which builds the
+additive span of the scaled seed by coset doubling.  Everything here is
+sized for exhaustive, sub-minute brute force.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Iterable, List, Sequence, Tuple
+from functools import cached_property
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .config import Budgets, DEFAULT_BUDGETS
 from .errors import BoundExceededError, DomainError, ValidationError
@@ -140,75 +146,223 @@ def product_ring(rings: Sequence[FiniteRing]) -> FiniteRing:
     )
 
 
-# -- ideals ------------------------------------------------------------------
+# -- modules -----------------------------------------------------------------
 
 
-def ideal_closure(R: FiniteRing, seed: Iterable, base: FrozenSet = None) -> FrozenSet:
-    """Smallest ideal of R containing ``seed`` (and ``base``, if given,
-    which must already be an ideal).
+class FiniteModule:
+    """Finite module over a FiniteRing, with callable operations; the zero
+    element is listed first."""
 
-    The ideal is the additive span of all ring multiples of the seed, so it
-    is built by abelian-group closure: each new multiple m contributes the
-    cosets m + G, 2m + G, ... of the group G built so far, stopping at the
-    first multiple already absorbed.
+    def __init__(self, ring: FiniteRing, elements: Sequence, add: Callable,
+                 smul: Callable, zero, name: str = "M"):
+        self.ring = ring
+        self.elements = tuple(elements)
+        if self.elements[0] != zero:
+            raise ValidationError("zero element must be listed first")
+        self.add = add
+        self.smul = smul
+        self.zero = zero
+        self.name = name
+
+    @property
+    def size(self) -> int:
+        return len(self.elements)
+
+    @cached_property
+    def _index(self) -> Dict:
+        return {a: i for i, a in enumerate(self.elements)}
+
+    def index(self, a) -> int:
+        return self._index[a]
+
+    def __repr__(self):
+        return f"FiniteModule({self.name}, size={self.size})"
+
+
+def ring_as_module(R: FiniteRing) -> FiniteModule:
+    return FiniteModule(R, R.elements, R.add, R.mul, R.zero, name=R.name)
+
+
+def zero_module(R: FiniteRing) -> FiniteModule:
+    return FiniteModule(R, [0], lambda a, b: 0, lambda r, a: 0, 0, name="0")
+
+
+def span(M: FiniteModule, seed: Iterable, base: FrozenSet = None) -> FrozenSet:
+    """Smallest submodule of M containing ``seed`` (and ``base``, if given,
+    which must already be a submodule).
+
+    The submodule is the additive span of all ring multiples of the seed,
+    so it is built by abelian-group closure: each new multiple m contributes
+    the cosets m + G, 2m + G, ... of the group G built so far, stopping at
+    the first multiple already absorbed.
     """
-    grp = set(base) if base is not None else {R.zero}
+    add, smul, scalars = M.add, M.smul, M.ring.elements
+    grp = set(base) if base is not None else {M.zero}
     for x in seed:
-        for r in R.elements:
-            m = R.mul(r, x)
+        for r in scalars:
+            m = smul(r, x)
             if m in grp:
                 continue
             old = list(grp)
             step = m
             while step not in grp:
                 for g in old:
-                    grp.add(R.add(step, g))
-                step = R.add(step, m)
+                    grp.add(add(step, g))
+                step = add(step, m)
     return frozenset(grp)
 
 
+def _closure_failure(M: FiniteModule, subset: FrozenSet) -> Optional[Tuple[str, object]]:
+    """Why ``subset`` is not a submodule of M, as (message, witness), or
+    None when it is one."""
+    add, smul, scalars = M.add, M.smul, M.ring.elements
+    for a in subset:
+        for b in subset:
+            if add(a, b) not in subset:
+                return "subset not closed under addition", (a, b)
+        for r in scalars:
+            if smul(r, a) not in subset:
+                return "subset not closed under scaling", (r, a)
+    if M.zero not in subset:
+        return "subset does not contain zero", None
+    return None
+
+
+def submodule(M: FiniteModule, subset: Iterable, name: str = "N") -> FiniteModule:
+    els = frozenset(subset)
+    failure = _closure_failure(M, els)
+    if failure is not None:
+        raise ValidationError(*failure)
+    return FiniteModule(M.ring, sorted(els, key=M.index), M.add, M.smul,
+                        M.zero, name=name)
+
+
+def enumerate_submodules(M: FiniteModule, budgets: Budgets = DEFAULT_BUDGETS) -> List[FrozenSet]:
+    """All submodules of M, as element sets, smallest first; includes 0 and M."""
+    if M.size > budgets.finite_ring_bound:
+        raise BoundExceededError("finite_ring_bound", budgets.finite_ring_bound)
+    subs = {frozenset([M.zero])}
+    frontier = list(subs)
+    while frontier:
+        N = frontier.pop()
+        for a in M.elements:
+            if a in N:
+                continue
+            bigger = span(M, (a,), base=N)
+            if bigger not in subs:
+                subs.add(bigger)
+                frontier.append(bigger)
+    return sorted(subs, key=lambda N: (len(N), sorted(map(M.index, N))))
+
+
+def _generators(M: FiniteModule, target: FrozenSet) -> List:
+    """Greedy generator list of the submodule ``target``: every element, in
+    element order, that the span of the earlier ones misses."""
+    gens: List = []
+    covered = frozenset([M.zero])
+    for a in M.elements:
+        if len(covered) == len(target):
+            break
+        if a in target and a not in covered:
+            gens.append(a)
+            covered = span(M, (a,), base=covered)
+    return gens
+
+
+def module_generators(M: FiniteModule) -> List:
+    return _generators(M, frozenset(M.elements))
+
+
+def coset_representatives(M, N: FrozenSet) -> Tuple[Dict, List]:
+    """Map each element of M to the first element of its coset modulo the
+    additive subgroup N, in element order, and list those representatives
+    in element order.  M is a FiniteRing or a FiniteModule; its zero comes
+    first, so zero represents N itself."""
+    rep: Dict = {}
+    reps: List = []
+    add = M.add
+    for a in M.elements:
+        if a not in rep:
+            reps.append(a)
+            for n in N:
+                rep[add(a, n)] = a
+    return rep, reps
+
+
+def quotient_module(M: FiniteModule, N: FrozenSet, name: str = "M/N") -> FiniteModule:
+    """Quotient by a submodule; elements are canonical coset representatives."""
+    if not N <= set(M.elements):
+        raise ValidationError("submodule not contained in module")
+    rep, cosets = coset_representatives(M, N)
+    return FiniteModule(M.ring, cosets,
+                        lambda a, b: rep[M.add(a, b)],
+                        lambda r, a: rep[M.smul(r, a)],
+                        M.zero, name=name)
+
+
+def free_module(R: FiniteRing, rank: int) -> FiniteModule:
+    els = sorted(itertools.product(R.elements, repeat=rank),
+                 key=lambda t: tuple(R.index(x) for x in t))
+    zero = (R.zero,) * rank
+    return FiniteModule(R, els,
+                        lambda a, b: tuple(R.add(x, y) for x, y in zip(a, b)),
+                        lambda r, a: tuple(R.mul(r, x) for x in a),
+                        zero, name=f"{R.name}^{rank}")
+
+
+@dataclass
+class DirectSum:
+    module: FiniteModule
+    injections: List[Callable]
+
+
+def direct_sum(modules: Sequence[FiniteModule], budgets: Budgets = DEFAULT_BUDGETS) -> DirectSum:
+    """Componentwise direct sum with canonical injections; empty sum is 0."""
+    if not modules:
+        raise DomainError("direct_sum of an empty list needs a ring; use zero_module")
+    ring = modules[0].ring
+    if any(m.ring != ring for m in modules):
+        raise DomainError("modules over different rings")
+    total = 1
+    for m in modules:
+        total *= m.size
+        if total > budgets.finite_ring_bound:
+            raise BoundExceededError("finite_ring_bound", budgets.finite_ring_bound)
+    S = FiniteModule(
+        ring, itertools.product(*[m.elements for m in modules]),
+        lambda a, b: tuple(m.add(x, y) for m, x, y in zip(modules, a, b)),
+        lambda r, a: tuple(m.smul(r, x) for m, x in zip(modules, a)),
+        tuple(m.zero for m in modules), name=" + ".join(m.name for m in modules),
+    )
+
+    def make_injection(i):
+        def inj(x):
+            return tuple(x if j == i else modules[j].zero for j in range(len(modules)))
+        return inj
+
+    return DirectSum(S, [make_injection(i) for i in range(len(modules))])
+
+
+# -- ideals: the submodules of R ----------------------------------------------
+
+
+def ideal_closure(R: FiniteRing, seed: Iterable, base: FrozenSet = None) -> FrozenSet:
+    """Smallest ideal of R containing ``seed`` (and the ideal ``base``)."""
+    return span(ring_as_module(R), seed, base)
+
+
 def is_ideal(R: FiniteRing, subset: FrozenSet) -> bool:
-    if R.zero not in subset:
-        return False
-    for x in subset:
-        for y in subset:
-            if R.add(x, y) not in subset:
-                return False
-        for r in R.elements:
-            if R.mul(r, x) not in subset:
-                return False
-    return True
+    return _closure_failure(ring_as_module(R), subset) is None
 
 
 def enumerate_ideals(R: FiniteRing, budgets: Budgets = DEFAULT_BUDGETS) -> List[FrozenSet]:
     """All ideals of R, as element sets, smallest first; includes (0) and R."""
-    if R.size > budgets.finite_ring_bound:
-        raise BoundExceededError("finite_ring_bound", budgets.finite_ring_bound)
-    ideals = {frozenset([R.zero])}
-    frontier = [frozenset([R.zero])]
-    while frontier:
-        I = frontier.pop()
-        for a in R.elements:
-            if a in I:
-                continue
-            J = ideal_closure(R, (a,), base=I)
-            if J not in ideals:
-                ideals.add(J)
-                frontier.append(J)
-    return sorted(ideals, key=lambda I: (len(I), sorted(R.index(x) for x in I)))
+    return enumerate_submodules(ring_as_module(R), budgets)
 
 
 def minimal_generators(R: FiniteRing, I: FrozenSet) -> List:
     """Greedy extraction of a finite generator list for an ideal."""
-    gens: List = []
-    span = frozenset([R.zero])
-    for a in sorted(I, key=R.index):
-        if a not in span:
-            gens.append(a)
-            span = ideal_closure(R, gens)
-        if span == I:
-            break
-    return gens
+    return _generators(ring_as_module(R), I)
 
 
 def is_prime_ideal(R: FiniteRing, I: FrozenSet) -> bool:
@@ -275,206 +429,7 @@ def noetherian_witness(R: FiniteRing, chain: Sequence[FrozenSet],
     return NoetherianReport(gen_lists, longest, total, maximal, ok)
 
 
-# -- modules -----------------------------------------------------------------
-
-
-class FiniteModule:
-    """Finite module over a FiniteRing, with callable operations."""
-
-    def __init__(self, ring: FiniteRing, elements: Sequence, add: Callable,
-                 smul: Callable, zero, name: str = "M", check: bool = False):
-        self.ring = ring
-        self.elements = tuple(elements)
-        self._add = add
-        self._smul = smul
-        self.zero = zero
-        self.name = name
-        if check:
-            self._check_axioms()
-
-    @property
-    def size(self) -> int:
-        return len(self.elements)
-
-    def add(self, a, b):
-        return self._add(a, b)
-
-    def smul(self, r, a):
-        return self._smul(r, a)
-
-    def neg(self, a):
-        return self.smul(self.ring.neg(self.ring.one), a)
-
-    def _check_axioms(self):
-        R = self.ring
-        els = self.elements
-        for a in els:
-            if self.add(a, self.zero) != a:
-                raise ValidationError("additive identity fails", witness=a)
-            for b in els:
-                if self.add(a, b) != self.add(b, a):
-                    raise ValidationError("commutativity fails", witness=(a, b))
-            if self.add(a, self.neg(a)) != self.zero:
-                raise ValidationError("additive inverse fails", witness=a)
-        for r in R.elements:
-            for s in R.elements:
-                for a in els:
-                    if self.smul(r, self.smul(s, a)) != self.smul(R.mul(r, s), a):
-                        raise ValidationError("associativity of scaling fails", witness=(r, s, a))
-                    if self.smul(R.add(r, s), a) != self.add(self.smul(r, a), self.smul(s, a)):
-                        raise ValidationError("distributivity over ring addition fails", witness=(r, s, a))
-            for a in els:
-                for b in els:
-                    if self.smul(r, self.add(a, b)) != self.add(self.smul(r, a), self.smul(r, b)):
-                        raise ValidationError("distributivity over module addition fails", witness=(r, a, b))
-        for a in els:
-            if self.smul(R.one, a) != a:
-                raise ValidationError("unit action fails", witness=a)
-
-    def __repr__(self):
-        return f"FiniteModule({self.name}, size={self.size})"
-
-
-def ring_as_module(R: FiniteRing) -> FiniteModule:
-    return FiniteModule(R, R.elements, R.add, R.mul, R.zero, name=R.name)
-
-
-def zero_module(R: FiniteRing) -> FiniteModule:
-    return FiniteModule(R, [0], lambda a, b: 0, lambda r, a: 0, 0, name="0")
-
-
-def submodule(M: FiniteModule, subset: Iterable, name: str = "N") -> FiniteModule:
-    els = frozenset(subset)
-    for a in els:
-        for b in els:
-            if M.add(a, b) not in els:
-                raise ValidationError("subset not closed under addition", witness=(a, b))
-        for r in M.ring.elements:
-            if M.smul(r, a) not in els:
-                raise ValidationError("subset not closed under scaling", witness=(r, a))
-    ordered = sorted(els, key=M.elements.index)
-    if ordered[0] != M.zero:
-        ordered.remove(M.zero)
-        ordered.insert(0, M.zero)
-    return FiniteModule(M.ring, ordered, M.add, M.smul, M.zero, name=name)
-
-
-def span(M: FiniteModule, seed: Iterable) -> FrozenSet:
-    """Smallest submodule of M containing ``seed``."""
-    current = {M.zero}
-    frontier = [M.smul(r, x) for x in seed for r in M.ring.elements]
-    while frontier:
-        x = frontier.pop()
-        if x in current:
-            continue
-        additions = [M.add(x, y) for y in current]
-        current.add(x)
-        frontier.extend(a for a in additions if a not in current)
-    return frozenset(current)
-
-
-def enumerate_submodules(M: FiniteModule, budgets: Budgets = DEFAULT_BUDGETS) -> List[FrozenSet]:
-    if M.size > budgets.finite_ring_bound:
-        raise BoundExceededError("finite_ring_bound", budgets.finite_ring_bound)
-    subs = {frozenset([M.zero])}
-    frontier = [frozenset([M.zero])]
-    while frontier:
-        N = frontier.pop()
-        for a in M.elements:
-            if a in N:
-                continue
-            bigger = span(M, set(N) | {a})
-            if bigger not in subs:
-                subs.add(bigger)
-                frontier.append(bigger)
-    return sorted(subs, key=lambda N: (len(N), sorted(M.elements.index(x) for x in N)))
-
-
-def quotient_module(M: FiniteModule, N: FrozenSet, name: str = "M/N") -> FiniteModule:
-    """Quotient by a submodule; elements are canonical coset representatives."""
-    if not N <= set(M.elements):
-        raise ValidationError("submodule not contained in module")
-    rep: Dict = {}
-    cosets = []
-    for a in M.elements:
-        if a in rep:
-            continue
-        coset = sorted((M.add(a, n) for n in N), key=M.elements.index)
-        r = coset[0]
-        for c in coset:
-            rep[c] = r
-        cosets.append(r)
-    cosets.sort(key=M.elements.index)
-    zero = rep[M.zero]
-    cosets.remove(zero)
-    cosets.insert(0, zero)
-    return FiniteModule(M.ring, cosets,
-                        lambda a, b: rep[M.add(a, b)],
-                        lambda r, a: rep[M.smul(r, a)],
-                        zero, name=name)
-
-
-def free_module(R: FiniteRing, rank: int) -> FiniteModule:
-    els = sorted(itertools.product(R.elements, repeat=rank),
-                 key=lambda t: tuple(R.index(x) for x in t))
-    zero = (R.zero,) * rank
-    return FiniteModule(R, els,
-                        lambda a, b: tuple(R.add(x, y) for x, y in zip(a, b)),
-                        lambda r, a: tuple(R.mul(r, x) for x in a),
-                        zero, name=f"{R.name}^{rank}")
-
-
-@dataclass
-class DirectSum:
-    module: FiniteModule
-    injections: List[Callable]
-
-
-def direct_sum(modules: Sequence[FiniteModule], budgets: Budgets = DEFAULT_BUDGETS) -> DirectSum:
-    """Componentwise direct sum with canonical injections; empty sum is 0."""
-    if not modules:
-        ring = None
-        raise DomainError("direct_sum of an empty list needs a ring; use zero_module")
-    ring = modules[0].ring
-    if any(m.ring != ring for m in modules):
-        raise DomainError("modules over different rings")
-    total = 1
-    for m in modules:
-        total *= m.size
-        if total > budgets.finite_ring_bound:
-            raise BoundExceededError("finite_ring_bound", budgets.finite_ring_bound)
-    els = list(itertools.product(*[m.elements for m in modules]))
-    zero = tuple(m.zero for m in modules)
-    els.remove(zero)
-    els.insert(0, zero)
-    S = FiniteModule(
-        ring, els,
-        lambda a, b: tuple(m.add(x, y) for m, x, y in zip(modules, a, b)),
-        lambda r, a: tuple(m.smul(r, x) for m, x in zip(modules, a)),
-        zero, name=" + ".join(m.name for m in modules),
-    )
-
-    def make_injection(i):
-        def inj(x):
-            return tuple(x if j == i else modules[j].zero for j in range(len(modules)))
-        return inj
-
-    return DirectSum(S, [make_injection(i) for i in range(len(modules))])
-
-
 # -- homomorphisms -----------------------------------------------------------
-
-
-def module_generators(M: FiniteModule) -> List:
-    gens = []
-    covered = frozenset([M.zero])
-    for a in M.elements:
-        if a not in covered:
-            gens.append(a)
-            covered = span(M, gens)
-        if len(covered) == M.size:
-            break
-    return gens
 
 
 def all_homs(A: FiniteModule, B: FiniteModule, budgets: Budgets = DEFAULT_BUDGETS) -> List[Dict]:

@@ -166,15 +166,31 @@ def parse_job(text: str) -> JobSpec:
     return JobSpec(command, payload, replace(Budgets.from_env(), **overrides))
 
 
-def _field_from_json(desc: str) -> FieldSpec:
+def _int(value, key: str) -> int:
+    """The payload value at ``key`` as an integer; a value of the wrong
+    type is a ParseError naming the key."""
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ParseError(f"{key!r} must be an integer, got {value!r}") from None
+
+
+def _object(desc, key: str) -> Dict[str, Any]:
+    if not isinstance(desc, dict):
+        raise ParseError(f"{key!r} must be a JSON object, got {desc!r}")
+    return desc
+
+
+def _field_from_json(desc) -> FieldSpec:
     if desc == "q":
         return QQ
-    if desc.startswith("fp:"):
-        return GF(int(desc[3:]))
+    if isinstance(desc, str) and desc.startswith("fp:"):
+        return GF(_int(desc[3:], "field"))
     raise ParseError(f"unknown field descriptor {desc!r}; use 'q' or 'fp:<p>'")
 
 
 def _ring_from_json(desc: Dict[str, Any]) -> PresentedRing:
+    desc = _object(desc, "ring")
     field = _field_from_json(desc.get("field", "q"))
     vars_ = tuple(desc.get("vars", ["x"]))
     base = PresentedRing(field, vars_)
@@ -184,11 +200,12 @@ def _ring_from_json(desc: Dict[str, Any]) -> PresentedRing:
 
 
 def _finite_ring_from_json(desc: Dict[str, Any]) -> FiniteRing:
+    desc = _object(desc, "finite_ring")
     if "zmod" in desc:
-        return zmod(int(desc["zmod"]))
+        return zmod(_int(desc["zmod"], "zmod"))
     if "gf_quotient" in desc:
-        spec = desc["gf_quotient"]
-        return gf_poly_quotient(int(spec["p"]), list(spec["modulus"]))
+        spec = _object(desc["gf_quotient"], "gf_quotient")
+        return gf_poly_quotient(_int(spec["p"], "p"), list(spec["modulus"]))
     raise ParseError("finite ring descriptor needs 'zmod' or 'gf_quotient'")
 
 
@@ -206,15 +223,15 @@ def _module_from_json(R: FiniteRing, desc: Dict[str, Any]) -> FiniteModule:
     if kind == "zero":
         return zero_module(R)
     if kind == "free":
-        return free_module(R, int(desc.get("rank", 1)))
+        return free_module(R, _int(desc.get("rank", 1), "rank"))
     if kind == "quotient":
-        rank = int(desc.get("rank", 1))
+        rank = _int(desc.get("rank", 1), "rank")
         free = free_module(R, rank)
         gens = [tuple(_finite_element(R, v) for v in vec)
                 for vec in desc.get("relations", [])]
         return quotient_module(free, span(free, gens), name=desc.get("name", "M"))
     if kind == "submodule":
-        rank = int(desc.get("rank", 1))
+        rank = _int(desc.get("rank", 1), "rank")
         free = free_module(R, rank)
         gens = [tuple(_finite_element(R, v) for v in vec)
                 for vec in desc.get("generators", [])]
@@ -230,8 +247,9 @@ def _open_from_json(ring: PresentedRing, desc) -> DistinguishedOpen:
 def _digraph_from_json(desc: Dict[str, Any],
                        budgets: Budgets) -> Tuple[PresentedRing, IdealDigraph]:
     ring = _ring_from_json(desc.get("ring", {}))
-    edges = tuple((int(a), int(b)) for a, b in desc.get("edges", []))
-    root = int(desc.get("root", 0))
+    edges = tuple((_int(a, "edges"), _int(b, "edges"))
+                  for a, b in desc.get("edges", []))
+    root = _int(desc.get("root", 0), "root")
     raw = desc.get("nodes", [])
     if any("fractions" in node for node in raw):
         nodes = []
@@ -381,7 +399,7 @@ def _zz_data_from_json(payload: Dict) -> ZZSheafData:
     points = space_desc.get("points", [])
     below = [tuple(pair) for pair in space_desc.get("below", [])]
     space = FiniteSpace(points, below)
-    assignment = {frozenset(entry["open"]): int(entry["n"])
+    assignment = {frozenset(entry["open"]): _int(entry["n"], "n")
                   for entry in payload.get("assignment", [])}
     return ZZSheafData(space, assignment)
 
@@ -463,8 +481,9 @@ def _run_cech_affine(payload: Dict, budgets: Budgets) -> Report:
                             for p in cover_desc.get("pieces", [])))
     wdesc = payload.get("window", {})
     window = AffineWindow(
-        base_degree=int(wdesc.get("base_degree", 8)),
-        denominator_exponent=int(wdesc.get("denominator_exponent", 3)))
+        base_degree=_int(wdesc.get("base_degree", 8), "base_degree"),
+        denominator_exponent=_int(wdesc.get("denominator_exponent", 3),
+                                  "denominator_exponent"))
     op = payload.get("op", "complex")
     if op == "vanishing":
         value = affine_vanishing_check(ring, handle, cover, window, budgets)
@@ -479,7 +498,7 @@ def _run_cech_affine(payload: Dict, budgets: Budgets) -> Report:
 
 
 def _run_cech_projective(payload: Dict, budgets: Budgets) -> Report:
-    t = TwistData(int(payload["n"]), int(payload["d"]),
+    t = TwistData(_int(payload["n"], "n"), _int(payload["d"], "d"),
                   payload.get("window"))
     charts = payload.get("charts")
     if charts is not None:
@@ -517,14 +536,14 @@ def _run_baer(payload: Dict, budgets: Budgets) -> Report:
             "input_size": M.size, "output_size": step.output_size,
             "slots": len(step.ledger)}, config={"ring": R.name})
     if op == "chain":
-        K = int(payload.get("K", 1))
+        K = _int(payload.get("K", 1), "K")
         chain = baer_chain(M, K, budgets)
         return _bool_report("baer", chain.verified, result={
             "stage_sizes": [getattr(s, "size", None) for s in chain.stages],
             "verified": chain.verified, "stalled_at": chain.stalled_at},
             config={"ring": R.name, "K": K})
     if op == "envelope":
-        bound = int(payload.get("bound", 256))
+        bound = _int(payload.get("bound", 256), "bound")
         env = injective_envelope_bruteforce(M, bound, budgets)
         return _bool_report("baer", env is not None, result={
             "found": env is not None,
@@ -539,11 +558,11 @@ def _run_etale(payload: Dict, budgets: Budgets) -> Report:
     op = payload.get("op", "suite")
     config = {"field": field.describe(), "rule": rule}
     if op == "suite":
-        depth = int(payload.get("depth", 3))
+        depth = _int(payload.get("depth", 3), "depth")
         rep = run_tower_suite(depth, field, rule, budgets)
         return _bool_report("etale", rep.ok, result=rep.as_dict(),
                             config=config)
-    n = int(payload.get("n", payload.get("depth", 1)))
+    n = _int(payload.get("n", payload.get("depth", 1)), "n")
     if op == "level":
         level = tower_ring(n, field, rule)
         return Report("etale", "pass",

@@ -19,7 +19,7 @@ from .errors import DomainError, ResourceBudgetError
 from .fields import FieldSpec
 from .groebner import groebner_basis, normal_form
 from .parse import parse_polynomial
-from .poly import BlockElim, DEGREVLEX, Polynomial, exact_divmod, order_by_name
+from .poly import BlockElim, DEGREVLEX, Polynomial, exact_divmod
 
 
 @dataclass(frozen=True)
@@ -28,7 +28,7 @@ class PresentedRing:
     vars: Tuple[str, ...]
     quotient: Tuple[Polynomial, ...] = ()
     inverted: Tuple[Polynomial, ...] = ()
-    order_name: str = "degrevlex"
+    order = DEGREVLEX
 
     def __post_init__(self):
         for p in self.quotient + self.inverted:
@@ -37,7 +37,6 @@ class PresentedRing:
         for p in self.inverted:
             if p.is_zero():
                 raise DomainError("cannot invert zero")
-        order_by_name(self.order_name)
         # No inverted element may reduce to 0 modulo the quotient.
         if self.quotient:
             qb = groebner_basis(list(self.quotient), self.order)
@@ -48,10 +47,6 @@ class PresentedRing:
     @property
     def nvars(self) -> int:
         return len(self.vars)
-
-    @property
-    def order(self):
-        return order_by_name(self.order_name)
 
     # -- element helpers ---------------------------------------------------
 
@@ -75,9 +70,9 @@ class PresentedRing:
 
     def with_inverted(self, f: Polynomial) -> "PresentedRing":
         """The localization at ``f`` (coordinate ring of D(f))."""
-        return PresentedRing(self.field, self.vars, self.quotient, self.inverted + (f,), self.order_name)
+        return PresentedRing(self.field, self.vars, self.quotient, self.inverted + (f,))
 
-    def ideal(self, *gens, parse=False) -> "IdealHandle":
+    def ideal(self, *gens) -> "IdealHandle":
         if len(gens) == 1 and isinstance(gens[0], (list, tuple)):
             gens = gens[0]
         gens = [self.parse(g) if isinstance(g, str) else g for g in gens]

@@ -14,7 +14,9 @@ import time
 import pytest
 
 from noether import acceptance
-from noether.acceptance import CRITERIA
+from noether.acceptance import CRITERIA, ORACLE_SLACK
+from noether.fields import GF
+from noether.poly import Polynomial
 from noether.tower import run_tower_suite
 
 
@@ -78,3 +80,14 @@ def test_criterion_8_refuses_other_tower_outcomes(monkeypatch, rule, alter):
     monkeypatch.setattr(acceptance, "run_tower_suite", altered_suite)
     passed, detail = acceptance.criterion_8()
     assert not passed, detail
+
+
+def test_criterion_1_oracle_finds_the_degree_nine_certificate():
+    # 1 lies in <f, g> (f = x^2*y + y^2 + 1, g = f + y^3), but its lowest
+    # certificate has degree 9, above the old window of pdeg + 8.
+    F2 = GF(2)
+    f = Polynomial(F2, 2, {(2, 1): 1, (0, 2): 1, (0, 0): 1})
+    g = Polynomial(F2, 2, {(2, 1): 1, (0, 3): 1, (0, 2): 1, (0, 0): 1})
+    one = Polynomial(F2, 2, {(0, 0): 1})
+    assert acceptance._f2_combination_member(one, [f, g], ORACLE_SLACK)
+    assert not acceptance._f2_combination_member(one, [f, g], 8)

@@ -240,6 +240,40 @@ def test_parse_job_rejects(text, message):
         parse_job(text)
 
 
+@pytest.mark.parametrize("command,payload,key", [
+    ("groebner", {"ring": {"field": 5}}, "field descriptor 5"),
+    ("groebner", {"ring": {"field": "fp:abc"}}, "'field'"),
+    ("groebner", {"ring": "q"}, "'ring'"),
+    ("cech-projective", {"n": "a", "d": 1}, "'n'"),
+    ("baer", {"finite_ring": {"zmod": "x"}}, "'zmod'"),
+])
+def test_wrong_payload_type_exit_code(capsys, monkeypatch, command, payload, key):
+    code, doc = run(capsys, command, "-", stdin=json.dumps(payload),
+                    monkeypatch=monkeypatch)
+    assert (code, doc["status"]) == (2, "error")
+    assert doc["config"]["error_type"] == "ParseError"
+    assert key in doc["result"]["error"]
+
+
+def test_malformed_budget_variable_exit_code(capsys, monkeypatch):
+    monkeypatch.setenv("NOETHER_BUDGET_MAX_DEGREE", "abc")
+    code, doc = run(capsys, "groebner", "-", stdin="{}",
+                    monkeypatch=monkeypatch)
+    assert (code, doc["status"]) == (2, "error")
+    assert "NOETHER_BUDGET_MAX_DEGREE" in doc["error"]
+    assert "'abc'" in doc["error"]
+    with pytest.raises(ParseError, match="NOETHER_BUDGET_MAX_DEGREE"):
+        parse_job('{"command": "groebner"}')
+
+
+def test_hom_from_empty_ideal_fails_validation(capsys, monkeypatch):
+    code, doc = run(capsys, "baer", "-", stdin=json.dumps({
+        "op": "hom-from-ideal", "finite_ring": {"zmod": 4}, "ideal": []}),
+        monkeypatch=monkeypatch)
+    assert (code, doc["status"]) == (1, "fail")
+    assert doc["config"]["error_type"] == "ValidationError"
+
+
 def test_budget_exit_code(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("NOETHER_BUDGET_MAX_DEGREE", "2")
     path = write_payload(tmp_path, {

@@ -1,6 +1,8 @@
 """Finite rings and modules: ideal lattices, the noetherian witness report,
 and module/hom machinery."""
 
+import functools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -174,3 +176,94 @@ def test_ideal_closure_is_an_ideal(n, seed):
     R = zmod(n)
     I = ideal_closure(R, {s % n for s in seed})
     assert is_ideal(R, I)
+
+
+# -- the merged module layer against brute force ------------------------------
+
+RINGS = {
+    "F2[x]/(x^2)": lambda: gf_poly_quotient(2, [0, 0, 1]),
+    "F3[x]/(x^2+1)": lambda: gf_poly_quotient(3, [1, 0, 1]),
+    "Z/2 x Z/4": lambda: product_ring([zmod(2), zmod(4)]),
+}
+RING_NAMES = st.one_of(st.integers(2, 24).map(lambda n: f"Z/{n}"),
+                       st.sampled_from(sorted(RINGS)))
+MODULE_NAMES = st.one_of(RING_NAMES, st.just("(Z/4)^2"))
+
+
+@functools.lru_cache(maxsize=None)
+def ring_named(name):
+    return RINGS[name]() if name in RINGS else zmod(int(name[2:]))
+
+
+@functools.lru_cache(maxsize=None)
+def module_named(name):
+    if name == "(Z/4)^2":
+        return free_module(zmod(4), 2)
+    return ring_as_module(ring_named(name))
+
+
+def fixpoint_span(M, seed):
+    """Close zero and the seed under addition and scaling, one pass at a
+    time, until nothing new appears."""
+    current = {M.zero, *seed}
+    while True:
+        new = {M.add(a, b) for a in current for b in current}
+        new |= {M.smul(r, a) for r in M.ring.elements for a in current}
+        if new <= current:
+            return frozenset(current)
+        current |= new
+
+
+@settings(max_examples=60, deadline=None)
+@given(MODULE_NAMES, st.data())
+def test_span_equals_fixpoint_oracle(name, data):
+    M = module_named(name)
+    elements = st.sampled_from(M.elements)
+    seed = data.draw(st.lists(elements, max_size=3))
+    extra = data.draw(st.lists(elements, max_size=2))
+    assert span(M, seed) == fixpoint_span(M, seed)
+    assert span(M, extra, base=span(M, seed)) == fixpoint_span(M, seed + extra)
+
+
+@settings(max_examples=30, deadline=None)
+@given(RING_NAMES)
+def test_ideals_are_the_submodules_of_the_ring(name):
+    R = ring_named(name)
+    ideals = enumerate_ideals(R)
+    assert ideals == enumerate_submodules(ring_as_module(R))
+    for I in ideals:
+        assert is_ideal(R, I)
+        assert minimal_generators(R, I) == module_generators(submodule(ring_as_module(R), I))
+
+
+@settings(max_examples=30, deadline=None)
+@given(MODULE_NAMES)
+def test_generators_regenerate_in_element_order(name):
+    M = module_named(name)
+    for N in enumerate_submodules(M):
+        gens = module_generators(submodule(M, N))
+        assert span(M, gens) == N
+        assert gens == sorted(gens, key=M.index)
+        for k, g in enumerate(gens):
+            assert g not in span(M, gens[:k])
+
+
+@settings(max_examples=30, deadline=None)
+@given(MODULE_NAMES)
+def test_quotient_representatives_are_first_in_coset(name):
+    M = module_named(name)
+    for N in enumerate_submodules(M):
+        Q = quotient_module(M, N)
+        assert Q.elements[0] == M.zero
+        assert list(Q.elements) == sorted(Q.elements, key=M.index)
+        assert len(Q.elements) * len(N) == M.size
+        for q in Q.elements:
+            coset = [M.add(q, n) for n in N]
+            assert q == min(coset, key=M.index)
+
+
+def test_closure_check_rejects_a_set_without_zero():
+    R = zmod(4)
+    assert not is_ideal(R, frozenset())
+    with pytest.raises(ValidationError, match="zero"):
+        submodule(ring_as_module(R), [])

@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from noether.acceptance import ORACLE_SLACK
 from noether.config import Budgets
 from noether.errors import ResourceBudgetError
 from noether.fields import GF, QQ
@@ -128,14 +129,10 @@ def _f2_member_by_linear_algebra(p, gens, max_degree):
     return True
 
 
-# Truncating at degree pdeg + 8 misses members.  With f = 1 + u,
-# u = x^2*y + y^2 and g = f + y^3, 1 lies in <f, g> with no certificate
-# below degree 9: 1 = f*(1 + u + u^2) + (f + g)*(x^2 + y)^3, as u^3 =
-# y^3*(x^2 + y)^3.  The slack is twice the Bezout number 3*3 of two
+# ORACLE_SLACK (see noether.acceptance) is twice the Bezout number of two
 # cubics; no case has needed more than 9 in 180,000 random draws from
 # these strategies, nor in certifying 1 for every pair of them that
 # generates the unit ideal.
-ORACLE_SLACK = 2 * 3 * 3
 
 
 @settings(max_examples=80, deadline=None)
