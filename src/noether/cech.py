@@ -8,13 +8,17 @@ handful of exact rank computations settles every degree at once.  Affine
 quasi-coherent data on a univariate base is handled by truncating each
 section space to numerators of bounded degree over a fixed denominator
 power; the truncation window is part of the result so it can be audited.
+Both build their differentials with the one complex builder,
+``_alternating_complex``, and differ only in the section spaces over chart
+intersections and the restriction maps between them.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field as dc_field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, FrozenSet, Iterable, List, Optional,
+                    Sequence, Tuple)
 
 from .config import Budgets, DEFAULT_BUDGETS
 from .errors import CapabilityError, DomainError, ValidationError
@@ -22,7 +26,7 @@ from .fields import FieldSpec, QQ
 from .poly import Polynomial
 from .rings import IdealHandle, PresentedRing
 from .topology import OpenCover, cover_check, open_contains
-from .univar import exact_quotient, poly_degree
+from .univar import poly_degree
 
 
 # ---------------------------------------------------------------------------
@@ -61,24 +65,6 @@ def matrix_rank(rows: List[List], field: FieldSpec) -> int:
     return rank
 
 
-def _matmul(a: List[List], b: List[List], field: FieldSpec) -> List[List]:
-    if not a or not b:
-        return []
-    out = []
-    for row in a:
-        out.append([
-            _dot(row, [b[k][j] for k in range(len(b))], field)
-            for j in range(len(b[0]))])
-    return out
-
-
-def _dot(u: List, v: List, field: FieldSpec):
-    acc = field.zero()
-    for x, y in zip(u, v):
-        acc = field.add(acc, field.mul(x, y))
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # Generic alternating cochain complexes
 # ---------------------------------------------------------------------------
@@ -99,13 +85,17 @@ class CechComplex:
     window: Dict[str, int] = dc_field(default_factory=dict)
 
     def verify_d_squared(self) -> bool:
-        zero = self.field.zero()
-        for p in range(len(self.differentials) - 1):
-            prod = _matmul(self.differentials[p + 1],
-                           self.differentials[p], self.field)
-            for row in prod:
-                if any(v != zero for v in row):
-                    return False
+        F = self.field
+        zero = F.zero()
+        for later, earlier in zip(self.differentials[1:], self.differentials):
+            columns = list(zip(*earlier))
+            for row in later:
+                for col in columns:
+                    acc = zero
+                    for x, y in zip(row, col):
+                        acc = F.add(acc, F.mul(x, y))
+                    if acc != zero:
+                        return False
         return True
 
     def cohomology_dims(self) -> List[int]:
@@ -120,6 +110,44 @@ class CechComplex:
         return out
 
 
+def _alternating_complex(field: FieldSpec,
+                         levels: Sequence[Sequence[Tuple[int, ...]]],
+                         dim: Callable[[Tuple[int, ...]], int],
+                         face: Callable[[Tuple[int, ...], int], Iterable[Tuple[int, int, object]]],
+                         window: Dict[str, int]) -> CechComplex:
+    """The alternating complex whose degree-p cochains live on the chart
+    subsets ``levels[p]`` (increasing (p+1)-tuples, in basis order).
+
+    ``dim(s)`` is the dimension of the sections over subset s, and
+    ``face(s, j)`` yields the nonzero entries (row, col, value) of the
+    restriction from s to s plus chart j.  The block of d_p from s to t is
+    that restriction with sign (-1)^i, where s is t without its i-th chart;
+    a face that is not in the level below contributes nothing.
+    """
+    dims: List[int] = []
+    offsets: List[Dict[Tuple[int, ...], int]] = []
+    for level in levels:
+        sizes = [dim(s) for s in level]
+        offsets.append(dict(zip(level, itertools.accumulate(sizes, initial=0))))
+        dims.append(sum(sizes))
+    zero = field.zero()
+    diffs: List[List[List]] = []
+    for p in range(len(levels) - 1):
+        matrix = [[zero] * dims[p] for _ in range(dims[p + 1])]
+        for big in levels[p + 1]:
+            row0 = offsets[p + 1][big]
+            for drop in range(len(big)):
+                small = big[:drop] + big[drop + 1:]
+                col0 = offsets[p].get(small)
+                if col0 is None:
+                    continue
+                for r, c, value in face(small, big[drop]):
+                    matrix[row0 + r][col0 + c] = (value if drop % 2 == 0
+                                                  else field.neg(value))
+        diffs.append(matrix)
+    return CechComplex(field, dims, diffs, window)
+
+
 def _pattern_complex(charts: Sequence[FrozenSet[int]],
                      negatives: FrozenSet[int],
                      field: FieldSpec) -> CechComplex:
@@ -131,30 +159,12 @@ def _pattern_complex(charts: Sequence[FrozenSet[int]],
     admissible subsets; its cohomology multiplies the multidegree count.
     """
     m = len(charts)
-    levels: List[List[Tuple[int, ...]]] = []
-    for p in range(m):
-        admissible = []
-        for subset in itertools.combinations(range(m), p + 1):
-            union = frozenset().union(*(charts[j] for j in subset))
-            if negatives <= union:
-                admissible.append(subset)
-        levels.append(admissible)
-    dims = [len(level) for level in levels]
-    one, zero = field.one(), field.zero()
-    diffs: List[List[List]] = []
-    for p in range(m - 1):
-        index = {s: k for k, s in enumerate(levels[p])}
-        matrix = [[zero] * dims[p] for _ in range(dims[p + 1])]
-        for r, big in enumerate(levels[p + 1]):
-            for drop in range(len(big)):
-                small = big[:drop] + big[drop + 1:]
-                col = index.get(small)
-                if col is None:
-                    continue
-                sign = one if drop % 2 == 0 else field.neg(one)
-                matrix[r][col] = sign
-        diffs.append(matrix)
-    return CechComplex(field, dims, diffs)
+    levels = [[subset for subset in itertools.combinations(range(m), p + 1)
+               if negatives <= frozenset().union(*(charts[j] for j in subset))]
+              for p in range(m)]
+    one = field.one()
+    return _alternating_complex(field, levels, lambda s: 1,
+                                lambda s, j: ((0, 0, one),), {})
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +233,8 @@ def twisted_cohomology_dims(t: TwistData,
                               witness=sorted(map(sorted, charts)))
     window = t.effective_window()
     dims = {i: 0 for i in range(len(charts))}
-    for negs in map(frozenset, _powerset(range(n + 1))):
+    for negs in map(frozenset, itertools.chain.from_iterable(
+            itertools.combinations(range(n + 1), r) for r in range(n + 2))):
         complex_ = _pattern_complex(charts, negs, QQ)
         hdims = complex_.cohomology_dims()
         if not any(hdims):
@@ -232,12 +243,6 @@ def twisted_cohomology_dims(t: TwistData,
         for i, h in enumerate(hdims):
             dims[i] += h * count
     return {i: dims[i] for i in range(n + 1)}
-
-
-def _powerset(items) -> List[Tuple]:
-    items = list(items)
-    return [c for r in range(len(items) + 1)
-            for c in itertools.combinations(items, r)]
 
 
 # ---------------------------------------------------------------------------
@@ -295,64 +300,22 @@ def cech_complex_affine(R: PresentedRing, I: IdealHandle, cover: OpenCover,
     gdeg = poly_degree(g)
     hs = [piece.f for piece in cover.pieces]
     hdeg = [poly_degree(h) for h in hs]
-    zero = R.field.zero()
-
-    levels: List[List[Tuple[int, ...]]] = [
-        list(itertools.combinations(range(m), p + 1)) for p in range(m)]
-
-    def cap(subset: Tuple[int, ...]) -> int:
-        return window.base_degree + npow * sum(hdeg[j] for j in subset)
 
     def numdim(subset: Tuple[int, ...]) -> int:
-        return max(0, cap(subset) - gdeg + 1)
+        cap = window.base_degree + npow * sum(hdeg[j] for j in subset)
+        return max(0, cap - gdeg + 1)
 
-    def basis_polys(subset: Tuple[int, ...]) -> List[Polynomial]:
-        x = R.var(R.vars[0])
-        out = []
-        p = g
-        for _ in range(numdim(subset)):
-            out.append(p)
-            p = p * x
-        return out
+    def face(small: Tuple[int, ...], j: int):
+        # Sections over a chart intersection have the basis g, g*x, g*x^2,
+        # ...; restriction multiplies by h_j^N, so the coordinates of the
+        # image of g*x^k are the coefficients of image/g = x^k * h_j^N.
+        mult = hs[j] ** npow
+        for k in range(numdim(small)):
+            for mono, c in mult.terms.items():
+                yield k + mono[0], k, c
 
-    dims = []
-    offsets: List[Dict[Tuple[int, ...], int]] = []
-    for level in levels:
-        off = {}
-        total = 0
-        for s in level:
-            off[s] = total
-            total += numdim(s)
-        offsets.append(off)
-        dims.append(total)
-
-    diffs: List[List[List]] = []
-    for p in range(m - 1):
-        matrix = [[zero] * dims[p] for _ in range(dims[p + 1])]
-        for big in levels[p + 1]:
-            for drop in range(len(big)):
-                small = big[:drop] + big[drop + 1:]
-                sign = 1 if drop % 2 == 0 else -1
-                j = big[drop]
-                mult = hs[j] ** npow
-                col0 = offsets[p][small]
-                row0 = offsets[p + 1][big]
-                for k, bp in enumerate(basis_polys(small)):
-                    image = bp * mult
-                    # express the image in the monomial-multiples basis of
-                    # the bigger chart: image = g * x^? * (stuff); since the
-                    # basis is {g, g*x, ...} the coordinates are the
-                    # coefficients of image/g.
-                    quot = exact_quotient(image, g)
-                    qvec = [zero] * numdim(big)
-                    for mono, c in quot.terms.items():
-                        qvec[mono[0]] = c
-                    for r, c in enumerate(qvec):
-                        if c != zero:
-                            val = c if sign == 1 else R.field.neg(c)
-                            matrix[row0 + r][col0 + k] = val
-        diffs.append(matrix)
-    return CechComplex(R.field, dims, diffs, meta)
+    levels = [list(itertools.combinations(range(m), p + 1)) for p in range(m)]
+    return _alternating_complex(R.field, levels, numdim, face, meta)
 
 
 def affine_vanishing_check(R: PresentedRing, I: IdealHandle, cover: OpenCover,

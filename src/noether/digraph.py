@@ -11,13 +11,21 @@ sheaf containing each node ideal over its open; membership is decided
 stalkwise via the subset-stratum criterion (colon ideals plus radical
 membership), and exact section ideals are computed for univariate base
 rings, where primary decomposition reduces to polynomial factorization.
+Every function that takes a caller's digraph validates it first.
+
+Extraction is one loop, ``_extract``, for sheaves of ideals given by an
+oracle and for subsheaves of the constant sheaf Z on a finite space; the
+two differ only in which opens are expansive and how opens are compared.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, FrozenSet, Iterable, List, Optional,
+                    Sequence, Set, Tuple)
 
 from .config import Budgets, DEFAULT_BUDGETS
 from .errors import (
@@ -67,9 +75,6 @@ class IdealDigraph:
     edges: Tuple[Tuple[int, int], ...]
     root: int = 0
 
-    def children(self, i: int) -> List[int]:
-        return [c for (p, c) in self.edges if p == i]
-
 
 @dataclass
 class DigraphReport:
@@ -110,46 +115,23 @@ def validate_digraph(d: IdealDigraph, budgets: Budgets = DEFAULT_BUDGETS) -> Dig
         rep.global_ok = False
         rep.witnesses["global"] = d.nodes[d.root].open.render()
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            if open_equal(d.nodes[i].open, d.nodes[j].open, budgets):
-                rep.functional_ok = False
-                rep.witnesses["functional"] = (i, j)
+    for i, j in itertools.combinations(range(n), 2):
+        if open_equal(d.nodes[i].open, d.nodes[j].open, budgets):
+            rep.functional_ok = False
+            rep.witnesses["functional"] = (i, j)
 
-    # Structural: edges in range, acyclic, all nodes reachable from the root.
-    ok = all(0 <= p < n and 0 <= c < n for p, c in d.edges)
-    if ok:
-        reach = {d.root}
-        frontier = [d.root]
-        while frontier:
-            x = frontier.pop()
-            for (p, c) in d.edges:
-                if p == x and c not in reach:
-                    reach.add(c)
-                    frontier.append(c)
-        if reach != set(range(n)):
-            ok = False
-            rep.witnesses["structural"] = sorted(set(range(n)) - reach)
-        # Cycle check by DFS colors.
-        color = {}
-
-        def dfs(v):
-            color[v] = 1
-            for (p, c) in d.edges:
-                if p == v:
-                    if color.get(c) == 1:
-                        return False
-                    if color.get(c, 0) == 0 and not dfs(c):
-                        return False
-            color[v] = 2
-            return True
-
-        if ok and not all(dfs(v) for v in range(n) if color.get(v, 0) == 0):
-            ok = False
-            rep.witnesses["structural"] = "cycle"
+    # Structural: edges in range, every node reachable from the root, and
+    # acyclic (an edge (p, c) closes a cycle exactly when p is reachable
+    # from c).
+    if not all(0 <= p < n and 0 <= c < n for p, c in d.edges):
+        structural = "edge index out of range"
     else:
-        rep.witnesses["structural"] = "edge index out of range"
-    rep.structural_ok = ok
+        structural = sorted(set(range(n)) - _reachable(d.root, d.edges))
+        if not structural and any(p in _reachable(c, d.edges) for p, c in d.edges):
+            structural = "cycle"
+    if structural:
+        rep.structural_ok = False
+        rep.witnesses["structural"] = structural
 
     for (p, c) in d.edges:
         if not (0 <= p < n and 0 <= c < n):
@@ -160,13 +142,38 @@ def validate_digraph(d: IdealDigraph, budgets: Budgets = DEFAULT_BUDGETS) -> Dig
             rep.witnesses.setdefault("decreasing", []).append((p, c))
             continue
         rc = coordinate_ring(child.open, budgets)
-        child_ideal = child.ideal_in(rc)
-        parent_localized = parent.ideal_in(rc)
-        if not (ideal_contains(child_ideal, parent_localized, budgets)
-                and not ideal_equal(child_ideal, parent_localized, budgets)):
+        if not _grows(child.ideal_in(rc), parent.ideal_in(rc), budgets):
             rep.increasing_ok = False
             rep.witnesses.setdefault("increasing", []).append((p, c))
     return rep
+
+
+def _grows(big: IdealHandle, small: IdealHandle, budgets: Budgets) -> bool:
+    """True iff ``big`` strictly contains ``small``."""
+    return (ideal_contains(big, small, budgets)
+            and not ideal_equal(big, small, budgets))
+
+
+def _reachable(start: int, edges: Iterable[Tuple[int, int]]) -> Set[int]:
+    """The nodes reachable from ``start`` along ``edges``, start included."""
+    reach = {start}
+    frontier = [start]
+    while frontier:
+        x = frontier.pop()
+        for (p, c) in edges:
+            if p == x and c not in reach:
+                reach.add(c)
+                frontier.append(c)
+    return reach
+
+
+def _require_valid(d: IdealDigraph, budgets: Budgets,
+                   message: str = "invalid digraph") -> None:
+    """Raise ValidationError, with the validation report as witness, unless
+    ``d`` passes every digraph invariant."""
+    report = validate_digraph(d, budgets)
+    if not report.valid:
+        raise ValidationError(message, witness=report.as_dict())
 
 
 # -- clearing denominators -----------------------------------------------------
@@ -229,9 +236,7 @@ def section_membership(
     if len(d.nodes) > budgets.digraph_node_cap:
         raise ResourceBudgetError("digraph_node_cap", budgets.digraph_node_cap)
     if not skip_validation:
-        report = validate_digraph(d, budgets)
-        if not report.valid:
-            raise ValidationError("invalid digraph", witness=report.as_dict())
+        _require_valid(d, budgets)
     if u.is_empty(budgets):
         raise DomainError("membership over the empty open")
     if denominator is not None:
@@ -274,23 +279,29 @@ def evaluate_sheaf(d: IdealDigraph, u: DistinguishedOpen,
     node ideals whose opens contain (q); the section ideal is cut out by the
     resulting multiplicity of q.  The zero stalk forces the zero ideal.
     """
-    ring = d.ring
-    _require_univariate_ring(ring)
+    _require_univariate_ring(d.ring)
     if not skip_validation:
-        report = validate_digraph(d, budgets)
-        if not report.valid:
-            raise ValidationError("invalid digraph", witness=report.as_dict())
+        _require_valid(d, budgets)
     if u.is_empty(budgets):
         raise DomainError("evaluation over the empty open")
-    ru = coordinate_ring(u, budgets)
+    result = IdealHandle(coordinate_ring(u, budgets), _section_generators(d, u))
+    for g in result.generators:
+        if not section_membership(d, u, g, budgets=budgets, skip_validation=True):
+            raise ValidationError(
+                "computed section ideal fails its own membership check",
+                witness=d.ring.render(g))
+    return result
 
+
+def _section_generators(d: IdealDigraph, u: DistinguishedOpen) -> Tuple[Polynomial, ...]:
+    """Generators of the section ideal over u: the product of q^e over the
+    monic irreducibles q alive on u, e the multiplicity of q in the gcd of
+    the node ideals whose opens contain (q); () when some stalk is zero."""
+    ring = d.ring
     # The generic stalk: all (nonempty) node opens contain the zero prime.
     all_gens = [g for node in d.nodes for g in node.gens]
-    generic = univar.gcd(all_gens, ring.field)
-    if generic.is_zero():
-        result = IdealHandle(ru, ())
-        _verify_sections(d, u, result, budgets)
-        return result
+    if univar.gcd(all_gens, ring.field).is_zero():
+        return ()
 
     # Candidate primes: factors of node generators and of node opens.
     candidates: List[Polynomial] = []
@@ -312,24 +323,11 @@ def evaluate_sheaf(d: IdealDigraph, u: DistinguishedOpen,
         stalk_gens = [g for i in alive for g in d.nodes[i].gens]
         g_s = univar.gcd(stalk_gens, ring.field)
         if g_s.is_zero():
-            result = IdealHandle(ru, ())
-            _verify_sections(d, u, result, budgets)
-            return result
+            return ()
         e = univar.multiplicity(q, g_s)
         if e:
             total = total * q ** e
-    result = IdealHandle(ru, (total,))
-    _verify_sections(d, u, result, budgets)
-    return result
-
-
-def _verify_sections(d: IdealDigraph, u: DistinguishedOpen, result: IdealHandle,
-                     budgets: Budgets):
-    for g in result.generators:
-        if not section_membership(d, u, g, budgets=budgets, skip_validation=True):
-            raise ValidationError(
-                "computed section ideal fails its own membership check",
-                witness=d.ring.render(g))
+    return (total,)
 
 
 # -- sheaf oracles and extraction ----------------------------------------------
@@ -378,71 +376,85 @@ def quasi_coherent_oracle(I: IdealHandle, basis: Sequence[DistinguishedOpen],
 def digraph_oracle(d: IdealDigraph, basis: Sequence[DistinguishedOpen],
                    budgets: Budgets = DEFAULT_BUDGETS) -> SheafOracle:
     """Oracle answering with the exact sections of the sheaf a digraph generates."""
+    _require_valid(d, budgets)
+
     def valuation(u: DistinguishedOpen):
         return evaluate_sheaf(d, u, budgets, skip_validation=True).generators
 
     return SheafOracle(d.ring, valuation, basis, budgets)
 
 
-def extract_digraph(oracle: SheafOracle, budgets: Budgets = DEFAULT_BUDGETS) -> IdealDigraph:
-    """Extract a finite digraph of global generators from a sheaf oracle.
+def _extract(root, expansive: Callable, below: Callable, same: Callable,
+             depth: int) -> Tuple[List, List[Tuple[int, int]]]:
+    """Grow the nodes and edges of a digraph from the ``root`` (open, value)
+    pair one generation at a time.
 
-    Children of a node are the inclusion-maximal basis opens strictly below
-    it on which the oracle value strictly exceeds the localized node ideal
-    (the expansive opens); recursion proceeds generation by generation.
-    Termination is the ascending-chain argument on saturated ideals; a depth
-    bound backstops buggy oracles.
+    A node's children are the inclusion-maximal (``below``: strictly inside)
+    pairs of ``expansive(node)``, a canonical finite subcover of the union of
+    its expansive opens; a child whose open is already a node (``same``) is
+    linked, not added again.  A frontier left after ``depth`` generations
+    raises ResourceBudgetError.
     """
-    ring = oracle.ring
-    root_open = DistinguishedOpen(ring, ring.one())
-    nodes: List[DigraphNode] = [DigraphNode(root_open, oracle.query(root_open))]
+    nodes = [root]
     edges: List[Tuple[int, int]] = []
     frontier = [0]
-    for _ in range(budgets.extraction_depth):
+    for _ in range(depth):
         if not frontier:
             break
         next_frontier: List[int] = []
         for ni in frontier:
-            node = nodes[ni]
-            expansive: List[Tuple[DistinguishedOpen, Tuple[Polynomial, ...]]] = []
-            for h in oracle.basis:
-                if not open_strictly_below(h, node.open, budgets):
-                    continue
-                value = oracle.query(h)
-                rh = coordinate_ring(h, budgets)
-                sheaf_ideal = IdealHandle(rh, value)
-                localized = IdealHandle(rh, node.gens)
-                if (ideal_contains(sheaf_ideal, localized, budgets)
-                        and not ideal_equal(sheaf_ideal, localized, budgets)):
-                    if not any(open_equal(h, o, budgets) for o, _ in expansive):
-                        expansive.append((h, value))
-            # Keep only inclusion-maximal expansive opens: a canonical finite
-            # subcover of the union of all expansive opens.
+            candidates = expansive(nodes[ni])
+            # ``o2 is not o`` spares the comparison of an open with itself.
             maximal = [
-                (o, v) for (o, v) in expansive
-                if not any(o2 is not o and open_strictly_below(o, o2, budgets)
-                           for o2, _ in expansive)
+                (o, v) for (o, v) in candidates
+                if not any(o2 is not o and below(o, o2) for o2, _ in candidates)
             ]
             for (o, v) in maximal:
                 existing = next(
-                    (k for k in range(len(nodes)) if open_equal(nodes[k].open, o, budgets)),
-                    None)
+                    (k for k, (w, _) in enumerate(nodes) if same(w, o)), None)
                 if existing is None:
-                    nodes.append(DigraphNode(o, v))
+                    nodes.append((o, v))
                     existing = len(nodes) - 1
                     next_frontier.append(existing)
                 if (ni, existing) not in edges:
                     edges.append((ni, existing))
         frontier = next_frontier
-    else:
-        if frontier:
-            raise ResourceBudgetError("extraction_depth", budgets.extraction_depth)
+    if frontier:
+        raise ResourceBudgetError("extraction_depth", depth)
+    return nodes, edges
 
-    d = IdealDigraph(ring, tuple(nodes), tuple(edges), 0)
-    report = validate_digraph(d, budgets)
-    if not report.valid:
-        raise ValidationError("extracted digraph failed validation",
-                              witness=report.as_dict())
+
+def extract_digraph(oracle: SheafOracle, budgets: Budgets = DEFAULT_BUDGETS) -> IdealDigraph:
+    """Extract a finite digraph of global generators from a sheaf oracle.
+
+    A basis open strictly below a node is expansive when the oracle value on
+    it strictly exceeds the localized node ideal.  Termination is the
+    ascending-chain argument on saturated ideals; the extraction_depth
+    budget backstops buggy oracles.
+    """
+    ring = oracle.ring
+
+    def expansive(node):
+        u, gens = node
+        out: List[Tuple[DistinguishedOpen, Tuple[Polynomial, ...]]] = []
+        for h in oracle.basis:
+            if not open_strictly_below(h, u, budgets):
+                continue
+            value = oracle.query(h)
+            rh = coordinate_ring(h, budgets)
+            if (_grows(IdealHandle(rh, value), IdealHandle(rh, gens), budgets)
+                    and not any(open_equal(h, o, budgets) for o, _ in out)):
+                out.append((h, value))
+        return out
+
+    root_open = DistinguishedOpen(ring, ring.one())
+    nodes, edges = _extract(
+        (root_open, oracle.query(root_open)), expansive,
+        lambda a, b: open_strictly_below(a, b, budgets),
+        lambda a, b: open_equal(a, b, budgets),
+        budgets.extraction_depth)
+    d = IdealDigraph(ring, tuple(DigraphNode(o, v) for o, v in nodes), tuple(edges), 0)
+    _require_valid(d, budgets, "extracted digraph failed validation")
     return d
 
 
@@ -451,9 +463,7 @@ def is_quasi_coherent(d: IdealDigraph, basis: Sequence[DistinguishedOpen],
     """True iff the generated sheaf equals the localization of its root ideal
     on every basis open."""
     _require_univariate_ring(d.ring)
-    report = validate_digraph(d, budgets)
-    if not report.valid:
-        raise ValidationError("invalid digraph", witness=report.as_dict())
+    _require_valid(d, budgets)
     root = d.nodes[d.root]
     for h in basis:
         if h.is_empty(budgets):
@@ -520,27 +530,17 @@ def extract_zz_digraph(z: ZZSheafData) -> ZZDigraph:
     if not z.space.connected(whole):
         raise ValidationError("space must be connected; run per component")
     opens = z.space.connected_opens()
-    nodes: List[Tuple[FrozenSet, int]] = [(whole, z.assignment[whole])]
-    edges: List[Tuple[int, int]] = []
-    frontier = [0]
-    while frontier:
-        next_frontier = []
-        for ni in frontier:
-            V, nV = nodes[ni]
-            expansive = [U for U in opens
-                         if U < V and _divides_int(z.assignment[U], nV)
-                         and z.assignment[U] != nV]
-            maximal = [U for U in expansive
-                       if not any(U < W for W in expansive)]
-            for U in maximal:
-                existing = next((k for k, (W, _) in enumerate(nodes) if W == U), None)
-                if existing is None:
-                    nodes.append((U, z.assignment[U]))
-                    existing = len(nodes) - 1
-                    next_frontier.append(existing)
-                if (ni, existing) not in edges:
-                    edges.append((ni, existing))
-        frontier = next_frontier
+
+    def expansive(node):
+        V, nV = node
+        return [(U, z.assignment[U]) for U in opens
+                if U < V and _divides_int(z.assignment[U], nV)
+                and z.assignment[U] != nV]
+
+    # Each generation's opens are strictly smaller than the last, so the
+    # loop ends within as many generations as the space has points.
+    nodes, edges = _extract((whole, z.assignment[whole]), expansive,
+                            operator.lt, operator.eq, len(z.space.points) + 1)
     return ZZDigraph(z.space, tuple(nodes), tuple(edges), 0)
 
 
@@ -553,13 +553,7 @@ def zz_sheaf_value(d: ZZDigraph, W: FrozenSet) -> int:
     through expansive opens until some containing node attains the true
     value exactly, so the gcd reproduces the source assignment.
     """
-    import math
-
-    value = 0
-    for (U, nU) in d.nodes:
-        if W <= U:
-            value = math.gcd(value, nU)
-    return value
+    return math.gcd(*(nU for (U, nU) in d.nodes if W <= U))
 
 
 # -- desk-scale enumeration of all digraphs --------------------------------------
@@ -610,14 +604,8 @@ def count_digraph_space(R: FiniteRing, budgets: Budgets = DEFAULT_BUDGETS) -> in
     reps = [rep for _, rep in items]
     root_idx = opens.index(whole)
 
-    localizations = []
-    for a in reps:
-        Q, proj = localize_finite(R, a)
-        localizations.append((Q, proj, enumerate_ideals(Q, budgets)))
-
-    def localized_ideal(i_from: int, ideal: FrozenSet, i_to: int) -> FrozenSet:
-        Q_to, proj_to, _ = localizations[i_to]
-        return ideal_closure(Q_to, {proj_to[x] for x in ideal})
+    localizations = [localize_finite(R, a) for a in reps]
+    ideal_lists = [enumerate_ideals(Q, budgets) for Q, _ in localizations]
 
     count = 0
     m = len(opens)
@@ -627,33 +615,20 @@ def count_digraph_space(R: FiniteRing, budgets: Budgets = DEFAULT_BUDGETS) -> in
             node_opens = [root_idx] + list(chosen)
             allowed_edges = [(p, c) for p in node_opens for c in node_opens
                              if p != c and opens[c] < opens[p]]
-            ideal_choices = [localizations[i][2] for i in node_opens]
-            total = 1
-            for ch in ideal_choices:
-                total *= len(ch)
-            total *= 2 ** len(allowed_edges)
+            ideal_choices = [ideal_lists[i] for i in node_opens]
+            total = math.prod(map(len, ideal_choices)) * 2 ** len(allowed_edges)
             if total > budgets.digraph_vocab_cap:
                 raise BoundExceededError("digraph_vocab_cap", budgets.digraph_vocab_cap)
             for ideals in itertools.product(*ideal_choices):
-                # Increasing-on-ideals per candidate edge.
-                edge_ok = {}
+                # The edges that are increasing on ideals.
+                usable = []
                 for (p, c) in allowed_edges:
-                    pi, ci = node_opens.index(p), node_opens.index(c)
-                    loc = localized_ideal(p, ideals[pi], c)
-                    edge_ok[(p, c)] = loc < ideals[ci]
-                usable = [e for e in allowed_edges if edge_ok[e]]
-                targets = [i for i in node_opens if i != root_idx]
+                    Q_c, proj_c = localizations[c]
+                    parent = ideals[node_opens.index(p)]
+                    if ideal_closure(Q_c, {proj_c[x] for x in parent}) < ideals[node_opens.index(c)]:
+                        usable.append((p, c))
                 for r in range(len(usable) + 1):
                     for es in itertools.combinations(usable, r):
-                        # Reachability from the root.
-                        reach = {root_idx}
-                        changed = True
-                        while changed:
-                            changed = False
-                            for (p, c) in es:
-                                if p in reach and c not in reach:
-                                    reach.add(c)
-                                    changed = True
-                        if all(t in reach for t in targets):
+                        if _reachable(root_idx, es).issuperset(node_opens):
                             count += 1
     return count

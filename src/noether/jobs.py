@@ -175,6 +175,18 @@ def _int(value, key: str) -> int:
         raise ParseError(f"{key!r} must be an integer, got {value!r}") from None
 
 
+def _list(value, key: str, entry=str) -> List:
+    """The payload value at ``key`` as a JSON list whose entries are all
+    ``entry`` values (by default strings: variable names or polynomial
+    texts); any other shape is a ParseError naming the key."""
+    if not isinstance(value, list):
+        raise ParseError(f"{key!r} must be a JSON list, got {value!r}")
+    for item in value:
+        if not isinstance(item, entry):
+            raise ParseError(f"{key!r} has an entry of the wrong type: {item!r}")
+    return value
+
+
 def _object(desc, key: str) -> Dict[str, Any]:
     if not isinstance(desc, dict):
         raise ParseError(f"{key!r} must be a JSON object, got {desc!r}")
@@ -192,10 +204,10 @@ def _field_from_json(desc) -> FieldSpec:
 def _ring_from_json(desc: Dict[str, Any]) -> PresentedRing:
     desc = _object(desc, "ring")
     field = _field_from_json(desc.get("field", "q"))
-    vars_ = tuple(desc.get("vars", ["x"]))
+    vars_ = tuple(_list(desc.get("vars", ["x"]), "vars"))
     base = PresentedRing(field, vars_)
-    quotient = tuple(base.parse(s) for s in desc.get("quotient", []))
-    inverted = tuple(base.parse(s) for s in desc.get("inverted", []))
+    quotient = tuple(base.parse(s) for s in _list(desc.get("quotient", []), "quotient"))
+    inverted = tuple(base.parse(s) for s in _list(desc.get("inverted", []), "inverted"))
     return PresentedRing(field, vars_, quotient, inverted)
 
 
@@ -244,6 +256,17 @@ def _open_from_json(ring: PresentedRing, desc) -> DistinguishedOpen:
     return DistinguishedOpen(ring, ring.parse(text))
 
 
+def _opens_from_json(ring: PresentedRing, desc: Dict[str, Any],
+                     key: str) -> List[DistinguishedOpen]:
+    """The opens listed at ``key``, each a polynomial text or {"f": text}."""
+    return [_open_from_json(ring, u) for u in _list(desc.get(key, []), key, (str, dict))]
+
+
+def _ideal_from_json(ring: PresentedRing, desc: Dict[str, Any], key: str) -> IdealHandle:
+    """The ideal generated by the polynomial texts listed at ``key``."""
+    return ring.ideal([ring.parse(s) for s in _list(desc.get(key, []), key)])
+
+
 def _digraph_from_json(desc: Dict[str, Any],
                        budgets: Budgets) -> Tuple[PresentedRing, IdealDigraph]:
     ring = _ring_from_json(desc.get("ring", {}))
@@ -268,7 +291,8 @@ def _digraph_from_json(desc: Dict[str, Any],
 
 
 def _node_gens(node: Dict[str, Any]) -> List[str]:
-    return node.get("gens", node.get("generators", []))
+    key = "gens" if "gens" in node else "generators"
+    return _list(node.get(key, []), key)
 
 
 def _digraph_to_json(d: IdealDigraph) -> Dict[str, Any]:
@@ -298,7 +322,7 @@ def _bool_report(command: str, value: bool, result: Any = None,
 
 def _run_groebner(payload: Dict, budgets: Budgets) -> Report:
     ring = _ring_from_json(payload.get("ring", {}))
-    handle = ring.ideal([ring.parse(s) for s in payload.get("generators", [])])
+    handle = _ideal_from_json(ring, payload, "generators")
     canonical = bool(payload.get("canonical", False)) or bool(ring.inverted)
     basis = op_groebner_basis(handle, canonical=canonical, budgets=budgets)
     return Report("groebner", "pass",
@@ -330,7 +354,7 @@ def _run_ideal(payload: Dict, budgets: Budgets) -> Report:
     ring = _ring_from_json(payload.get("ring", {}))
 
     def handle(key: str) -> IdealHandle:
-        return ring.ideal([ring.parse(s) for s in payload.get(key, [])])
+        return _ideal_from_json(ring, payload, key)
 
     if op == "membership":
         value = ideal_membership(ring.parse(payload["element"]),
@@ -375,8 +399,7 @@ def _run_open(payload: Dict, budgets: Budgets) -> Report:
     ring = _ring_from_json(payload.get("ring", {}))
     if op == "cover-check":
         cover = OpenCover(_open_from_json(ring, payload["target"]),
-                          tuple(_open_from_json(ring, p)
-                                for p in payload.get("pieces", [])))
+                          tuple(_opens_from_json(ring, payload, "pieces")))
         return _bool_report("open", cover_check(cover, budgets))
     if op == "coordinate-ring":
         u = _open_from_json(ring, payload["open"])
@@ -436,7 +459,7 @@ def _run_digraph_eval(payload: Dict, budgets: Budgets) -> Report:
     ring, d = _digraph_from_json(payload.get("digraph", payload), budgets)
     op = payload.get("op", "evaluate")
     if op == "quasi-coherent":
-        basis = [_open_from_json(ring, s) for s in payload.get("basis", [])]
+        basis = _opens_from_json(ring, payload, "basis")
         return _bool_report("digraph-eval",
                             is_quasi_coherent(d, basis, budgets))
     u = _open_from_json(ring, payload["open"])
@@ -459,12 +482,12 @@ def _run_digraph_extract(payload: Dict, budgets: Budgets) -> Report:
     kind = desc.get("kind", "quasi-coherent")
     if kind == "quasi-coherent":
         ring = _ring_from_json(desc.get("ring", {}))
-        handle = ring.ideal([ring.parse(s) for s in desc.get("ideal", [])])
-        basis = [_open_from_json(ring, s) for s in payload.get("basis", [])]
+        handle = _ideal_from_json(ring, desc, "ideal")
+        basis = _opens_from_json(ring, payload, "basis")
         oracle = quasi_coherent_oracle(handle, basis, budgets)
     elif kind == "digraph":
         ring, d = _digraph_from_json(desc.get("digraph", {}), budgets)
-        basis = [_open_from_json(ring, s) for s in payload.get("basis", [])]
+        basis = _opens_from_json(ring, payload, "basis")
         oracle = digraph_oracle(d, basis, budgets)
     else:
         raise ParseError(f"unknown oracle kind {kind!r}")
@@ -474,11 +497,10 @@ def _run_digraph_extract(payload: Dict, budgets: Budgets) -> Report:
 
 def _run_cech_affine(payload: Dict, budgets: Budgets) -> Report:
     ring = _ring_from_json(payload.get("ring", {}))
-    handle = ring.ideal([ring.parse(s) for s in payload.get("ideal", [])])
+    handle = _ideal_from_json(ring, payload, "ideal")
     cover_desc = payload.get("cover", {})
     cover = OpenCover(_open_from_json(ring, cover_desc.get("target", "1")),
-                      tuple(_open_from_json(ring, p)
-                            for p in cover_desc.get("pieces", [])))
+                      tuple(_opens_from_json(ring, cover_desc, "pieces")))
     wdesc = payload.get("window", {})
     window = AffineWindow(
         base_degree=_int(wdesc.get("base_degree", 8), "base_degree"),

@@ -125,6 +125,8 @@ class _Parser:
 
 
 def parse_polynomial(text: str, field: FieldSpec, var_names) -> Polynomial:
-    if not isinstance(text, str) or not text.strip():
+    if not isinstance(text, str):
+        raise ParseError(f"polynomial text must be a string, got {text!r}")
+    if not text.strip():
         raise ParseError("empty polynomial text")
     return _Parser(_tokenize(text), field, var_names).parse()

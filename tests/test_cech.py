@@ -4,6 +4,7 @@ dimension formulas, refinement invariance, and affine vanishing."""
 from math import comb
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from noether.cech import (
     AffineWindow,
@@ -16,7 +17,7 @@ from noether.cech import (
 from noether.errors import CapabilityError, ValidationError
 from noether.fields import GF, QQ
 from noether.rings import PresentedRing
-from noether.topology import DistinguishedOpen, OpenCover
+from noether.topology import DistinguishedOpen, OpenCover, cover_check
 
 
 def test_matrix_rank_exact_over_q():
@@ -77,6 +78,23 @@ def test_refinement_invariance():
             == twisted_cohomology_dims(TwistData(n, d), refined))
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 3).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(-6, 6),
+    st.lists(st.frozensets(st.integers(0, n), min_size=1), max_size=3),
+    st.randoms(use_true_random=False))))
+def test_random_chart_cover_matches_standard(case):
+    # The point whose only nonzero coordinate is x_i lies in no monomial
+    # chart but D(x_i), so a monomial chart cover holds every coordinate
+    # chart; the random covers add extra charts and shuffle the order.
+    n, d, extra, rng = case
+    standard = [frozenset({i}) for i in range(n + 1)]
+    charts = standard + extra
+    rng.shuffle(charts)
+    assert (twisted_cohomology_dims(TwistData(n, d), charts)
+            == twisted_cohomology_dims(TwistData(n, d), standard))
+
+
 def test_charts_must_cover():
     with pytest.raises(ValidationError):
         twisted_cohomology_dims(TwistData(2, 1),
@@ -133,3 +151,21 @@ def test_affine_rejects_pieces_outside_target(R):
                       (DistinguishedOpen(R, R.parse("x - 1")),))
     with pytest.raises(ValidationError):
         cech_complex_affine(R, R.ideal("x"), cover, AffineWindow())
+
+
+PIECE_FACTORS = ("x", "x - 1", "x + 1", "x + 2", "x^2 + 1", "x^2 - 2", "3")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["q", 5, 7]), st.sampled_from(["1", "x"]),
+       st.lists(st.sampled_from(PIECE_FACTORS), min_size=1, max_size=3),
+       st.sampled_from([[], ["1"], ["x - 1"], ["x^2 + x"], ["x^3 - 2"]]),
+       st.integers(0, 3), st.integers(0, 2))
+def test_affine_complex_is_a_complex(field, target, factors, ideal, base, npow):
+    R = PresentedRing(QQ if field == "q" else GF(field), ("x",))
+    cover = cover_of(R, target, *(f"({target})*({f})" for f in factors))
+    assume(cover_check(cover))
+    complex_ = cech_complex_affine(R, R.ideal(*ideal), cover,
+                                   AffineWindow(base, npow))
+    assert len(complex_.dims) == len(factors)
+    assert complex_.verify_d_squared()

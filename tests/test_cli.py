@@ -246,6 +246,11 @@ def test_parse_job_rejects(text, message):
     ("groebner", {"ring": "q"}, "'ring'"),
     ("cech-projective", {"n": "a", "d": 1}, "'n'"),
     ("baer", {"finite_ring": {"zmod": "x"}}, "'zmod'"),
+    ("groebner", {"ring": {"vars": 5}}, "'vars'"),
+    ("groebner", {"ring": {"vars": ["x", 3]}}, "'vars'"),
+    ("groebner", {"generators": [5]}, "'generators'"),
+    ("groebner", {"generators": "x^2"}, "'generators'"),
+    ("groebner", {"ring": {"quotient": "x"}, "generators": ["x"]}, "'quotient'"),
 ])
 def test_wrong_payload_type_exit_code(capsys, monkeypatch, command, payload, key):
     code, doc = run(capsys, command, "-", stdin=json.dumps(payload),
@@ -264,6 +269,23 @@ def test_malformed_budget_variable_exit_code(capsys, monkeypatch):
     assert "'abc'" in doc["error"]
     with pytest.raises(ParseError, match="NOETHER_BUDGET_MAX_DEGREE"):
         parse_job('{"command": "groebner"}')
+
+
+@pytest.mark.parametrize("edges,root,witness", [
+    ([[0, 1]], 3, "root index out of range"),
+    ([[0, 1], [1, 1]], 0, "cycle"),
+])
+def test_invalid_digraph_oracle_fails_validation(capsys, monkeypatch, edges,
+                                                 root, witness):
+    digraph = {"ring": {"field": "q", "vars": ["x"]},
+               "nodes": [{"open": "1", "gens": []}, {"open": "x", "gens": ["1"]}],
+               "edges": edges, "root": root}
+    code, doc = run(capsys, "digraph-extract", "-", stdin=json.dumps({
+        "oracle": {"kind": "digraph", "digraph": digraph},
+        "basis": ["x", "x - 1"]}), monkeypatch=monkeypatch)
+    assert (code, doc["status"]) == (1, "fail")
+    assert doc["config"]["error_type"] == "ValidationError"
+    assert doc["witness"]["witnesses"]["structural"] == witness
 
 
 def test_hom_from_empty_ideal_fails_validation(capsys, monkeypatch):

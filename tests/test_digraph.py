@@ -5,6 +5,7 @@ desk-scale enumeration of all digraphs over a finite ring."""
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from noether.config import DEFAULT_BUDGETS
 from noether.errors import DomainError, OracleError, ValidationError
@@ -95,6 +96,66 @@ def test_global_requires_whole_root(R):
     d = IdealDigraph(R, (node(R, "x", "1"),), (), 0)
     rep = validate_digraph(d)
     assert not rep.global_ok
+
+
+def closure_structural(n, root, edges):
+    """The structural witness by Warshall's transitive closure: None for a
+    rooted DAG, else what validate_digraph reports first."""
+    if not all(0 <= p < n and 0 <= c < n for p, c in edges):
+        return "edge index out of range"
+    path = [[False] * n for _ in range(n)]
+    for p, c in edges:
+        path[p][c] = True
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                path[i][j] = path[i][j] or (path[i][k] and path[k][j])
+    unreachable = [j for j in range(n) if j != root and not path[root][j]]
+    if unreachable:
+        return unreachable
+    return "cycle" if any(path[i][i] for i in range(n)) else None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(0, n - 1),
+    st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=9),
+    st.booleans())))
+def test_structural_check_matches_transitive_closure(case):
+    n, root, edges, stray = case
+    if stray:
+        edges = edges + [(0, n)]
+    ring = PresentedRing(QQ, ("x",))
+    opens = ("1", "x", "x - 1", "x + 1", "x^2 - x", "x^2 + x")[:n]
+    d = IdealDigraph(ring, tuple(node(ring, u) for u in opens), tuple(edges), root)
+    rep = validate_digraph(d)
+    expected = closure_structural(n, root, edges)
+    assert rep.structural_ok == (expected is None)
+    assert rep.witnesses.get("structural") == expected
+
+
+def cyclic_digraph(R):
+    return IdealDigraph(R, (node(R, "1"), node(R, "x", "1")), ((0, 1), (1, 1)), 0)
+
+
+def root_out_of_range_digraph(R):
+    return IdealDigraph(R, (node(R, "1"), node(R, "x", "1")), ((0, 1),), 3)
+
+
+TAKES_A_DIGRAPH = {
+    "section_membership": lambda R, d: section_membership(d, D(R, "x"), R.one()),
+    "evaluate_sheaf": lambda R, d: evaluate_sheaf(d, D(R, "x")),
+    "is_quasi_coherent": lambda R, d: is_quasi_coherent(d, [D(R, "x")]),
+    "digraph_oracle": lambda R, d: digraph_oracle(d, [D(R, "x")]),
+}
+
+
+@pytest.mark.parametrize("make", [cyclic_digraph, root_out_of_range_digraph])
+@pytest.mark.parametrize("function", sorted(TAKES_A_DIGRAPH))
+def test_invalid_digraph_refused(R, function, make):
+    with pytest.raises(ValidationError) as info:
+        TAKES_A_DIGRAPH[function](R, make(R))
+    assert info.value.witness["structural"] is False
 
 
 # -- clearing denominators -------------------------------------------------------
@@ -296,3 +357,10 @@ def test_count_digraph_space_z4():
 
 def test_count_digraph_space_z6():
     assert count_digraph_space(zmod(6)) == 9
+
+
+# The remaining Z/n up to 12 (Z/4 and Z/6 are pinned above).
+@pytest.mark.parametrize("n,count", [(2, 2), (3, 2), (5, 2), (7, 2), (8, 4),
+                                     (9, 3), (10, 9), (11, 2), (12, 18)])
+def test_count_digraph_space_zmod(n, count):
+    assert count_digraph_space(zmod(n)) == count
