@@ -2,6 +2,7 @@
 GF(2) linear-algebra membership oracle."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -12,7 +13,7 @@ from noether.errors import ResourceBudgetError
 from noether.fields import GF, QQ
 from noether.groebner import groebner_basis, normal_form
 from noether.parse import parse_polynomial
-from noether.poly import DEGREVLEX, Polynomial
+from noether.poly import DEGREVLEX, LEX, BlockElim, Polynomial
 
 VARS = ("x", "y")
 
@@ -158,3 +159,203 @@ def test_basis_members_reduce_to_zero_against_each_other():
         basis = groebner_basis(gens, DEGREVLEX)
         for g in gens:
             assert normal_form(g, basis, DEGREVLEX).is_zero()
+
+
+# -- independent gates: sympy, a Buchberger certificate, the slow path ------
+
+def _lead(p, order):
+    return max(p.terms, key=order.key)
+
+
+def _s_pair(f, g, order):
+    """S-polynomial written from plain arithmetic, without the kernel."""
+    F = f.field
+    fm, gm = _lead(f, order), _lead(g, order)
+    lcm = tuple(max(a, b) for a, b in zip(fm, gm))
+    left = Polynomial(F, f.nvars, {tuple(a - b for a, b in zip(lcm, fm)):
+                                   F.inv(f.terms[fm])})
+    right = Polynomial(F, g.nvars, {tuple(a - b for a, b in zip(lcm, gm)):
+                                    F.inv(g.terms[gm])})
+    return left * f - right * g
+
+
+def _normal_form_oracle(p, basis, order, budgets=Budgets()):
+    """The rebuild-per-step division kept as the slow path: the whole
+    remainder is rebuilt and its degree re-measured after every step."""
+    if p.is_zero():
+        return p
+    F = p.field
+    lead = [(_lead(g, order), g) for g in basis if not g.is_zero()]
+    remainder_terms = {}
+    work = p
+    while not work.is_zero():
+        if work.total_degree() > budgets.max_degree:
+            raise ResourceBudgetError("max_degree", budgets.max_degree)
+        lm = _lead(work, order)
+        lc = work.terms[lm]
+        for gm, g in lead:
+            if all(a <= b for a, b in zip(gm, lm)):
+                quotient = tuple(a - b for a, b in zip(lm, gm))
+                work = work - Polynomial(F, p.nvars,
+                                         {quotient: F.div(lc, g.terms[gm])}) * g
+                break
+        else:
+            remainder_terms[lm] = lc
+            work = Polynomial(F, p.nvars,
+                              {m: c for m, c in work.terms.items() if m != lm})
+    return Polynomial(F, p.nvars, remainder_terms)
+
+
+def _assert_reduced_groebner_certificate(gens, basis, order):
+    """Buchberger's criterion checked from the output alone: every input
+    generator and every S-polynomial of the basis reduces to zero, and the
+    basis is reduced (monic, no term divisible by another lead)."""
+    for g in gens:
+        assert _normal_form_oracle(g, basis, order).is_zero()
+    for i, f in enumerate(basis):
+        for g in basis[:i]:
+            assert _normal_form_oracle(_s_pair(f, g, order), basis, order).is_zero()
+    leads = [_lead(g, order) for g in basis]
+    for i, g in enumerate(basis):
+        assert g.terms[leads[i]] == g.field.one()
+        for j, lm in enumerate(leads):
+            if j != i:
+                assert not any(all(a <= b for a, b in zip(lm, m)) for m in g.terms)
+
+
+def _sympy_basis(gens, field):
+    """The reduced grevlex basis from sympy, as sets of (monomial, coeff)."""
+    import sympy as sp
+
+    names = sp.symbols(f"v0:{gens[0].nvars}")
+    opts = {"modulus": field.p} if field.kind == "fp" else {"domain": sp.QQ}
+
+    def term(m, c):
+        c = sp.Integer(c) if field.kind == "fp" else sp.Rational(c.numerator, c.denominator)
+        return c * sp.prod([v ** e for v, e in zip(names, m)])
+
+    exprs = [sum(term(m, c) for m, c in g.terms.items()) for g in gens]
+    out = set()
+    for g in sp.groebner(exprs, *names, order="grevlex", **opts).polys:
+        terms = {}
+        for m, c in g.terms():
+            if field.kind == "fp":
+                terms[tuple(m)] = int(c) % field.p
+            else:
+                c = sp.Rational(c)
+                terms[tuple(m)] = Fraction(int(c.p), int(c.q))
+        g = Polynomial(field, len(names), terms)
+        g = g.scale(field.inv(g.terms[_lead(g, DEGREVLEX)]))
+        out.add(frozenset(g.terms.items()))
+    return out
+
+
+def _as_sets(basis):
+    return {frozenset(g.terms.items()) for g in basis}
+
+
+@st.composite
+def small_ideals(draw, fields=(QQ, GF(7), GF(32003))):
+    field = draw(st.sampled_from(fields))
+    nvars = draw(st.integers(2, 3))
+    monos = st.tuples(*[st.integers(0, 3)] * nvars).filter(lambda m: sum(m) <= 3)
+    coeffs = st.integers(-5, 5).filter(bool)
+
+    def poly():
+        return st.dictionaries(monos, coeffs, min_size=1, max_size=4).map(
+            lambda t: Polynomial(field, nvars,
+                                 {m: field.from_int(c) for m, c in t.items()}))
+
+    gens = draw(st.lists(poly(), min_size=1, max_size=3))
+    return [g for g in gens if not g.is_zero()] or [Polynomial.const(field, nvars, 1)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_ideals())
+def test_basis_agrees_with_sympy(gens):
+    basis = groebner_basis(gens, DEGREVLEX)
+    assert _as_sets(basis) == _sympy_basis(gens, gens[0].field)
+    _assert_reduced_groebner_certificate(gens, basis, DEGREVLEX)
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_ideals(fields=(QQ, GF(7))), st.sampled_from([LEX, BlockElim(1)]))
+def test_basis_certificate_in_elimination_orders(gens, order):
+    basis = groebner_basis(gens, order)
+    _assert_reduced_groebner_certificate(gens, basis, order)
+    keys = [order.key(_lead(g, order)) for g in basis]
+    assert keys == sorted(keys, reverse=True)
+
+
+def _cyclic(n, field):
+    def unit(idx):
+        m = [0] * n
+        for i in idx:
+            m[i] += 1
+        return tuple(m)
+    eqs = [{unit([(i + j) % n for j in range(k)]): 1 for i in range(n)}
+           for k in range(1, n)]
+    eqs.append({unit(range(n)): 1, unit([]): -1})
+    return [Polynomial(field, n, {m: field.from_int(c) for m, c in eq.items()})
+            for eq in eqs]
+
+
+def test_cyclic5_matches_sympy():
+    gens = _cyclic(5, GF(32003))
+    basis = groebner_basis(gens, DEGREVLEX)
+    assert len(basis) == 20
+    assert _as_sets(basis) == _sympy_basis(gens, GF(32003))
+
+
+# Degree grows during these lex reductions: x - y^3 turns x^3 into y^9.
+GROWING = [
+    (Polynomial(QQ, 2, {(3, 0): Fraction(1)}),
+     [Polynomial(QQ, 2, {(1, 0): Fraction(1), (0, 3): Fraction(-1)})]),
+    (Polynomial(GF(7), 3, {(2, 1, 0): 1, (0, 0, 1): 3}),
+     [Polynomial(GF(7), 3, {(1, 0, 0): 1, (0, 2, 2): 5}),
+      Polynomial(GF(7), 3, {(0, 1, 0): 1, (0, 0, 3): 1})]),
+]
+
+
+@st.composite
+def reductions(draw):
+    field = draw(st.sampled_from([QQ, GF(7)]))
+    nvars = draw(st.integers(2, 3))
+    monos = st.tuples(*[st.integers(0, 4)] * nvars)
+    coeffs = st.integers(-3, 3).filter(bool)
+
+    def poly(max_size):
+        return st.dictionaries(monos, coeffs, min_size=1, max_size=max_size).map(
+            lambda t: Polynomial(field, nvars,
+                                 {m: field.from_int(c) for m, c in t.items()}))
+
+    p = draw(poly(6))
+    basis = draw(st.lists(poly(3), min_size=1, max_size=4))
+    return p, basis, draw(st.integers(1, 14))
+
+
+@settings(max_examples=150, deadline=None)
+@given(reductions(), st.sampled_from([DEGREVLEX, LEX, BlockElim(1)]))
+@example((*GROWING[0], 8), LEX)
+@example((*GROWING[1], 12), LEX)
+@example((*GROWING[1], 6), BlockElim(1))
+def test_normal_form_matches_slow_path(case, order):
+    p, basis, max_degree = case
+    budgets = Budgets(max_degree=max_degree)
+    try:
+        expected = _normal_form_oracle(p, basis, order, budgets)
+    except ResourceBudgetError:
+        with pytest.raises(ResourceBudgetError):
+            normal_form(p, basis, order, budgets)
+    else:
+        assert normal_form(p, basis, order, budgets) == expected
+
+
+@pytest.mark.parametrize("case", GROWING)
+def test_lex_reduction_may_grow_past_the_degree_budget(case):
+    p, basis = case
+    grown = _normal_form_oracle(p, basis, LEX).total_degree()
+    assert grown > max(g.total_degree() for g in [p] + basis)
+    assert normal_form(p, basis, LEX) == _normal_form_oracle(p, basis, LEX)
+    with pytest.raises(ResourceBudgetError):
+        normal_form(p, basis, LEX, Budgets(max_degree=grown - 1))
