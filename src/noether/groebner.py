@@ -1,13 +1,27 @@
 """Buchberger's algorithm with explicit resource budgets.
 
 Produces reduced (monic, auto-reduced) Groebner bases, which are unique for
-a given ideal and monomial order.  The pair queue uses the normal selection
-strategy; Buchberger's coprimality and chain criteria prune pairs.  Budgets
-(`max_pairs`, `max_degree`) fail loudly instead of hanging.
+a given ideal and monomial order.
+
+* Leading monomials are computed once per basis element (memoized on the
+  ``Polynomial``, and kept in a ``leads`` list beside the basis).
+* Pairs wait in a heap under the normal selection strategy: each gets its
+  key (degree of the lcm, order key of the lcm, i, j) once, when created.
+* The Gebauer-Moeller update (Gebauer & Moeller 1988, "On an installation
+  of Buchberger's algorithm") prunes pairs when a new element arrives:
+  among the new pairs it keeps one per minimal lcm and drops those with
+  coprime leading monomials, and it drops old pairs whose lcm the new
+  leading monomial divides strictly.  Elements whose leading monomial the
+  new one divides stop serving as reducers.
+* ``normal_form`` reduces into one dict, with a heap of negated order keys
+  giving the next leading term.
+
+Budgets (`max_pairs`, `max_degree`) fail loudly instead of hanging.
 """
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
 from typing import List
 
 from .config import Budgets, DEFAULT_BUDGETS
@@ -23,40 +37,70 @@ from .poly import (
 )
 
 
+def _descending(key):
+    """``key`` with every integer negated: a min-heap of these pops the
+    greatest monomial first."""
+    return tuple(-k if k.__class__ is int else _descending(k) for k in key)
+
+
 def normal_form(
     p: Polynomial,
     basis: List[Polynomial],
     order: MonomialOrder,
     budgets: Budgets = DEFAULT_BUDGETS,
 ) -> Polynomial:
-    """Remainder of multivariate division of ``p`` by ``basis``."""
+    """Remainder of multivariate division of ``p`` by ``basis``.
+
+    Each step cancels the leading term of what is left with the first basis
+    element whose leading monomial divides it, or moves the term to the
+    remainder.  Raises ``max_degree`` as soon as a term of larger degree
+    appears (lex and elimination orders can grow degree while reducing).
+    """
     if p.is_zero():
         return p
+    max_degree = budgets.max_degree
+    if p.total_degree() > max_degree:
+        raise ResourceBudgetError("max_degree", max_degree)
     F = p.field
-    lead = [(g.leading_monomial(order), g.leading_coeff(order), g) for g in basis if not g.is_zero()]
-    remainder_terms = {}
-    work = p
-    while not work.is_zero():
-        if work.total_degree() > budgets.max_degree:
-            raise ResourceBudgetError("max_degree", budgets.max_degree)
-        lm = work.leading_monomial(order)
-        lc = work.terms[lm]
-        for gm, gc, g in lead:
+    key = order.key
+    lead = [(g.leading_monomial(order), g.terms) for g in basis if not g.is_zero()]
+    # Cancelled terms stay in ``work`` as zeros, so a monomial enters the
+    # heap (and has its key computed) at most once.
+    work = dict(p.terms)
+    heap = [(_descending(key(m)), m) for m in work]
+    heapify(heap)
+    remainder = {}
+    while heap:
+        lm = heappop(heap)[1]
+        lc = work.pop(lm)
+        if not lc:
+            continue
+        for gm, gterms in lead:
             if mono_divides(gm, lm):
-                work = work - g.mul_term(mono_div(lm, gm), F.div(lc, gc))
                 break
         else:
-            remainder_terms[lm] = lc
-            work = Polynomial(F, p.nvars, {m: c for m, c in work.terms.items() if m != lm})
-    return Polynomial(F, p.nvars, remainder_terms)
+            remainder[lm] = lc
+            continue
+        q = mono_div(lm, gm)
+        c = F.div(lc, gterms[gm])
+        for t, v in gterms.items():
+            if t is gm:
+                continue
+            m = mono_mul(q, t)
+            if m in work:
+                work[m] = F.sub(work[m], F.mul(c, v))
+            else:
+                if mono_deg(m) > max_degree:
+                    raise ResourceBudgetError("max_degree", max_degree)
+                work[m] = F.neg(F.mul(c, v))
+                heappush(heap, (_descending(key(m)), m))
+    return Polynomial(F, p.nvars, remainder)
 
 
-def _s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
+def _s_polynomial(f: Polynomial, fm, g: Polynomial, gm, lcm) -> Polynomial:
     F = f.field
-    fm, gm = f.leading_monomial(order), g.leading_monomial(order)
-    lcm = mono_lcm(fm, gm)
-    left = f.mul_term(mono_div(lcm, fm), F.inv(f.leading_coeff(order)))
-    right = g.mul_term(mono_div(lcm, gm), F.inv(g.leading_coeff(order)))
+    left = f.mul_term(mono_div(lcm, fm), F.inv(f.terms[fm]))
+    right = g.mul_term(mono_div(lcm, gm), F.inv(g.terms[gm]))
     return left - right
 
 
@@ -78,82 +122,82 @@ def groebner_basis(
         if g.total_degree() > budgets.max_degree:
             raise ResourceBudgetError("max_degree", budgets.max_degree)
 
-    basis = [g.monic(order) for g in gens]
-    # Deduplicate identical generators up front.
+    basis: List[Polynomial] = []
+    leads = []  # leads[i] is the leading monomial of basis[i]
+    active: List[int] = []  # basis indices still used as reducers
+    pairs = []  # heap of (deg lcm, order key of lcm, i, j, lcm)
+
+    def update(h: Polynomial) -> None:
+        """Add ``h`` to the basis and its pairs to the queue (Gebauer-Moeller)."""
+        new = len(basis)
+        hm = h.leading_monomial(order)
+        basis.append(h)
+        leads.append(hm)
+        candidates = [(mono_lcm(leads[k], hm), k) for k in active]
+        # Criterion M: of the new pairs, keep one per minimal lcm (the last
+        # of equal ones); a coprime pair is kept here, so that it still
+        # screens the pairs it covers, and dropped by criterion F below.
+        kept = []
+        for n, (lcm, k) in enumerate(candidates):
+            coprime = lcm == mono_mul(leads[k], hm)
+            if coprime or not (
+                any(mono_divides(other, lcm) for other, _ in candidates[n + 1:])
+                or any(mono_divides(other, lcm) for other, _, _ in kept)
+            ):
+                kept.append((lcm, k, coprime))
+        # Criterion B: an old pair whose lcm hm divides, with both of its
+        # pairs with h having a different lcm, is covered by those two.
+        survivors = [
+            entry for entry in pairs
+            if not mono_divides(hm, entry[4])
+            or mono_lcm(leads[entry[2]], hm) == entry[4]
+            or mono_lcm(leads[entry[3]], hm) == entry[4]
+        ]
+        if len(survivors) < len(pairs):
+            pairs[:] = survivors
+            heapify(pairs)
+        for lcm, k, coprime in kept:
+            if not coprime:
+                heappush(pairs, (mono_deg(lcm), order.key(lcm), k, new, lcm))
+        active[:] = [k for k in active if not mono_divides(hm, leads[k])]
+        active.append(new)
+
     seen = set()
-    basis = [g for g in basis if not (g in seen or seen.add(g))]
+    for g in gens:
+        g = g.monic(order)
+        if g not in seen:
+            seen.add(g)
+            update(g)
 
-    pairs = {(i, j) for i in range(len(basis)) for j in range(i)}
-    # Pairs whose S-polynomial provably has a standard representation: either
-    # it was reduced by division, or the leading monomials were coprime.  Only
-    # these may justify a chain-criterion skip; pairs that were themselves
-    # skipped by the chain criterion do not count, which rules out circular
-    # skips among pairs sharing one lcm.
-    settled = set()
     processed = 0
-
-    def lm(i):
-        return basis[i].leading_monomial(order)
-
     while pairs:
         processed += 1
         if processed > budgets.max_pairs:
             raise ResourceBudgetError("max_pairs", budgets.max_pairs)
-        # Normal strategy: smallest lcm first (by total degree, then order key).
-        i, j = min(pairs, key=lambda ij: (mono_deg(mono_lcm(lm(ij[0]), lm(ij[1]))),
-                                          order.key(mono_lcm(lm(ij[0]), lm(ij[1])))))
-        pairs.discard((i, j))
-        lmi, lmj = lm(i), lm(j)
-        lcm = mono_lcm(lmi, lmj)
-        # Buchberger's first criterion: coprime leading monomials.
-        if lcm == mono_mul(lmi, lmj):
-            settled.add((i, j))
-            continue
-        # Chain criterion: some k with lm(k) | lcm and both pairs settled.
-        if any(
-            k != i and k != j
-            and mono_divides(lm(k), lcm)
-            and (max(i, k), min(i, k)) in settled
-            and (max(j, k), min(j, k)) in settled
-            for k in range(len(basis))
-        ):
-            continue
-        s = normal_form(_s_polynomial(basis[i], basis[j], order), basis, order, budgets)
-        settled.add((i, j))
-        if s.is_zero():
-            continue
-        if s.total_degree() > budgets.max_degree:
-            raise ResourceBudgetError("max_degree", budgets.max_degree)
-        s = s.monic(order)
-        basis.append(s)
-        new = len(basis) - 1
-        pairs.update((new, k) if new > k else (k, new) for k in range(new))
+        _, _, i, j, lcm = heappop(pairs)
+        s = _s_polynomial(basis[i], leads[i], basis[j], leads[j], lcm)
+        s = normal_form(s, [basis[k] for k in active], order, budgets)
+        if not s.is_zero():
+            update(s.monic(order))
 
-    return _reduce_basis(basis, order, budgets)
+    return _reduce_basis([basis[k] for k in active], order, budgets)
 
 
 def _reduce_basis(basis: List[Polynomial], order: MonomialOrder, budgets: Budgets) -> List[Polynomial]:
     # Minimalize: drop members whose leading monomial is divisible by another's.
-    basis = [g for g in basis if not g.is_zero()]
     lead = [g.leading_monomial(order) for g in basis]
-    keep = []
-    for i, g in enumerate(basis):
+    keep = [
+        g for i, g in enumerate(basis)
         if not any(
             j != i and mono_divides(lead[j], lead[i]) and (lead[j] != lead[i] or j < i)
             for j in range(len(basis))
-        ):
-            keep.append(g)
-    # Auto-reduce: replace each by its normal form against the others.
+        )
+    ]
+    # Auto-reduce: leading monomials never change, so one pass of replacing
+    # each member by its normal form against the others suffices.
     reduced = list(keep)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(reduced)):
-            others = reduced[:i] + reduced[i + 1 :]
-            nf = normal_form(reduced[i], others, order, budgets).monic(order)
-            if nf != reduced[i]:
-                reduced[i] = nf
-                changed = True
-        reduced = [g for g in reduced if not g.is_zero()]
+    for i in range(len(reduced)):
+        others = reduced[:i] + reduced[i + 1:]
+        reduced[i] = normal_form(reduced[i], others, order, budgets).monic(order)
     reduced.sort(key=lambda g: order.key(g.leading_monomial(order)), reverse=True)
     return reduced

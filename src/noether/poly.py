@@ -9,6 +9,7 @@ elimination orders (auxiliary variables first and greatest) are provided.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, le, sub
 from typing import Dict, Tuple
 
 from .errors import DomainError
@@ -18,20 +19,20 @@ Mono = Tuple[int, ...]
 
 
 def mono_mul(a: Mono, b: Mono) -> Mono:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_divides(a: Mono, b: Mono) -> bool:
     """True iff x^a divides x^b."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def mono_div(a: Mono, b: Mono) -> Mono:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def mono_lcm(a: Mono, b: Mono) -> Mono:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def mono_deg(a: Mono) -> int:
@@ -97,9 +98,14 @@ def order_by_name(name: str) -> MonomialOrder:
 
 
 class Polynomial:
-    """Immutable sparse polynomial.  ``terms`` maps exponent tuple -> coeff."""
+    """Immutable sparse polynomial.  ``terms`` maps exponent tuple -> coeff.
 
-    __slots__ = ("field", "nvars", "terms", "_hash")
+    The leading monomial is memoized for the last order asked (``_lead``);
+    it is the very key object of ``terms``, so callers may compare it with
+    ``is``.
+    """
+
+    __slots__ = ("field", "nvars", "terms", "_hash", "_lead")
 
     def __init__(self, field: FieldSpec, nvars: int, terms: Dict[Mono, object]):
         self.field = field
@@ -112,6 +118,7 @@ class Polynomial:
                 clean[m] = c
         self.terms = clean
         self._hash = None
+        self._lead = None
 
     # -- constructors ----------------------------------------------------
 
@@ -210,7 +217,10 @@ class Polynomial:
     # -- leading data ----------------------------------------------------
 
     def leading_monomial(self, order: MonomialOrder) -> Mono:
-        return max(self.terms, key=order.key)
+        lead = self._lead
+        if lead is None or lead[0] != order:
+            lead = self._lead = (order, max(self.terms, key=order.key))
+        return lead[1]
 
     def leading_coeff(self, order: MonomialOrder):
         return self.terms[self.leading_monomial(order)]
