@@ -219,8 +219,10 @@ def twisted_cohomology_dims(t: TwistData,
     """Dimensions of H^i(P^n, O(d)) from a monomial chart cover.
 
     The default cover is the standard one by the n+1 coordinate charts;
-    any family of monomial charts whose supports jointly cover the
-    coordinates is accepted (refinements included).
+    any family of monomial charts over the coordinates 0..n that holds every
+    coordinate chart is accepted (refinements included).  No other family
+    covers P^n: the point whose only nonzero coordinate is x_i lies in no
+    monomial chart but D(x_i).
     """
     n, d = t.n, t.d
     if n > 4 or abs(d) > 20:
@@ -228,9 +230,14 @@ def twisted_cohomology_dims(t: TwistData,
     if charts is None:
         charts = [frozenset({i}) for i in range(n + 1)]
     charts = [frozenset(c) for c in charts]
-    if frozenset().union(*charts) != frozenset(range(n + 1)):
-        raise ValidationError("charts do not cover projective space",
+    coords = frozenset(range(n + 1))
+    if not frozenset().union(*charts) <= coords:
+        raise ValidationError("charts use coordinates outside 0..n",
                               witness=sorted(map(sorted, charts)))
+    missing = sorted(coords - {i for c in charts if len(c) == 1 for i in c})
+    if missing:
+        raise ValidationError("charts do not cover projective space: "
+                              "coordinate charts missing", witness=missing)
     window = t.effective_window()
     dims = {i: 0 for i in range(len(charts))}
     for negs in map(frozenset, itertools.chain.from_iterable(

@@ -187,6 +187,12 @@ def _list(value, key: str, entry=str) -> List:
     return value
 
 
+def _bool(value, key: str) -> bool:
+    if not isinstance(value, bool):
+        raise ParseError(f"{key!r} must be a JSON boolean, got {value!r}")
+    return value
+
+
 def _object(desc, key: str) -> Dict[str, Any]:
     if not isinstance(desc, dict):
         raise ParseError(f"{key!r} must be a JSON object, got {desc!r}")
@@ -229,7 +235,7 @@ def _finite_element(R: FiniteRing, value):
 
 
 def _module_from_json(R: FiniteRing, desc: Dict[str, Any]) -> FiniteModule:
-    kind = desc.get("kind", "ring")
+    kind = _object(desc, "module").get("kind", "ring")
     if kind == "ring":
         return ring_as_module(R)
     if kind == "zero":
@@ -323,7 +329,7 @@ def _bool_report(command: str, value: bool, result: Any = None,
 def _run_groebner(payload: Dict, budgets: Budgets) -> Report:
     ring = _ring_from_json(payload.get("ring", {}))
     handle = _ideal_from_json(ring, payload, "generators")
-    canonical = bool(payload.get("canonical", False)) or bool(ring.inverted)
+    canonical = _bool(payload.get("canonical", False), "canonical") or bool(ring.inverted)
     basis = op_groebner_basis(handle, canonical=canonical, budgets=budgets)
     return Report("groebner", "pass",
                   result={"basis": _render_basis(ring, basis),
@@ -520,11 +526,13 @@ def _run_cech_affine(payload: Dict, budgets: Budgets) -> Report:
 
 
 def _run_cech_projective(payload: Dict, budgets: Budgets) -> Report:
+    window = payload.get("window")
     t = TwistData(_int(payload["n"], "n"), _int(payload["d"], "d"),
-                  payload.get("window"))
+                  None if window is None else _int(window, "window"))
     charts = payload.get("charts")
     if charts is not None:
-        charts = [frozenset(c) for c in charts]
+        charts = [frozenset(_list(c, "charts", int))
+                  for c in _list(charts, "charts", list)]
     dims = twisted_cohomology_dims(t, charts, budgets)
     return Report("cech-projective", "pass",
                   result={f"H{i}": dims[i] for i in sorted(dims)},
@@ -536,7 +544,8 @@ def _run_baer(payload: Dict, budgets: Budgets) -> Report:
     R = _finite_ring_from_json(payload.get("finite_ring", {"zmod": 4}))
     op = payload.get("op", "test")
     if op == "direct-sum":
-        modules = [_module_from_json(R, m) for m in payload.get("modules", [])]
+        modules = [_module_from_json(R, m)
+                   for m in _list(payload.get("modules", []), "modules", dict)]
         out = direct_sum(modules, budgets)
         return Report("baer", "pass",
                       result={"size": out.module.size},

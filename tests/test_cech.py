@@ -101,6 +101,23 @@ def test_charts_must_cover():
                                 [frozenset({0}), frozenset({1})])
 
 
+@pytest.mark.parametrize("charts,missing", [
+    ([{0, 1}, {2}], [0, 1]),
+    ([{0, 1}, {1, 2}, {0, 2}], [0, 1, 2]),
+    ([{0}, {1}, {0, 1, 2}], [2]),
+])
+def test_charts_must_hold_every_coordinate_chart(charts, missing):
+    with pytest.raises(ValidationError) as err:
+        twisted_cohomology_dims(TwistData(2, -4), [frozenset(c) for c in charts])
+    assert err.value.witness == missing
+
+
+def test_charts_outside_the_coordinates_refused():
+    with pytest.raises(ValidationError):
+        twisted_cohomology_dims(TwistData(1, 0), [frozenset({0}), frozenset({1}),
+                                                  frozenset({1, 2})])
+
+
 def test_dimension_capability_bound():
     with pytest.raises(CapabilityError):
         twisted_cohomology_dims(TwistData(5, 1))

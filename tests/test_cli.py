@@ -251,6 +251,15 @@ def test_parse_job_rejects(text, message):
     ("groebner", {"generators": [5]}, "'generators'"),
     ("groebner", {"generators": "x^2"}, "'generators'"),
     ("groebner", {"ring": {"quotient": "x"}, "generators": ["x"]}, "'quotient'"),
+    ("groebner", {"generators": ["x"], "canonical": "no"}, "'canonical'"),
+    ("groebner", {"generators": ["x"], "canonical": 1}, "'canonical'"),
+    ("cech-projective", {"n": 1, "d": 0, "charts": 5}, "'charts'"),
+    ("cech-projective", {"n": 1, "d": 0, "charts": [[0], ["1"]]}, "'charts'"),
+    ("cech-projective", {"n": 1, "d": 0, "window": "x"}, "'window'"),
+    ("baer", {"module": 5}, "'module'"),
+    ("baer", {"op": "hom-from-ideal", "module": 5, "ideal": [0]}, "'module'"),
+    ("baer", {"op": "direct-sum", "modules": 5}, "'modules'"),
+    ("baer", {"op": "direct-sum", "modules": [{"kind": "ring"}, 5]}, "'modules'"),
 ])
 def test_wrong_payload_type_exit_code(capsys, monkeypatch, command, payload, key):
     code, doc = run(capsys, command, "-", stdin=json.dumps(payload),
@@ -286,6 +295,19 @@ def test_invalid_digraph_oracle_fails_validation(capsys, monkeypatch, edges,
     assert (code, doc["status"]) == (1, "fail")
     assert doc["config"]["error_type"] == "ValidationError"
     assert doc["witness"]["witnesses"]["structural"] == witness
+
+
+@pytest.mark.parametrize("payload,missing", [
+    ({"n": 2, "d": 0, "charts": [[0, 1], [2]]}, [0, 1]),
+    ({"n": 2, "d": -4, "charts": [[0, 1], [1, 2], [0, 2]]}, [0, 1, 2]),
+])
+def test_chart_family_without_coordinate_charts_fails(capsys, monkeypatch,
+                                                      payload, missing):
+    code, doc = run(capsys, "cech-projective", "-", stdin=json.dumps(payload),
+                    monkeypatch=monkeypatch)
+    assert (code, doc["status"]) == (1, "fail")
+    assert doc["config"]["error_type"] == "ValidationError"
+    assert doc["witness"] == missing
 
 
 def test_hom_from_empty_ideal_fails_validation(capsys, monkeypatch):
