@@ -184,18 +184,14 @@ def groebner_basis(
 
 
 def _reduce_basis(basis: List[Polynomial], order: MonomialOrder, budgets: Budgets) -> List[Polynomial]:
-    # Minimalize: drop members whose leading monomial is divisible by another's.
+    # Minimalize: drop members whose leading monomial another's divides (the
+    # leading monomials of the active elements are distinct, since adding an
+    # element retires every one whose leading monomial it divides).
     lead = [g.leading_monomial(order) for g in basis]
-    keep = [
-        g for i, g in enumerate(basis)
-        if not any(
-            j != i and mono_divides(lead[j], lead[i]) and (lead[j] != lead[i] or j < i)
-            for j in range(len(basis))
-        )
-    ]
+    reduced = [g for i, g in enumerate(basis)
+               if not any(j != i and mono_divides(m, lead[i]) for j, m in enumerate(lead))]
     # Auto-reduce: leading monomials never change, so one pass of replacing
     # each member by its normal form against the others suffices.
-    reduced = list(keep)
     for i in range(len(reduced)):
         others = reduced[:i] + reduced[i + 1:]
         reduced[i] = normal_form(reduced[i], others, order, budgets).monic(order)
