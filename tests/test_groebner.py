@@ -255,9 +255,9 @@ def _as_sets(basis):
 
 
 @st.composite
-def small_ideals(draw, fields=(QQ, GF(7), GF(32003))):
+def small_ideals(draw, fields=(QQ, GF(7), GF(32003)), max_vars=3):
     field = draw(st.sampled_from(fields))
-    nvars = draw(st.integers(2, 3))
+    nvars = draw(st.integers(2, max_vars))
     monos = st.tuples(*[st.integers(0, 3)] * nvars).filter(lambda m: sum(m) <= 3)
     coeffs = st.integers(-5, 5).filter(bool)
 
@@ -278,8 +278,10 @@ def test_basis_agrees_with_sympy(gens):
     _assert_reduced_groebner_certificate(gens, basis, DEGREVLEX)
 
 
+# Two variables: a lex basis of three cubics in three variables can pass
+# degree 64 (the default budget) and take minutes over Q.
 @settings(max_examples=30, deadline=None)
-@given(small_ideals(fields=(QQ, GF(7))), st.sampled_from([LEX, BlockElim(1)]))
+@given(small_ideals(fields=(QQ, GF(7)), max_vars=2), st.sampled_from([LEX, BlockElim(1)]))
 def test_basis_certificate_in_elimination_orders(gens, order):
     basis = groebner_basis(gens, order)
     _assert_reduced_groebner_certificate(gens, basis, order)
