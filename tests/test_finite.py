@@ -2,11 +2,12 @@
 and module/hom machinery."""
 
 import functools
+import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from noether.errors import DomainError, ValidationError
+from noether.errors import BoundExceededError, DomainError, ValidationError
 from noether.finite import (
     all_homs,
     direct_sum,
@@ -267,3 +268,92 @@ def test_closure_check_rejects_a_set_without_zero():
     assert not is_ideal(R, frozenset())
     with pytest.raises(ValidationError, match="zero"):
         submodule(ring_as_module(R), [])
+
+
+# -- all_homs against the product-and-filter search ---------------------------
+
+def all_homs_by_product(A, B):
+    """Reference oracle: every assignment of images to the generators, in
+    product order, propagated by linearity and kept when consistent."""
+    gens = module_generators(A)
+    if B.size ** len(gens) > 10**6:
+        raise BoundExceededError("finite_ring_bound", 0, "hom search space too large")
+    R = A.ring
+    ai = {a: i for i, a in enumerate(A.elements)}
+    bi = {b: i for i, b in enumerate(B.elements)}
+    add_a = [[ai[A.add(x, y)] for y in A.elements] for x in A.elements]
+    add_b = [[bi[B.add(x, y)] for y in B.elements] for x in B.elements]
+    smul_a = [[ai[A.smul(r, x)] for x in A.elements] for r in R.elements]
+    smul_b = [[bi[B.smul(r, x)] for x in B.elements] for r in R.elements]
+    gen_idx = [ai[g] for g in gens]
+    za, zb = ai[A.zero], bi[B.zero]
+    homs = []
+    for images in itertools.product(range(len(B.elements)), repeat=len(gens)):
+        graph = [-1] * len(A.elements)
+        graph[za] = zb
+        known = [za]
+        frontier = list(zip(gen_idx, images))
+        ok = True
+        while frontier and ok:
+            a, b = frontier.pop()
+            if graph[a] != -1:
+                ok = graph[a] == b
+                continue
+            graph[a] = b
+            known.append(a)
+            for r in range(len(R.elements)):
+                frontier.append((smul_a[r][a], smul_b[r][b]))
+            for a2 in known:
+                frontier.append((add_a[a][a2], add_b[b][graph[a2]]))
+        assert not ok or -1 not in graph
+        if ok:
+            homs.append({A.elements[i]: B.elements[graph[i]]
+                         for i in range(len(A.elements))})
+    return homs
+
+
+HOM_RINGS = st.one_of(st.integers(2, 12).map(lambda n: f"Z/{n}"),
+                      st.sampled_from(sorted(RINGS) + ["Z/4 x Z/4"]))
+MODULE_KINDS = st.sampled_from(["ring", "quotient", "submodule", "free", "zero"])
+
+
+def draw_module(data, R):
+    kind = data.draw(MODULE_KINDS)
+    if kind == "ring":
+        return ring_as_module(R)
+    if kind == "zero":
+        return zero_module(R)
+    if kind == "free":
+        return free_module(R, 2)
+    F = free_module(R, data.draw(st.integers(1, 2)))
+    N = span(F, data.draw(st.lists(st.sampled_from(F.elements), max_size=2)))
+    return quotient_module(F, N) if kind == "quotient" else submodule(F, N)
+
+
+def hom_ring_named(name):
+    return product_ring([zmod(4), zmod(4)]) if name == "Z/4 x Z/4" else ring_named(name)
+
+
+@settings(max_examples=150, deadline=None)
+@given(HOM_RINGS, st.data())
+def test_all_homs_equals_product_oracle(name, data):
+    R = hom_ring_named(name)
+    A, B = draw_module(data, R), draw_module(data, R)
+    space = B.size ** len(module_generators(A))
+    if space > 10**6:
+        for search in (all_homs, all_homs_by_product):
+            with pytest.raises(BoundExceededError, match="hom search space too large"):
+                search(A, B)
+        return
+    # The oracle pays O(|A|^2) per candidate; larger pairs only cost time.
+    assume(space * A.size <= 50_000)
+    assert all_homs(A, B) == all_homs_by_product(A, B)
+
+
+@pytest.mark.parametrize("rank_a,rank_b", [(2, 2), (3, 1)])
+def test_all_homs_refuses_a_large_search_space(rank_a, rank_b):
+    R = product_ring([zmod(4), zmod(4)])
+    A, B = free_module(R, rank_a), free_module(R, rank_b)
+    assert B.size ** len(module_generators(A)) > 10**6
+    with pytest.raises(BoundExceededError, match="hom search space too large"):
+        all_homs(A, B)
