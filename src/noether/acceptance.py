@@ -254,24 +254,15 @@ def criterion_4(budgets: Budgets = DEFAULT_BUDGETS) -> Tuple[bool, str]:
 # ---------------------------------------------------------------------------
 
 def _all_posets(n: int) -> List[FiniteSpace]:
-    """All partial orders on n labeled points, as finite spaces."""
+    """All partial orders on n labeled points, as finite spaces: every set
+    of strict pairs that is antisymmetric and transitive."""
     points = list(range(n))
     pairs = [(a, b) for a in points for b in points if a != b]
     out = []
     for bits in range(1 << len(pairs)):
         rel = {pairs[i] for i in range(len(pairs)) if bits >> i & 1}
-        ok = True
-        for (a, b) in rel:
-            if (b, a) in rel:
-                ok = False
-                break
-            for c in points:
-                if (b, c) in rel and (a, c) not in rel:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        if all((b, a) not in rel and all((a, d) in rel for c, d in rel if c == b)
+               for a, b in rel):
             out.append(FiniteSpace(points, sorted(rel)))
     return out
 

@@ -46,22 +46,18 @@ class BaerReport:
         return out
 
 
-def _extension_images(M: FiniteModule, ideal: FrozenSet, graph: Dict) -> List:
-    """All module elements m with x*m = graph[x] for every x in the ideal."""
-    return [m for m in M.elements
-            if all(M.smul(x, m) == graph[x] for x in ideal)]
-
-
 def baer_test(M: FiniteModule, budgets: Budgets = DEFAULT_BUDGETS) -> BaerReport:
     """Baer's criterion by exhaustive search.
 
     M is injective iff every linear map from an ideal extends to the whole
-    ring, i.e. iff each such map is multiplication by some fixed element.
+    ring, i.e. iff each such map is multiplication by some fixed element m:
+    x*m = graph[x] for every x in the ideal.
     """
     R = M.ring
     for ideal in enumerate_ideals(R, budgets):
         for graph in hom_from_ideal(R, ideal, M, budgets):
-            if not _extension_images(M, ideal, graph):
+            if not any(all(M.smul(x, m) == graph[x] for x in ideal)
+                       for m in M.elements):
                 return BaerReport(False, witness=(ideal, graph))
     return BaerReport(True)
 
@@ -295,16 +291,6 @@ def chain_fixed_pointwise(chain: BaerChain) -> bool:
 # Brute-force envelopes
 # ---------------------------------------------------------------------------
 
-def _embeds(M: FiniteModule, E: FiniteModule,
-            budgets: Budgets) -> bool:
-    if E.size < M.size:
-        return False
-    for graph in all_homs(M, E, budgets):
-        if len(set(graph.values())) == M.size:
-            return True
-    return False
-
-
 def injective_envelope_bruteforce(M: FiniteModule, bound: int = 256,
                                   budgets: Budgets = DEFAULT_BUDGETS
                                   ) -> Optional[FiniteModule]:
@@ -323,16 +309,12 @@ def injective_envelope_bruteforce(M: FiniteModule, bound: int = 256,
             E = quotient_module(free, sub, name=f"F{rank}/N")
             if E.size <= bound:
                 candidates.append(E)
-    candidates.sort(key=lambda E: E.size)
-    best: Optional[FiniteModule] = None
-    for E in candidates:
-        if best is not None and E.size >= best.size:
-            continue
-        if not _embeds(M, E, budgets):
-            continue
-        if baer_test(E, budgets).injective:
-            best = E
-    return best
+    for E in sorted(candidates, key=lambda E: E.size):
+        embeds = E.size >= M.size and any(len(set(g.values())) == M.size
+                                          for g in all_homs(M, E, budgets))
+        if embeds and baer_test(E, budgets).injective:
+            return E
+    return None
 
 
 def first_principles_injective(M: FiniteModule,

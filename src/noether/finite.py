@@ -435,8 +435,13 @@ def noetherian_witness(R: FiniteRing, chain: Sequence[FrozenSet],
 def all_homs(A: FiniteModule, B: FiniteModule, budgets: Budgets = DEFAULT_BUDGETS) -> List[Dict]:
     """All R-linear maps A -> B, each as a full element-graph dict.
 
-    Enumerates assignments on a minimal generating set of A and propagates
-    by linearity, rejecting inconsistent assignments.
+    Searches one generator g_j of A at a time.  With S_{j-1} the span of the
+    earlier ones, g_j newly reaches s + r*g_j (s in S_{j-1}), and its
+    relations are the r with r*g_j in S_{j-1}.  An image b_j, tried in
+    ``B.elements`` order, is accepted iff r*b_j is the known image of r*g_j
+    for every relation r; phi then extends as phi(s) + r*b_j, well defined
+    and R-linear.  B is never tabulated.  Maps come out in product order of
+    the images (b_1 most significant), keyed in ``A.elements`` order.
     """
     if A.ring != B.ring:
         raise DomainError("modules over different rings")
@@ -444,45 +449,43 @@ def all_homs(A: FiniteModule, B: FiniteModule, budgets: Budgets = DEFAULT_BUDGET
     if B.size ** len(gens) > 10**6:
         raise BoundExceededError("finite_ring_bound", budgets.finite_ring_bound,
                                  "hom search space too large")
-    R = A.ring
-    # Precompute index-valued operation tables so the candidate loop works on
-    # small integers instead of raw module elements.
-    ai = {a: i for i, a in enumerate(A.elements)}
-    bi = {b: i for i, b in enumerate(B.elements)}
-    add_a = [[ai[A.add(x, y)] for y in A.elements] for x in A.elements]
-    add_b = [[bi[B.add(x, y)] for y in B.elements] for x in B.elements]
-    smul_a = [[ai[A.smul(r, x)] for x in A.elements] for r in R.elements]
-    smul_b = [[bi[B.smul(r, x)] for x in B.elements] for r in R.elements]
-    gen_idx = [ai[g] for g in gens]
-    za, zb = ai[A.zero], bi[B.zero]
-    n_r = len(R.elements)
-    homs = []
-    for images in itertools.product(range(len(B.elements)), repeat=len(gens)):
-        graph = [-1] * len(A.elements)
-        graph[za] = zb
-        known = [za]
-        frontier = list(zip(gen_idx, images))
-        ok = True
-        while frontier and ok:
-            a, b = frontier.pop()
-            if graph[a] != -1:
-                if graph[a] != b:
-                    ok = False
-                continue
-            graph[a] = b
-            known.append(a)
-            row_a, row_b = add_a[a], add_b[b]
-            for r in range(n_r):
-                frontier.append((smul_a[r][a], smul_b[r][b]))
-            for a2 in known:
-                frontier.append((row_a[a2], row_b[graph[a2]]))
-        if not ok or -1 in graph:
-            # Inconsistent, or generators failed to span (cannot happen).
-            if ok and -1 in graph:
-                raise ValidationError("generator propagation did not cover the module")
+    # Per generator g: its relations as pairs (r, r*g), and the elements it
+    # newly reaches as cosets (r, [(s + r*g, s) for s in S_{j-1}]).
+    steps, covered = [], {A.zero}
+    for g in gens:
+        relations, cosets, fresh = [], [], set()
+        for r in A.ring.elements:
+            x = A.smul(r, g)
+            if x in covered:
+                relations.append((r, x))
+            elif x not in fresh:
+                coset = [(A.add(s, x), s) for s in covered]
+                fresh.update(a for a, _ in coset)
+                cosets.append((r, coset))
+        covered |= fresh
+        steps.append((relations, cosets))
+    if len(covered) != A.size:
+        raise ValidationError("generators do not span the module")
+
+    # Depth-first over an explicit choice stack: one iterator over the
+    # candidate images per assigned generator, plus one for the next.
+    homs, phi, stack, done = [], {A.zero: B.zero}, [iter(B.elements)], object()
+    while stack:
+        if len(stack) > len(steps):
+            homs.append({a: phi[a] for a in A.elements})
+            stack.pop()
             continue
-        homs.append({A.elements[i]: B.elements[graph[i]]
-                     for i in range(len(A.elements))})
+        b = next(stack[-1], done)
+        if b is done:
+            stack.pop()
+            continue
+        relations, cosets = steps[len(stack) - 1]
+        if all(B.smul(r, b) == phi[x] for r, x in relations):
+            for r, coset in cosets:
+                rb = B.smul(r, b)
+                for a, s in coset:
+                    phi[a] = B.add(phi[s], rb)
+            stack.append(iter(B.elements))
     return homs
 
 

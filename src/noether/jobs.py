@@ -167,12 +167,12 @@ def parse_job(text: str) -> JobSpec:
 
 
 def _int(value, key: str) -> int:
-    """The payload value at ``key`` as an integer; a value of the wrong
-    type is a ParseError naming the key."""
-    try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ParseError(f"{key!r} must be an integer, got {value!r}") from None
+    """The payload value at ``key``, which must be a JSON integer (a float,
+    boolean or numeric string is not); otherwise a ParseError naming the
+    key."""
+    if type(value) is not int:
+        raise ParseError(f"{key!r} must be an integer, got {value!r}")
+    return value
 
 
 def _list(value, key: str, entry=str) -> List:
@@ -202,9 +202,10 @@ def _object(desc, key: str) -> Dict[str, Any]:
 def _field_from_json(desc) -> FieldSpec:
     if desc == "q":
         return QQ
-    if isinstance(desc, str) and desc.startswith("fp:"):
-        return GF(_int(desc[3:], "field"))
-    raise ParseError(f"unknown field descriptor {desc!r}; use 'q' or 'fp:<p>'")
+    if isinstance(desc, str) and desc.startswith("fp:") and desc[3:].isdecimal():
+        return GF(int(desc[3:]))
+    raise ParseError(f"unknown field descriptor {desc!r} for 'field'; "
+                     "use 'q' or 'fp:<p>'")
 
 
 def _ring_from_json(desc: Dict[str, Any]) -> PresentedRing:
@@ -348,7 +349,7 @@ def _run_ideal(payload: Dict, budgets: Budgets) -> Report:
                 "ideals": [sorted(map(repr, i)) for i in ideals]},
                 config={"ring": R.name})
         chain = [frozenset(_finite_element(R, v) for v in entry)
-                 for entry in payload.get("chain", [])]
+                 for entry in _list(payload.get("chain", []), "chain", entry=list)]
         rep = noetherian_witness(R, chain, budgets)
         return _bool_report("ideal", rep.ok, result={
             "generator_lists": [sorted(map(repr, g))

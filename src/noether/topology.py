@@ -8,7 +8,8 @@ Point sets never appear except for finite rings, where Spec is enumerable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, List, Sequence, Set, Tuple
+from functools import cached_property
+from typing import FrozenSet, List, Sequence, Tuple
 
 from .config import Budgets, DEFAULT_BUDGETS
 from .errors import DomainError
@@ -101,56 +102,77 @@ def enumerate_spec(R: FiniteRing, budgets: Budgets = DEFAULT_BUDGETS) -> List[Fr
 class FiniteSpace:
     """Finite space whose opens are the down-sets of a preorder.
 
-    ``below`` holds pairs (a, b) meaning a <= b; reflexive-transitive
-    closure is taken.  Open sets are subsets closed downward.
+    ``below`` holds pairs (a, b) of points meaning a <= b; reflexive-
+    transitive closure is taken.  Open sets are subsets closed downward.
+    Point i is bit i of a mask: each point's down-closure and comparability
+    masks are computed once, and the opens once per space, on first use.
     """
 
     def __init__(self, points: Sequence, below: Sequence[Tuple] = ()):
         self.points = tuple(points)
-        rel: Set[Tuple] = {(p, p) for p in self.points}
-        rel.update((a, b) for a, b in below)
-        changed = True
-        while changed:
-            changed = False
-            for (a, b) in list(rel):
-                for (c, d) in list(rel):
-                    if b == c and (a, d) not in rel:
-                        rel.add((a, d))
-                        changed = True
-        self.below = frozenset(rel)
+        self._index = {p: i for i, p in enumerate(self.points)}
+        if len(self._index) != len(self.points):
+            raise DomainError("finite space with a repeated point")
+        n = len(self.points)
+        down = [1 << i for i in range(n)]
+        for a, b in below:
+            down[self._at(b)] |= 1 << self._at(a)
+        for k in range(n):  # Warshall: close each down-set under down[k]
+            for j in range(n):
+                if down[j] >> k & 1:
+                    down[j] |= down[k]
+        self._down = down
+        self._near = [d | sum(1 << j for j in range(n) if down[j] >> i & 1)
+                      for i, d in enumerate(down)]
+
+    def _at(self, p) -> int:
+        try:
+            return self._index[p]
+        except KeyError:
+            raise DomainError(f"{p!r} is not a point of the space") from None
+
+    def _mask(self, subset) -> int:
+        return sum(1 << self._at(p) for p in set(subset))
 
     def leq(self, a, b) -> bool:
-        return (a, b) in self.below
+        return bool(self._down[self._at(b)] >> self._at(a) & 1)
 
     def is_open(self, subset: FrozenSet) -> bool:
-        return all(a in subset
-                   for b in subset for a in self.points if self.leq(a, b))
-
-    def opens(self) -> List[FrozenSet]:
-        out = []
-        pts = list(self.points)
-        for mask in range(1 << len(pts)):
-            s = frozenset(p for i, p in enumerate(pts) if mask >> i & 1)
-            if self.is_open(s):
-                out.append(s)
-        return sorted(out, key=lambda s: (len(s), sorted(map(pts.index, s))))
+        mask = self._mask(subset)
+        return all(not self._down[i] & ~mask
+                   for i in range(len(self.points)) if mask >> i & 1)
 
     def connected(self, subset: FrozenSet) -> bool:
-        """Connectivity in the comparability graph restricted to the subset."""
-        if not subset:
-            return False
-        todo = {next(iter(subset))}
-        seen = set()
+        """Connectivity in the comparability graph restricted to the subset,
+        by breadth-first search from its lowest point."""
+        mask = self._mask(subset)
+        reach = todo = mask & -mask
         while todo:
-            x = todo.pop()
-            seen.add(x)
-            for y in subset:
-                if y not in seen and (self.leq(x, y) or self.leq(y, x)):
-                    todo.add(y)
-        return seen == set(subset)
+            low = todo & -todo
+            todo ^= low
+            new = self._near[low.bit_length() - 1] & mask & ~reach
+            reach |= new
+            todo |= new
+        return bool(mask) and reach == mask
+
+    @cached_property
+    def _open_lists(self) -> Tuple[List[FrozenSet], List[FrozenSet]]:
+        """The opens, as unions of principal down-sets, by size and then by
+        sorted point positions; and the nonempty connected ones."""
+        n, masks = len(self.points), {0}
+        for d in self._down:
+            masks |= {m | d for m in masks}
+        masks = sorted(masks, key=lambda m: (bin(m).count("1"),
+                                             [i for i in range(n) if m >> i & 1]))
+        opens = [frozenset(p for i, p in enumerate(self.points) if m >> i & 1)
+                 for m in masks]
+        return opens, [U for U in opens if self.connected(U)]
+
+    def opens(self) -> List[FrozenSet]:
+        return list(self._open_lists[0])
 
     def connected_opens(self) -> List[FrozenSet]:
-        return [s for s in self.opens() if s and self.connected(s)]
+        return list(self._open_lists[1])
 
     def whole(self) -> FrozenSet:
         return frozenset(self.points)

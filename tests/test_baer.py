@@ -1,6 +1,8 @@
 """Baer's criterion, one-step extensions in lazy normal form, chains, and
 brute-force injective envelopes over finite rings."""
 
+import json
+
 import pytest
 
 from noether.baer import (
@@ -26,6 +28,7 @@ from noether.finite import (
     zero_module,
     zmod,
 )
+from noether.jobs import parse_job, run_job
 
 
 @pytest.fixture
@@ -100,6 +103,18 @@ def test_chain_respects_materialize_bound(R4):
     chain = baer_chain(zero_module(R4), 2, tight)
     assert chain.stalled_at == 1
     assert chain.verified
+
+
+def test_chain_over_z9_stalls_at_the_baer_bound():
+    # The second step maps every ideal of Z/9 into the 2187-element stage;
+    # the homs are found without tabulating it, and the next extension
+    # exceeds baer_bound, so the chain stops there, verified.
+    job = {"command": "baer", "payload": {
+        "op": "chain", "finite_ring": {"zmod": 9}, "module": {"kind": "ring"}, "K": 2}}
+    report = run_job(parse_job(json.dumps(job)))
+    assert report.exit_code == 0
+    assert report.result == {"stage_sizes": [9, 2187], "verified": True,
+                             "stalled_at": 1}
 
 
 def test_baer_module_size_bound(R4):

@@ -260,6 +260,13 @@ def test_parse_job_rejects(text, message):
     ("baer", {"op": "hom-from-ideal", "module": 5, "ideal": [0]}, "'module'"),
     ("baer", {"op": "direct-sum", "modules": 5}, "'modules'"),
     ("baer", {"op": "direct-sum", "modules": [{"kind": "ring"}, 5]}, "'modules'"),
+    ("cech-projective", {"n": 2.7, "d": 0}, "'n'"),
+    ("cech-projective", {"n": True, "d": "3"}, "'n'"),
+    ("cech-projective", {"n": 1, "d": "3"}, "'d'"),
+    ("ideal", {"op": "noetherian-witness", "finite_ring": {"zmod": 4},
+               "chain": 5}, "'chain'"),
+    ("ideal", {"op": "noetherian-witness", "finite_ring": {"zmod": 4},
+               "chain": [[0], 2]}, "'chain'"),
 ])
 def test_wrong_payload_type_exit_code(capsys, monkeypatch, command, payload, key):
     code, doc = run(capsys, command, "-", stdin=json.dumps(payload),
@@ -308,6 +315,19 @@ def test_chart_family_without_coordinate_charts_fails(capsys, monkeypatch,
     assert (code, doc["status"]) == (1, "fail")
     assert doc["config"]["error_type"] == "ValidationError"
     assert doc["witness"] == missing
+
+
+@pytest.mark.parametrize("space,message", [
+    ({"points": [0, 1], "below": [[0, 5]]}, "5 is not a point"),
+    ({"points": [0, 0]}, "repeated point"),
+])
+def test_malformed_finite_space_exit_code(capsys, monkeypatch, space, message):
+    code, doc = run(capsys, "digraph-validate", "-", stdin=json.dumps({
+        "op": "zz-extract", "space": space, "assignment": []}),
+        monkeypatch=monkeypatch)
+    assert (code, doc["status"]) == (2, "error")
+    assert doc["config"]["error_type"] == "DomainError"
+    assert message in doc["result"]["error"]
 
 
 def test_hom_from_empty_ideal_fails_validation(capsys, monkeypatch):

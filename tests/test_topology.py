@@ -1,7 +1,10 @@
 """Distinguished opens of Spec R, covers, coordinate rings, and finite
 topological spaces given by preorders."""
 
+import itertools
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from noether.errors import DomainError
 from noether.fields import QQ
@@ -116,3 +119,80 @@ def test_connectedness():
     Y = FiniteSpace((0, 1, 2), ((0, 1), (0, 2)))
     assert Y.connected(Y.whole())
     assert frozenset({1, 2}) not in [s for s in Y.connected_opens()]
+
+
+# -- finite spaces against the definition -------------------------------------
+
+def preorder_closure(n, pairs):
+    """Reflexive-transitive closure of the pairs, Warshall style."""
+    leq = [[i == j or (i, j) in pairs for j in range(n)] for i in range(n)]
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                leq[i][j] = leq[i][j] or (leq[i][k] and leq[k][j])
+    return leq
+
+
+def all_subsets(n):
+    return [frozenset(c) for r in range(n + 1)
+            for c in itertools.combinations(range(n), r)]
+
+
+def comparability_connected(leq, subset):
+    """Union-find over the comparable pairs inside the subset."""
+    parent = {p: p for p in subset}
+
+    def find(p):
+        while parent[p] != p:
+            p = parent[p]
+        return p
+
+    for a in subset:
+        for b in subset:
+            if leq[a][b] or leq[b][a]:
+                parent[find(a)] = find(b)
+    return len({find(p) for p in subset}) == 1
+
+
+PREORDERS = st.integers(0, 5).flatmap(lambda n: st.tuples(
+    st.just(n), st.sets(st.tuples(st.integers(0, max(n - 1, 0)),
+                                  st.integers(0, max(n - 1, 0))),
+                        max_size=8) if n else st.just(set())))
+
+
+@settings(max_examples=80, deadline=None)
+@given(PREORDERS)
+def test_finite_space_opens_match_the_definition(preorder):
+    n, pairs = preorder
+    X = FiniteSpace(range(n), sorted(pairs))
+    leq = preorder_closure(n, pairs)
+    down_sets = [S for S in all_subsets(n)
+                 if all(a in S for b in S for a in range(n) if leq[a][b])]
+    # all_subsets lists by size, then lexicographically: the opens' order.
+    assert X.opens() == down_sets
+    for S in all_subsets(n):
+        assert X.is_open(S) == (S in down_sets)
+        assert X.connected(S) == (bool(S) and comparability_connected(leq, S))
+    assert X.connected_opens() == [S for S in down_sets
+                                   if S and comparability_connected(leq, S)]
+
+
+def test_finite_space_lists_are_fresh_copies():
+    X = FiniteSpace((0, 1, 2), ((0, 1), (0, 2)))
+    opens, connected = X.opens(), X.connected_opens()
+    opens.clear()
+    connected.append(frozenset({2}))
+    assert X.opens() == [frozenset(), frozenset({0}), frozenset({0, 1}),
+                         frozenset({0, 2}), frozenset({0, 1, 2})]
+    assert X.connected_opens() == [frozenset({0}), frozenset({0, 1}),
+                                   frozenset({0, 2}), frozenset({0, 1, 2})]
+
+
+def test_finite_space_rejects_foreign_and_repeated_points():
+    X = FiniteSpace((0, 1), ((0, 1),))
+    with pytest.raises(DomainError, match="not a point"):
+        X.is_open(frozenset({0, 7}))
+    with pytest.raises(DomainError, match="not a point"):
+        FiniteSpace((0, 1), ((0, 5),))
+    with pytest.raises(DomainError, match="repeated point"):
+        FiniteSpace((0, 0))
