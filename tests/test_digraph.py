@@ -9,13 +9,16 @@ from hypothesis import given, settings, strategies as st
 
 from noether.config import DEFAULT_BUDGETS
 from noether.errors import DomainError, OracleError, ValidationError
-from noether.fields import QQ
+from noether import univar
+from noether.fields import GF, QQ
 from noether.finite import zmod
+from noether.poly import Polynomial
 from noether.digraph import (
     DigraphNode,
     IdealDigraph,
     SheafOracle,
     ZZSheafData,
+    _section_generators,
     clear_denominators,
     count_digraph_space,
     digraph_oracle,
@@ -238,6 +241,88 @@ def test_membership_monotone_under_extra_node(R):
         for p in probes:
             if section_membership(base, u, p):
                 assert section_membership(bigger, u, p)
+
+
+def factored_section_generators(d, u):
+    """The section ideal over u by irreducible factorization (sympy): the
+    product of q^e over the monic irreducibles q alive on u, e the
+    multiplicity of q in the gcd of the node ideals whose opens contain
+    (q); () when some stalk is zero."""
+    ring = d.ring
+    all_gens = [g for node in d.nodes for g in node.gens]
+    if univar.gcd(all_gens, ring.field).is_zero():
+        return ()
+    candidates = []
+    for p in all_gens + [node.open.f for node in d.nodes]:
+        if p.is_zero() or p.is_constant():
+            continue
+        for q, _ in univar.irreducible_factors(p):
+            if q not in candidates:
+                candidates.append(q)
+    s_u = u.f * ring.inverted_product()
+    total = ring.one()
+    for q in candidates:
+        if univar.divides(q, s_u):
+            continue
+        alive = [node for node in d.nodes if not univar.divides(q, node.open.f)]
+        g_s = univar.gcd([g for node in alive for g in node.gens], ring.field)
+        if g_s.is_zero():
+            return ()
+        total = total * q ** univar.multiplicity(q, g_s)
+    return (total,)
+
+
+SECTION_FIELDS = [QQ, GF(2), GF(3), GF(5), GF(7)]
+# x, x + 1, x^2 + 1, x - 2, x^2 + x + 1: over F_p their powers up to 8
+# include p-th powers and multiplicities above p.
+BLOCKS = [[0, 1], [1, 1], [1, 0, 1], [-2, 1], [1, 1, 1]]
+
+
+@st.composite
+def factored_polys(draw, field, nonzero=False):
+    """A unit times a product of up to two powers of small blocks (fixed
+    ones and random ones of degree <= 2), or, unless ``nonzero``, 0."""
+    if not nonzero and draw(st.integers(0, 9)) == 0:
+        return Polynomial.zero(field, 1)
+    unit = draw(st.integers(1, field.p - 1 if field.p else 5))
+    out = Polynomial.const(field, 1, unit)
+    blocks = BLOCKS + draw(st.lists(
+        st.lists(st.integers(-3, 3), min_size=2, max_size=3), max_size=2))
+    for coeffs in draw(st.lists(st.sampled_from(blocks), max_size=2)):
+        block = Polynomial(field, 1, {(i,): field.from_int(c)
+                                      for i, c in enumerate(coeffs)})
+        if not block.is_zero():
+            out = out * block ** draw(st.integers(1, 8))
+    return out
+
+
+@st.composite
+def univariate_digraphs(draw):
+    """An unvalidated univariate digraph (root over D(1), up to two more
+    nodes), a ring that may invert one element, and a nonempty open u."""
+    field = draw(st.sampled_from(SECTION_FIELDS))
+    inverted = tuple(draw(st.lists(factored_polys(field, nonzero=True),
+                                   max_size=1)))
+    ring = PresentedRing(field, ("x",), inverted=inverted)
+    opens = [ring.one()] + draw(st.lists(factored_polys(field, nonzero=True),
+                                         max_size=2))
+    # Each node's generators share a factor, so stalk gcds are rarely 1.
+    nodes = tuple(
+        DigraphNode(DistinguishedOpen(ring, f), tuple(
+            draw(factored_polys(field, nonzero=True)) * g
+            for g in draw(st.lists(factored_polys(field), min_size=1,
+                                   max_size=2))))
+        for f in opens)
+    edges = tuple((0, i) for i in range(1, len(nodes)))
+    u = DistinguishedOpen(ring, draw(factored_polys(field, nonzero=True)))
+    return IdealDigraph(ring, nodes, edges, 0), u
+
+
+@settings(max_examples=150, deadline=None)
+@given(univariate_digraphs())
+def test_section_generators_match_factorization(case):
+    d, u = case
+    assert _section_generators(d, u) == factored_section_generators(d, u)
 
 
 def test_evaluate_rejects_multivariate_base():

@@ -15,6 +15,7 @@ from noether.poly import (
     mono_div,
     mono_divides,
     mono_lcm,
+    exact_divmod,
     mono_mul,
     order_by_name,
 )
@@ -115,3 +116,51 @@ def test_ring_axioms(p, q, r):
 def test_render_reparses_to_same_polynomial(p):
     text = p.render(VARS)
     assert parse_polynomial(text, QQ, VARS) == p
+
+
+# -- division by one polynomial against the rebuild-per-step oracle ------------
+
+
+def rebuilt_divmod(g: Polynomial, p: Polynomial):
+    """Single-divisor division in degrevlex that rebuilds the quotient and
+    the remainder as new polynomials on every step."""
+    pm, pc = p.leading_monomial(DEGREVLEX), p.leading_coeff(DEGREVLEX)
+    quotient = Polynomial.zero(g.field, g.nvars)
+    work = g
+    while not work.is_zero():
+        lm = work.leading_monomial(DEGREVLEX)
+        if not mono_divides(pm, lm):
+            return quotient, work
+        term = Polynomial(g.field, g.nvars,
+                          {mono_div(lm, pm): g.field.div(work.terms[lm], pc)})
+        quotient = quotient + term
+        work = work - term * p
+    return quotient, Polynomial.zero(g.field, g.nvars)
+
+
+@st.composite
+def division_cases(draw):
+    """(g, p) in 1 or 3 variables over Q or F_5; half the time g is a
+    multiple of p plus a perturbation, so long exact divisions occur."""
+    field = draw(st.sampled_from([QQ, GF(5)]))
+    nvars = draw(st.sampled_from([1, 3]))
+    monos = st.tuples(*[st.integers(0, 3)] * nvars)
+    coeffs = st.integers(-4, 4).filter(bool).map(field.from_int).filter(bool)
+
+    def draw_poly(min_size):
+        return Polynomial(field, nvars, draw(st.dictionaries(
+            monos, coeffs, min_size=min_size, max_size=5)))
+
+    p = draw_poly(1)
+    g = draw_poly(0)
+    if draw(st.booleans()):
+        g = g * p + draw_poly(0) * draw(st.sampled_from([0, 1]))
+    return g, p
+
+
+@given(division_cases())
+def test_exact_divmod_matches_rebuilt_division(case):
+    g, p = case
+    quotient, remainder = exact_divmod(g, p)
+    assert (quotient, remainder) == rebuilt_divmod(g, p)
+    assert quotient * p + remainder == g
