@@ -10,7 +10,7 @@ The sheaf generated by a digraph is the smallest subsheaf of the structure
 sheaf containing each node ideal over its open; membership is decided
 stalkwise via the subset-stratum criterion (colon ideals plus radical
 membership), and exact section ideals are computed for univariate base
-rings, where primary decomposition reduces to polynomial factorization.
+rings from a coprime base of the node data, by gcds alone: no factoring.
 Every function that takes a caller's digraph validates it first.
 
 Extraction is one loop, ``_extract``, for sheaves of ideals given by an
@@ -274,10 +274,12 @@ def evaluate_sheaf(d: IdealDigraph, u: DistinguishedOpen,
                    skip_validation: bool = False) -> IdealHandle:
     """Exact ideal of sections of the generated sheaf over u (univariate).
 
-    Univariate primary decomposition is irreducible factorization: for each
-    monic irreducible q alive on u, the stalk at (q) is generated by the
-    node ideals whose opens contain (q); the section ideal is cut out by the
-    resulting multiplicity of q.  The zero stalk forces the zero ideal.
+    For each monic irreducible q alive on u, the stalk at (q) is generated
+    by the node ideals whose opens contain (q); the section ideal is cut out
+    by the resulting multiplicity of q.  The primes are not found by
+    factoring: a coprime base of the node data (squarefree factors refined
+    by gcds) groups them into pairwise coprime blocks on which all of this
+    agrees.  The zero stalk forces the zero ideal.
     """
     _require_univariate_ring(d.ring)
     if not skip_validation:
@@ -294,39 +296,35 @@ def evaluate_sheaf(d: IdealDigraph, u: DistinguishedOpen,
 
 
 def _section_generators(d: IdealDigraph, u: DistinguishedOpen) -> Tuple[Polynomial, ...]:
-    """Generators of the section ideal over u: the product of q^e over the
-    monic irreducibles q alive on u, e the multiplicity of q in the gcd of
-    the node ideals whose opens contain (q); () when some stalk is zero."""
+    """Generators of the section ideal over u: the product of b^e over the
+    members b of a coprime base of the node generators, the node opens and
+    s_u (u's element times the inverted ones) that are not units on u, e the
+    multiplicity of b in the gcd of the node ideals whose opens b does not
+    divide; () when some stalk is zero.
+
+    Every irreducible q dividing a base element b divides the same members
+    of that family as b, to the same power, so q is a unit on u, lies in a
+    node's open and divides a stalk gcd exactly when b does, as often: the
+    product of the b^e equals the product of q^e over the primes q."""
     ring = d.ring
     # The generic stalk: all (nonempty) node opens contain the zero prime.
     all_gens = [g for node in d.nodes for g in node.gens]
     if univar.gcd(all_gens, ring.field).is_zero():
         return ()
 
-    # Candidate primes: factors of node generators and of node opens.
-    candidates: List[Polynomial] = []
-    seen = set()
-    for p in all_gens + [node.open.f for node in d.nodes]:
-        if p.is_zero() or p.is_constant():
-            continue
-        for q, _ in univar.irreducible_factors(p):
-            if q not in seen:
-                seen.add(q)
-                candidates.append(q)
-
     s_u = u.f * ring.inverted_product()
+    family = all_gens + [node.open.f for node in d.nodes] + [s_u]
     total = ring.one()
-    for q in candidates:
-        if univar.divides(q, s_u):
-            continue  # q is a unit on u
-        alive = [i for i in range(len(d.nodes)) if not univar.divides(q, d.nodes[i].open.f)]
-        stalk_gens = [g for i in alive for g in d.nodes[i].gens]
-        g_s = univar.gcd(stalk_gens, ring.field)
+    for b in univar.coprime_base(family):
+        if univar.divides(b, s_u):
+            continue  # b is a unit on u
+        alive = [node for node in d.nodes if not univar.divides(b, node.open.f)]
+        g_s = univar.gcd([g for node in alive for g in node.gens], ring.field)
         if g_s.is_zero():
             return ()
-        e = univar.multiplicity(q, g_s)
+        e = univar.multiplicity(b, g_s)
         if e:
-            total = total * q ** e
+            total = total * b ** e
     return (total,)
 
 

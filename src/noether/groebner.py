@@ -29,18 +29,13 @@ from .errors import ResourceBudgetError
 from .poly import (
     MonomialOrder,
     Polynomial,
+    descending,
     mono_deg,
     mono_div,
     mono_divides,
     mono_lcm,
     mono_mul,
 )
-
-
-def _descending(key):
-    """``key`` with every integer negated: a min-heap of these pops the
-    greatest monomial first."""
-    return tuple(-k if k.__class__ is int else _descending(k) for k in key)
 
 
 def normal_form(
@@ -67,7 +62,7 @@ def normal_form(
     # Cancelled terms stay in ``work`` as zeros, so a monomial enters the
     # heap (and has its key computed) at most once.
     work = dict(p.terms)
-    heap = [(_descending(key(m)), m) for m in work]
+    heap = [(descending(key(m)), m) for m in work]
     heapify(heap)
     remainder = {}
     while heap:
@@ -93,7 +88,7 @@ def normal_form(
                 if mono_deg(m) > max_degree:
                     raise ResourceBudgetError("max_degree", max_degree)
                 work[m] = F.neg(F.mul(c, v))
-                heappush(heap, (_descending(key(m)), m))
+                heappush(heap, (descending(key(m)), m))
     return Polynomial(F, p.nvars, remainder)
 
 

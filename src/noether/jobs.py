@@ -4,6 +4,9 @@ A job names one of the CLI commands plus a command-specific payload.
 Reports carry a status (pass / fail / error), the structured result, any
 witness, and a configuration echo; timings live in their own field so the
 rest of the report is byte-identical across runs.
+
+Each handler imports the layers it uses when it runs, in the branch that
+uses them, so a CLI process loads only what its command needs.
 """
 
 from __future__ import annotations
@@ -11,34 +14,18 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field as dc_field, fields, replace
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
-from .baer import (baer_chain, baer_step, baer_test,
-                   injective_envelope_bruteforce)
-from .cech import (AffineWindow, TwistData, affine_vanishing_check,
-                   cech_complex_affine, twisted_cohomology_dims)
 from .config import Budgets, DEFAULT_BUDGETS
-from .digraph import (DigraphNode, IdealDigraph, ZZSheafData,
-                      clear_denominators, count_digraph_space,
-                      digraph_oracle, evaluate_sheaf, extract_digraph,
-                      extract_zz_digraph, is_quasi_coherent,
-                      quasi_coherent_oracle, section_membership,
-                      validate_digraph, zz_sheaf_value)
 from .errors import (CapabilityError, DomainError, OracleError,
                      ParseError, ResourceBudgetError, ValidationError)
-from .fields import GF, QQ, FieldSpec
-from .finite import (FiniteModule, FiniteRing, direct_sum, enumerate_ideals,
-                     free_module, gf_poly_quotient, hom_from_ideal,
-                     noetherian_witness, quotient_module, ring_as_module,
-                     span, submodule, zero_module, zmod)
-from .rings import (IdealHandle, PresentedRing, colon_ideal, ideal_combine,
-                    ideal_contains, ideal_equal, ideal_membership,
-                    op_groebner_basis, radical_membership, saturate)
-from .topology import (DistinguishedOpen, FiniteSpace, OpenCover,
-                       coordinate_ring, cover_check, enumerate_spec,
-                       open_contains, open_equal, open_intersect)
-from .tower import (pullback_strictness, properness_and_maximality,
-                    run_tower_suite, tower_ring, verify_cover_map)
+
+if TYPE_CHECKING:
+    from .digraph import IdealDigraph, ZZSheafData
+    from .fields import FieldSpec
+    from .finite import FiniteModule, FiniteRing
+    from .rings import IdealHandle, PresentedRing
+    from .topology import DistinguishedOpen
 
 COMMANDS = ("groebner", "ideal", "open", "digraph-validate", "digraph-eval",
             "digraph-extract", "cech-affine", "cech-projective", "baer",
@@ -200,6 +187,8 @@ def _object(desc, key: str) -> Dict[str, Any]:
 
 
 def _field_from_json(desc) -> FieldSpec:
+    from .fields import GF, QQ
+
     if desc == "q":
         return QQ
     if isinstance(desc, str) and desc.startswith("fp:") and desc[3:].isdecimal():
@@ -209,6 +198,8 @@ def _field_from_json(desc) -> FieldSpec:
 
 
 def _ring_from_json(desc: Dict[str, Any]) -> PresentedRing:
+    from .rings import PresentedRing
+
     desc = _object(desc, "ring")
     field = _field_from_json(desc.get("field", "q"))
     vars_ = tuple(_list(desc.get("vars", ["x"]), "vars"))
@@ -219,6 +210,8 @@ def _ring_from_json(desc: Dict[str, Any]) -> PresentedRing:
 
 
 def _finite_ring_from_json(desc: Dict[str, Any]) -> FiniteRing:
+    from .finite import gf_poly_quotient, zmod
+
     desc = _object(desc, "finite_ring")
     if "zmod" in desc:
         return zmod(_int(desc["zmod"], "zmod"))
@@ -236,6 +229,9 @@ def _finite_element(R: FiniteRing, value):
 
 
 def _module_from_json(R: FiniteRing, desc: Dict[str, Any]) -> FiniteModule:
+    from .finite import (free_module, quotient_module, ring_as_module, span,
+                         submodule, zero_module)
+
     kind = _object(desc, "module").get("kind", "ring")
     if kind == "ring":
         return ring_as_module(R)
@@ -259,6 +255,8 @@ def _module_from_json(R: FiniteRing, desc: Dict[str, Any]) -> FiniteModule:
 
 
 def _open_from_json(ring: PresentedRing, desc) -> DistinguishedOpen:
+    from .topology import DistinguishedOpen
+
     text = desc["f"] if isinstance(desc, dict) else desc
     return DistinguishedOpen(ring, ring.parse(text))
 
@@ -276,6 +274,8 @@ def _ideal_from_json(ring: PresentedRing, desc: Dict[str, Any], key: str) -> Ide
 
 def _digraph_from_json(desc: Dict[str, Any],
                        budgets: Budgets) -> Tuple[PresentedRing, IdealDigraph]:
+    from .digraph import DigraphNode, IdealDigraph, clear_denominators
+
     ring = _ring_from_json(desc.get("ring", {}))
     edges = tuple((_int(a, "edges"), _int(b, "edges"))
                   for a, b in desc.get("edges", []))
@@ -328,6 +328,8 @@ def _bool_report(command: str, value: bool, result: Any = None,
 # ---------------------------------------------------------------------------
 
 def _run_groebner(payload: Dict, budgets: Budgets) -> Report:
+    from .rings import op_groebner_basis
+
     ring = _ring_from_json(payload.get("ring", {}))
     handle = _ideal_from_json(ring, payload, "generators")
     canonical = _bool(payload.get("canonical", False), "canonical") or bool(ring.inverted)
@@ -341,6 +343,8 @@ def _run_groebner(payload: Dict, budgets: Budgets) -> Report:
 def _run_ideal(payload: Dict, budgets: Budgets) -> Report:
     op = payload.get("op", "membership")
     if op in ("enumerate-ideals", "noetherian-witness"):
+        from .finite import enumerate_ideals, noetherian_witness
+
         R = _finite_ring_from_json(payload["finite_ring"])
         if op == "enumerate-ideals":
             ideals = enumerate_ideals(R, budgets)
@@ -357,6 +361,9 @@ def _run_ideal(payload: Dict, budgets: Budgets) -> Report:
             "max_strict_chain": rep.max_strict_chain,
             "ideal_count_bound": rep.ideal_count_bound,
             "ok": rep.ok}, config={"ring": R.name})
+
+    from .rings import (colon_ideal, ideal_combine, ideal_contains, ideal_equal,
+                        ideal_membership, radical_membership, saturate)
 
     ring = _ring_from_json(payload.get("ring", {}))
 
@@ -397,12 +404,17 @@ def _run_ideal(payload: Dict, budgets: Budgets) -> Report:
 def _run_open(payload: Dict, budgets: Budgets) -> Report:
     op = payload.get("op", "contains")
     if op == "enumerate-spec":
+        from .topology import enumerate_spec
+
         R = _finite_ring_from_json(payload["finite_ring"])
         primes = enumerate_spec(R, budgets)
         return Report("open", "pass", result={
             "count": len(primes),
             "primes": [sorted(map(repr, p)) for p in primes]},
             config={"ring": R.name})
+    from .topology import (OpenCover, coordinate_ring, cover_check,
+                           open_contains, open_equal, open_intersect)
+
     ring = _ring_from_json(payload.get("ring", {}))
     if op == "cover-check":
         cover = OpenCover(_open_from_json(ring, payload["target"]),
@@ -425,6 +437,9 @@ def _run_open(payload: Dict, budgets: Budgets) -> Report:
 
 
 def _zz_data_from_json(payload: Dict) -> ZZSheafData:
+    from .digraph import ZZSheafData
+    from .topology import FiniteSpace
+
     space_desc = payload.get("space", {})
     points = space_desc.get("points", [])
     below = [tuple(pair) for pair in space_desc.get("below", [])]
@@ -437,11 +452,15 @@ def _zz_data_from_json(payload: Dict) -> ZZSheafData:
 def _run_digraph_validate(payload: Dict, budgets: Budgets) -> Report:
     op = payload.get("op", "validate")
     if op == "count-space":
+        from .digraph import count_digraph_space
+
         R = _finite_ring_from_json(payload["finite_ring"])
         count = count_digraph_space(R, budgets)
         return Report("digraph-validate", "pass", result={"count": count},
                       config={"ring": R.name})
     if op == "zz-extract":
+        from .digraph import extract_zz_digraph, zz_sheaf_value
+
         data = _zz_data_from_json(payload)
         out = extract_zz_digraph(data)
         regenerated = all(
@@ -455,6 +474,8 @@ def _run_digraph_validate(payload: Dict, budgets: Budgets) -> Report:
     if op == "clear-denominators":
         return Report("digraph-validate", "pass", result=_digraph_to_json(d))
     if op == "validate":
+        from .digraph import validate_digraph
+
         report = validate_digraph(d, budgets)
         return _bool_report("digraph-validate", report.valid,
                             result=report.as_dict(),
@@ -466,16 +487,22 @@ def _run_digraph_eval(payload: Dict, budgets: Budgets) -> Report:
     ring, d = _digraph_from_json(payload.get("digraph", payload), budgets)
     op = payload.get("op", "evaluate")
     if op == "quasi-coherent":
+        from .digraph import is_quasi_coherent
+
         basis = _opens_from_json(ring, payload, "basis")
         return _bool_report("digraph-eval",
                             is_quasi_coherent(d, basis, budgets))
     u = _open_from_json(ring, payload["open"])
     if op == "evaluate":
+        from .digraph import evaluate_sheaf
+
         result = evaluate_sheaf(d, u, budgets)
         return Report("digraph-eval", "pass", result={
             "open": ring.render(u.f),
             "generators": _render_basis(ring, result.generators)})
     if op == "membership":
+        from .digraph import section_membership
+
         num = ring.parse(payload["numerator"])
         den = (ring.parse(payload["denominator"])
                if "denominator" in payload else None)
@@ -485,6 +512,8 @@ def _run_digraph_eval(payload: Dict, budgets: Budgets) -> Report:
 
 
 def _run_digraph_extract(payload: Dict, budgets: Budgets) -> Report:
+    from .digraph import digraph_oracle, extract_digraph, quasi_coherent_oracle
+
     desc = payload.get("oracle", {})
     kind = desc.get("kind", "quasi-coherent")
     if kind == "quasi-coherent":
@@ -503,6 +532,9 @@ def _run_digraph_extract(payload: Dict, budgets: Budgets) -> Report:
 
 
 def _run_cech_affine(payload: Dict, budgets: Budgets) -> Report:
+    from .cech import AffineWindow, affine_vanishing_check, cech_complex_affine
+    from .topology import OpenCover
+
     ring = _ring_from_json(payload.get("ring", {}))
     handle = _ideal_from_json(ring, payload, "ideal")
     cover_desc = payload.get("cover", {})
@@ -527,6 +559,8 @@ def _run_cech_affine(payload: Dict, budgets: Budgets) -> Report:
 
 
 def _run_cech_projective(payload: Dict, budgets: Budgets) -> Report:
+    from .cech import TwistData, twisted_cohomology_dims
+
     window = payload.get("window")
     t = TwistData(_int(payload["n"], "n"), _int(payload["d"], "d"),
                   None if window is None else _int(window, "window"))
@@ -545,6 +579,8 @@ def _run_baer(payload: Dict, budgets: Budgets) -> Report:
     R = _finite_ring_from_json(payload.get("finite_ring", {"zmod": 4}))
     op = payload.get("op", "test")
     if op == "direct-sum":
+        from .finite import direct_sum
+
         modules = [_module_from_json(R, m)
                    for m in _list(payload.get("modules", []), "modules", dict)]
         out = direct_sum(modules, budgets)
@@ -552,11 +588,16 @@ def _run_baer(payload: Dict, budgets: Budgets) -> Report:
                       result={"size": out.module.size},
                       config={"ring": R.name})
     if op == "hom-from-ideal":
+        from .finite import hom_from_ideal
+
         M = _module_from_json(R, payload.get("module", {}))
         ideal = frozenset(_finite_element(R, v) for v in payload["ideal"])
         homs = hom_from_ideal(R, ideal, M, budgets)
         return Report("baer", "pass", result={"count": len(homs)},
                       config={"ring": R.name})
+    from .baer import (baer_chain, baer_step, baer_test,
+                       injective_envelope_bruteforce)
+
     M = _module_from_json(R, payload.get("module", {}))
     if op == "test":
         rep = baer_test(M, budgets)
@@ -585,6 +626,9 @@ def _run_baer(payload: Dict, budgets: Budgets) -> Report:
 
 
 def _run_etale(payload: Dict, budgets: Budgets) -> Report:
+    from .tower import (pullback_strictness, properness_and_maximality,
+                        run_tower_suite, tower_ring, verify_cover_map)
+
     field = _field_from_json(payload.get("field", "q"))
     rule = payload.get("rule", "power")
     op = payload.get("op", "suite")

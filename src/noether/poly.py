@@ -9,6 +9,7 @@ elimination orders (auxiliary variables first and greatest) are provided.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from operator import add, le, sub
 from typing import Dict, Tuple
 
@@ -307,24 +308,44 @@ class Polynomial:
         return f"Polynomial({self.render([f'v{i}' for i in range(self.nvars)])})"
 
 
+def descending(key):
+    """An order ``key`` with every integer negated: a min-heap of these pops
+    the greatest monomial first."""
+    return tuple(-k if k.__class__ is int else descending(k) for k in key)
+
+
 def exact_divmod(g: Polynomial, p: Polynomial):
     """Single-divisor division in degrevlex; returns (quotient, remainder).
 
     Stops at the first leading monomial that p's does not divide, so the
-    remainder is zero exactly when p divides g.
+    remainder is zero exactly when p divides g.  Reduces into one dict,
+    with a heap of negated order keys giving the next leading term.
     """
-    order = DEGREVLEX
     F = g.field
-    pm, pc = p.leading_monomial(order), p.leading_coeff(order)
-    quotient = Polynomial.zero(F, g.nvars)
-    work = g
-    while not work.is_zero():
-        lm = work.leading_monomial(order)
+    key = DEGREVLEX.key
+    pm = p.leading_monomial(DEGREVLEX)
+    pc = p.terms[pm]
+    tail = [(t, v) for t, v in p.terms.items() if t is not pm]
+    # Cancelled terms stay in ``work`` as zeros, so a monomial enters the
+    # heap at most once.
+    work = dict(g.terms)
+    heap = [(descending(key(m)), m) for m in work]
+    heapify(heap)
+    quotient = {}
+    while heap:
+        lm = heappop(heap)[1]
+        if not work[lm]:
+            del work[lm]
+            continue
         if not mono_divides(pm, lm):
-            return quotient, work
-        piece = mono_div(lm, pm)
-        coeff = F.div(work.terms[lm], pc)
-        term = Polynomial(F, g.nvars, {piece: coeff})
-        quotient = quotient + term
-        work = work - term * p
-    return quotient, Polynomial.zero(F, g.nvars)
+            return Polynomial(F, g.nvars, quotient), Polynomial(F, g.nvars, work)
+        q = mono_div(lm, pm)
+        c = quotient[q] = F.div(work.pop(lm), pc)
+        for t, v in tail:
+            m = mono_mul(q, t)
+            if m in work:
+                work[m] = F.sub(work[m], F.mul(c, v))
+            else:
+                work[m] = F.neg(F.mul(c, v))
+                heappush(heap, (descending(key(m)), m))
+    return Polynomial(F, g.nvars, quotient), Polynomial.zero(F, g.nvars)

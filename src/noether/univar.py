@@ -1,8 +1,11 @@
-"""Univariate helpers: exact gcd, divisibility, irreducible factorization.
+"""Univariate helpers: exact gcd, divisibility, squarefree decomposition,
+coprime bases, irreducible factorization.
 
-Factorization over Q and F_p delegates to sympy, imported only when a
-caller factors; everything else is plain Euclidean arithmetic on our own
-polynomial type.
+Section ideals of sheaves on a univariate base need no factoring: a coprime
+base (squarefree factors refined by gcds) separates the primes as finely as
+the computation asks, using only Euclidean arithmetic on our own polynomial
+type.  ``irreducible_factors`` delegates to sympy, imported only when it is
+called; it is kept as the oracle that the coprime base is tested against.
 """
 
 from __future__ import annotations
@@ -83,6 +86,86 @@ def multiplicity(q: Polynomial, g: Polynomial) -> int:
             return e
         g = quo
         e += 1
+
+
+def _derivative(p: Polynomial) -> Polynomial:
+    F = p.field
+    return Polynomial(F, 1, {(e - 1,): F.mul(F.from_int(e), c)
+                             for (e,), c in p.terms.items() if e})
+
+
+def _pth_root(p: Polynomial) -> Polynomial:
+    """h with h(x^q) = p over F_q, q prime (the Frobenius fixes F_q)."""
+    q = p.field.p
+    return Polynomial(p.field, 1, {(e // q,): c for (e,), c in p.terms.items()})
+
+
+def squarefree_factors(p: Polynomial) -> List[Tuple[Polynomial, int]]:
+    """Squarefree decomposition of a nonzero univariate polynomial: pairs
+    (a, i) of monic, squarefree, pairwise coprime, nonconstant a with p a
+    unit times the product of the a^i.
+
+    Yun's repeated gcds with the derivative.  Over F_q the part left over,
+    and a polynomial whose derivative vanishes, is some h(x^q); its q-th
+    root h is decomposed in turn, with multiplicities times q.
+    """
+    _require_univariate(p)
+    if p.is_zero():
+        raise CapabilityError("cannot factor zero")
+    f = p.monic(DEGREVLEX)
+    if f.is_constant():
+        return []
+    q = f.field.p
+    df = _derivative(f)
+    if df.is_zero():
+        return [(a, i * q) for a, i in squarefree_factors(_pth_root(f))]
+    c = _euclid(f, df).monic(DEGREVLEX)
+    w = exact_quotient(f, c)  # the product of the factors of f
+    out = []
+    i = 1
+    while not w.is_constant():
+        # w: the factors of multiplicity >= i (and prime to q over F_q).
+        y = _euclid(w, c).monic(DEGREVLEX)
+        z = exact_quotient(w, y)
+        if not z.is_constant():
+            out.append((z, i))
+        w, c = y, exact_quotient(c, y)
+        i += 1
+    if not c.is_constant():
+        out.extend((a, j * q) for a, j in squarefree_factors(_pth_root(c)))
+    return out
+
+
+def coprime_base(polys: Sequence[Polynomial]) -> List[Polynomial]:
+    """A coprime base of the nonzero, nonconstant members of ``polys``: monic,
+    squarefree, pairwise coprime nonconstant polynomials such that each
+    squarefree factor of each member is a product of some of them.
+
+    Factor refinement (Bach, Driscoll & Shallit 1993) of the squarefree
+    factors, by gcds alone.  Each base element divides, or is coprime to,
+    every squarefree factor of every member, so its irreducible factors
+    all divide a member to the same power.
+    """
+    base: List[Polynomial] = []
+    for p in polys:
+        if p.is_zero() or p.is_constant():
+            continue
+        for a, _ in squarefree_factors(p):
+            refined = []
+            for b in base:
+                g = _euclid(a, b).monic(DEGREVLEX)
+                if g.is_one():
+                    refined.append(b)
+                    continue
+                refined.append(g)
+                rest = exact_quotient(b, g)
+                if not rest.is_constant():
+                    refined.append(rest)
+                a = exact_quotient(a, g)
+            if not a.is_constant():
+                refined.append(a)
+            base = refined
+    return base
 
 
 def _domain(field: FieldSpec):

@@ -1,0 +1,74 @@
+"""The package's exports: ``import noether`` binds each of its 121 names
+lazily, on first use, to the object its module defines."""
+
+import importlib
+
+import pytest
+
+import noether
+
+# module -> the names ``noether`` exports from it, as the eager package did.
+EXPORTS = {
+    "config": "Budgets DEFAULT_BUDGETS",
+    "errors": ("NoetherError ParseError DomainError ValidationError "
+        "ResourceBudgetError BoundExceededError CapabilityError OracleError"),
+    "fields": "FieldSpec QQ GF",
+    "poly": ("Polynomial MonomialOrder DegRevLex Lex BlockElim DEGREVLEX LEX "
+        "order_by_name"),
+    "parse": "parse_polynomial",
+    "groebner": "groebner_basis normal_form",
+    "rings": ("PresentedRing IdealHandle op_groebner_basis ideal_membership "
+        "ideal_equal ideal_contains ideal_combine saturate colon_ideal "
+        "radical_membership"),
+    "finite": ("FiniteRing FiniteModule zmod gf_poly_quotient product_ring "
+        "ideal_closure is_ideal enumerate_ideals minimal_generators "
+        "is_prime_ideal NoetherianReport noetherian_witness ring_as_module "
+        "zero_module submodule span enumerate_submodules quotient_module "
+        "free_module direct_sum DirectSum module_generators all_homs "
+        "is_linear_map hom_from_ideal"),
+    "topology": ("DistinguishedOpen open_contains open_equal open_strictly_below "
+        "open_intersect OpenCover cover_check coordinate_ring "
+        "enumerate_spec FiniteSpace"),
+    "digraph": ("DigraphNode IdealDigraph DigraphReport validate_digraph "
+        "clear_denominators section_membership evaluate_sheaf SheafOracle "
+        "quasi_coherent_oracle digraph_oracle extract_digraph "
+        "is_quasi_coherent ZZSheafData ZZDigraph extract_zz_digraph "
+        "zz_sheaf_value count_digraph_space"),
+    "cech": ("CechComplex TwistData twisted_cohomology_dims AffineWindow "
+        "cech_complex_affine affine_vanishing_check matrix_rank"),
+    "baer": ("BaerReport baer_test LedgerEntry BaerModule BaerStepResult "
+        "baer_step BaerChain baer_chain chain_fixed_pointwise "
+        "injective_envelope_bruteforce first_principles_injective"),
+    "tower": ("EXPONENT_RULES deleted_exponents TowerLevel tower_ring "
+        "CoverMapReport verify_cover_map StrictnessReport "
+        "pullback_strictness MaximalityReport properness_and_maximality "
+        "TowerSuiteReport run_tower_suite"),
+    "jobs": "JobSpec Report parse_job run_job COMMANDS",
+}
+NAMES = [(module, name) for module, names in EXPORTS.items()
+         for name in names.split()]
+
+
+def test_the_export_table_has_121_names():
+    assert len(NAMES) == len({name for _, name in NAMES}) == 121
+    assert sorted(noether.__all__) == sorted(name for _, name in NAMES)
+
+
+@pytest.mark.parametrize("module,name", NAMES)
+def test_exported_name_is_the_modules_object(module, name):
+    value = getattr(noether, name)
+    assert value is getattr(importlib.import_module(f"noether.{module}"), name)
+    assert name in dir(noether)
+
+
+def test_star_import_binds_every_name():
+    namespace = {}
+    exec("from noether import *", namespace)
+    for module, name in NAMES:
+        assert namespace[name] is getattr(importlib.import_module(f"noether.{module}"), name)
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        noether.no_such_name
+    assert not hasattr(noether, "irreducible_factors")

@@ -1,19 +1,25 @@
 """The univariate layer: its fast paths against Buchberger and Rabinowitsch
-elimination, its place below ``rings``, and the lazy sympy import."""
+elimination, squarefree decomposition and coprime bases against sympy's
+factorization, its place below ``rings``, and what each process imports:
+no job loads sympy, and a CLI job loads only the layers its command uses."""
 
 import ast
+import itertools
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from noether.fields import GF, QQ
 from noether.groebner import groebner_basis
 from noether.poly import DEGREVLEX, BlockElim, Polynomial
 from noether.rings import PresentedRing, radical_membership, saturate
+from noether.univar import (coprime_base, divides, gcd, irreducible_factors,
+                            squarefree_factors)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -106,33 +112,195 @@ def test_univar_does_not_import_rings():
     assert "noether.rings" not in set(_imports(tree, module_level_only=False))
 
 
-LAZY_SCRIPT = """
+NO_SYMPY_SCRIPT = """
 import contextlib, io, json, sys
 import noether
 from noether.cli import main
 assert "sympy" not in sys.modules, "import noether"
-with contextlib.redirect_stdout(io.StringIO()):
-    assert main(["cech-projective", "--n", "2", "--d", "-4"]) == 0
-assert "sympy" not in sys.modules, "cech-projective"
-out = io.StringIO()
-with contextlib.redirect_stdout(out):
-    assert main(["digraph-eval", sys.argv[1]]) == 0
-assert "sympy" in sys.modules, "digraph-eval"
-print(json.dumps(json.loads(out.getvalue())["result"]))
+results = []
+for argv, code in json.load(open(sys.argv[1])):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == code, argv
+    assert "sympy" not in sys.modules, argv[0]
+    if argv[0] == "digraph-eval":
+        results.append(json.loads(out.getvalue())["result"])
+print(json.dumps(results))
 """
+
+QQ_X = {"field": "q", "vars": ["x"]}
+# One job per command other than suite, as (command, payload, exit code).
+CLI_JOBS = [
+    ("groebner", {"ring": {"field": "q", "vars": ["x", "y"]},
+                  "generators": ["x^2 - 1", "x*y - 1"]}, 0),
+    ("ideal", {"op": "radical-membership", "ring": QQ_X, "ideal": ["x^2"],
+               "element": "x"}, 0),
+    ("open", {"op": "contains", "ring": QQ_X, "a": "x", "b": "x^2"}, 0),
+    ("digraph-validate", {"op": "zz-extract",
+                          "space": {"points": [0, 1], "below": [[0, 1]]},
+                          "assignment": [{"open": [0], "n": 2},
+                                         {"open": [0, 1], "n": 4}]}, 0),
+    # Over D(1): the prime (x + 1) lies in the child's open D(x - 1), whose
+    # ideal is the unit ideal, so the section ideal is (x - 1).
+    ("digraph-eval", {"op": "evaluate", "open": "1", "digraph": {
+        "ring": QQ_X,
+        "nodes": [{"open": "1", "gens": ["x^2 - 1"]},
+                  {"open": "x - 1", "gens": ["1"]}],
+        "edges": [[0, 1]], "root": 0}}, 0),
+    # Over F_3 with x inverted: the root generator is (x^2 + 1)^3 (x - 1),
+    # a cube, and only (x^2 + 1) stays outside the child's open.
+    ("digraph-eval", {"op": "evaluate", "open": "1", "digraph": {
+        "ring": {"field": "fp:3", "vars": ["x"], "inverted": ["x"]},
+        "nodes": [{"open": "1", "gens": ["x^7 - x^6 + x - 1"]},
+                  {"open": "x^2 + 1", "gens": ["1"]}],
+        "edges": [[0, 1]], "root": 0}}, 0),
+    ("digraph-extract", {"oracle": {"kind": "quasi-coherent", "ring": QQ_X,
+                                    "ideal": ["x^2 - x"]},
+                         "basis": ["x", "x - 1", "x^2 - x"]}, 0),
+    ("cech-affine", {"op": "vanishing", "ring": QQ_X, "ideal": ["x - 1"],
+                     "cover": {"target": "1", "pieces": ["x", "x - 1"]}}, 0),
+    ("cech-projective", {"n": 2, "d": -4}, 0),
+    ("baer", {"op": "test", "finite_ring": {"zmod": 4},
+              "module": {"kind": "ring"}}, 0),
+    ("etale", {"op": "level", "n": 2}, 0),
+]
 
 
 def test_sympy_is_imported_only_to_factor(tmp_path):
-    # The section ideal over D(1) is (x - 1): the prime (x + 1) lies in the
-    # child's open D(x - 1), whose ideal is the unit ideal.
-    payload = tmp_path / "job.json"
-    payload.write_text(json.dumps({"op": "evaluate", "open": "1", "digraph": {
-        "ring": {"field": "q", "vars": ["x"]},
-        "nodes": [{"open": "1", "gens": ["x^2 - 1"]},
-                  {"open": "x - 1", "gens": ["1"]}],
-        "edges": [[0, 1]], "root": 0}}))
+    """sympy serves only ``irreducible_factors``, the test oracle: no CLI
+    command loads it, digraph-eval's section ideals included."""
+    argvs = []
+    for k, (command, payload, code) in enumerate(CLI_JOBS):
+        path = tmp_path / f"job{k}.json"
+        path.write_text(json.dumps(payload))
+        argvs.append([[command, str(path)], code])
+    jobs = tmp_path / "jobs.json"
+    jobs.write_text(json.dumps(argvs))
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run([sys.executable, "-c", LAZY_SCRIPT, str(payload)],
+    proc = subprocess.run([sys.executable, "-c", NO_SYMPY_SCRIPT, str(jobs)],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == {"open": "1", "generators": ["x - 1"]}
+    assert json.loads(proc.stdout) == [
+        {"open": "1", "generators": ["x - 1"]},
+        {"open": "1", "generators": ["x^6 + 1"]}]
+
+
+LAYERS_SCRIPT = """
+import contextlib, io, json, sys
+import noether
+if len(sys.argv) > 1:
+    from noether.cli import main
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(sys.argv[1:]) == 0
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("noether."))))
+"""
+
+
+@pytest.mark.parametrize("command,payload,absent", [
+    (None, None, None),
+    ("baer", {"op": "test", "finite_ring": {"zmod": 4},
+              "module": {"kind": "ring"}},
+     {"poly", "groebner", "digraph", "cech", "tower"}),
+    ("groebner", {"ring": {"field": "q", "vars": ["x", "y"]},
+                  "generators": ["x^2 - 1", "x*y - 1"]},
+     {"finite", "topology", "digraph", "cech", "baer", "tower"}),
+])
+def test_process_loads_only_the_layers_it_uses(tmp_path, command, payload, absent):
+    argv = []
+    if command is not None:
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(payload))
+        argv = [command, str(path)]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", LAYERS_SCRIPT, *argv],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = {name.split(".")[1] for name in json.loads(proc.stdout)}
+    if command is None:
+        assert loaded == set()  # import noether loads no layer
+    else:
+        assert command in loaded
+        assert not loaded & absent
+
+
+# -- squarefree decomposition and coprime bases against sympy's factorization --
+
+SQUAREFREE_FIELDS = st.sampled_from([QQ, GF(2), GF(3), GF(5), GF(7)])
+
+
+@st.composite
+def products_of_powers(draw, field):
+    """A unit times up to three powers, exponents 1..9, of small polynomials
+    (x^2 + 1 among them), so p-th powers and multiplicities above p occur
+    over F_p; possibly 0 or a constant."""
+    out = poly(field, [draw(st.integers(-3, 3))])
+    blocks = st.sampled_from([[0, 1], [1, 1], [1, 0, 1]]) | st.lists(
+        st.integers(-3, 3), min_size=2, max_size=4)
+    for coeffs in draw(st.lists(blocks, max_size=3)):
+        block = poly(field, coeffs)
+        if not block.is_zero():
+            out = out * block ** draw(st.integers(1, 9))
+    return out
+
+
+def factor_multiplicities(p):
+    """{monic irreducible q: multiplicity} by sympy."""
+    return dict(irreducible_factors(p))
+
+
+def product(field, polys):
+    out = poly(field, [1])
+    for p in polys:
+        out = out * p
+    return out
+
+
+def pinned_power_product(field, *powers):
+    return (field, product(field, [poly(field, c) ** e for c, e in powers]))
+
+
+@settings(deadline=None)
+@given(SQUAREFREE_FIELDS.flatmap(lambda F: st.tuples(st.just(F), products_of_powers(F))))
+# A p-th power beside factors of other multiplicities leaves a p-th power
+# after the gcd loop; multiplicities above p.
+@example(pinned_power_product(GF(3), ([1, 1], 2), ([1, 0, 1], 3), ([0, 1], 9)))
+@example(pinned_power_product(GF(2), ([1, 1, 1], 4), ([1, 1], 3), ([0, 1], 6)))
+@example(pinned_power_product(GF(5), ([1, 0, 1], 5), ([2, 1], 7)))
+@example(pinned_power_product(QQ, ([1, 0, 1], 3), ([-2, 1], 7)))
+def test_squarefree_factors_group_the_irreducible_factors(case):
+    field, p = case
+    if p.is_zero():
+        return
+    by_multiplicity = {}
+    for q, m in irreducible_factors(p):
+        by_multiplicity.setdefault(m, []).append(q)
+    expected = {m: product(field, qs) for m, qs in by_multiplicity.items()}
+    got = squarefree_factors(p)
+    assert len({i for _, i in got}) == len(got)
+    assert {i: a for a, i in got} == expected
+    assert product(field, [a ** i for a, i in got]) == p.monic(DEGREVLEX)
+
+
+@settings(deadline=None)
+@given(SQUAREFREE_FIELDS.flatmap(lambda F: st.tuples(
+    st.just(F), st.lists(products_of_powers(F), max_size=4))))
+def test_coprime_base_refines_the_irreducible_factors(case):
+    field, polys = case
+    base = coprime_base(polys)
+    members = [p for p in polys if not p.is_zero() and not p.is_constant()]
+    factorizations = [factor_multiplicities(p) for p in members]
+    for b in base:
+        assert b == b.monic(DEGREVLEX) and not b.is_constant()
+        assert all(m == 1 for _, m in irreducible_factors(b))  # squarefree
+    for a, b in itertools.combinations(base, 2):
+        assert gcd([a, b], field).is_one()
+    primes = {q for f in factorizations for q in f}
+    # Every irreducible factor of a member divides exactly one base element,
+    # and every irreducible factor of a base element divides some member.
+    for q in primes:
+        assert sum(divides(q, b) for b in base) == 1
+    for b in base:
+        qs = list(factor_multiplicities(b))
+        assert set(qs) <= primes
+        for f in factorizations:
+            assert len({f.get(q, 0) for q in qs}) == 1
