@@ -105,9 +105,10 @@ def squarefree_factors(p: Polynomial) -> List[Tuple[Polynomial, int]]:
     (a, i) of monic, squarefree, pairwise coprime, nonconstant a with p a
     unit times the product of the a^i.
 
-    Yun's repeated gcds with the derivative.  Over F_q the part left over,
-    and a polynomial whose derivative vanishes, is some h(x^q); its q-th
-    root h is decomposed in turn, with multiplicities times q.
+    Repeated gcds with the derivative, as in Yun's algorithm, in the form
+    that also holds over F_q: the factors whose multiplicity q divides are
+    left over as some h(x^q) (all of f when its derivative vanishes), and
+    the q-th root h is decomposed in turn, with multiplicities times q.
     """
     _require_univariate(p)
     if p.is_zero():
@@ -120,11 +121,12 @@ def squarefree_factors(p: Polynomial) -> List[Tuple[Polynomial, int]]:
     if df.is_zero():
         return [(a, i * q) for a, i in squarefree_factors(_pth_root(f))]
     c = _euclid(f, df).monic(DEGREVLEX)
-    w = exact_quotient(f, c)  # the product of the factors of f
+    w = exact_quotient(f, c)
     out = []
     i = 1
     while not w.is_constant():
-        # w: the factors of multiplicity >= i (and prime to q over F_q).
+        # w: the product of the irreducible factors of f of multiplicity
+        # >= i that q does not divide; c: f's cofactor still to split.
         y = _euclid(w, c).monic(DEGREVLEX)
         z = exact_quotient(w, y)
         if not z.is_constant():
@@ -148,7 +150,7 @@ def coprime_base(polys: Sequence[Polynomial]) -> List[Polynomial]:
     """
     base: List[Polynomial] = []
     for p in polys:
-        if p.is_zero() or p.is_constant():
+        if p.is_zero():
             continue
         for a, _ in squarefree_factors(p):
             refined = []

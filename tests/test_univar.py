@@ -113,12 +113,12 @@ def test_univar_does_not_import_rings():
 
 
 NO_SYMPY_SCRIPT = """
-import contextlib, io, json, sys
+import contextlib, io, json, pathlib, sys
 import noether
 from noether.cli import main
 assert "sympy" not in sys.modules, "import noether"
 results = []
-for argv, code in json.load(open(sys.argv[1])):
+for argv, code in json.loads(pathlib.Path(sys.argv[1]).read_text()):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert main(argv) == code, argv
