@@ -173,21 +173,19 @@ def _pattern_complex(charts: Sequence[FrozenSet[int]],
 
 @dataclass(frozen=True)
 class TwistData:
-    """O(d) on P^n with an explicit exponent window for the monomial basis."""
+    """O(d) on P^n; ``window`` bounds the exponents of the monomial basis."""
 
     n: int
     d: int
-    window: Optional[int] = None
 
     def __post_init__(self):
         if self.n < 0:
             raise DomainError("projective dimension must be nonnegative")
 
-    def effective_window(self) -> int:
+    @property
+    def window(self) -> int:
         # Every monomial contributing to H^0 or H^n has all exponents in
         # [-(|d| + n + 1), |d| + n + 1]; wider never changes the answer.
-        if self.window is not None:
-            return self.window
         return abs(self.d) + self.n + 1
 
 
@@ -238,7 +236,7 @@ def twisted_cohomology_dims(t: TwistData,
     if missing:
         raise ValidationError("charts do not cover projective space: "
                               "coordinate charts missing", witness=missing)
-    window = t.effective_window()
+    window = t.window
     dims = {i: 0 for i in range(len(charts))}
     for negs in map(frozenset, itertools.chain.from_iterable(
             itertools.combinations(range(n + 1), r) for r in range(n + 2))):
@@ -332,6 +330,8 @@ def affine_vanishing_check(R: PresentedRing, I: IdealHandle, cover: OpenCover,
     matches the truncated space of global sections of the sheaf of I."""
     complex_ = cech_complex_affine(R, I, cover, window, budgets)
     hdims = complex_.cohomology_dims()
+    if not hdims:  # the empty cover, which covers only D(0): no sections at all
+        return True
     if any(h != 0 for h in hdims[1:]):
         return False
     g = _principal_generator(I, budgets)

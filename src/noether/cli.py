@@ -17,7 +17,7 @@ from typing import List, Optional
 
 from .config import Budgets
 from .errors import ParseError
-from .jobs import COMMANDS, EXIT_PARSE, JobSpec, JsonObject, decode_object, run_job
+from .jobs import COMMANDS, EXIT_PARSE, SCHEMAS, JobSpec, decode_object, run_job
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -43,14 +43,12 @@ def _build_parser() -> argparse.ArgumentParser:
                              help="q or fp:<p>")
             cmd.add_argument("--exponent-rule", dest="rule",
                              choices=("power", "literal"))
-            cmd.add_argument("--op", default=None,
-                             choices=("suite", "level", "cover-map",
-                                      "strictness", "maximality"))
+            cmd.add_argument("--op", default=None, choices=tuple(SCHEMAS["etale"]))
     return parser
 
 
 def _load_payload(args: argparse.Namespace) -> dict:
-    payload = JsonObject()
+    payload = {}
     if args.payload is not None:
         try:
             text = (sys.stdin.read() if args.payload == "-"

@@ -1,9 +1,10 @@
 """Job parsing and dispatch: JSON in, deterministic report out.
 
-A job names one of the CLI commands plus a command-specific payload.
-Reports carry a status (pass / fail / error), the structured result, any
-witness, and a configuration echo; timings live in their own field so the
-rest of the report is byte-identical across runs.
+A job names one of the CLI commands plus a payload, checked against the
+command's schema in ``SCHEMAS`` before its handler runs.  Reports carry a
+status (pass / fail / error), the structured result, any witness, and a
+configuration echo; timings live in their own field so the rest of the
+report is byte-identical across runs.
 
 Each handler imports the layers it uses when it runs, in the branch that
 uses them, so a CLI process loads only what its command needs.
@@ -17,24 +18,146 @@ from dataclasses import dataclass, field as dc_field, fields, replace
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from .config import Budgets, DEFAULT_BUDGETS
-from .errors import (CapabilityError, DomainError, OracleError,
-                     ParseError, ResourceBudgetError, ValidationError)
+from .errors import (BoundExceededError, CapabilityError, DomainError,
+                     OracleError, ParseError, ResourceBudgetError,
+                     ValidationError)
 
 if TYPE_CHECKING:
-    from .digraph import IdealDigraph, ZZSheafData
+    from .digraph import IdealDigraph
     from .fields import FieldSpec
     from .finite import FiniteModule, FiniteRing
     from .rings import IdealHandle, PresentedRing
     from .topology import DistinguishedOpen
 
-COMMANDS = ("groebner", "ideal", "open", "digraph-validate", "digraph-eval",
-            "digraph-extract", "cech-affine", "cech-projective", "baer",
-            "etale", "suite")
-
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_PARSE = 2
 EXIT_RESOURCE = 3
+
+
+# ---------------------------------------------------------------------------
+# Payload schema
+# ---------------------------------------------------------------------------
+
+REQUIRED = object()  # the default of a key that a payload must give
+
+
+class Variants(dict):
+    """Schemas for one JSON object, picked by the string at its key ``tag``
+    (the first schema when that key is absent)."""
+
+    def __init__(self, tag: str, variants: Dict[str, Dict]):
+        super().__init__(variants)
+        self.tag = tag
+
+
+RING = {"field": (str, "q"), "vars": ([str], ["x"]), "quotient": ([str], []),
+        "inverted": ([str], [])}
+OPEN = (str, {"f": (str, REQUIRED)})  # a polynomial text or {"f": text}
+ELEMENT = (int, [int])  # an element of Z/n, or of F_p[x]/(f) as coefficients
+FINITE_RING = {"zmod": (int, None),
+               "gf_quotient": ({"p": (int, REQUIRED), "modulus": ([int], REQUIRED)}, None)}
+_SPAN = {"rank": (int, 1), "name": (str, "M")}
+MODULE = Variants("kind", {"ring": {}, "zero": {}, "free": {"rank": (int, 1)},
+                           "quotient": {**_SPAN, "relations": ([[ELEMENT]], [])},
+                           "submodule": {**_SPAN, "generators": ([[ELEMENT]], [])}})
+NODE = {"open": (OPEN, REQUIRED), "gens": ([str], None), "generators": ([str], None),
+        "fractions": ([{"num": (str, REQUIRED), "den": (str, "1")}], None)}
+DIGRAPH = {"ring": (RING, {}), "nodes": ([NODE], []), "edges": ([[int]], []), "root": (int, 0)}
+
+_TEXT, _TEXTS, _ON_RING = (str, REQUIRED), ([str], []), {"ring": (RING, {})}
+_ON_FINITE = {"finite_ring": (FINITE_RING, REQUIRED)}
+_ON_DIGRAPH = {"digraph": (DIGRAPH, REQUIRED)}
+_ON_MODULE = {"finite_ring": (FINITE_RING, {"zmod": 4}), "module": (MODULE, {})}
+_MEMBER = {**_ON_RING, "ideal": _TEXTS, "element": _TEXT}
+_IDEALS = {**_ON_RING, "left": _TEXTS, "right": _TEXTS}
+_OPENS = {**_ON_RING, "a": (OPEN, REQUIRED), "b": (OPEN, REQUIRED)}
+_AT_OPEN = {**_ON_DIGRAPH, "open": (OPEN, REQUIRED)}
+_AFFINE = {**_ON_RING, "ideal": _TEXTS,
+           "cover": ({"target": (OPEN, "1"), "pieces": ([OPEN], [])}, {}),
+           "window": ({"base_degree": (int, 8), "denominator_exponent": (int, 3)}, {})}
+_TOWER = {"field": (str, "q"), "rule": (str, "power")}
+_LEVEL = {**_TOWER, "n": (int, None), "depth": (int, 1)}
+
+# Every key a command takes, as {key: (kind, default)}, or such a schema per
+# op.  A kind is a JSON type (int, str, bool), [kind] for a list of them, a
+# tuple of alternatives of distinct JSON types, a schema, or Variants.
+SCHEMAS: Dict[str, Dict] = {
+    "groebner": {**_ON_RING, "generators": _TEXTS, "canonical": (bool, False)},
+    "ideal": Variants("op", {
+        "membership": _MEMBER, "radical-membership": _MEMBER, "equal": _IDEALS,
+        "contains": _IDEALS, "combine": {**_IDEALS, "mode": (str, "sum")},
+        "saturate": {**_ON_RING, "ideal": _TEXTS, "f": _TEXT}, "colon": _MEMBER,
+        "enumerate-ideals": _ON_FINITE,
+        "noetherian-witness": {**_ON_FINITE, "chain": ([[ELEMENT]], [])}}),
+    "open": Variants("op", {
+        "contains": _OPENS, "equal": _OPENS, "intersect": _OPENS,
+        "cover-check": {**_ON_RING, "target": (OPEN, REQUIRED), "pieces": ([OPEN], [])},
+        "coordinate-ring": {**_ON_RING, "open": (OPEN, REQUIRED)},
+        "enumerate-spec": _ON_FINITE}),
+    "digraph-validate": Variants("op", {
+        "validate": _ON_DIGRAPH, "clear-denominators": _ON_DIGRAPH,
+        "count-space": _ON_FINITE,
+        "zz-extract": {"space": ({"points": ([int], []), "below": ([[int]], [])}, {}),
+                       "assignment": ([{"open": ([int], REQUIRED), "n": (int, REQUIRED)}],
+                                      [])}}),
+    "digraph-eval": Variants("op", {
+        "evaluate": _AT_OPEN,
+        "membership": {**_AT_OPEN, "numerator": _TEXT, "denominator": (str, None)},
+        "quasi-coherent": {**_ON_DIGRAPH, "basis": ([OPEN], [])}}),
+    "digraph-extract": {"oracle": (Variants("kind", {
+        "quasi-coherent": {**_ON_RING, "ideal": _TEXTS}, "digraph": _ON_DIGRAPH}), {}),
+        "basis": ([OPEN], [])},
+    "cech-affine": Variants("op", {"complex": _AFFINE, "vanishing": _AFFINE}),
+    "cech-projective": {"n": (int, REQUIRED), "d": (int, REQUIRED), "charts": ([[int]], None)},
+    "baer": Variants("op", {
+        "test": _ON_MODULE, "step": _ON_MODULE, "chain": {**_ON_MODULE, "K": (int, 1)},
+        "envelope": {**_ON_MODULE, "bound": (int, 256)},
+        "direct-sum": {"finite_ring": _ON_MODULE["finite_ring"], "modules": ([MODULE], [])},
+        "hom-from-ideal": {**_ON_MODULE, "ideal": ([ELEMENT], REQUIRED)}}),
+    "etale": Variants("op", {"suite": {**_TOWER, "depth": (int, 3)}, "level": _LEVEL,
+                             "cover-map": _LEVEL, "strictness": _LEVEL, "maximality": _LEVEL}),
+    "suite": {},
+}
+COMMANDS = tuple(SCHEMAS)
+_TYPE_NAMES = {int: "an integer", str: "a string", bool: "a boolean", list: "a JSON list",
+               dict: "a JSON object"}
+
+
+def _json_type(kind) -> type:
+    return dict if isinstance(kind, dict) else list if isinstance(kind, list) else kind
+
+
+def _check(value, kind, key: str):
+    """``value`` checked against ``kind`` (see ``SCHEMAS``), with each key it
+    lacks filled in from its default; a value of another kind, a missing
+    required key or an unknown key is a ParseError naming the key."""
+    alternatives = kind if isinstance(kind, tuple) else (kind,)
+    kind = next((k for k in alternatives if _json_type(k) is type(value)), None)
+    if kind is None:
+        expected = " or ".join(_TYPE_NAMES[_json_type(k)] for k in alternatives)
+        raise ParseError(f"{key!r} must be {expected}, got {value!r}")
+    if isinstance(kind, list):
+        return [_check(item, kind[0], key) for item in value]
+    if isinstance(kind, Variants):
+        tag = value.get(kind.tag, next(iter(kind)))
+        if type(tag) is not str or tag not in kind:
+            raise ParseError(f"unknown {key} {kind.tag} {tag!r}")
+        kind = {kind.tag: (str, tag), **kind[tag]}
+    if not isinstance(kind, dict):
+        return value
+    unknown = [name for name in value if name not in kind]
+    if unknown:
+        raise ParseError(f"unknown key {unknown[0]!r} in {key!r}")
+    out = {}
+    for name, (sub, default) in kind.items():
+        if name in value:
+            out[name] = _check(value[name], sub, name)
+        elif default is REQUIRED:
+            raise ParseError(f"missing required key {name!r}")
+        else:
+            out[name] = default if default is None else _check(default, sub, name)
+    return out
 
 
 @dataclass
@@ -107,21 +230,13 @@ def _render_text(value: Any, indent: int = 0) -> List[str]:
 # Descriptor parsing
 # ---------------------------------------------------------------------------
 
-class JsonObject(dict):
-    """A decoded JSON object: reading a key it lacks is a ParseError naming
-    the key, so a payload missing a required field exits 2."""
-
-    def __missing__(self, key):
-        raise ParseError(f"missing required key {key!r}")
-
-
-def decode_object(text: str, what: str) -> JsonObject:
+def decode_object(text: str, what: str) -> Dict[str, Any]:
     """Decode a JSON document that must be an object; every defect of the
     text is a ParseError (``what`` names the document in messages)."""
     if not text.strip():
         raise ParseError(f"empty {what} input")
     try:
-        doc = json.loads(text, object_hook=JsonObject)
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON {what}: {exc.msg}",
                          line=exc.lineno, column=exc.colno) from exc
@@ -138,7 +253,7 @@ def parse_job(text: str) -> JobSpec:
     if command not in COMMANDS:
         raise ParseError(f"unknown command {command!r}; "
                          f"expected one of {', '.join(COMMANDS)}")
-    payload = doc.get("payload", JsonObject())
+    payload = doc.get("payload", {})
     if not isinstance(payload, dict):
         raise ParseError("payload must be a JSON object")
     overrides = doc.get("budgets", {})
@@ -153,45 +268,12 @@ def parse_job(text: str) -> JobSpec:
     return JobSpec(command, payload, replace(Budgets.from_env(), **overrides))
 
 
-def _int(value, key: str) -> int:
-    """The payload value at ``key``, which must be a JSON integer (a float,
-    boolean or numeric string is not); otherwise a ParseError naming the
-    key."""
-    if type(value) is not int:
-        raise ParseError(f"{key!r} must be an integer, got {value!r}")
-    return value
-
-
-def _list(value, key: str, entry=str) -> List:
-    """The payload value at ``key`` as a JSON list whose entries are all
-    ``entry`` values (by default strings: variable names or polynomial
-    texts); any other shape is a ParseError naming the key."""
-    if not isinstance(value, list):
-        raise ParseError(f"{key!r} must be a JSON list, got {value!r}")
-    for item in value:
-        if not isinstance(item, entry):
-            raise ParseError(f"{key!r} has an entry of the wrong type: {item!r}")
-    return value
-
-
-def _bool(value, key: str) -> bool:
-    if not isinstance(value, bool):
-        raise ParseError(f"{key!r} must be a JSON boolean, got {value!r}")
-    return value
-
-
-def _object(desc, key: str) -> Dict[str, Any]:
-    if not isinstance(desc, dict):
-        raise ParseError(f"{key!r} must be a JSON object, got {desc!r}")
-    return desc
-
-
-def _field_from_json(desc) -> FieldSpec:
+def _field_from_json(desc: str) -> FieldSpec:
     from .fields import GF, QQ
 
     if desc == "q":
         return QQ
-    if isinstance(desc, str) and desc.startswith("fp:") and desc[3:].isdecimal():
+    if desc.startswith("fp:") and desc[3:].isdecimal():
         return GF(int(desc[3:]))
     raise ParseError(f"unknown field descriptor {desc!r} for 'field'; "
                      "use 'q' or 'fp:<p>'")
@@ -200,25 +282,36 @@ def _field_from_json(desc) -> FieldSpec:
 def _ring_from_json(desc: Dict[str, Any]) -> PresentedRing:
     from .rings import PresentedRing
 
-    desc = _object(desc, "ring")
-    field = _field_from_json(desc.get("field", "q"))
-    vars_ = tuple(_list(desc.get("vars", ["x"]), "vars"))
+    field, vars_ = _field_from_json(desc["field"]), tuple(desc["vars"])
     base = PresentedRing(field, vars_)
-    quotient = tuple(base.parse(s) for s in _list(desc.get("quotient", []), "quotient"))
-    inverted = tuple(base.parse(s) for s in _list(desc.get("inverted", []), "inverted"))
+    quotient = tuple(base.parse(s) for s in desc["quotient"])
+    inverted = tuple(base.parse(s) for s in desc["inverted"])
     return PresentedRing(field, vars_, quotient, inverted)
 
 
-def _finite_ring_from_json(desc: Dict[str, Any]) -> FiniteRing:
+def _bounded(base: int, exp: int, what: str, budgets: Budgets) -> None:
+    """Refuse a finite ring or module of base^exp elements, before it is
+    built, if that exceeds ``budgets.finite_ring_bound``.  An exponent past
+    the bound's bit length already exceeds it, so no huge power is formed."""
+    bound = budgets.finite_ring_bound
+    if base ** min(exp, bound.bit_length()) > bound:
+        raise BoundExceededError("finite_ring_bound", bound, f"{what} has more than "
+                                 f"{bound} elements (budget 'finite_ring_bound')")
+
+
+def _finite_ring_from_json(desc: Dict[str, Any], budgets: Budgets) -> FiniteRing:
     from .finite import gf_poly_quotient, zmod
 
-    desc = _object(desc, "finite_ring")
-    if "zmod" in desc:
-        return zmod(_int(desc["zmod"], "zmod"))
-    if "gf_quotient" in desc:
-        spec = _object(desc["gf_quotient"], "gf_quotient")
-        return gf_poly_quotient(_int(spec["p"], "p"), list(spec["modulus"]))
-    raise ParseError("finite ring descriptor needs 'zmod' or 'gf_quotient'")
+    if desc["zmod"] is not None:
+        _bounded(desc["zmod"], 1, f"Z/{desc['zmod']}", budgets)
+        return zmod(desc["zmod"])
+    if desc["gf_quotient"] is None:
+        raise ParseError("finite ring descriptor needs 'zmod' or 'gf_quotient'")
+    p, modulus = desc["gf_quotient"]["p"], desc["gf_quotient"]["modulus"]
+    deg = max((i for i, c in enumerate(modulus) if p and c % p), default=0)
+    # Below degree 1, gf_poly_quotient refuses the modulus.
+    _bounded(p, max(deg, 1), f"F{p}[x] modulo a polynomial of degree {deg}", budgets)
+    return gf_poly_quotient(p, modulus)
 
 
 def _finite_element(R: FiniteRing, value):
@@ -228,30 +321,29 @@ def _finite_element(R: FiniteRing, value):
     return elt
 
 
-def _module_from_json(R: FiniteRing, desc: Dict[str, Any]) -> FiniteModule:
+def _module_from_json(R: FiniteRing, desc: Dict[str, Any],
+                      budgets: Budgets) -> FiniteModule:
     from .finite import (free_module, quotient_module, ring_as_module, span,
                          submodule, zero_module)
 
-    kind = _object(desc, "module").get("kind", "ring")
-    if kind == "ring":
-        return ring_as_module(R)
-    if kind == "zero":
-        return zero_module(R)
+    kind = desc["kind"]
+    if kind in ("ring", "zero"):
+        return ring_as_module(R) if kind == "ring" else zero_module(R)
+    rank = desc["rank"]
+    if rank < 0:
+        raise ParseError(f"'rank' must be nonnegative, got {rank}")
+    _bounded(R.size, rank, f"{R.name}^{rank}", budgets)
+    free = free_module(R, rank)
     if kind == "free":
-        return free_module(R, _int(desc.get("rank", 1), "rank"))
-    if kind == "quotient":
-        rank = _int(desc.get("rank", 1), "rank")
-        free = free_module(R, rank)
-        gens = [tuple(_finite_element(R, v) for v in vec)
-                for vec in desc.get("relations", [])]
-        return quotient_module(free, span(free, gens), name=desc.get("name", "M"))
-    if kind == "submodule":
-        rank = _int(desc.get("rank", 1), "rank")
-        free = free_module(R, rank)
-        gens = [tuple(_finite_element(R, v) for v in vec)
-                for vec in desc.get("generators", [])]
-        return submodule(free, span(free, gens), name=desc.get("name", "M"))
-    raise ParseError(f"unknown module kind {kind!r}")
+        return free
+    key = "relations" if kind == "quotient" else "generators"
+    gens = []
+    for vec in desc[key]:
+        if len(vec) != rank:
+            raise ParseError(f"{key!r} vector {vec!r} must have length rank = {rank}")
+        gens.append(tuple(_finite_element(R, v) for v in vec))
+    build = quotient_module if kind == "quotient" else submodule
+    return build(free, span(free, gens), name=desc["name"])
 
 
 def _open_from_json(ring: PresentedRing, desc) -> DistinguishedOpen:
@@ -261,45 +353,33 @@ def _open_from_json(ring: PresentedRing, desc) -> DistinguishedOpen:
     return DistinguishedOpen(ring, ring.parse(text))
 
 
-def _opens_from_json(ring: PresentedRing, desc: Dict[str, Any],
-                     key: str) -> List[DistinguishedOpen]:
-    """The opens listed at ``key``, each a polynomial text or {"f": text}."""
-    return [_open_from_json(ring, u) for u in _list(desc.get(key, []), key, (str, dict))]
+def _ideal_from_json(ring: PresentedRing, texts: List[str]) -> IdealHandle:
+    return ring.ideal([ring.parse(s) for s in texts])
 
 
-def _ideal_from_json(ring: PresentedRing, desc: Dict[str, Any], key: str) -> IdealHandle:
-    """The ideal generated by the polynomial texts listed at ``key``."""
-    return ring.ideal([ring.parse(s) for s in _list(desc.get(key, []), key)])
+def _pairs(value: List[List[int]], key: str) -> Tuple[Tuple[int, int], ...]:
+    if any(len(pair) != 2 for pair in value):
+        raise ParseError(f"{key!r} entries must be pairs, got {value!r}")
+    return tuple(tuple(pair) for pair in value)
 
 
 def _digraph_from_json(desc: Dict[str, Any],
                        budgets: Budgets) -> Tuple[PresentedRing, IdealDigraph]:
     from .digraph import DigraphNode, IdealDigraph, clear_denominators
 
-    ring = _ring_from_json(desc.get("ring", {}))
-    edges = tuple((_int(a, "edges"), _int(b, "edges"))
-                  for a, b in desc.get("edges", []))
-    root = _int(desc.get("root", 0), "root")
-    raw = desc.get("nodes", [])
-    if any("fractions" in node for node in raw):
-        nodes = []
-        for node in raw:
-            u = _open_from_json(ring, node["open"])
-            fracs = [(ring.parse(fr["num"]), ring.parse(fr.get("den", "1")))
-                     for fr in node.get("fractions", [])]
-            fracs += [(ring.parse(g), ring.one()) for g in _node_gens(node)]
-            nodes.append((u, fracs))
-        return ring, clear_denominators(ring, nodes, edges, root, budgets)
-    nodes = tuple(
-        DigraphNode(_open_from_json(ring, node["open"]),
-                    tuple(ring.parse(g) for g in _node_gens(node)))
-        for node in raw)
-    return ring, IdealDigraph(ring, nodes, edges, root)
-
-
-def _node_gens(node: Dict[str, Any]) -> List[str]:
-    key = "gens" if "gens" in node else "generators"
-    return _list(node.get(key, []), key)
+    ring = _ring_from_json(desc["ring"])
+    edges = _pairs(desc["edges"], "edges")
+    nodes = []
+    for node in desc["nodes"]:
+        u = _open_from_json(ring, node["open"])
+        fracs = [(ring.parse(fr["num"]), ring.parse(fr["den"]))
+                 for fr in node["fractions"] or []]
+        gens = node["gens"] if node["gens"] is not None else node["generators"] or []
+        nodes.append((u, fracs + [(ring.parse(g), ring.one()) for g in gens]))
+    if any(node["fractions"] is not None for node in desc["nodes"]):
+        return ring, clear_denominators(ring, nodes, edges, desc["root"], budgets)
+    nodes = tuple(DigraphNode(u, tuple(g for g, _ in fracs)) for u, fracs in nodes)
+    return ring, IdealDigraph(ring, nodes, edges, desc["root"])
 
 
 def _digraph_to_json(d: IdealDigraph) -> Dict[str, Any]:
@@ -312,10 +392,6 @@ def _digraph_to_json(d: IdealDigraph) -> Dict[str, Any]:
     }
 
 
-def _render_basis(ring: PresentedRing, basis) -> List[str]:
-    return [ring.render(g) for g in basis]
-
-
 def _bool_report(command: str, value: bool, result: Any = None,
                  witness: Any = None, config: Optional[Dict] = None) -> Report:
     return Report(command, "pass" if value else "fail",
@@ -324,28 +400,28 @@ def _bool_report(command: str, value: bool, result: Any = None,
 
 
 # ---------------------------------------------------------------------------
-# Command handlers
+# Command handlers: each takes a payload already checked against SCHEMAS
 # ---------------------------------------------------------------------------
 
 def _run_groebner(payload: Dict, budgets: Budgets) -> Report:
     from .rings import op_groebner_basis
 
-    ring = _ring_from_json(payload.get("ring", {}))
-    handle = _ideal_from_json(ring, payload, "generators")
-    canonical = _bool(payload.get("canonical", False), "canonical") or bool(ring.inverted)
+    ring = _ring_from_json(payload["ring"])
+    handle = _ideal_from_json(ring, payload["generators"])
+    canonical = payload["canonical"] or bool(ring.inverted)
     basis = op_groebner_basis(handle, canonical=canonical, budgets=budgets)
     return Report("groebner", "pass",
-                  result={"basis": _render_basis(ring, basis),
+                  result={"basis": [ring.render(g) for g in basis],
                           "canonical": canonical},
                   config={"ring": ring.describe()})
 
 
 def _run_ideal(payload: Dict, budgets: Budgets) -> Report:
-    op = payload.get("op", "membership")
+    op = payload["op"]
     if op in ("enumerate-ideals", "noetherian-witness"):
         from .finite import enumerate_ideals, noetherian_witness
 
-        R = _finite_ring_from_json(payload["finite_ring"])
+        R = _finite_ring_from_json(payload["finite_ring"], budgets)
         if op == "enumerate-ideals":
             ideals = enumerate_ideals(R, budgets)
             return Report("ideal", "pass", result={
@@ -353,7 +429,7 @@ def _run_ideal(payload: Dict, budgets: Budgets) -> Report:
                 "ideals": [sorted(map(repr, i)) for i in ideals]},
                 config={"ring": R.name})
         chain = [frozenset(_finite_element(R, v) for v in entry)
-                 for entry in _list(payload.get("chain", []), "chain", entry=list)]
+                 for entry in payload["chain"]]
         rep = noetherian_witness(R, chain, budgets)
         return _bool_report("ideal", rep.ok, result={
             "generator_lists": [sorted(map(repr, g))
@@ -365,48 +441,35 @@ def _run_ideal(payload: Dict, budgets: Budgets) -> Report:
     from .rings import (colon_ideal, ideal_combine, ideal_contains, ideal_equal,
                         ideal_membership, radical_membership, saturate)
 
-    ring = _ring_from_json(payload.get("ring", {}))
+    ring = _ring_from_json(payload["ring"])
 
     def handle(key: str) -> IdealHandle:
-        return _ideal_from_json(ring, payload, key)
+        return _ideal_from_json(ring, payload[key])
 
-    if op == "membership":
-        value = ideal_membership(ring.parse(payload["element"]),
-                                 handle("ideal"), budgets)
-        return _bool_report("ideal", value)
-    if op == "radical-membership":
-        value = radical_membership(ring.parse(payload["element"]),
-                                   handle("ideal"), budgets)
-        return _bool_report("ideal", value)
-    if op == "equal":
-        return _bool_report("ideal",
-                            ideal_equal(handle("left"), handle("right"), budgets))
-    if op == "contains":
-        return _bool_report("ideal",
-                            ideal_contains(handle("left"), handle("right"), budgets))
+    if op in ("membership", "radical-membership"):
+        member = ideal_membership if op == "membership" else radical_membership
+        return _bool_report("ideal", member(ring.parse(payload["element"]),
+                                            handle("ideal"), budgets))
+    if op in ("equal", "contains"):
+        compare = ideal_equal if op == "equal" else ideal_contains
+        return _bool_report("ideal", compare(handle("left"), handle("right"), budgets))
     if op == "combine":
-        mode = payload.get("mode", "sum")
-        out = ideal_combine(mode, handle("left"), handle("right"), budgets)
-        return Report("ideal", "pass", result={
-            "mode": mode,
-            "generators": _render_basis(ring, out.canonical_basis(budgets))})
-    if op == "saturate":
+        out = ideal_combine(payload["mode"], handle("left"), handle("right"), budgets)
+    elif op == "saturate":
         out = saturate(handle("ideal"), ring.parse(payload["f"]), budgets)
-        return Report("ideal", "pass", result={
-            "generators": _render_basis(ring, out.canonical_basis(budgets))})
-    if op == "colon":
+    else:
         out = colon_ideal(handle("ideal"), ring.parse(payload["element"]), budgets)
-        return Report("ideal", "pass", result={
-            "generators": _render_basis(ring, out.canonical_basis(budgets))})
-    raise ParseError(f"unknown ideal op {op!r}")
+    result = {"mode": payload["mode"]} if op == "combine" else {}
+    result["generators"] = [ring.render(g) for g in out.canonical_basis(budgets)]
+    return Report("ideal", "pass", result=result)
 
 
 def _run_open(payload: Dict, budgets: Budgets) -> Report:
-    op = payload.get("op", "contains")
+    op = payload["op"]
     if op == "enumerate-spec":
         from .topology import enumerate_spec
 
-        R = _finite_ring_from_json(payload["finite_ring"])
+        R = _finite_ring_from_json(payload["finite_ring"], budgets)
         primes = enumerate_spec(R, budgets)
         return Report("open", "pass", result={
             "count": len(primes),
@@ -415,10 +478,10 @@ def _run_open(payload: Dict, budgets: Budgets) -> Report:
     from .topology import (OpenCover, coordinate_ring, cover_check,
                            open_contains, open_equal, open_intersect)
 
-    ring = _ring_from_json(payload.get("ring", {}))
+    ring = _ring_from_json(payload["ring"])
     if op == "cover-check":
         cover = OpenCover(_open_from_json(ring, payload["target"]),
-                          tuple(_opens_from_json(ring, payload, "pieces")))
+                          tuple(_open_from_json(ring, u) for u in payload["pieces"]))
         return _bool_report("open", cover_check(cover, budgets))
     if op == "coordinate-ring":
         u = _open_from_json(ring, payload["open"])
@@ -426,42 +489,29 @@ def _run_open(payload: Dict, budgets: Budgets) -> Report:
         return Report("open", "pass", result={"ring": ru.describe()})
     a = _open_from_json(ring, payload["a"])
     b = _open_from_json(ring, payload["b"])
-    if op == "contains":
-        return _bool_report("open", open_contains(a, b, budgets))
-    if op == "equal":
-        return _bool_report("open", open_equal(a, b, budgets))
     if op == "intersect":
-        return Report("open", "pass",
-                      result={"f": ring.render(open_intersect(a, b).f)})
-    raise ParseError(f"unknown open op {op!r}")
-
-
-def _zz_data_from_json(payload: Dict) -> ZZSheafData:
-    from .digraph import ZZSheafData
-    from .topology import FiniteSpace
-
-    space_desc = payload.get("space", {})
-    points = space_desc.get("points", [])
-    below = [tuple(pair) for pair in space_desc.get("below", [])]
-    space = FiniteSpace(points, below)
-    assignment = {frozenset(entry["open"]): _int(entry["n"], "n")
-                  for entry in payload.get("assignment", [])}
-    return ZZSheafData(space, assignment)
+        return Report("open", "pass", result={"f": ring.render(open_intersect(a, b).f)})
+    compare = open_contains if op == "contains" else open_equal
+    return _bool_report("open", compare(a, b, budgets))
 
 
 def _run_digraph_validate(payload: Dict, budgets: Budgets) -> Report:
-    op = payload.get("op", "validate")
+    op = payload["op"]
     if op == "count-space":
         from .digraph import count_digraph_space
 
-        R = _finite_ring_from_json(payload["finite_ring"])
-        count = count_digraph_space(R, budgets)
-        return Report("digraph-validate", "pass", result={"count": count},
+        R = _finite_ring_from_json(payload["finite_ring"], budgets)
+        return Report("digraph-validate", "pass",
+                      result={"count": count_digraph_space(R, budgets)},
                       config={"ring": R.name})
     if op == "zz-extract":
-        from .digraph import extract_zz_digraph, zz_sheaf_value
+        from .digraph import ZZSheafData, extract_zz_digraph, zz_sheaf_value
+        from .topology import FiniteSpace
 
-        data = _zz_data_from_json(payload)
+        space = FiniteSpace(payload["space"]["points"],
+                            _pairs(payload["space"]["below"], "below"))
+        data = ZZSheafData(space, {frozenset(entry["open"]): entry["n"]
+                                   for entry in payload["assignment"]})
         out = extract_zz_digraph(data)
         regenerated = all(
             zz_sheaf_value(out, U) == data.assignment[frozenset(U)]
@@ -470,26 +520,24 @@ def _run_digraph_validate(payload: Dict, budgets: Budgets) -> Report:
             "nodes": [{"open": sorted(n[0]), "n": n[1]} for n in out.nodes],
             "edges": [list(e) for e in out.edges],
             "regenerates": regenerated})
-    ring, d = _digraph_from_json(payload.get("digraph", payload), budgets)
+    ring, d = _digraph_from_json(payload["digraph"], budgets)
     if op == "clear-denominators":
         return Report("digraph-validate", "pass", result=_digraph_to_json(d))
-    if op == "validate":
-        from .digraph import validate_digraph
+    from .digraph import validate_digraph
 
-        report = validate_digraph(d, budgets)
-        return _bool_report("digraph-validate", report.valid,
-                            result=report.as_dict(),
-                            witness=report.witnesses or None)
-    raise ParseError(f"unknown digraph-validate op {op!r}")
+    report = validate_digraph(d, budgets)
+    return _bool_report("digraph-validate", report.valid,
+                        result=report.as_dict(),
+                        witness=report.witnesses or None)
 
 
 def _run_digraph_eval(payload: Dict, budgets: Budgets) -> Report:
-    ring, d = _digraph_from_json(payload.get("digraph", payload), budgets)
-    op = payload.get("op", "evaluate")
+    ring, d = _digraph_from_json(payload["digraph"], budgets)
+    op = payload["op"]
     if op == "quasi-coherent":
         from .digraph import is_quasi_coherent
 
-        basis = _opens_from_json(ring, payload, "basis")
+        basis = [_open_from_json(ring, u) for u in payload["basis"]]
         return _bool_report("digraph-eval",
                             is_quasi_coherent(d, basis, budgets))
     u = _open_from_json(ring, payload["open"])
@@ -499,35 +547,26 @@ def _run_digraph_eval(payload: Dict, budgets: Budgets) -> Report:
         result = evaluate_sheaf(d, u, budgets)
         return Report("digraph-eval", "pass", result={
             "open": ring.render(u.f),
-            "generators": _render_basis(ring, result.generators)})
-    if op == "membership":
-        from .digraph import section_membership
+            "generators": [ring.render(g) for g in result.generators]})
+    from .digraph import section_membership
 
-        num = ring.parse(payload["numerator"])
-        den = (ring.parse(payload["denominator"])
-               if "denominator" in payload else None)
-        value = section_membership(d, u, num, den, budgets)
-        return _bool_report("digraph-eval", value)
-    raise ParseError(f"unknown digraph-eval op {op!r}")
+    den = payload["denominator"]
+    value = section_membership(d, u, ring.parse(payload["numerator"]),
+                               None if den is None else ring.parse(den), budgets)
+    return _bool_report("digraph-eval", value)
 
 
 def _run_digraph_extract(payload: Dict, budgets: Budgets) -> Report:
     from .digraph import digraph_oracle, extract_digraph, quasi_coherent_oracle
 
-    desc = payload.get("oracle", {})
-    kind = desc.get("kind", "quasi-coherent")
-    if kind == "quasi-coherent":
-        ring = _ring_from_json(desc.get("ring", {}))
-        handle = _ideal_from_json(ring, desc, "ideal")
-        basis = _opens_from_json(ring, payload, "basis")
-        oracle = quasi_coherent_oracle(handle, basis, budgets)
-    elif kind == "digraph":
-        ring, d = _digraph_from_json(desc.get("digraph", {}), budgets)
-        basis = _opens_from_json(ring, payload, "basis")
-        oracle = digraph_oracle(d, basis, budgets)
+    desc = payload["oracle"]
+    if desc["kind"] == "quasi-coherent":
+        ring = _ring_from_json(desc["ring"])
+        make, source = quasi_coherent_oracle, _ideal_from_json(ring, desc["ideal"])
     else:
-        raise ParseError(f"unknown oracle kind {kind!r}")
-    out = extract_digraph(oracle, budgets)
+        make, (ring, source) = digraph_oracle, _digraph_from_json(desc["digraph"], budgets)
+    basis = [_open_from_json(ring, u) for u in payload["basis"]]
+    out = extract_digraph(make(source, basis, budgets), budgets)
     return Report("digraph-extract", "pass", result=_digraph_to_json(out))
 
 
@@ -535,18 +574,12 @@ def _run_cech_affine(payload: Dict, budgets: Budgets) -> Report:
     from .cech import AffineWindow, affine_vanishing_check, cech_complex_affine
     from .topology import OpenCover
 
-    ring = _ring_from_json(payload.get("ring", {}))
-    handle = _ideal_from_json(ring, payload, "ideal")
-    cover_desc = payload.get("cover", {})
-    cover = OpenCover(_open_from_json(ring, cover_desc.get("target", "1")),
-                      tuple(_opens_from_json(ring, cover_desc, "pieces")))
-    wdesc = payload.get("window", {})
-    window = AffineWindow(
-        base_degree=_int(wdesc.get("base_degree", 8), "base_degree"),
-        denominator_exponent=_int(wdesc.get("denominator_exponent", 3),
-                                  "denominator_exponent"))
-    op = payload.get("op", "complex")
-    if op == "vanishing":
+    ring = _ring_from_json(payload["ring"])
+    handle = _ideal_from_json(ring, payload["ideal"])
+    cover = OpenCover(_open_from_json(ring, payload["cover"]["target"]),
+                      tuple(_open_from_json(ring, u) for u in payload["cover"]["pieces"]))
+    window = AffineWindow(**payload["window"])
+    if payload["op"] == "vanishing":
         value = affine_vanishing_check(ring, handle, cover, window, budgets)
         return _bool_report("cech-affine", value,
                             config={"window": window.__dict__})
@@ -561,44 +594,34 @@ def _run_cech_affine(payload: Dict, budgets: Budgets) -> Report:
 def _run_cech_projective(payload: Dict, budgets: Budgets) -> Report:
     from .cech import TwistData, twisted_cohomology_dims
 
-    window = payload.get("window")
-    t = TwistData(_int(payload["n"], "n"), _int(payload["d"], "d"),
-                  None if window is None else _int(window, "window"))
-    charts = payload.get("charts")
-    if charts is not None:
-        charts = [frozenset(_list(c, "charts", int))
-                  for c in _list(charts, "charts", list)]
-    dims = twisted_cohomology_dims(t, charts, budgets)
+    t = TwistData(payload["n"], payload["d"])
+    dims = twisted_cohomology_dims(t, payload["charts"], budgets)
     return Report("cech-projective", "pass",
                   result={f"H{i}": dims[i] for i in sorted(dims)},
-                  config={"n": t.n, "d": t.d,
-                          "window": t.effective_window()})
+                  config={"n": t.n, "d": t.d, "window": t.window})
 
 
 def _run_baer(payload: Dict, budgets: Budgets) -> Report:
-    R = _finite_ring_from_json(payload.get("finite_ring", {"zmod": 4}))
-    op = payload.get("op", "test")
+    R = _finite_ring_from_json(payload["finite_ring"], budgets)
+    op = payload["op"]
     if op == "direct-sum":
         from .finite import direct_sum
 
-        modules = [_module_from_json(R, m)
-                   for m in _list(payload.get("modules", []), "modules", dict)]
+        modules = [_module_from_json(R, m, budgets) for m in payload["modules"]]
         out = direct_sum(modules, budgets)
-        return Report("baer", "pass",
-                      result={"size": out.module.size},
+        return Report("baer", "pass", result={"size": out.module.size},
                       config={"ring": R.name})
+    M = _module_from_json(R, payload["module"], budgets)
     if op == "hom-from-ideal":
         from .finite import hom_from_ideal
 
-        M = _module_from_json(R, payload.get("module", {}))
         ideal = frozenset(_finite_element(R, v) for v in payload["ideal"])
-        homs = hom_from_ideal(R, ideal, M, budgets)
-        return Report("baer", "pass", result={"count": len(homs)},
+        return Report("baer", "pass",
+                      result={"count": len(hom_from_ideal(R, ideal, M, budgets))},
                       config={"ring": R.name})
     from .baer import (baer_chain, baer_step, baer_test,
                        injective_envelope_bruteforce)
 
-    M = _module_from_json(R, payload.get("module", {}))
     if op == "test":
         rep = baer_test(M, budgets)
         return _bool_report("baer", rep.injective, result=rep.as_dict(),
@@ -609,36 +632,29 @@ def _run_baer(payload: Dict, budgets: Budgets) -> Report:
             "input_size": M.size, "output_size": step.output_size,
             "slots": len(step.ledger)}, config={"ring": R.name})
     if op == "chain":
-        K = _int(payload.get("K", 1), "K")
-        chain = baer_chain(M, K, budgets)
+        chain = baer_chain(M, payload["K"], budgets)
         return _bool_report("baer", chain.verified, result={
             "stage_sizes": [getattr(s, "size", None) for s in chain.stages],
             "verified": chain.verified, "stalled_at": chain.stalled_at},
-            config={"ring": R.name, "K": K})
-    if op == "envelope":
-        bound = _int(payload.get("bound", 256), "bound")
-        env = injective_envelope_bruteforce(M, bound, budgets)
-        return _bool_report("baer", env is not None, result={
-            "found": env is not None,
-            "size": env.size if env is not None else None},
-            config={"ring": R.name, "bound": bound})
-    raise ParseError(f"unknown baer op {op!r}")
+            config={"ring": R.name, "K": payload["K"]})
+    env = injective_envelope_bruteforce(M, payload["bound"], budgets)
+    return _bool_report("baer", env is not None, result={
+        "found": env is not None,
+        "size": env.size if env is not None else None},
+        config={"ring": R.name, "bound": payload["bound"]})
 
 
 def _run_etale(payload: Dict, budgets: Budgets) -> Report:
     from .tower import (pullback_strictness, properness_and_maximality,
                         run_tower_suite, tower_ring, verify_cover_map)
 
-    field = _field_from_json(payload.get("field", "q"))
-    rule = payload.get("rule", "power")
-    op = payload.get("op", "suite")
+    field, rule, op = _field_from_json(payload["field"]), payload["rule"], payload["op"]
     config = {"field": field.describe(), "rule": rule}
     if op == "suite":
-        depth = _int(payload.get("depth", 3), "depth")
-        rep = run_tower_suite(depth, field, rule, budgets)
+        rep = run_tower_suite(payload["depth"], field, rule, budgets)
         return _bool_report("etale", rep.ok, result=rep.as_dict(),
                             config=config)
-    n = _int(payload.get("n", payload.get("depth", 1)), "n")
+    n = payload["n"] if payload["n"] is not None else payload["depth"]
     if op == "level":
         level = tower_ring(n, field, rule)
         return Report("etale", "pass",
@@ -646,17 +662,11 @@ def _run_etale(payload: Dict, budgets: Budgets) -> Report:
     if op == "cover-map":
         rep = verify_cover_map(tower_ring(n - 1, field, rule),
                                tower_ring(n, field, rule), budgets)
-        return _bool_report("etale", rep.ok, result=rep.as_dict(),
-                            config=config)
-    if op == "strictness":
+    elif op == "strictness":
         rep = pullback_strictness(n, field, rule, budgets)
-        return _bool_report("etale", rep.ok, result=rep.as_dict(),
-                            config=config)
-    if op == "maximality":
+    else:
         rep = properness_and_maximality(n, field, rule, budgets)
-        return _bool_report("etale", rep.ok, result=rep.as_dict(),
-                            config=config)
-    raise ParseError(f"unknown etale op {op!r}")
+    return _bool_report("etale", rep.ok, result=rep.as_dict(), config=config)
 
 
 def _run_suite(payload: Dict, budgets: Budgets) -> Report:
@@ -670,18 +680,11 @@ def _run_suite(payload: Dict, budgets: Budgets) -> Report:
 
 
 _DISPATCH: Dict[str, Callable[[Dict, Budgets], Report]] = {
-    "groebner": _run_groebner,
-    "ideal": _run_ideal,
-    "open": _run_open,
-    "digraph-validate": _run_digraph_validate,
-    "digraph-eval": _run_digraph_eval,
-    "digraph-extract": _run_digraph_extract,
-    "cech-affine": _run_cech_affine,
-    "cech-projective": _run_cech_projective,
-    "baer": _run_baer,
-    "etale": _run_etale,
-    "suite": _run_suite,
-}
+    "groebner": _run_groebner, "ideal": _run_ideal, "open": _run_open,
+    "digraph-validate": _run_digraph_validate, "digraph-eval": _run_digraph_eval,
+    "digraph-extract": _run_digraph_extract, "cech-affine": _run_cech_affine,
+    "cech-projective": _run_cech_projective, "baer": _run_baer, "etale": _run_etale,
+    "suite": _run_suite}
 
 
 def run_job(job: JobSpec) -> Report:
@@ -690,15 +693,12 @@ def run_job(job: JobSpec) -> Report:
         raise ParseError(f"unknown command {job.command!r}")
     started = time.perf_counter()
     try:
-        report = handler(job.payload, job.budgets)
-    except (ParseError, DomainError) as exc:
+        payload = _check(job.payload, SCHEMAS[job.command], job.command)
+        report = handler(payload, job.budgets)
+    except (ParseError, DomainError, CapabilityError, ResourceBudgetError) as exc:
+        code = EXIT_PARSE if isinstance(exc, (ParseError, DomainError)) else EXIT_RESOURCE
         report = Report(job.command, "error", result={"error": str(exc)},
-                        config={"exit_code": EXIT_PARSE,
-                                "error_type": type(exc).__name__})
-    except (CapabilityError, ResourceBudgetError) as exc:
-        report = Report(job.command, "error", result={"error": str(exc)},
-                        config={"exit_code": EXIT_RESOURCE,
-                                "error_type": type(exc).__name__})
+                        config={"exit_code": code, "error_type": type(exc).__name__})
     except (ValidationError, OracleError) as exc:
         report = Report(job.command, "fail", result={"error": str(exc)},
                         witness=getattr(exc, "witness", None),

@@ -163,6 +163,12 @@ def test_affine_h0_matches_window_count(R):
     assert coh[0] > 0
 
 
+@pytest.mark.parametrize("ideal", [[], ["x"]])
+def test_affine_vanishing_on_the_empty_cover(R, ideal):
+    # D(0) is empty, so its empty cover has no groups at all.
+    assert affine_vanishing_check(R, R.ideal(*ideal), cover_of(R, "0"), AffineWindow())
+
+
 def test_affine_rejects_pieces_outside_target(R):
     cover = OpenCover(DistinguishedOpen(R, R.parse("x")),
                       (DistinguishedOpen(R, R.parse("x - 1")),))

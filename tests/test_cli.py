@@ -1,20 +1,24 @@
 """The command-line interface: JSON payloads in, deterministic reports out,
 and the documented exit-code contract (0 pass, 1 fail, 2 parse, 3 resource)."""
 
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from noether.cli import main
 from noether.config import Budgets
 from noether.errors import ParseError
-from noether.jobs import parse_job
+from noether.jobs import REQUIRED, SCHEMAS, JobSpec, Variants, parse_job, run_job
 
 
 def run(capsys, *argv, stdin=None, monkeypatch=None):
     if stdin is not None:
-        import io
-        import sys
         monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
     code = main(list(argv))
     out = capsys.readouterr().out
@@ -217,8 +221,6 @@ def test_parse_job_document():
                     '"budgets": {"max_degree": 7}}')
     assert (job.command, job.payload) == ("ideal", {"ideal": ["x"]})
     assert job.budgets == Budgets(max_degree=7)
-    with pytest.raises(ParseError, match="missing required key 'element'"):
-        job.payload["element"]
 
 
 @pytest.mark.parametrize("text,message", [
@@ -241,7 +243,7 @@ def test_parse_job_rejects(text, message):
 
 
 @pytest.mark.parametrize("command,payload,key", [
-    ("groebner", {"ring": {"field": 5}}, "field descriptor 5"),
+    ("groebner", {"ring": {"field": 5}}, "'field' must be a string"),
     ("groebner", {"ring": {"field": "fp:abc"}}, "'field'"),
     ("groebner", {"ring": "q"}, "'ring'"),
     ("cech-projective", {"n": "a", "d": 1}, "'n'"),
@@ -267,6 +269,26 @@ def test_parse_job_rejects(text, message):
                "chain": 5}, "'chain'"),
     ("ideal", {"op": "noetherian-witness", "finite_ring": {"zmod": 4},
                "chain": [[0], 2]}, "'chain'"),
+    ("digraph-validate", {"digraph": {"nodes": 5}}, "'nodes'"),
+    ("digraph-validate", {"digraph": {"nodes": [{"open": "1"}],
+                                      "edges": [[0, 1, 2]]}}, "'edges'"),
+    ("digraph-validate", {"op": "zz-extract",
+                          "space": {"points": [0], "below": [[0]]}}, "'below'"),
+    ("cech-affine", {"cover": 5}, "'cover'"),
+    ("digraph-extract", {"oracle": 5}, "'oracle'"),
+    ("baer", {"module": {"kind": "quotient", "relations": [5]}}, "'relations'"),
+    ("baer", {"module": {"kind": "free", "rank": -1}}, "'rank'"),
+    ("baer", {"op": "hom-from-ideal", "ideal": 5}, "'ideal'"),
+    ("baer", {"finite_ring": {"gf_quotient": {"p": 2, "modulus": 5}}},
+     "'modulus'"),
+    ("groebner", {"generator": ["x^2"]}, "unknown key 'generator'"),
+    ("groebner", {"ring": {"feild": "fp:5"}}, "unknown key 'feild'"),
+    ("digraph-validate", {"op": "validate", "ring": {"vars": ["x"]},
+                          "nodes": [{"open": "1", "gens": []}], "edges": [],
+                          "root": 0}, "unknown key 'ring'"),
+    ("cech-projective", {"n": 2, "d": 3, "window": 1}, "unknown key 'window'"),
+    ("cech-affine", {"op": "nonsense"}, "op 'nonsense'"),
+    ("digraph-extract", {"op": "evaluate"}, "unknown key 'op'"),
 ])
 def test_wrong_payload_type_exit_code(capsys, monkeypatch, command, payload, key):
     code, doc = run(capsys, command, "-", stdin=json.dumps(payload),
@@ -274,6 +296,109 @@ def test_wrong_payload_type_exit_code(capsys, monkeypatch, command, payload, key
     assert (code, doc["status"]) == (2, "error")
     assert doc["config"]["error_type"] == "ParseError"
     assert key in doc["result"]["error"]
+
+
+def test_run_job_checks_a_plain_dict_payload():
+    report = run_job(JobSpec("ideal", {"op": "membership", "ideal": ["x"]}))
+    assert (report.exit_code, report.config["error_type"]) == (2, "ParseError")
+    assert report.result["error"] == "missing required key 'element'"
+
+
+def test_module_vector_outside_the_module_exits_2():
+    # span never returned on a relation longer than the rank, so the job runs
+    # in its own process under a timeout.
+    payload = {"module": {"kind": "quotient", "rank": 1, "relations": [[0, 1]]}}
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-m", "noether.cli", "baer", "-"],
+                          input=json.dumps(payload), capture_output=True,
+                          text=True, env=env, timeout=30)
+    assert done.returncode == 2, done.stderr
+    assert "'relations'" in json.loads(done.stdout)["result"]["error"]
+
+
+@pytest.mark.parametrize("command,payload,what", [
+    ("ideal", {"op": "enumerate-ideals", "finite_ring": {"zmod": 9}}, "Z/9"),
+    ("baer", {"finite_ring": {"gf_quotient": {"p": 3, "modulus": [1, 0, 1, 0]}}},
+     "F3[x] modulo a polynomial of degree 2"),
+    ("baer", {"module": {"kind": "free", "rank": 2}}, "Z/4^2"),
+    ("baer", {"module": {"kind": "submodule", "rank": 3, "generators": []}},
+     "Z/4^3"),
+    ("baer", {"op": "direct-sum", "modules": [{"kind": "quotient", "rank": 2}]},
+     "Z/4^2"),
+])
+def test_finite_ring_bound_checked_before_building(command, payload, what):
+    report = run_job(parse_job(json.dumps({
+        "command": command, "payload": payload,
+        "budgets": {"finite_ring_bound": 8}})))
+    assert (report.exit_code, report.config["error_type"]) == (3, "BoundExceededError")
+    assert report.result["error"].startswith(f"{what} has more than 8 elements")
+
+
+# Schema fuzzing: payloads of the shape SCHEMAS describes, then one defect.
+TEXTS = ["x", "y", "x^2 - 1", "x*y + 1", "1", "0", "x^", "", "q", "fp:5",
+         "fp:4", "power", "sum", "intersection", "ring"]
+SMALL_INTS = st.integers(-2, 6)
+SMALL_JSON = st.recursive(
+    st.none() | st.booleans() | SMALL_INTS | st.sampled_from(TEXTS),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.sampled_from(TEXTS), inner, max_size=2)),
+    max_leaves=4)
+
+
+def shaped(kind):
+    """Values of ``kind``; each key with a default may be left out."""
+    if isinstance(kind, tuple):
+        return st.one_of([shaped(k) for k in kind])
+    if isinstance(kind, list):
+        return st.lists(shaped(kind[0]), max_size=3)
+    if isinstance(kind, Variants):
+        return st.sampled_from(sorted(kind)).flatmap(
+            lambda tag: shaped(kind[tag]).map(lambda v: {kind.tag: tag, **v}))
+    if isinstance(kind, dict):
+        return st.fixed_dictionaries(
+            {k: shaped(sub) for k, (sub, d) in kind.items() if d is REQUIRED},
+            optional={k: shaped(sub) for k, (sub, d) in kind.items()
+                      if d is not REQUIRED})
+    return {int: SMALL_INTS, str: st.sampled_from(TEXTS), bool: st.booleans()}[kind]
+
+
+def slots(value):
+    """Every (container, key) pair inside ``value``."""
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, item in list(items):
+        yield value, key
+        yield from slots(item)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                 HealthCheck.too_slow])
+@given(data=st.data())
+def test_schema_fuzz_exits_with_one_report(data, capsys, monkeypatch):
+    command = data.draw(st.sampled_from(sorted(SCHEMAS)))
+    payload = data.draw(shaped(SCHEMAS[command]))
+    # A valid suite payload would run the whole acceptance battery.
+    defect = ("add" if command == "suite" else
+              data.draw(st.sampled_from(["none", "drop", "add", "swap"])))
+    places = list(slots(payload))
+    keyed = [(box, key) for box, key in places if isinstance(box, dict)]
+    if defect == "drop" and keyed:
+        box, key = data.draw(st.sampled_from(keyed))
+        del box[key]
+    elif defect == "swap" and places:
+        box, key = data.draw(st.sampled_from(places))
+        box[key] = data.draw(SMALL_JSON)
+    elif defect == "add":
+        objects = [payload] + [box[key] for box, key in places if isinstance(box[key], dict)]
+        data.draw(st.sampled_from(objects))["unknown"] = data.draw(SMALL_JSON)
+    # A Baer chain with K = 6 over Z/3 runs for minutes under the default
+    # bound; a small one keeps every job to seconds and reaches exit 3.
+    monkeypatch.setenv("NOETHER_BUDGET_BAER_BOUND", "64")
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(payload)))
+    code = main([command, "-"])
+    json.loads(capsys.readouterr().out)
+    assert code in (0, 1, 2, 3)
 
 
 def test_malformed_budget_variable_exit_code(capsys, monkeypatch):
