@@ -26,7 +26,7 @@ _EXPORTS = {
     "fields": ("FieldSpec", "QQ", "GF"),
     "poly": (
         "Polynomial", "MonomialOrder", "DegRevLex", "Lex", "BlockElim",
-        "DEGREVLEX", "LEX", "order_by_name",
+        "DEGREVLEX", "LEX",
     ),
     "parse": ("parse_polynomial",),
     "groebner": ("groebner_basis", "normal_form"),

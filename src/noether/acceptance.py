@@ -378,7 +378,7 @@ def criterion_7(budgets: Budgets = DEFAULT_BUDGETS) -> Tuple[bool, str]:
     if not chain.verified or chain.stalled_at is not None:
         return False, "K=2 chain failed the stage-extension property"
 
-    env = injective_envelope_bruteforce(z2, 256, budgets)
+    env = injective_envelope_bruteforce(z2, budgets)
     if env is None or env.size != 4:
         return False, "envelope of Z/2 over Z/4 is not Z/4"
     iso = any(len(set(g.values())) == 4 for g in all_homs(env, ring_as_module(R4), budgets))

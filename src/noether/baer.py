@@ -291,15 +291,15 @@ def chain_fixed_pointwise(chain: BaerChain) -> bool:
 # Brute-force envelopes
 # ---------------------------------------------------------------------------
 
-def injective_envelope_bruteforce(M: FiniteModule, bound: int = 256,
-                                  budgets: Budgets = DEFAULT_BUDGETS
+def injective_envelope_bruteforce(M: FiniteModule, budgets: Budgets = DEFAULT_BUDGETS
                                   ) -> Optional[FiniteModule]:
     """Smallest injective module containing M among quotients of R^m, m <= 2.
 
-    Returns None when no candidate within the size bound passes; the search
-    is exhaustive over the candidate space, so a None is itself a fact.
+    Returns None when no candidate of at most ``budgets.finite_ring_bound``
+    elements passes; the search is exhaustive over the candidate space, so a
+    None is itself a fact.
     """
-    R = M.ring
+    R, bound = M.ring, budgets.finite_ring_bound
     candidates: List[FiniteModule] = []
     for rank in (1, 2):
         if R.size ** rank > max(bound, R.size):

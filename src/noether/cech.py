@@ -2,12 +2,13 @@
 
 Two settings are supported.  Twisted structure sheaves O(d) on projective
 space are handled through Laurent-monomial combinatorics: the alternating
-complex on a monomial chart cover splits as a direct sum over multidegrees,
-and the summand at a multidegree depends only on its sign pattern, so a
-handful of exact rank computations settles every degree at once.  Affine
-quasi-coherent data on a univariate base is handled by truncating each
-section space to numerators of bounded degree over a fixed denominator
-power; the truncation window is part of the result so it can be audited.
+complex on the coordinate chart cover splits as a direct sum over
+multidegrees, and the summand at a multidegree depends only on its sign
+pattern, so a handful of exact rank computations settles every degree at
+once.  Affine quasi-coherent data on a univariate base without quotient
+is handled by truncating each section space to numerators of bounded
+degree over a fixed denominator power; the truncation window is part of
+the result so it can be audited.
 Both build their differentials with the one complex builder,
 ``_alternating_complex``, and differ only in the section spaces over chart
 intersections and the restriction maps between them.
@@ -17,8 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field as dc_field
-from typing import (Callable, Dict, FrozenSet, Iterable, List, Optional,
-                    Sequence, Tuple)
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .config import Budgets, DEFAULT_BUDGETS
 from .errors import CapabilityError, DomainError, ValidationError
@@ -148,20 +148,19 @@ def _alternating_complex(field: FieldSpec,
     return CechComplex(field, dims, diffs, window)
 
 
-def _pattern_complex(charts: Sequence[FrozenSet[int]],
-                     negatives: FrozenSet[int],
+def _pattern_complex(n: int, negatives: FrozenSet[int],
                      field: FieldSpec) -> CechComplex:
-    """Multidegree summand of the monomial Čech complex, by sign pattern.
+    """Multidegree summand of the Čech complex on the coordinate charts
+    D(x_0), ..., D(x_n), by sign pattern.
 
     A subset S of charts supports a Laurent monomial with negative exponents
-    exactly on ``negatives`` iff that set is contained in the union of the
-    chart supports of S.  The summand is the alternating complex on those
-    admissible subsets; its cohomology multiplies the multidegree count.
+    exactly on ``negatives`` iff S contains every chart in ``negatives``.
+    The summand is the alternating complex on those admissible subsets; its
+    cohomology multiplies the multidegree count.
     """
-    m = len(charts)
-    levels = [[subset for subset in itertools.combinations(range(m), p + 1)
-               if negatives <= frozenset().union(*(charts[j] for j in subset))]
-              for p in range(m)]
+    levels = [[subset for subset in itertools.combinations(range(n + 1), p + 1)
+               if negatives <= frozenset(subset)]
+              for p in range(n + 1)]
     one = field.one()
     return _alternating_complex(field, levels, lambda s: 1,
                                 lambda s, j: ((0, 0, one),), {})
@@ -212,42 +211,24 @@ def _count_multidegrees(n: int, d: int, negatives: FrozenSet[int],
 
 
 def twisted_cohomology_dims(t: TwistData,
-                            charts: Optional[Sequence[FrozenSet[int]]] = None,
                             budgets: Budgets = DEFAULT_BUDGETS) -> Dict[int, int]:
-    """Dimensions of H^i(P^n, O(d)) from a monomial chart cover.
-
-    The default cover is the standard one by the n+1 coordinate charts;
-    any family of monomial charts over the coordinates 0..n that holds every
-    coordinate chart is accepted (refinements included).  No other family
-    covers P^n: the point whose only nonzero coordinate is x_i lies in no
-    monomial chart but D(x_i).
-    """
+    """Dimensions of H^i(P^n, O(d)) from the cover by the n+1 coordinate
+    charts D(x_i)."""
     n, d = t.n, t.d
     if n > 4 or abs(d) > 20:
         raise CapabilityError("supported range is n <= 4 and |d| <= 20")
-    if charts is None:
-        charts = [frozenset({i}) for i in range(n + 1)]
-    charts = [frozenset(c) for c in charts]
-    coords = frozenset(range(n + 1))
-    if not frozenset().union(*charts) <= coords:
-        raise ValidationError("charts use coordinates outside 0..n",
-                              witness=sorted(map(sorted, charts)))
-    missing = sorted(coords - {i for c in charts if len(c) == 1 for i in c})
-    if missing:
-        raise ValidationError("charts do not cover projective space: "
-                              "coordinate charts missing", witness=missing)
     window = t.window
-    dims = {i: 0 for i in range(len(charts))}
+    dims = {i: 0 for i in range(n + 1)}
     for negs in map(frozenset, itertools.chain.from_iterable(
             itertools.combinations(range(n + 1), r) for r in range(n + 2))):
-        complex_ = _pattern_complex(charts, negs, QQ)
+        complex_ = _pattern_complex(n, negs, QQ)
         hdims = complex_.cohomology_dims()
         if not any(hdims):
             continue
         count = _count_multidegrees(n, d, negs, window)
         for i, h in enumerate(hdims):
             dims[i] += h * count
-    return {i: dims[i] for i in range(n + 1)}
+    return dims
 
 
 # ---------------------------------------------------------------------------
@@ -281,9 +262,10 @@ def cech_complex_affine(R: PresentedRing, I: IdealHandle, cover: OpenCover,
 
     Sections over a chart intersection D(h) are represented by numerators
     p in I of bounded degree over the fixed denominator h^N; the Čech
-    restriction maps multiply numerators by the complementary h_j^N.
+    restriction maps multiply numerators by the complementary h_j^N.  An
+    intersection with the piece D(0), which is empty, has no sections.
     """
-    if R.nvars != 1:
+    if R.nvars != 1 or R.quotient:
         raise CapabilityError(
             "affine Čech complexes require a univariate base ring")
     if I.ring != R:
@@ -307,6 +289,8 @@ def cech_complex_affine(R: PresentedRing, I: IdealHandle, cover: OpenCover,
     hdeg = [poly_degree(h) for h in hs]
 
     def numdim(subset: Tuple[int, ...]) -> int:
+        if any(hs[j].is_zero() for j in subset):
+            return 0
         cap = window.base_degree + npow * sum(hdeg[j] for j in subset)
         return max(0, cap - gdeg + 1)
 

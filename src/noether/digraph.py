@@ -220,7 +220,6 @@ def section_membership(
     numerator: Polynomial,
     denominator: Optional[Polynomial] = None,
     budgets: Budgets = DEFAULT_BUDGETS,
-    skip_validation: bool = False,
 ) -> bool:
     """Decide whether numerator/denominator lies in the generated sheaf on u.
 
@@ -233,10 +232,20 @@ def section_membership(
     Denominators are discarded after a unit check: they are units on u, and
     multiplying by a unit does not change stalk membership.
     """
+    _require_node_cap(d, budgets)
+    _require_valid(d, budgets)
+    return _section_membership(d, u, numerator, denominator, budgets)
+
+
+def _require_node_cap(d: IdealDigraph, budgets: Budgets) -> None:
     if len(d.nodes) > budgets.digraph_node_cap:
         raise ResourceBudgetError("digraph_node_cap", budgets.digraph_node_cap)
-    if not skip_validation:
-        _require_valid(d, budgets)
+
+
+def _section_membership(d: IdealDigraph, u: DistinguishedOpen, numerator: Polynomial,
+                        denominator: Optional[Polynomial], budgets: Budgets) -> bool:
+    """``section_membership`` on a digraph its caller has validated."""
+    _require_node_cap(d, budgets)  # the subset loop below is exponential
     if u.is_empty(budgets):
         raise DomainError("membership over the empty open")
     if denominator is not None:
@@ -270,8 +279,7 @@ def _require_univariate_ring(ring: PresentedRing):
 
 
 def evaluate_sheaf(d: IdealDigraph, u: DistinguishedOpen,
-                   budgets: Budgets = DEFAULT_BUDGETS,
-                   skip_validation: bool = False) -> IdealHandle:
+                   budgets: Budgets = DEFAULT_BUDGETS) -> IdealHandle:
     """Exact ideal of sections of the generated sheaf over u (univariate).
 
     For each monic irreducible q alive on u, the stalk at (q) is generated
@@ -282,13 +290,18 @@ def evaluate_sheaf(d: IdealDigraph, u: DistinguishedOpen,
     agrees.  The zero stalk forces the zero ideal.
     """
     _require_univariate_ring(d.ring)
-    if not skip_validation:
-        _require_valid(d, budgets)
+    _require_valid(d, budgets)
+    return _evaluate_sheaf(d, u, budgets)
+
+
+def _evaluate_sheaf(d: IdealDigraph, u: DistinguishedOpen, budgets: Budgets) -> IdealHandle:
+    """``evaluate_sheaf`` on a digraph its caller has validated."""
+    _require_univariate_ring(d.ring)
     if u.is_empty(budgets):
         raise DomainError("evaluation over the empty open")
     result = IdealHandle(coordinate_ring(u, budgets), _section_generators(d, u))
     for g in result.generators:
-        if not section_membership(d, u, g, budgets=budgets, skip_validation=True):
+        if not _section_membership(d, u, g, None, budgets):
             raise ValidationError(
                 "computed section ideal fails its own membership check",
                 witness=d.ring.render(g))
@@ -377,7 +390,7 @@ def digraph_oracle(d: IdealDigraph, basis: Sequence[DistinguishedOpen],
     _require_valid(d, budgets)
 
     def valuation(u: DistinguishedOpen):
-        return evaluate_sheaf(d, u, budgets, skip_validation=True).generators
+        return _evaluate_sheaf(d, u, budgets).generators
 
     return SheafOracle(d.ring, valuation, basis, budgets)
 
@@ -466,7 +479,7 @@ def is_quasi_coherent(d: IdealDigraph, basis: Sequence[DistinguishedOpen],
     for h in basis:
         if h.is_empty(budgets):
             continue
-        value = evaluate_sheaf(d, h, budgets, skip_validation=True)
+        value = _evaluate_sheaf(d, h, budgets)
         rh = coordinate_ring(h, budgets)
         if not ideal_equal(value, IdealHandle(rh, root.gens), budgets):
             return False

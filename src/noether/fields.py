@@ -10,19 +10,36 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError
+from .errors import CapabilityError, DomainError
+
+# Miller-Rabin with the prime bases up to 41 is exact below this bound
+# (Sorenson & Webster 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3317044064679887385961981
 
 
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; CapabilityError where it is not exact."""
+    if n >= _MR_EXACT_BELOW:
+        raise CapabilityError(f"primality of {n} is decided only below {_MR_EXACT_BELOW}")
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

@@ -53,15 +53,15 @@ class Variants(dict):
 
 RING = {"field": (str, "q"), "vars": ([str], ["x"]), "quotient": ([str], []),
         "inverted": ([str], [])}
-OPEN = (str, {"f": (str, REQUIRED)})  # a polynomial text or {"f": text}
+OPEN = str  # a polynomial text f, naming D(f)
 ELEMENT = (int, [int])  # an element of Z/n, or of F_p[x]/(f) as coefficients
 FINITE_RING = {"zmod": (int, None),
                "gf_quotient": ({"p": (int, REQUIRED), "modulus": ([int], REQUIRED)}, None)}
-_SPAN = {"rank": (int, 1), "name": (str, "M")}
-MODULE = Variants("kind", {"ring": {}, "zero": {}, "free": {"rank": (int, 1)},
-                           "quotient": {**_SPAN, "relations": ([[ELEMENT]], [])},
-                           "submodule": {**_SPAN, "generators": ([[ELEMENT]], [])}})
-NODE = {"open": (OPEN, REQUIRED), "gens": ([str], None), "generators": ([str], None),
+_RANK = {"rank": (int, 1)}
+MODULE = Variants("kind", {"ring": {}, "zero": {}, "free": _RANK,
+                           "quotient": {**_RANK, "relations": ([[ELEMENT]], [])},
+                           "submodule": {**_RANK, "generators": ([[ELEMENT]], [])}})
+NODE = {"open": (OPEN, REQUIRED), "gens": ([str], []),
         "fractions": ([{"num": (str, REQUIRED), "den": (str, "1")}], None)}
 DIGRAPH = {"ring": (RING, {}), "nodes": ([NODE], []), "edges": ([[int]], []), "root": (int, 0)}
 
@@ -77,13 +77,13 @@ _AFFINE = {**_ON_RING, "ideal": _TEXTS,
            "cover": ({"target": (OPEN, "1"), "pieces": ([OPEN], [])}, {}),
            "window": ({"base_degree": (int, 8), "denominator_exponent": (int, 3)}, {})}
 _TOWER = {"field": (str, "q"), "rule": (str, "power")}
-_LEVEL = {**_TOWER, "n": (int, None), "depth": (int, 1)}
+_LEVEL = {**_TOWER, "depth": (int, 1)}
 
 # Every key a command takes, as {key: (kind, default)}, or such a schema per
-# op.  A kind is a JSON type (int, str, bool), [kind] for a list of them, a
+# op.  A kind is a JSON type (int, str), [kind] for a list of them, a
 # tuple of alternatives of distinct JSON types, a schema, or Variants.
 SCHEMAS: Dict[str, Dict] = {
-    "groebner": {**_ON_RING, "generators": _TEXTS, "canonical": (bool, False)},
+    "groebner": {**_ON_RING, "generators": _TEXTS},
     "ideal": Variants("op", {
         "membership": _MEMBER, "radical-membership": _MEMBER, "equal": _IDEALS,
         "contains": _IDEALS, "combine": {**_IDEALS, "mode": (str, "sum")},
@@ -109,10 +109,10 @@ SCHEMAS: Dict[str, Dict] = {
         "quasi-coherent": {**_ON_RING, "ideal": _TEXTS}, "digraph": _ON_DIGRAPH}), {}),
         "basis": ([OPEN], [])},
     "cech-affine": Variants("op", {"complex": _AFFINE, "vanishing": _AFFINE}),
-    "cech-projective": {"n": (int, REQUIRED), "d": (int, REQUIRED), "charts": ([[int]], None)},
+    "cech-projective": {"n": (int, REQUIRED), "d": (int, REQUIRED)},
     "baer": Variants("op", {
         "test": _ON_MODULE, "step": _ON_MODULE, "chain": {**_ON_MODULE, "K": (int, 1)},
-        "envelope": {**_ON_MODULE, "bound": (int, 256)},
+        "envelope": _ON_MODULE,
         "direct-sum": {"finite_ring": _ON_MODULE["finite_ring"], "modules": ([MODULE], [])},
         "hom-from-ideal": {**_ON_MODULE, "ideal": ([ELEMENT], REQUIRED)}}),
     "etale": Variants("op", {"suite": {**_TOWER, "depth": (int, 3)}, "level": _LEVEL,
@@ -120,8 +120,7 @@ SCHEMAS: Dict[str, Dict] = {
     "suite": {},
 }
 COMMANDS = tuple(SCHEMAS)
-_TYPE_NAMES = {int: "an integer", str: "a string", bool: "a boolean", list: "a JSON list",
-               dict: "a JSON object"}
+_TYPE_NAMES = {int: "an integer", str: "a string", list: "a JSON list", dict: "a JSON object"}
 
 
 def _json_type(kind) -> type:
@@ -343,13 +342,12 @@ def _module_from_json(R: FiniteRing, desc: Dict[str, Any],
             raise ParseError(f"{key!r} vector {vec!r} must have length rank = {rank}")
         gens.append(tuple(_finite_element(R, v) for v in vec))
     build = quotient_module if kind == "quotient" else submodule
-    return build(free, span(free, gens), name=desc["name"])
+    return build(free, span(free, gens))
 
 
-def _open_from_json(ring: PresentedRing, desc) -> DistinguishedOpen:
+def _open_from_json(ring: PresentedRing, text: str) -> DistinguishedOpen:
     from .topology import DistinguishedOpen
 
-    text = desc["f"] if isinstance(desc, dict) else desc
     return DistinguishedOpen(ring, ring.parse(text))
 
 
@@ -374,8 +372,7 @@ def _digraph_from_json(desc: Dict[str, Any],
         u = _open_from_json(ring, node["open"])
         fracs = [(ring.parse(fr["num"]), ring.parse(fr["den"]))
                  for fr in node["fractions"] or []]
-        gens = node["gens"] if node["gens"] is not None else node["generators"] or []
-        nodes.append((u, fracs + [(ring.parse(g), ring.one()) for g in gens]))
+        nodes.append((u, fracs + [(ring.parse(g), ring.one()) for g in node["gens"]]))
     if any(node["fractions"] is not None for node in desc["nodes"]):
         return ring, clear_denominators(ring, nodes, edges, desc["root"], budgets)
     nodes = tuple(DigraphNode(u, tuple(g for g, _ in fracs)) for u, fracs in nodes)
@@ -408,11 +405,10 @@ def _run_groebner(payload: Dict, budgets: Budgets) -> Report:
 
     ring = _ring_from_json(payload["ring"])
     handle = _ideal_from_json(ring, payload["generators"])
-    canonical = payload["canonical"] or bool(ring.inverted)
-    basis = op_groebner_basis(handle, canonical=canonical, budgets=budgets)
+    basis = op_groebner_basis(handle, budgets)
     return Report("groebner", "pass",
                   result={"basis": [ring.render(g) for g in basis],
-                          "canonical": canonical},
+                          "canonical": bool(ring.inverted)},
                   config={"ring": ring.describe()})
 
 
@@ -595,7 +591,7 @@ def _run_cech_projective(payload: Dict, budgets: Budgets) -> Report:
     from .cech import TwistData, twisted_cohomology_dims
 
     t = TwistData(payload["n"], payload["d"])
-    dims = twisted_cohomology_dims(t, payload["charts"], budgets)
+    dims = twisted_cohomology_dims(t, budgets)
     return Report("cech-projective", "pass",
                   result={f"H{i}": dims[i] for i in sorted(dims)},
                   config={"n": t.n, "d": t.d, "window": t.window})
@@ -637,11 +633,11 @@ def _run_baer(payload: Dict, budgets: Budgets) -> Report:
             "stage_sizes": [getattr(s, "size", None) for s in chain.stages],
             "verified": chain.verified, "stalled_at": chain.stalled_at},
             config={"ring": R.name, "K": payload["K"]})
-    env = injective_envelope_bruteforce(M, payload["bound"], budgets)
+    env = injective_envelope_bruteforce(M, budgets)
     return _bool_report("baer", env is not None, result={
         "found": env is not None,
         "size": env.size if env is not None else None},
-        config={"ring": R.name, "bound": payload["bound"]})
+        config={"ring": R.name, "bound": budgets.finite_ring_bound})
 
 
 def _run_etale(payload: Dict, budgets: Budgets) -> Report:
@@ -654,7 +650,7 @@ def _run_etale(payload: Dict, budgets: Budgets) -> Report:
         rep = run_tower_suite(payload["depth"], field, rule, budgets)
         return _bool_report("etale", rep.ok, result=rep.as_dict(),
                             config=config)
-    n = payload["n"] if payload["n"] is not None else payload["depth"]
+    n = payload["depth"]
     if op == "level":
         level = tower_ring(n, field, rule)
         return Report("etale", "pass",

@@ -88,15 +88,6 @@ class BlockElim(MonomialOrder):
 DEGREVLEX = DegRevLex()
 LEX = Lex()
 
-_ORDERS = {"degrevlex": DEGREVLEX, "lex": LEX}
-
-
-def order_by_name(name: str) -> MonomialOrder:
-    try:
-        return _ORDERS[name]
-    except KeyError:
-        raise DomainError(f"unknown monomial order {name!r}") from None
-
 
 class Polynomial:
     """Immutable sparse polynomial.  ``terms`` maps exponent tuple -> coeff.

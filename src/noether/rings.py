@@ -201,16 +201,10 @@ class IdealHandle:
 # -- module operations ---------------------------------------------------
 
 
-def op_groebner_basis(I: IdealHandle, canonical: bool = False,
-                      budgets: Budgets = DEFAULT_BUDGETS) -> List[Polynomial]:
-    """Reduced Groebner basis for the ideal.
-
-    When the ring inverts elements the plain basis is not canonical, so the
-    caller must opt into the saturated (canonical) basis explicitly.
-    """
-    if I.ring.inverted and not canonical:
-        raise DomainError("localized ring: request the canonical (saturated) basis")
-    return list(I.canonical_basis(budgets) if canonical else I.plain_basis(budgets))
+def op_groebner_basis(I: IdealHandle, budgets: Budgets = DEFAULT_BUDGETS) -> List[Polynomial]:
+    """Reduced Groebner basis of the ideal's canonical form (saturated by the
+    inverted elements; the plain basis when nothing is inverted)."""
+    return list(I.canonical_basis(budgets))
 
 
 def ideal_membership(p: Polynomial, I: IdealHandle, budgets: Budgets = DEFAULT_BUDGETS) -> bool:

@@ -1,5 +1,5 @@
 """Cech cohomology: exact ranks on projective space, the twisted-sheaf
-dimension formulas, refinement invariance, and affine vanishing."""
+dimension formulas, and affine vanishing."""
 
 from math import comb
 
@@ -16,6 +16,7 @@ from noether.cech import (
 )
 from noether.errors import CapabilityError, ValidationError
 from noether.fields import GF, QQ
+from noether.jobs import JobSpec, run_job
 from noether.rings import PresentedRing
 from noether.topology import DistinguishedOpen, OpenCover, cover_check
 
@@ -69,55 +70,6 @@ def test_structure_sheaf_middle_vanishing_p3():
     assert dims == {0: 1, 1: 0, 2: 0, 3: 0}
 
 
-def test_refinement_invariance():
-    # Adding redundant charts (unions of standard ones) must not change ranks.
-    n, d = 2, -4
-    standard = [frozenset({i}) for i in range(n + 1)]
-    refined = standard + [frozenset({0, 1}), frozenset({0, 1, 2})]
-    assert (twisted_cohomology_dims(TwistData(n, d), standard)
-            == twisted_cohomology_dims(TwistData(n, d), refined))
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 3).flatmap(lambda n: st.tuples(
-    st.just(n), st.integers(-6, 6),
-    st.lists(st.frozensets(st.integers(0, n), min_size=1), max_size=3),
-    st.randoms(use_true_random=False))))
-def test_random_chart_cover_matches_standard(case):
-    # The point whose only nonzero coordinate is x_i lies in no monomial
-    # chart but D(x_i), so a monomial chart cover holds every coordinate
-    # chart; the random covers add extra charts and shuffle the order.
-    n, d, extra, rng = case
-    standard = [frozenset({i}) for i in range(n + 1)]
-    charts = standard + extra
-    rng.shuffle(charts)
-    assert (twisted_cohomology_dims(TwistData(n, d), charts)
-            == twisted_cohomology_dims(TwistData(n, d), standard))
-
-
-def test_charts_must_cover():
-    with pytest.raises(ValidationError):
-        twisted_cohomology_dims(TwistData(2, 1),
-                                [frozenset({0}), frozenset({1})])
-
-
-@pytest.mark.parametrize("charts,missing", [
-    ([{0, 1}, {2}], [0, 1]),
-    ([{0, 1}, {1, 2}, {0, 2}], [0, 1, 2]),
-    ([{0}, {1}, {0, 1, 2}], [2]),
-])
-def test_charts_must_hold_every_coordinate_chart(charts, missing):
-    with pytest.raises(ValidationError) as err:
-        twisted_cohomology_dims(TwistData(2, -4), [frozenset(c) for c in charts])
-    assert err.value.witness == missing
-
-
-def test_charts_outside_the_coordinates_refused():
-    with pytest.raises(ValidationError):
-        twisted_cohomology_dims(TwistData(1, 0), [frozenset({0}), frozenset({1}),
-                                                  frozenset({1, 2})])
-
-
 def test_dimension_capability_bound():
     with pytest.raises(CapabilityError):
         twisted_cohomology_dims(TwistData(5, 1))
@@ -169,6 +121,23 @@ def test_affine_vanishing_on_the_empty_cover(R, ideal):
     assert affine_vanishing_check(R, R.ideal(*ideal), cover_of(R, "0"), AffineWindow())
 
 
+@pytest.mark.parametrize("payload,code,result", [
+    ({"op": "complex", "ideal": ["x"], "cover": {"target": "x", "pieces": ["0", "x"]}},
+     0, [11, 0]),
+    ({"op": "vanishing", "ideal": ["x"], "cover": {"target": "x", "pieces": ["0", "x"]}},
+     0, None),
+    ({"op": "complex", "ring": {"vars": ["x"], "quotient": ["x^2 - x"]}, "ideal": [],
+      "cover": {"target": "1", "pieces": ["x", "x - 1"]}}, 3, None),
+])
+def test_affine_job_exit_codes(payload, code, result):
+    # D(0) is empty, so it adds no sections to the cover by D(x); the window
+    # of a quotient ring would ignore the quotient, so it is refused.
+    report = run_job(JobSpec("cech-affine", payload))
+    assert report.exit_code == code, report.result
+    if result is not None:
+        assert report.result["cohomology"] == result
+
+
 def test_affine_rejects_pieces_outside_target(R):
     cover = OpenCover(DistinguishedOpen(R, R.parse("x")),
                       (DistinguishedOpen(R, R.parse("x - 1")),))
@@ -192,3 +161,18 @@ def test_affine_complex_is_a_complex(field, target, factors, ideal, base, npow):
                                    AffineWindow(base, npow))
     assert len(complex_.dims) == len(factors)
     assert complex_.verify_d_squared()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["q", 5]), st.sampled_from(["1", "x"]),
+       st.lists(st.sampled_from(PIECE_FACTORS), min_size=1, max_size=3),
+       st.sampled_from([[], ["x - 1"], ["x^2 + x"]]), st.integers(0, 3))
+def test_affine_empty_piece_changes_nothing(field, target, factors, ideal, where):
+    R = PresentedRing(QQ if field == "q" else GF(field), ("x",))
+    pieces = [f"({target})*({f})" for f in factors]
+    cover = cover_of(R, target, *pieces)
+    assume(cover_check(cover))
+    padded = cover_of(R, target, *pieces[:where], "0", *pieces[where:])
+    before = cech_complex_affine(R, R.ideal(*ideal), cover).cohomology_dims()
+    after = cech_complex_affine(R, R.ideal(*ideal), padded).cohomology_dims()
+    assert after == before + [0]

@@ -17,7 +17,6 @@ from noether.poly import (
     mono_lcm,
     exact_divmod,
     mono_mul,
-    order_by_name,
 )
 
 VARS = ("x", "y", "z")
@@ -52,13 +51,6 @@ def test_block_elimination_order_puts_aux_first():
     order = BlockElim(1)
     # Any positive power of the first (auxiliary) variable dominates.
     assert order.key((1, 0, 0)) > order.key((0, 5, 5))
-
-
-def test_order_by_name():
-    assert order_by_name("degrevlex") is DEGREVLEX
-    assert order_by_name("lex") is LEX
-    with pytest.raises(Exception):
-        order_by_name("mystery")
 
 
 def test_parse_round_trip():

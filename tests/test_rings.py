@@ -106,13 +106,10 @@ def test_localized_canonical_basis():
     assert [R.render(g) for g in I.canonical_basis()] == ["x - 1"]
 
 
-def test_localized_plain_basis_requires_opt_in():
+def test_localized_groebner_basis_is_canonical():
     base = PresentedRing(QQ, ("x",))
     R = base.with_inverted(base.parse("x"))
-    with pytest.raises(DomainError):
-        op_groebner_basis(R.ideal("x^2 - x"))
-    assert [R.render(g)
-            for g in op_groebner_basis(R.ideal("x^2 - x"), canonical=True)] == ["x - 1"]
+    assert [R.render(g) for g in op_groebner_basis(R.ideal("x^2 - x"))] == ["x - 1"]
 
 
 def test_quotient_ring_membership():

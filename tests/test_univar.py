@@ -162,7 +162,7 @@ CLI_JOBS = [
     ("cech-projective", {"n": 2, "d": -4}, 0),
     ("baer", {"op": "test", "finite_ring": {"zmod": 4},
               "module": {"kind": "ring"}}, 0),
-    ("etale", {"op": "level", "n": 2}, 0),
+    ("etale", {"op": "level", "depth": 2}, 0),
 ]
 
 
