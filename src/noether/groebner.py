@@ -21,7 +21,10 @@ Budgets (`max_pairs`, `max_degree`) fail loudly instead of hanging.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from heapq import heapify, heappop, heappush
+import math
+from math import gcd
 from typing import List
 
 from .config import Budgets, DEFAULT_BUDGETS
@@ -90,6 +93,76 @@ def normal_form(
                 work[m] = F.neg(F.mul(c, v))
                 heappush(heap, (descending(key(m)), m))
     return Polynomial(F, p.nvars, remainder)
+
+
+def _integer_form(terms):
+    """``(ints, scale)``: the primitive integer multiple ``scale * terms`` of
+    rational ``terms``, and the rational ``scale``."""
+    den = math.lcm(*(c.denominator for c in terms.values()))
+    ints = {m: c.numerator * (den // c.denominator) for m, c in terms.items()}
+    content = gcd(*ints.values())
+    return {m: v // content for m, v in ints.items()}, Fraction(den, content)
+
+
+def _reduce_int(terms, reducers, order: MonomialOrder, max_degree: int):
+    """Fraction-free division of integer ``terms`` by integer ``reducers``,
+    given as ``(leading monomial, terms)``.
+
+    Returns ``(remainder, scale)``: the remainder is ``scale`` times the
+    exact remainder over Q, primitive, with a positive leading coefficient
+    and its keys in decreasing order.  Each step picks the reducer that
+    ``normal_form`` picks and computes ``a*work - b*q*g``, where
+    ``a = lc(g)/e``, ``b = lc(work)/e`` and ``e = gcd(lc(work), lc(g))``; the
+    remainder so far picks up the same factor ``a``.  The degree budget
+    raises exactly where exact division's does, since a coefficient here is
+    zero exactly when the exact one is.
+    """
+    if any(mono_deg(m) > max_degree for m in terms):
+        raise ResourceBudgetError("max_degree", max_degree)
+    key = order.key
+    # Cancelled terms stay in ``work`` as zeros, so a monomial enters the
+    # heap (and has its key computed) at most once.
+    work = dict(terms)
+    heap = [(descending(key(m)), m) for m in work]
+    heapify(heap)
+    remainder = {}
+    scale = 1
+    while heap:
+        lm = heappop(heap)[1]
+        lc = work.pop(lm)
+        if not lc:
+            continue
+        for gm, gterms in reducers:
+            if mono_divides(gm, lm):
+                break
+        else:
+            remainder[lm] = lc
+            continue
+        gc = gterms[gm]
+        e = gcd(lc, gc)
+        a, b = gc // e, lc // e
+        if a != 1:
+            scale *= a
+            work = {m: a * v for m, v in work.items()}
+            remainder = {m: a * v for m, v in remainder.items()}
+        q = mono_div(lm, gm)
+        for t, v in gterms.items():
+            if t is gm:
+                continue
+            m = mono_mul(q, t)
+            if m in work:
+                work[m] -= b * v
+            else:
+                if mono_deg(m) > max_degree:
+                    raise ResourceBudgetError("max_degree", max_degree)
+                work[m] = -b * v
+                heappush(heap, (descending(key(m)), m))
+    if not remainder:
+        return remainder, Fraction(scale)
+    content = gcd(*remainder.values())
+    if next(iter(remainder.values())) < 0:
+        content = -content
+    return {m: v // content for m, v in remainder.items()}, Fraction(scale, content)
 
 
 def _s_polynomial(f: Polynomial, fm, g: Polynomial, gm, lcm) -> Polynomial:

@@ -1,6 +1,7 @@
 """Buchberger kernel: known bases, determinism, budgets, and an independent
 GF(2) linear-algebra membership oracle."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -11,7 +12,7 @@ from noether.acceptance import ORACLE_SLACK
 from noether.config import Budgets
 from noether.errors import ResourceBudgetError
 from noether.fields import GF, QQ
-from noether.groebner import groebner_basis, normal_form
+from noether.groebner import _integer_form, _reduce_int, groebner_basis, normal_form
 from noether.parse import parse_polynomial
 from noether.poly import DEGREVLEX, LEX, BlockElim, Polynomial
 
@@ -302,11 +303,40 @@ def _cyclic(n, field):
             for eq in eqs]
 
 
+def _katsura(n, field):
+    def unit(*idx):
+        m = [0] * (n + 1)
+        for i in idx:
+            m[i] += 1
+        return tuple(m)
+    eqs = []
+    for m in range(n):
+        eq = {unit(m): -1}
+        for l in range(-n, n + 1):
+            if abs(m - l) <= n:
+                key = unit(abs(l), abs(m - l))
+                eq[key] = eq.get(key, 0) + 1
+        eqs.append(eq)
+    eqs.append({unit(): -1, unit(0): 1, **{unit(i): 2 for i in range(1, n + 1)}})
+    return [Polynomial(field, n + 1, {m: field.from_int(c) for m, c in eq.items() if c})
+            for eq in eqs]
+
+
 def test_cyclic5_matches_sympy():
     gens = _cyclic(5, GF(32003))
     basis = groebner_basis(gens, DEGREVLEX)
     assert len(basis) == 20
     assert _as_sets(basis) == _sympy_basis(gens, GF(32003))
+
+
+@pytest.mark.parametrize("system,size", [(lambda F: _katsura(5, F), 22),
+                                         (lambda F: _cyclic(5, F), 20)],
+                         ids=["katsura-5", "cyclic-5"])
+def test_standard_system_over_q_matches_sympy(system, size):
+    gens = system(QQ)
+    basis = groebner_basis(gens, DEGREVLEX)
+    assert len(basis) == size
+    assert _as_sets(basis) == _sympy_basis(gens, QQ)
 
 
 # Degree grows during these lex reductions: x - y^3 turns x^3 into y^9.
@@ -320,8 +350,8 @@ GROWING = [
 
 
 @st.composite
-def reductions(draw):
-    field = draw(st.sampled_from([QQ, GF(7)]))
+def reductions(draw, fields=(QQ, GF(7))):
+    field = draw(st.sampled_from(fields))
     nvars = draw(st.integers(2, 3))
     monos = st.tuples(*[st.integers(0, 4)] * nvars)
     coeffs = st.integers(-3, 3).filter(bool)
@@ -361,3 +391,27 @@ def test_lex_reduction_may_grow_past_the_degree_budget(case):
     assert normal_form(p, basis, LEX) == _normal_form_oracle(p, basis, LEX)
     with pytest.raises(ResourceBudgetError):
         normal_form(p, basis, LEX, Budgets(max_degree=grown - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(reductions(fields=(QQ,)), st.sampled_from([DEGREVLEX, LEX, BlockElim(1)]))
+@example((*GROWING[0], 8), LEX)
+@example((*GROWING[0], 9), LEX)
+def test_integer_remainder_is_a_multiple_of_the_exact_one(case, order):
+    p, basis, max_degree = case
+    budgets = Budgets(max_degree=max_degree)
+    ints, p_scale = _integer_form(p.terms)
+    reducers = [(_lead(g, order), _integer_form(g.terms)[0]) for g in basis]
+    try:
+        expected = _normal_form_oracle(p, basis, order, budgets)
+    except ResourceBudgetError:
+        with pytest.raises(ResourceBudgetError):
+            _reduce_int(ints, reducers, order, max_degree)
+        return
+    remainder, scale = _reduce_int(ints, reducers, order, max_degree)
+    assert remainder == {m: scale * p_scale * c for m, c in expected.terms.items()}
+    assert scale != 0
+    if remainder:
+        assert next(iter(remainder.values())) > 0
+        assert math.gcd(*remainder.values()) == 1
+        assert list(remainder) == sorted(remainder, key=order.key, reverse=True)
