@@ -3,8 +3,8 @@
 Produces reduced (monic, auto-reduced) Groebner bases, which are unique for
 a given ideal and monomial order.
 
-* Leading monomials are computed once per basis element (memoized on the
-  ``Polynomial``, and kept in a ``leads`` list beside the basis).
+* Leading monomials are computed once per basis element and kept in a
+  ``leads`` list beside the basis.
 * Pairs wait in a heap under the normal selection strategy: each gets its
   key (degree of the lcm, order key of the lcm, i, j) once, when created.
 * The Gebauer-Moeller update (Gebauer & Moeller 1988, "On an installation
@@ -13,8 +13,18 @@ a given ideal and monomial order.
   coprime leading monomials, and it drops old pairs whose lcm the new
   leading monomial divides strictly.  Elements whose leading monomial the
   new one divides stop serving as reducers.
-* ``normal_form`` reduces into one dict, with a heap of negated order keys
+* Division reduces into one dict, with a heap of negated order keys
   giving the next leading term.
+* Over Q, division is fraction-free (Arnold 2003, "Modular algorithms for
+  computing Groebner bases", on its integer side): ``_reduce_int`` works on
+  primitive integer polynomials, and each element of a basis under
+  construction is kept as one.  Invariant: its remainder is a nonzero
+  rational multiple of the exact remainder, since it scales the dividend
+  where exact division divides the reducer, and it picks the same reducer
+  at every step.  So bases, pairs and zero tests are those of exact
+  division, and ``normal_form`` recovers the exact remainder by dividing by
+  the one tracked scale.  ``Fraction``s appear only when a finished basis
+  element is made monic.
 
 Budgets (`max_pairs`, `max_degree`) fail loudly instead of hanging.
 """
@@ -22,8 +32,8 @@ Budgets (`max_pairs`, `max_degree`) fail loudly instead of hanging.
 from __future__ import annotations
 
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
 import math
+from heapq import heapify, heappop, heappush
 from math import gcd
 from typing import List
 
@@ -53,18 +63,49 @@ def normal_form(
     element whose leading monomial divides it, or moves the term to the
     remainder.  Raises ``max_degree`` as soon as a term of larger degree
     appears (lex and elimination orders can grow degree while reducing).
+    Over Q the division runs on integers and the exact remainder is the
+    integer one divided by its tracked scale.
     """
     if p.is_zero():
         return p
-    max_degree = budgets.max_degree
-    if p.total_degree() > max_degree:
+    remainder, scale = _divide(p, basis, order, budgets)
+    if p.field.kind == "q":
+        remainder = {m: Fraction(c) / scale for m, c in remainder.items()}
+    return Polynomial(p.field, p.nvars, remainder)
+
+
+def reduces_to_zero(
+    p: Polynomial,
+    basis: List[Polynomial],
+    order: MonomialOrder,
+    budgets: Budgets = DEFAULT_BUDGETS,
+) -> bool:
+    """True iff ``normal_form(p, basis, order)`` is zero, without making the
+    remainder exact: over Q a nonzero multiple of it decides."""
+    return p.is_zero() or not _divide(p, basis, order, budgets)[0]
+
+
+def _divide(p: Polynomial, basis: List[Polynomial], order: MonomialOrder, budgets: Budgets):
+    """``(remainder, scale)``: over F_p the exact remainder terms and 1;
+    over Q a primitive integer remainder, ``scale`` times the exact one."""
+    reducers = [(g.leading_monomial(order), g.terms) for g in basis if not g.is_zero()]
+    if p.field.kind == "fp":
+        return _reduce_fp(p.terms, reducers, p.field, order, budgets.max_degree), 1
+    ints, scale = _integer_form(p.terms)
+    reducers = [(gm, _integer_form(terms)[0]) for gm, terms in reducers]
+    remainder, r_scale = _reduce_int(ints, reducers, order, budgets.max_degree)
+    return remainder, scale * r_scale
+
+
+def _reduce_fp(terms, reducers, F, order: MonomialOrder, max_degree: int):
+    """Division of ``terms`` over the prime field ``F`` by ``reducers``,
+    given as ``(leading monomial, terms)``; returns the remainder terms."""
+    if any(mono_deg(m) > max_degree for m in terms):
         raise ResourceBudgetError("max_degree", max_degree)
-    F = p.field
     key = order.key
-    lead = [(g.leading_monomial(order), g.terms) for g in basis if not g.is_zero()]
     # Cancelled terms stay in ``work`` as zeros, so a monomial enters the
     # heap (and has its key computed) at most once.
-    work = dict(p.terms)
+    work = dict(terms)
     heap = [(descending(key(m)), m) for m in work]
     heapify(heap)
     remainder = {}
@@ -73,7 +114,7 @@ def normal_form(
         lc = work.pop(lm)
         if not lc:
             continue
-        for gm, gterms in lead:
+        for gm, gterms in reducers:
             if mono_divides(gm, lm):
                 break
         else:
@@ -92,7 +133,7 @@ def normal_form(
                     raise ResourceBudgetError("max_degree", max_degree)
                 work[m] = F.neg(F.mul(c, v))
                 heappush(heap, (descending(key(m)), m))
-    return Polynomial(F, p.nvars, remainder)
+    return remainder
 
 
 def _integer_form(terms):
@@ -165,11 +206,24 @@ def _reduce_int(terms, reducers, order: MonomialOrder, max_degree: int):
     return {m: v // content for m, v in remainder.items()}, Fraction(scale, content)
 
 
-def _s_polynomial(f: Polynomial, fm, g: Polynomial, gm, lcm) -> Polynomial:
-    F = f.field
-    left = f.mul_term(mono_div(lcm, fm), F.inv(f.terms[fm]))
-    right = g.mul_term(mono_div(lcm, gm), F.inv(g.terms[gm]))
-    return left - right
+def _s_polynomial(f, fm, g, gm, lcm, p: int):
+    """Fraction-free S-polynomial of the forms ``f`` and ``g``:
+    ``(cg/e)*(lcm/fm)*f - (cf/e)*(lcm/gm)*g``, where ``cf`` and ``cg`` are
+    their leading coefficients and ``e = gcd(cf, cg)``, a nonzero multiple
+    of the S-polynomial of the monic elements.  Over F_p (``p`` nonzero)
+    the forms are monic and the result is reduced mod ``p``."""
+    cf, cg = f[fm], g[gm]
+    e = gcd(cf, cg)
+    a, b = cg // e, cf // e
+    qf, qg = mono_div(lcm, fm), mono_div(lcm, gm)
+    s = {mono_mul(qf, t): a * v for t, v in f.items() if t is not fm}
+    for t, v in g.items():
+        if t is not gm:
+            m = mono_mul(qg, t)
+            s[m] = s.get(m, 0) - b * v
+    if p:
+        return {m: v % p for m, v in s.items() if v % p}
+    return {m: v for m, v in s.items() if v}
 
 
 def groebner_basis(
@@ -186,20 +240,41 @@ def groebner_basis(
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         return []
+    max_degree = budgets.max_degree
     for g in gens:
-        if g.total_degree() > budgets.max_degree:
-            raise ResourceBudgetError("max_degree", budgets.max_degree)
+        if g.total_degree() > max_degree:
+            raise ResourceBudgetError("max_degree", max_degree)
+    F, nvars = gens[0].field, gens[0].nvars
 
-    basis: List[Polynomial] = []
-    leads = []  # leads[i] is the leading monomial of basis[i]
-    active: List[int] = []  # basis indices still used as reducers
+    # Each element is kept as a form: its primitive integer multiple with a
+    # positive leading coefficient over Q, itself (monic) over F_p.  A
+    # remainder lists its leading term first.
+    if F.kind == "q":
+        def reduce(terms, reducers):
+            return _reduce_int(terms, reducers, order, max_degree)[0]
+
+        def element(form):
+            lc = next(iter(form.values()))
+            return Polynomial(F, nvars, {m: Fraction(c, lc) for m, c in form.items()})
+    else:
+        def reduce(terms, reducers):
+            remainder = _reduce_fp(terms, reducers, F, order, max_degree)
+            inv = F.inv(next(iter(remainder.values()))) if remainder else 0
+            return {m: F.mul(c, inv) for m, c in remainder.items()}
+
+        def element(form):
+            return Polynomial(F, nvars, form)
+
+    forms = []  # forms[i] is the form of the i-th element
+    leads = []  # leads[i] is its leading monomial, a key of forms[i]
+    active: List[int] = []  # element indices still used as reducers
     pairs = []  # heap of (deg lcm, order key of lcm, i, j, lcm)
 
-    def update(h: Polynomial) -> None:
-        """Add ``h`` to the basis and its pairs to the queue (Gebauer-Moeller)."""
-        new = len(basis)
-        hm = h.leading_monomial(order)
-        basis.append(h)
+    def update(hm, h) -> None:
+        """Add the form ``h`` with leading monomial ``hm`` and its pairs to
+        the queue (Gebauer-Moeller)."""
+        new = len(forms)
+        forms.append(h)
         leads.append(hm)
         candidates = [(mono_lcm(leads[k], hm), k) for k in active]
         # Criterion M: of the new pairs, keep one per minimal lcm (the last
@@ -235,7 +310,8 @@ def groebner_basis(
         g = g.monic(order)
         if g not in seen:
             seen.add(g)
-            update(g)
+            update(g.leading_monomial(order),
+                   _integer_form(g.terms)[0] if F.kind == "q" else g.terms)
 
     processed = 0
     while pairs:
@@ -243,25 +319,19 @@ def groebner_basis(
         if processed > budgets.max_pairs:
             raise ResourceBudgetError("max_pairs", budgets.max_pairs)
         _, _, i, j, lcm = heappop(pairs)
-        s = _s_polynomial(basis[i], leads[i], basis[j], leads[j], lcm)
-        s = normal_form(s, [basis[k] for k in active], order, budgets)
-        if not s.is_zero():
-            update(s.monic(order))
+        s = _s_polynomial(forms[i], leads[i], forms[j], leads[j], lcm, F.p)
+        h = reduce(s, [(leads[k], forms[k]) for k in active])
+        if h:
+            update(next(iter(h)), h)
 
-    return _reduce_basis([basis[k] for k in active], order, budgets)
-
-
-def _reduce_basis(basis: List[Polynomial], order: MonomialOrder, budgets: Budgets) -> List[Polynomial]:
     # Minimalize: drop members whose leading monomial another's divides (the
     # leading monomials of the active elements are distinct, since adding an
     # element retires every one whose leading monomial it divides).
-    lead = [g.leading_monomial(order) for g in basis]
-    reduced = [g for i, g in enumerate(basis)
-               if not any(j != i and mono_divides(m, lead[i]) for j, m in enumerate(lead))]
+    members = [(leads[k], forms[k]) for k in active
+               if not any(j != k and mono_divides(leads[j], leads[k]) for j in active)]
     # Auto-reduce: leading monomials never change, so one pass of replacing
-    # each member by its normal form against the others suffices.
-    for i in range(len(reduced)):
-        others = reduced[:i] + reduced[i + 1:]
-        reduced[i] = normal_form(reduced[i], others, order, budgets).monic(order)
-    reduced.sort(key=lambda g: order.key(g.leading_monomial(order)), reverse=True)
-    return reduced
+    # each member by its remainder against the others suffices.
+    for i, (hm, h) in enumerate(members):
+        members[i] = (hm, reduce(h, members[:i] + members[i + 1:]))
+    members.sort(key=lambda member: order.key(member[0]), reverse=True)
+    return [element(h) for _, h in members]

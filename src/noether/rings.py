@@ -17,7 +17,7 @@ from . import univar
 from .config import Budgets, DEFAULT_BUDGETS
 from .errors import DomainError, ResourceBudgetError
 from .fields import FieldSpec
-from .groebner import groebner_basis, normal_form
+from .groebner import groebner_basis, normal_form, reduces_to_zero
 from .parse import parse_polynomial
 from .poly import BlockElim, DEGREVLEX, Polynomial, exact_divmod
 
@@ -175,7 +175,7 @@ class IdealHandle:
     # -- predicates ----------------------------------------------------------
 
     def contains(self, p: Polynomial, budgets: Budgets = DEFAULT_BUDGETS) -> bool:
-        return normal_form(p, list(self.canonical_basis(budgets)), self.ring.order, budgets).is_zero()
+        return reduces_to_zero(p, list(self.canonical_basis(budgets)), self.ring.order, budgets)
 
     def is_unit_ideal(self, budgets: Budgets = DEFAULT_BUDGETS) -> bool:
         basis = self.canonical_basis(budgets)
