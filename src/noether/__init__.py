@@ -63,8 +63,7 @@ _EXPORTS = {
     "baer": (
         "BaerReport", "baer_test", "LedgerEntry", "BaerModule",
         "BaerStepResult", "baer_step", "BaerChain", "baer_chain",
-        "chain_fixed_pointwise", "injective_envelope_bruteforce",
-        "first_principles_injective",
+        "injective_envelope_bruteforce", "first_principles_injective",
     ),
     "tower": (
         "EXPONENT_RULES", "deleted_exponents", "TowerLevel", "tower_ring",

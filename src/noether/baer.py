@@ -273,9 +273,8 @@ def baer_chain(M: FiniteModule, K: int,
 
 
 def chain_fixed_pointwise(chain: BaerChain) -> bool:
-    """Composed embeddings act on the base module elements injectively and
-    compatibly: embedding a stage element and then the next stage gives the
-    same class as embedding through the normal forms directly."""
+    """The composed embeddings of the chain are injective on the base
+    module's elements.  Not exported: a check for tests of ``baer_chain``."""
     if not chain.steps:
         return True
     base = chain.stages[0]

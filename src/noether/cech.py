@@ -247,7 +247,7 @@ class AffineWindow:
 def _principal_generator(I: IdealHandle,
                          budgets: Budgets) -> Optional[Polynomial]:
     """Monic single generator of a univariate ideal (None for the zero ideal)."""
-    basis = I.plain_basis(budgets)
+    basis = I.canonical_basis(budgets)
     if not basis:
         return None
     if len(basis) != 1:

@@ -16,15 +16,11 @@ a given ideal and monomial order.
 * Division reduces into one dict, with a heap of negated order keys
   giving the next leading term.
 * Over Q, division is fraction-free (Arnold 2003, "Modular algorithms for
-  computing Groebner bases", on its integer side): ``_reduce_int`` works on
-  primitive integer polynomials, and each element of a basis under
-  construction is kept as one.  Invariant: its remainder is a nonzero
-  rational multiple of the exact remainder, since it scales the dividend
-  where exact division divides the reducer, and it picks the same reducer
-  at every step.  So bases, pairs and zero tests are those of exact
-  division, and ``normal_form`` recovers the exact remainder by dividing by
-  the one tracked scale.  ``Fraction``s appear only when a finished basis
-  element is made monic.
+  computing Groebner bases"): ``_reduce_int`` divides primitive integer
+  polynomials, the form each basis element is kept in until the end.
+  Invariant: its remainder is a nonzero rational multiple of the exact one,
+  reached through the same reducers, so bases, pairs and zero tests are
+  those of exact division; ``normal_form`` divides by the tracked scale.
 
 Budgets (`max_pairs`, `max_degree`) fail loudly instead of hanging.
 """
@@ -74,14 +70,10 @@ def normal_form(
     return Polynomial(p.field, p.nvars, remainder)
 
 
-def reduces_to_zero(
-    p: Polynomial,
-    basis: List[Polynomial],
-    order: MonomialOrder,
-    budgets: Budgets = DEFAULT_BUDGETS,
-) -> bool:
-    """True iff ``normal_form(p, basis, order)`` is zero, without making the
-    remainder exact: over Q a nonzero multiple of it decides."""
+def reduces_to_zero(p: Polynomial, basis: List[Polynomial], order: MonomialOrder,
+                    budgets: Budgets = DEFAULT_BUDGETS) -> bool:
+    """True iff ``normal_form(p, basis, order)`` is zero; over Q the
+    remainder is not made exact, since a nonzero multiple of it decides."""
     return p.is_zero() or not _divide(p, basis, order, budgets)[0]
 
 
@@ -147,16 +139,14 @@ def _integer_form(terms):
 
 def _reduce_int(terms, reducers, order: MonomialOrder, max_degree: int):
     """Fraction-free division of integer ``terms`` by integer ``reducers``,
-    given as ``(leading monomial, terms)``.
+    given as ``(leading monomial, terms)``; returns ``(remainder, scale)``.
 
-    Returns ``(remainder, scale)``: the remainder is ``scale`` times the
-    exact remainder over Q, primitive, with a positive leading coefficient
-    and its keys in decreasing order.  Each step picks the reducer that
-    ``normal_form`` picks and computes ``a*work - b*q*g``, where
-    ``a = lc(g)/e``, ``b = lc(work)/e`` and ``e = gcd(lc(work), lc(g))``; the
-    remainder so far picks up the same factor ``a``.  The degree budget
-    raises exactly where exact division's does, since a coefficient here is
-    zero exactly when the exact one is.
+    Each step takes the reducer exact division takes and computes
+    ``a*work - b*q*g`` with ``a = lc(g)/e``, ``b = lc(work)/e``, ``e =
+    gcd(lc(work), lc(g))``; the remainder so far is multiplied by ``a`` too.
+    So a coefficient is zero exactly when the exact one is (the degree
+    budget raises at the same term), and the remainder is ``scale`` times
+    the exact one: primitive, positive leading coefficient first.
     """
     if any(mono_deg(m) > max_degree for m in terms):
         raise ResourceBudgetError("max_degree", max_degree)
@@ -259,7 +249,9 @@ def groebner_basis(
     else:
         def reduce(terms, reducers):
             remainder = _reduce_fp(terms, reducers, F, order, max_degree)
-            inv = F.inv(next(iter(remainder.values()))) if remainder else 0
+            if not remainder:
+                return remainder
+            inv = F.inv(next(iter(remainder.values())))
             return {m: F.mul(c, inv) for m, c in remainder.items()}
 
         def element(form):

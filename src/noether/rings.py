@@ -134,17 +134,17 @@ class IdealHandle:
                 raise DomainError("generator from a different ring")
         self.ring = ring
         self.generators = tuple(generators)
-        self._plain_basis: Optional[Tuple[Polynomial, ...]] = None
         self._canonical: Optional[Tuple[Polynomial, ...]] = None
 
     # -- bases -------------------------------------------------------------
 
     def plain_basis(self, budgets: Budgets = DEFAULT_BUDGETS) -> Tuple[Polynomial, ...]:
-        """Reduced Groebner basis of (generators + quotient), no saturation."""
-        if self._plain_basis is None:
-            gens = list(self.generators) + list(self.ring.quotient)
-            self._plain_basis = self._reduced_basis(gens, budgets)
-        return self._plain_basis
+        """Reduced Groebner basis of (generators + quotient), no saturation.
+
+        Not cached and not used by the library: an ideal's one basis is
+        :meth:`canonical_basis`.
+        """
+        return self._reduced_basis(list(self.generators) + list(self.ring.quotient), budgets)
 
     def canonical_basis(self, budgets: Budgets = DEFAULT_BUDGETS) -> Tuple[Polynomial, ...]:
         """Reduced Groebner basis of the ideal's canonical form.
@@ -203,7 +203,7 @@ class IdealHandle:
 
 def op_groebner_basis(I: IdealHandle, budgets: Budgets = DEFAULT_BUDGETS) -> List[Polynomial]:
     """Reduced Groebner basis of the ideal's canonical form (saturated by the
-    inverted elements; the plain basis when nothing is inverted)."""
+    inverted elements)."""
     return list(I.canonical_basis(budgets))
 
 
@@ -249,14 +249,15 @@ def saturate(I: IdealHandle, f: Polynomial, budgets: Budgets = DEFAULT_BUDGETS) 
 def colon_ideal(I: IdealHandle, p: Polynomial, budgets: Budgets = DEFAULT_BUDGETS) -> IdealHandle:
     """The colon ideal (I : p) for a single element, via (I intersect (p))/p.
 
-    Works with the plain (unsaturated) basis: the intersection is taken
-    inside k[vars], where membership in (p) is exact divisibility by p.
+    Works with the canonical basis, since colon commutes with saturation:
+    (I : p) : s^inf = (I : s^inf) : p.  The intersection is taken inside
+    k[vars], where membership in (p) is exact divisibility by p.
     """
     ring = I.ring
     if p.is_zero():
         return IdealHandle(ring, (ring.one(),))
     gens = []
-    for g in _intersection_gens(ring.field, ring.nvars, I.plain_basis(budgets), [p], budgets):
+    for g in _intersection_gens(ring.field, ring.nvars, I.canonical_basis(budgets), [p], budgets):
         q, r = exact_divmod(g, p)
         if not r.is_zero():
             raise DomainError("intersection generator not divisible by the colon element")

@@ -121,6 +121,16 @@ def test_affine_vanishing_on_the_empty_cover(R, ideal):
     assert affine_vanishing_check(R, R.ideal(*ideal), cover_of(R, "0"), AffineWindow())
 
 
+@pytest.mark.parametrize("ideal", [["x"], ["1"]])
+def test_affine_complex_of_equal_ideals_in_a_localization(ideal):
+    # In Q[x, 1/x] the ideals (x) and (1) are equal, so their sheaves are.
+    report = run_job(JobSpec("cech-affine", {
+        "op": "complex", "ring": {"vars": ["x"], "inverted": ["x"]}, "ideal": ideal,
+        "cover": {"target": "1", "pieces": ["x - 1", "x + 1"]}}))
+    assert report.status == "pass", report.result
+    assert report.result["cohomology"] == [9, 0]
+
+
 @pytest.mark.parametrize("payload,code,result", [
     ({"op": "complex", "ideal": ["x"], "cover": {"target": "x", "pieces": ["0", "x"]}},
      0, [11, 0]),

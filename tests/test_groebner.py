@@ -63,16 +63,30 @@ def test_normal_form_is_zero_exactly_on_members():
     assert not normal_form(polys("x")[0], basis, DEGREVLEX).is_zero()
 
 
+# Each budget fails loudly, and at the same limit over Q (integer
+# reduction) as over F_p.
+BUDGET_FIELDS = (QQ, GF(32003))
+
+
 def test_budget_max_degree_raises():
-    tight = Budgets(max_degree=3)
-    with pytest.raises(ResourceBudgetError):
-        groebner_basis(polys("x^5 - y"), DEGREVLEX, tight)
+    tight = Budgets(max_degree=4)
+    # A generator past the budget, and a lex reduction that grows past it:
+    # x*y^3 reduced by x - y^3 gives y^6.
+    cases = [(("x^5 - y",), DEGREVLEX), (("x - y^3", "x^2 + y"), LEX)]
+    for field in BUDGET_FIELDS:
+        for texts, order in cases:
+            with pytest.raises(ResourceBudgetError) as info:
+                groebner_basis(polys(*texts, field=field), order, tight)
+            assert (info.value.budget_name, info.value.limit) == ("max_degree", 4)
 
 
 def test_budget_max_pairs_raises():
     tight = Budgets(max_pairs=1)
-    with pytest.raises(ResourceBudgetError):
-        groebner_basis(polys("x^2 - y", "x*y - 1", "y^3 - x"), DEGREVLEX, tight)
+    for field in BUDGET_FIELDS:
+        with pytest.raises(ResourceBudgetError) as info:
+            groebner_basis(polys("x^2 - y", "x*y - 1", "y^3 - x", field=field),
+                           DEGREVLEX, tight)
+        assert (info.value.budget_name, info.value.limit) == ("max_pairs", 1)
 
 
 MONOS = [(i, j) for i in range(4) for j in range(4 - i)]

@@ -41,7 +41,7 @@ def is_unit(basis):
 def test_gcd_basis_equals_buchberger(field, gens):
     ps = [poly(field, g) for g in gens]
     ring = PresentedRing(field, ("x",))
-    assert list(ring.ideal(ps).plain_basis()) == groebner_basis(ps, DEGREVLEX)
+    assert list(ring.ideal(ps).canonical_basis()) == groebner_basis(ps, DEGREVLEX)
 
 
 @settings(deadline=None)
@@ -51,7 +51,7 @@ def test_univariate_saturation_equals_rabinowitsch(field, gens, f_coeffs):
     if f.is_zero():
         f = poly(field, [1])
     ring = PresentedRing(field, ("x",))
-    fast = saturate(ring.ideal([poly(field, g) for g in gens]), f).plain_basis()
+    fast = saturate(ring.ideal([poly(field, g) for g in gens]), f).canonical_basis()
     t = Polynomial.var(field, 2, 0)
     one = Polynomial.const(field, 2, 1)
     lifted = [poly(field, g).lift(1) for g in gens] + [one - t * f.lift(1)]
