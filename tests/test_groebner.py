@@ -12,7 +12,8 @@ from noether.acceptance import ORACLE_SLACK
 from noether.config import Budgets
 from noether.errors import ResourceBudgetError
 from noether.fields import GF, QQ
-from noether.groebner import _integer_form, _reduce_int, groebner_basis, normal_form
+from noether.groebner import (_integer_form, _reduce_fp, _reduce_int, groebner_basis,
+                              normal_form)
 from noether.parse import parse_polynomial
 from noether.poly import DEGREVLEX, LEX, BlockElim, Polynomial
 
@@ -408,24 +409,36 @@ def test_lex_reduction_may_grow_past_the_degree_budget(case):
 
 
 @settings(max_examples=150, deadline=None)
-@given(reductions(fields=(QQ,)), st.sampled_from([DEGREVLEX, LEX, BlockElim(1)]))
+@given(reductions(), st.sampled_from([DEGREVLEX, LEX, BlockElim(1)]))
 @example((*GROWING[0], 8), LEX)
 @example((*GROWING[0], 9), LEX)
+@example((*GROWING[1], 12), LEX)
 def test_integer_remainder_is_a_multiple_of_the_exact_one(case, order):
+    # The drawn F_p reducers are not monic.
     p, basis, max_degree = case
     budgets = Budgets(max_degree=max_degree)
-    ints, p_scale = _integer_form(p.terms)
-    reducers = [(_lead(g, order), _integer_form(g.terms)[0]) for g in basis]
+    if p.field == QQ:
+        ints, p_scale = _integer_form(p.terms)
+        reducers = [(_lead(g, order), _integer_form(g.terms)[0]) for g in basis]
+
+        def reduce():
+            return _reduce_int(ints, reducers, order, max_degree)
+    else:
+        p_scale = 1
+        reducers = [(_lead(g, order), g.terms) for g in basis]
+
+        def reduce():
+            return _reduce_fp(p.terms, reducers, p.field, order, max_degree), 1
     try:
         expected = _normal_form_oracle(p, basis, order, budgets)
     except ResourceBudgetError:
         with pytest.raises(ResourceBudgetError):
-            _reduce_int(ints, reducers, order, max_degree)
+            reduce()
         return
-    remainder, scale = _reduce_int(ints, reducers, order, max_degree)
+    remainder, scale = reduce()
     assert remainder == {m: scale * p_scale * c for m, c in expected.terms.items()}
     assert scale != 0
-    if remainder:
+    if remainder and p.field == QQ:
         assert next(iter(remainder.values())) > 0
         assert math.gcd(*remainder.values()) == 1
-        assert list(remainder) == sorted(remainder, key=order.key, reverse=True)
+    assert list(remainder) == sorted(remainder, key=order.key, reverse=True)
