@@ -13,14 +13,17 @@ a given ideal and monomial order.
   coprime leading monomials, and it drops old pairs whose lcm the new
   leading monomial divides strictly.  Elements whose leading monomial the
   new one divides stop serving as reducers.
-* Division reduces into one dict, with a heap of negated order keys
-  giving the next leading term.
-* Over Q, division is fraction-free (Arnold 2003, "Modular algorithms for
-  computing Groebner bases"): ``_reduce_int`` divides primitive integer
-  polynomials, the form each basis element is kept in until the end.
-  Invariant: its remainder is a nonzero rational multiple of the exact one,
-  reached through the same reducers, so bases, pairs and zero tests are
-  those of exact division; ``normal_form`` divides by the tracked scale.
+* Division is one loop, ``_reduce``, for both fields.  It reduces into one
+  dict, with a heap of negated order keys giving the next leading term.
+  It is fraction-free (Arnold 2003, "Modular algorithms for computing
+  Groebner bases"): it divides integer polynomials, over Q primitive ones
+  and over F_p ones with coefficients in ``range(p)``, reduced mod ``p``
+  when popped.  Like ``_s_polynomial``, it takes the field as ``p``: the
+  characteristic, 0 over Q.  Invariant: its remainder is a nonzero
+  multiple of the exact one, reached through the same reducers, so bases,
+  pairs and zero tests are those of exact division.  Each basis element is
+  kept in that normalized form until the end; ``normal_form`` divides by
+  the tracked scale.
 
 Budgets (`max_pairs`, `max_degree`) fail loudly instead of hanging.
 """
@@ -59,94 +62,59 @@ def normal_form(
     element whose leading monomial divides it, or moves the term to the
     remainder.  Raises ``max_degree`` as soon as a term of larger degree
     appears (lex and elimination orders can grow degree while reducing).
-    Over Q the division runs on integers and the exact remainder is the
-    integer one divided by its tracked scale.
+    The exact remainder is the normalized one divided by its tracked scale.
     """
     if p.is_zero():
         return p
+    F = p.field
     remainder, scale = _divide(p, basis, order, budgets)
-    if p.field.kind == "q":
-        remainder = {m: Fraction(c) / scale for m, c in remainder.items()}
-    return Polynomial(p.field, p.nvars, remainder)
+    inv = F.inv(scale)
+    return Polynomial(F, p.nvars, {m: F.mul(c, inv) for m, c in remainder.items()})
 
 
 def reduces_to_zero(p: Polynomial, basis: List[Polynomial], order: MonomialOrder,
                     budgets: Budgets = DEFAULT_BUDGETS) -> bool:
-    """True iff ``normal_form(p, basis, order)`` is zero; over Q the
-    remainder is not made exact, since a nonzero multiple of it decides."""
+    """True iff ``normal_form(p, basis, order)`` is zero; the remainder is
+    not made exact, since a nonzero multiple of it decides."""
     return p.is_zero() or not _divide(p, basis, order, budgets)[0]
 
 
 def _divide(p: Polynomial, basis: List[Polynomial], order: MonomialOrder, budgets: Budgets):
-    """``(remainder, scale)``: over F_p the exact remainder terms and 1;
-    over Q a primitive integer remainder, ``scale`` times the exact one."""
-    reducers = [(g.leading_monomial(order), g.terms) for g in basis if not g.is_zero()]
-    if p.field.kind == "fp":
-        return _reduce_fp(p.terms, reducers, p.field, order, budgets.max_degree), 1
-    ints, scale = _integer_form(p.terms)
-    reducers = [(gm, _integer_form(terms)[0]) for gm, terms in reducers]
-    remainder, r_scale = _reduce_int(ints, reducers, order, budgets.max_degree)
+    """``(remainder, scale)``: the normalized remainder of ``p`` by
+    ``basis`` (see ``_reduce``), ``scale`` times the exact one."""
+    F = p.field
+    terms, scale = _form(p.terms, F)
+    reducers = [(g.leading_monomial(order), _form(g.terms, F)[0])
+                for g in basis if not g.is_zero()]
+    remainder, r_scale = _reduce(terms, reducers, order, budgets.max_degree, F.p)
     return remainder, scale * r_scale
 
 
-def _reduce_fp(terms, reducers, F, order: MonomialOrder, max_degree: int):
-    """Division of ``terms`` over the prime field ``F`` by ``reducers``,
-    given as ``(leading monomial, terms)``; returns the remainder terms."""
-    if any(mono_deg(m) > max_degree for m in terms):
-        raise ResourceBudgetError("max_degree", max_degree)
-    key = order.key
-    # Cancelled terms stay in ``work`` as zeros, so a monomial enters the
-    # heap (and has its key computed) at most once.
-    work = dict(terms)
-    heap = [(descending(key(m)), m) for m in work]
-    heapify(heap)
-    remainder = {}
-    while heap:
-        lm = heappop(heap)[1]
-        lc = work.pop(lm)
-        if not lc:
-            continue
-        for gm, gterms in reducers:
-            if mono_divides(gm, lm):
-                break
-        else:
-            remainder[lm] = lc
-            continue
-        q = mono_div(lm, gm)
-        c = F.div(lc, gterms[gm])
-        for t, v in gterms.items():
-            if t is gm:
-                continue
-            m = mono_mul(q, t)
-            if m in work:
-                work[m] = F.sub(work[m], F.mul(c, v))
-            else:
-                if mono_deg(m) > max_degree:
-                    raise ResourceBudgetError("max_degree", max_degree)
-                work[m] = F.neg(F.mul(c, v))
-                heappush(heap, (descending(key(m)), m))
-    return remainder
-
-
-def _integer_form(terms):
-    """``(ints, scale)``: the primitive integer multiple ``scale * terms`` of
-    rational ``terms``, and the rational ``scale``."""
+def _form(terms, F):
+    """``(form, scale)``: over Q the primitive integer multiple ``scale *
+    terms`` of rational ``terms``; over F_p ``terms`` itself and 1."""
+    if F.p:
+        return terms, 1
     den = math.lcm(*(c.denominator for c in terms.values()))
     ints = {m: c.numerator * (den // c.denominator) for m, c in terms.items()}
     content = gcd(*ints.values())
     return {m: v // content for m, v in ints.items()}, Fraction(den, content)
 
 
-def _reduce_int(terms, reducers, order: MonomialOrder, max_degree: int):
+def _reduce(terms, reducers, order: MonomialOrder, max_degree: int, p: int):
     """Fraction-free division of integer ``terms`` by integer ``reducers``,
-    given as ``(leading monomial, terms)``; returns ``(remainder, scale)``.
+    given as ``(leading monomial, terms)``, over Z/p (``p`` prime) or over
+    Q (``p`` zero); returns ``(remainder, scale)``.
 
     Each step takes the reducer exact division takes and computes
     ``a*work - b*q*g`` with ``a = lc(g)/e``, ``b = lc(work)/e``, ``e =
     gcd(lc(work), lc(g))``; the remainder so far is multiplied by ``a`` too.
-    So a coefficient is zero exactly when the exact one is (the degree
-    budget raises at the same term), and the remainder is ``scale`` times
-    the exact one: primitive, positive leading coefficient first.
+    Over F_p coefficients are reduced mod ``p`` only when their term is
+    popped, and ``a`` is 1 for monic reducers.  So a coefficient is zero
+    exactly when the exact one is (the degree budget raises at the same
+    term), and the remainder is ``scale`` times the exact one, leading term
+    first: primitive with a positive leading coefficient over Q, monic over
+    F_p.
     """
     if any(mono_deg(m) > max_degree for m in terms):
         raise ResourceBudgetError("max_degree", max_degree)
@@ -161,6 +129,8 @@ def _reduce_int(terms, reducers, order: MonomialOrder, max_degree: int):
     while heap:
         lm = heappop(heap)[1]
         lc = work.pop(lm)
+        if p:
+            lc %= p
         if not lc:
             continue
         for gm, gterms in reducers:
@@ -189,9 +159,13 @@ def _reduce_int(terms, reducers, order: MonomialOrder, max_degree: int):
                 work[m] = -b * v
                 heappush(heap, (descending(key(m)), m))
     if not remainder:
-        return remainder, Fraction(scale)
+        return remainder, scale
+    lc = next(iter(remainder.values()))
+    if p:
+        inv = pow(lc, -1, p)
+        return {m: v * inv % p for m, v in remainder.items()}, scale * inv % p
     content = gcd(*remainder.values())
-    if next(iter(remainder.values())) < 0:
+    if lc < 0:
         content = -content
     return {m: v // content for m, v in remainder.items()}, Fraction(scale, content)
 
@@ -236,27 +210,9 @@ def groebner_basis(
             raise ResourceBudgetError("max_degree", max_degree)
     F, nvars = gens[0].field, gens[0].nvars
 
-    # Each element is kept as a form: its primitive integer multiple with a
-    # positive leading coefficient over Q, itself (monic) over F_p.  A
-    # remainder lists its leading term first.
-    if F.kind == "q":
-        def reduce(terms, reducers):
-            return _reduce_int(terms, reducers, order, max_degree)[0]
-
-        def element(form):
-            lc = next(iter(form.values()))
-            return Polynomial(F, nvars, {m: Fraction(c, lc) for m, c in form.items()})
-    else:
-        def reduce(terms, reducers):
-            remainder = _reduce_fp(terms, reducers, F, order, max_degree)
-            if not remainder:
-                return remainder
-            inv = F.inv(next(iter(remainder.values())))
-            return {m: F.mul(c, inv) for m, c in remainder.items()}
-
-        def element(form):
-            return Polynomial(F, nvars, form)
-
+    # Each element is kept as a form (see ``_reduce``): its primitive
+    # integer multiple with a positive leading coefficient over Q, itself
+    # (monic) over F_p.  A remainder lists its leading term first.
     forms = []  # forms[i] is the form of the i-th element
     leads = []  # leads[i] is its leading monomial, a key of forms[i]
     active: List[int] = []  # element indices still used as reducers
@@ -302,8 +258,7 @@ def groebner_basis(
         g = g.monic(order)
         if g not in seen:
             seen.add(g)
-            update(g.leading_monomial(order),
-                   _integer_form(g.terms)[0] if F.kind == "q" else g.terms)
+            update(g.leading_monomial(order), _form(g.terms, F)[0])
 
     processed = 0
     while pairs:
@@ -312,7 +267,7 @@ def groebner_basis(
             raise ResourceBudgetError("max_pairs", budgets.max_pairs)
         _, _, i, j, lcm = heappop(pairs)
         s = _s_polynomial(forms[i], leads[i], forms[j], leads[j], lcm, F.p)
-        h = reduce(s, [(leads[k], forms[k]) for k in active])
+        h = _reduce(s, [(leads[k], forms[k]) for k in active], order, max_degree, F.p)[0]
         if h:
             update(next(iter(h)), h)
 
@@ -324,6 +279,7 @@ def groebner_basis(
     # Auto-reduce: leading monomials never change, so one pass of replacing
     # each member by its remainder against the others suffices.
     for i, (hm, h) in enumerate(members):
-        members[i] = (hm, reduce(h, members[:i] + members[i + 1:]))
+        members[i] = (hm, _reduce(h, members[:i] + members[i + 1:], order, max_degree, F.p)[0])
     members.sort(key=lambda member: order.key(member[0]), reverse=True)
-    return [element(h) for _, h in members]
+    return [Polynomial(F, nvars, {m: F.div(c, h[hm]) for m, c in h.items()})
+            for hm, h in members]

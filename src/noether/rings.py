@@ -17,7 +17,7 @@ from . import univar
 from .config import Budgets, DEFAULT_BUDGETS
 from .errors import DomainError, ResourceBudgetError
 from .fields import FieldSpec
-from .groebner import groebner_basis, normal_form, reduces_to_zero
+from .groebner import groebner_basis, reduces_to_zero
 from .parse import parse_polynomial
 from .poly import BlockElim, DEGREVLEX, Polynomial, exact_divmod
 
@@ -41,7 +41,7 @@ class PresentedRing:
         if self.quotient:
             qb = groebner_basis(list(self.quotient), self.order)
             for p in self.inverted:
-                if normal_form(p, qb, self.order).is_zero():
+                if reduces_to_zero(p, qb, self.order):
                     raise DomainError("inverted element is zero modulo the quotient")
 
     @property

@@ -12,8 +12,7 @@ from noether.acceptance import ORACLE_SLACK
 from noether.config import Budgets
 from noether.errors import ResourceBudgetError
 from noether.fields import GF, QQ
-from noether.groebner import (_integer_form, _reduce_fp, _reduce_int, groebner_basis,
-                              normal_form)
+from noether.groebner import _form, _reduce, groebner_basis, normal_form
 from noether.parse import parse_polynomial
 from noether.poly import DEGREVLEX, LEX, BlockElim, Polynomial
 
@@ -414,31 +413,26 @@ def test_lex_reduction_may_grow_past_the_degree_budget(case):
 @example((*GROWING[0], 9), LEX)
 @example((*GROWING[1], 12), LEX)
 def test_integer_remainder_is_a_multiple_of_the_exact_one(case, order):
-    # The drawn F_p reducers are not monic.
+    # The drawn F_p reducers are not monic, so a = lc(g)/e is not 1 there.
     p, basis, max_degree = case
+    F = p.field
     budgets = Budgets(max_degree=max_degree)
-    if p.field == QQ:
-        ints, p_scale = _integer_form(p.terms)
-        reducers = [(_lead(g, order), _integer_form(g.terms)[0]) for g in basis]
-
-        def reduce():
-            return _reduce_int(ints, reducers, order, max_degree)
-    else:
-        p_scale = 1
-        reducers = [(_lead(g, order), g.terms) for g in basis]
-
-        def reduce():
-            return _reduce_fp(p.terms, reducers, p.field, order, max_degree), 1
+    terms, p_scale = _form(p.terms, F)
+    reducers = [(_lead(g, order), _form(g.terms, F)[0]) for g in basis]
     try:
         expected = _normal_form_oracle(p, basis, order, budgets)
     except ResourceBudgetError:
         with pytest.raises(ResourceBudgetError):
-            reduce()
+            _reduce(terms, reducers, order, max_degree, F.p)
         return
-    remainder, scale = reduce()
-    assert remainder == {m: scale * p_scale * c for m, c in expected.terms.items()}
-    assert scale != 0
-    if remainder and p.field == QQ:
-        assert next(iter(remainder.values())) > 0
-        assert math.gcd(*remainder.values()) == 1
-    assert list(remainder) == sorted(remainder, key=order.key, reverse=True)
+    remainder, scale = _reduce(terms, reducers, order, max_degree, F.p)
+    assert remainder == {m: F.mul(F.mul(scale, p_scale), c)
+                         for m, c in expected.terms.items()}
+    assert F.mul(scale, 1) != 0
+    if remainder:
+        lc = next(iter(remainder.values()))
+        if F == QQ:
+            assert lc > 0 and math.gcd(*remainder.values()) == 1
+        else:
+            assert lc == 1 and all(0 < v < F.p for v in remainder.values())
+        assert list(remainder) == sorted(remainder, key=order.key, reverse=True)
