@@ -3,6 +3,8 @@
 Grammar: integer coefficients, variables matching ``[a-z][0-9]*``, binary
 operators ``+ - * ^`` (also ``**``), unary minus, parentheses.  Whitespace
 is insignificant.  ``^`` exponents must be non-negative integer literals.
+A product or power whose degree would exceed the degree budget is refused
+before it is expanded.
 """
 
 from __future__ import annotations
@@ -10,7 +12,8 @@ from __future__ import annotations
 import re
 from typing import List, Tuple
 
-from .errors import ParseError
+from .config import Budgets, DEFAULT_BUDGETS
+from .errors import ParseError, ResourceBudgetError
 from .fields import FieldSpec
 from .poly import Polynomial
 
@@ -38,11 +41,16 @@ def _tokenize(text: str) -> List[Tuple[str, str, int]]:
 
 
 class _Parser:
-    def __init__(self, tokens, field: FieldSpec, var_names):
+    def __init__(self, tokens, field: FieldSpec, var_names, max_degree: int):
         self.tokens = tokens
         self.i = 0
         self.field = field
         self.var_names = list(var_names)
+        self.max_degree = max_degree
+
+    def bound(self, degree: int) -> None:
+        if degree > self.max_degree:
+            raise ResourceBudgetError("max_degree", self.max_degree)
 
     def peek(self):
         return self.tokens[self.i] if self.i < len(self.tokens) else None
@@ -91,7 +99,9 @@ class _Parser:
             tok = self.peek()
             if tok and tok[0] == "op" and tok[1] == "*":
                 self.take()
-                p = p * self.power()
+                q = self.power()
+                self.bound(p.total_degree() + q.total_degree())
+                p = p * q
             else:
                 return p
 
@@ -103,7 +113,9 @@ class _Parser:
             etok = self.take()
             if etok[0] != "int":
                 raise ParseError("exponent must be an integer literal", column=etok[2])
-            return base ** int(etok[1])
+            n = int(etok[1])
+            self.bound(base.total_degree() * n)
+            return base ** n
         return base
 
     def atom(self) -> Polynomial:
@@ -124,9 +136,10 @@ class _Parser:
         raise ParseError(f"unexpected token {tok[1]!r}", column=tok[2])
 
 
-def parse_polynomial(text: str, field: FieldSpec, var_names) -> Polynomial:
+def parse_polynomial(text: str, field: FieldSpec, var_names,
+                     budgets: Budgets = DEFAULT_BUDGETS) -> Polynomial:
     if not isinstance(text, str):
         raise ParseError(f"polynomial text must be a string, got {text!r}")
     if not text.strip():
         raise ParseError("empty polynomial text")
-    return _Parser(_tokenize(text), field, var_names).parse()
+    return _Parser(_tokenize(text), field, var_names, budgets.max_degree).parse()

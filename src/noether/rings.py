@@ -50,8 +50,8 @@ class PresentedRing:
 
     # -- element helpers ---------------------------------------------------
 
-    def parse(self, text: str) -> Polynomial:
-        return parse_polynomial(text, self.field, self.vars)
+    def parse(self, text: str, budgets: Budgets = DEFAULT_BUDGETS) -> Polynomial:
+        return parse_polynomial(text, self.field, self.vars, budgets)
 
     def zero(self) -> Polynomial:
         return Polynomial.zero(self.field, self.nvars)

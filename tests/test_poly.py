@@ -3,7 +3,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from noether.errors import ParseError
+from noether.config import Budgets
+from noether.errors import ParseError, ResourceBudgetError
 from noether.fields import GF, QQ
 from noether.parse import parse_polynomial
 from noether.poly import (
@@ -70,6 +71,19 @@ def test_parse_rejects_unknown_variable():
 def test_parse_rejects_garbage():
     with pytest.raises(ParseError):
         poly("x + + *")
+
+
+def test_parse_refuses_a_product_or_power_past_the_degree_budget():
+    small = Budgets(max_degree=8)
+    assert parse_polynomial("(x + y + 1)^8", QQ, VARS, small).total_degree() == 8
+    assert parse_polynomial("x^5*y^3", QQ, VARS, small).total_degree() == 8
+    for text in ("(x + y + 1)^9", "x^5*y^4", "x^3*(x*y)^3"):
+        with pytest.raises(ResourceBudgetError) as refused:
+            parse_polynomial(text, QQ, VARS, small)
+        assert (refused.value.budget_name, refused.value.limit) == ("max_degree", 8)
+    # The default budget is 64; the power is refused before it is expanded.
+    with pytest.raises(ResourceBudgetError):
+        parse_polynomial("(x + y + 1)^65", QQ, VARS)
 
 
 def test_arithmetic_in_characteristic_two():
