@@ -278,13 +278,15 @@ def _field_from_json(desc: str) -> FieldSpec:
                      "use 'q' or 'fp:<p>'")
 
 
-def _ring_from_json(desc: Dict[str, Any]) -> PresentedRing:
+def _ring_from_json(desc: Dict[str, Any], budgets: Budgets) -> PresentedRing:
     from .rings import PresentedRing
 
     field, vars_ = _field_from_json(desc["field"]), tuple(desc["vars"])
+    if len(set(vars_)) < len(vars_):
+        raise ParseError(f"'vars' must not repeat a name, got {desc['vars']!r}")
     base = PresentedRing(field, vars_)
-    quotient = tuple(base.parse(s) for s in desc["quotient"])
-    inverted = tuple(base.parse(s) for s in desc["inverted"])
+    quotient = tuple(base.parse(s, budgets) for s in desc["quotient"])
+    inverted = tuple(base.parse(s, budgets) for s in desc["inverted"])
     return PresentedRing(field, vars_, quotient, inverted)
 
 
@@ -345,14 +347,14 @@ def _module_from_json(R: FiniteRing, desc: Dict[str, Any],
     return build(free, span(free, gens))
 
 
-def _open_from_json(ring: PresentedRing, text: str) -> DistinguishedOpen:
+def _open_from_json(ring: PresentedRing, text: str, budgets: Budgets) -> DistinguishedOpen:
     from .topology import DistinguishedOpen
 
-    return DistinguishedOpen(ring, ring.parse(text))
+    return DistinguishedOpen(ring, ring.parse(text, budgets))
 
 
-def _ideal_from_json(ring: PresentedRing, texts: List[str]) -> IdealHandle:
-    return ring.ideal([ring.parse(s) for s in texts])
+def _ideal_from_json(ring: PresentedRing, texts: List[str], budgets: Budgets) -> IdealHandle:
+    return ring.ideal([ring.parse(s, budgets) for s in texts])
 
 
 def _pairs(value: List[List[int]], key: str) -> Tuple[Tuple[int, int], ...]:
@@ -365,14 +367,14 @@ def _digraph_from_json(desc: Dict[str, Any],
                        budgets: Budgets) -> Tuple[PresentedRing, IdealDigraph]:
     from .digraph import DigraphNode, IdealDigraph, clear_denominators
 
-    ring = _ring_from_json(desc["ring"])
+    ring = _ring_from_json(desc["ring"], budgets)
     edges = _pairs(desc["edges"], "edges")
     nodes = []
     for node in desc["nodes"]:
-        u = _open_from_json(ring, node["open"])
-        fracs = [(ring.parse(fr["num"]), ring.parse(fr["den"]))
+        u = _open_from_json(ring, node["open"], budgets)
+        fracs = [(ring.parse(fr["num"], budgets), ring.parse(fr["den"], budgets))
                  for fr in node["fractions"] or []]
-        nodes.append((u, fracs + [(ring.parse(g), ring.one()) for g in node["gens"]]))
+        nodes.append((u, fracs + [(ring.parse(g, budgets), ring.one()) for g in node["gens"]]))
     if any(node["fractions"] is not None for node in desc["nodes"]):
         return ring, clear_denominators(ring, nodes, edges, desc["root"], budgets)
     nodes = tuple(DigraphNode(u, tuple(g for g, _ in fracs)) for u, fracs in nodes)
@@ -403,8 +405,8 @@ def _bool_report(command: str, value: bool, result: Any = None,
 def _run_groebner(payload: Dict, budgets: Budgets) -> Report:
     from .rings import op_groebner_basis
 
-    ring = _ring_from_json(payload["ring"])
-    handle = _ideal_from_json(ring, payload["generators"])
+    ring = _ring_from_json(payload["ring"], budgets)
+    handle = _ideal_from_json(ring, payload["generators"], budgets)
     basis = op_groebner_basis(handle, budgets)
     return Report("groebner", "pass",
                   result={"basis": [ring.render(g) for g in basis],
@@ -437,14 +439,14 @@ def _run_ideal(payload: Dict, budgets: Budgets) -> Report:
     from .rings import (colon_ideal, ideal_combine, ideal_contains, ideal_equal,
                         ideal_membership, radical_membership, saturate)
 
-    ring = _ring_from_json(payload["ring"])
+    ring = _ring_from_json(payload["ring"], budgets)
 
     def handle(key: str) -> IdealHandle:
-        return _ideal_from_json(ring, payload[key])
+        return _ideal_from_json(ring, payload[key], budgets)
 
     if op in ("membership", "radical-membership"):
         member = ideal_membership if op == "membership" else radical_membership
-        return _bool_report("ideal", member(ring.parse(payload["element"]),
+        return _bool_report("ideal", member(ring.parse(payload["element"], budgets),
                                             handle("ideal"), budgets))
     if op in ("equal", "contains"):
         compare = ideal_equal if op == "equal" else ideal_contains
@@ -452,9 +454,9 @@ def _run_ideal(payload: Dict, budgets: Budgets) -> Report:
     if op == "combine":
         out = ideal_combine(payload["mode"], handle("left"), handle("right"), budgets)
     elif op == "saturate":
-        out = saturate(handle("ideal"), ring.parse(payload["f"]), budgets)
+        out = saturate(handle("ideal"), ring.parse(payload["f"], budgets), budgets)
     else:
-        out = colon_ideal(handle("ideal"), ring.parse(payload["element"]), budgets)
+        out = colon_ideal(handle("ideal"), ring.parse(payload["element"], budgets), budgets)
     result = {"mode": payload["mode"]} if op == "combine" else {}
     result["generators"] = [ring.render(g) for g in out.canonical_basis(budgets)]
     return Report("ideal", "pass", result=result)
@@ -474,17 +476,17 @@ def _run_open(payload: Dict, budgets: Budgets) -> Report:
     from .topology import (OpenCover, coordinate_ring, cover_check,
                            open_contains, open_equal, open_intersect)
 
-    ring = _ring_from_json(payload["ring"])
+    ring = _ring_from_json(payload["ring"], budgets)
     if op == "cover-check":
-        cover = OpenCover(_open_from_json(ring, payload["target"]),
-                          tuple(_open_from_json(ring, u) for u in payload["pieces"]))
+        cover = OpenCover(_open_from_json(ring, payload["target"], budgets),
+                          tuple(_open_from_json(ring, u, budgets) for u in payload["pieces"]))
         return _bool_report("open", cover_check(cover, budgets))
     if op == "coordinate-ring":
-        u = _open_from_json(ring, payload["open"])
+        u = _open_from_json(ring, payload["open"], budgets)
         ru = coordinate_ring(u, budgets)
         return Report("open", "pass", result={"ring": ru.describe()})
-    a = _open_from_json(ring, payload["a"])
-    b = _open_from_json(ring, payload["b"])
+    a = _open_from_json(ring, payload["a"], budgets)
+    b = _open_from_json(ring, payload["b"], budgets)
     if op == "intersect":
         return Report("open", "pass", result={"f": ring.render(open_intersect(a, b).f)})
     compare = open_contains if op == "contains" else open_equal
@@ -533,10 +535,10 @@ def _run_digraph_eval(payload: Dict, budgets: Budgets) -> Report:
     if op == "quasi-coherent":
         from .digraph import is_quasi_coherent
 
-        basis = [_open_from_json(ring, u) for u in payload["basis"]]
+        basis = [_open_from_json(ring, u, budgets) for u in payload["basis"]]
         return _bool_report("digraph-eval",
                             is_quasi_coherent(d, basis, budgets))
-    u = _open_from_json(ring, payload["open"])
+    u = _open_from_json(ring, payload["open"], budgets)
     if op == "evaluate":
         from .digraph import evaluate_sheaf
 
@@ -547,8 +549,8 @@ def _run_digraph_eval(payload: Dict, budgets: Budgets) -> Report:
     from .digraph import section_membership
 
     den = payload["denominator"]
-    value = section_membership(d, u, ring.parse(payload["numerator"]),
-                               None if den is None else ring.parse(den), budgets)
+    value = section_membership(d, u, ring.parse(payload["numerator"], budgets),
+                               None if den is None else ring.parse(den, budgets), budgets)
     return _bool_report("digraph-eval", value)
 
 
@@ -557,11 +559,11 @@ def _run_digraph_extract(payload: Dict, budgets: Budgets) -> Report:
 
     desc = payload["oracle"]
     if desc["kind"] == "quasi-coherent":
-        ring = _ring_from_json(desc["ring"])
-        make, source = quasi_coherent_oracle, _ideal_from_json(ring, desc["ideal"])
+        ring = _ring_from_json(desc["ring"], budgets)
+        make, source = quasi_coherent_oracle, _ideal_from_json(ring, desc["ideal"], budgets)
     else:
         make, (ring, source) = digraph_oracle, _digraph_from_json(desc["digraph"], budgets)
-    basis = [_open_from_json(ring, u) for u in payload["basis"]]
+    basis = [_open_from_json(ring, u, budgets) for u in payload["basis"]]
     out = extract_digraph(make(source, basis, budgets), budgets)
     return Report("digraph-extract", "pass", result=_digraph_to_json(out))
 
@@ -570,10 +572,10 @@ def _run_cech_affine(payload: Dict, budgets: Budgets) -> Report:
     from .cech import AffineWindow, affine_vanishing_check, cech_complex_affine
     from .topology import OpenCover
 
-    ring = _ring_from_json(payload["ring"])
-    handle = _ideal_from_json(ring, payload["ideal"])
-    cover = OpenCover(_open_from_json(ring, payload["cover"]["target"]),
-                      tuple(_open_from_json(ring, u) for u in payload["cover"]["pieces"]))
+    ring = _ring_from_json(payload["ring"], budgets)
+    handle = _ideal_from_json(ring, payload["ideal"], budgets)
+    cover = OpenCover(_open_from_json(ring, payload["cover"]["target"], budgets),
+                      tuple(_open_from_json(ring, u, budgets) for u in payload["cover"]["pieces"]))
     window = AffineWindow(**payload["window"])
     if payload["op"] == "vanishing":
         value = affine_vanishing_check(ring, handle, cover, window, budgets)

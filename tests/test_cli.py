@@ -491,6 +491,31 @@ def test_budget_exit_code(tmp_path, capsys, monkeypatch):
     assert doc["config"]["error_type"] == "ResourceBudgetError"
 
 
+def test_a_huge_power_is_refused_while_parsed():
+    # The power used to be expanded in full, for minutes, before the degree
+    # budget was met, so the job runs in its own process under a timeout.
+    payload = {"ring": {"vars": ["x", "y"]}, "generators": ["(x + y + 1)^200"]}
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-m", "noether.cli", "groebner", "-"],
+                          input=json.dumps(payload), capture_output=True,
+                          text=True, env=env, timeout=30)
+    assert done.returncode == 3, done.stderr
+    assert json.loads(done.stdout)["config"]["error_type"] == "ResourceBudgetError"
+    # The job's own budget bounds its texts.
+    report = run_job(parse_job(json.dumps({
+        "command": "ideal", "budgets": {"max_degree": 8},
+        "payload": {"op": "membership", "ideal": ["x"], "element": "x^9"}})))
+    assert (report.exit_code, report.config["error_type"]) == (3, "ResourceBudgetError")
+
+
+def test_repeated_variable_names_are_refused(capsys, monkeypatch):
+    code, doc = run(capsys, "groebner", "-", stdin=json.dumps({
+        "ring": {"vars": ["x", "y", "x"]}, "generators": ["x"]}),
+        monkeypatch=monkeypatch)
+    assert (code, doc["config"]["error_type"]) == (2, "ParseError")
+    assert "'vars'" in doc["result"]["error"]
+
+
 def test_text_rendering(tmp_path, capsys):
     path = write_payload(tmp_path, {
         "op": "membership", "ring": {"field": "q", "vars": ["x"]},
