@@ -21,7 +21,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .config import Budgets, DEFAULT_BUDGETS
-from .errors import CapabilityError, DomainError, ValidationError
+from .errors import CapabilityError, DomainError, ResourceBudgetError, ValidationError
 from .fields import FieldSpec, QQ
 from .poly import Polynomial
 from .rings import IdealHandle, PresentedRing
@@ -264,12 +264,19 @@ def cech_complex_affine(R: PresentedRing, I: IdealHandle, cover: OpenCover,
     p in I of bounded degree over the fixed denominator h^N; the Čech
     restriction maps multiply numerators by the complementary h_j^N.  An
     intersection with the piece D(0), which is empty, has no sections.
+    The largest numerator degree, over all nonzero pieces, must be within
+    ``budgets.max_degree``, and is checked before any matrix is built.
     """
     if R.nvars != 1 or R.quotient:
         raise CapabilityError(
             "affine Čech complexes require a univariate base ring")
     if I.ring != R:
         raise DomainError("ideal handle over a different ring")
+    hs = [piece.f for piece in cover.pieces]
+    hdeg = [poly_degree(h) for h in hs]
+    npow = window.denominator_exponent
+    if window.base_degree + npow * sum(d for d in hdeg if d >= 0) > budgets.max_degree:
+        raise ResourceBudgetError("max_degree", budgets.max_degree)
     if not cover_check(cover, budgets):
         raise ValidationError("pieces do not cover the target",
                               witness=cover.target.render())
@@ -279,14 +286,11 @@ def cech_complex_affine(R: PresentedRing, I: IdealHandle, cover: OpenCover,
                                   witness=piece.render())
     g = _principal_generator(I, budgets)
     m = len(cover.pieces)
-    npow = window.denominator_exponent
     meta = {"base_degree": window.base_degree,
             "denominator_exponent": npow}
     if g is None:
         return CechComplex(R.field, [0] * m, [[] for _ in range(m - 1)], meta)
     gdeg = poly_degree(g)
-    hs = [piece.f for piece in cover.pieces]
-    hdeg = [poly_degree(h) for h in hs]
 
     def numdim(subset: Tuple[int, ...]) -> int:
         if any(hs[j].is_zero() for j in subset):
@@ -311,7 +315,9 @@ def affine_vanishing_check(R: PresentedRing, I: IdealHandle, cover: OpenCover,
                            window: AffineWindow = AffineWindow(),
                            budgets: Budgets = DEFAULT_BUDGETS) -> bool:
     """True iff all higher Čech cohomology vanishes in the window and H^0
-    matches the truncated space of global sections of the sheaf of I."""
+    matches the truncated space of global sections of the sheaf of I.
+    Refuses a window past ``budgets.max_degree`` as ``cech_complex_affine``
+    does."""
     complex_ = cech_complex_affine(R, I, cover, window, budgets)
     hdims = complex_.cohomology_dims()
     if not hdims:  # the empty cover, which covers only D(0): no sections at all

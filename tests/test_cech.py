@@ -14,7 +14,8 @@ from noether.cech import (
     matrix_rank,
     twisted_cohomology_dims,
 )
-from noether.errors import CapabilityError, ValidationError
+from noether.config import Budgets
+from noether.errors import CapabilityError, ResourceBudgetError, ValidationError
 from noether.fields import GF, QQ
 from noether.jobs import JobSpec, run_job
 from noether.rings import PresentedRing
@@ -146,6 +147,27 @@ def test_affine_job_exit_codes(payload, code, result):
     assert report.exit_code == code, report.result
     if result is not None:
         assert report.result["cohomology"] == result
+
+
+def test_affine_window_is_bounded_by_the_degree_budget(R):
+    # Numerators over D(x) and D(x - 1) reach base_degree + 3*(1 + 1);
+    # the empty piece D(0) adds no degree.
+    cover = cover_of(R, "1", "x", "0", "x - 1")
+    budgets = Budgets(max_degree=20)
+    complex_ = cech_complex_affine(R, R.ideal("x"), cover, AffineWindow(14, 3), budgets)
+    assert complex_.verify_d_squared()
+    for check in (cech_complex_affine, affine_vanishing_check):
+        with pytest.raises(ResourceBudgetError):
+            check(R, R.ideal("x"), cover, AffineWindow(15, 3), budgets)
+
+
+@pytest.mark.parametrize("op", ["complex", "vanishing"])
+def test_affine_job_refuses_a_huge_window(op):
+    # Its dense differentials would take more memory than the machine has.
+    report = run_job(JobSpec("cech-affine", {
+        "op": op, "ideal": ["x"], "cover": {"target": "1", "pieces": ["x", "x - 1"]},
+        "window": {"base_degree": 100000}}))
+    assert (report.exit_code, report.config["error_type"]) == (3, "ResourceBudgetError")
 
 
 def test_affine_rejects_pieces_outside_target(R):
