@@ -41,6 +41,10 @@ def _tokenize(text: str) -> List[Tuple[str, str, int]]:
 
 
 class _Parser:
+    """Each rule returns its polynomial and an upper bound on its degree,
+    as written; the exact degree is measured only when that bound passes
+    the budget."""
+
     def __init__(self, tokens, field: FieldSpec, var_names, max_degree: int):
         self.tokens = tokens
         self.i = 0
@@ -48,9 +52,10 @@ class _Parser:
         self.var_names = list(var_names)
         self.max_degree = max_degree
 
-    def bound(self, degree: int) -> None:
+    def bound(self, degree: int) -> int:
         if degree > self.max_degree:
             raise ResourceBudgetError("max_degree", self.max_degree)
+        return degree
 
     def peek(self):
         return self.tokens[self.i] if self.i < len(self.tokens) else None
@@ -68,45 +73,48 @@ class _Parser:
             raise ParseError(f"expected {op!r}, found {tok[1]!r}", column=tok[2])
 
     def parse(self) -> Polynomial:
-        p = self.expr()
+        p, _ = self.expr()
         tok = self.peek()
         if tok is not None:
             raise ParseError(f"trailing input at {tok[1]!r}", column=tok[2])
         return p
 
-    def expr(self) -> Polynomial:
+    def expr(self):
         # sum of signed terms
         sign = 1
         tok = self.peek()
         if tok and tok[0] == "op" and tok[1] in "+-":
             self.take()
             sign = -1 if tok[1] == "-" else 1
-        p = self.term()
+        p, d = self.term()
         if sign < 0:
             p = -p
         while True:
             tok = self.peek()
             if tok and tok[0] == "op" and tok[1] in "+-":
                 self.take()
-                q = self.term()
+                q, e = self.term()
                 p = p - q if tok[1] == "-" else p + q
+                d = max(d, e)
             else:
-                return p
+                return p, d
 
-    def term(self) -> Polynomial:
-        p = self.power()
+    def term(self):
+        p, d = self.power()
         while True:
             tok = self.peek()
             if tok and tok[0] == "op" and tok[1] == "*":
                 self.take()
-                q = self.power()
-                self.bound(p.total_degree() + q.total_degree())
+                q, e = self.power()
+                d += e
+                if d > self.max_degree:
+                    d = self.bound(p.total_degree() + q.total_degree())
                 p = p * q
             else:
-                return p
+                return p, d
 
-    def power(self) -> Polynomial:
-        base = self.atom()
+    def power(self):
+        base, d = self.atom()
         tok = self.peek()
         if tok and tok[0] == "op" and tok[1] == "^":
             self.take()
@@ -114,25 +122,28 @@ class _Parser:
             if etok[0] != "int":
                 raise ParseError("exponent must be an integer literal", column=etok[2])
             n = int(etok[1])
-            self.bound(base.total_degree() * n)
-            return base ** n
-        return base
+            d *= n
+            if d > self.max_degree:
+                d = self.bound(base.total_degree() * n)
+            return base ** n, d
+        return base, d
 
-    def atom(self) -> Polynomial:
+    def atom(self):
         tok = self.take()
         nvars = len(self.var_names)
         if tok[0] == "int":
-            return Polynomial.const(self.field, nvars, int(tok[1]))
+            return Polynomial.const(self.field, nvars, int(tok[1])), 0
         if tok[0] == "var":
             if tok[1] not in self.var_names:
                 raise ParseError(f"unknown variable {tok[1]!r}", column=tok[2])
-            return Polynomial.var(self.field, nvars, self.var_names.index(tok[1]))
+            return Polynomial.var(self.field, nvars, self.var_names.index(tok[1])), 1
         if tok[0] == "op" and tok[1] == "(":
             p = self.expr()
             self.expect_op(")")
             return p
         if tok[0] == "op" and tok[1] == "-":
-            return -self.atom()
+            p, d = self.atom()
+            return -p, d
         raise ParseError(f"unexpected token {tok[1]!r}", column=tok[2])
 
 
