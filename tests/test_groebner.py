@@ -413,7 +413,7 @@ def test_lex_reduction_may_grow_past_the_degree_budget(case):
 @example((*GROWING[0], 9), LEX)
 @example((*GROWING[1], 12), LEX)
 def test_integer_remainder_is_a_multiple_of_the_exact_one(case, order):
-    # The drawn F_p reducers are not monic, so a = lc(g)/e is not 1 there.
+    # Most drawn F_p reducers are not monic, so a = lc(g)/e is not 1 there.
     p, basis, max_degree = case
     F = p.field
     budgets = Budgets(max_degree=max_degree)
