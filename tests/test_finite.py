@@ -200,6 +200,11 @@ def ring_named(name):
 def module_named(name):
     if name == "(Z/4)^2":
         return free_module(zmod(4), 2)
+    if name == "(F2[x]/(x^2))^2":
+        return free_module(ring_named("F2[x]/(x^2)"), 2)
+    if name == "(Z/4)^2/((2,2))":
+        F = free_module(zmod(4), 2)
+        return quotient_module(F, span(F, [(2, 2)]))
     return ring_as_module(ring_named(name))
 
 
@@ -261,6 +266,59 @@ def test_quotient_representatives_are_first_in_coset(name):
         for q in Q.elements:
             coset = [M.add(q, n) for n in N]
             assert q == min(coset, key=M.index)
+
+
+# -- submodule lattices against the frontier search ----------------------------
+
+def submodules_by_frontier(M):
+    """Reference oracle: grow every submodule found by each element outside
+    it, with ``span``, until no new submodule appears."""
+    subs = {frozenset([M.zero])}
+    frontier = list(subs)
+    while frontier:
+        N = frontier.pop()
+        for a in M.elements:
+            if a in N:
+                continue
+            bigger = span(M, (a,), base=N)
+            if bigger not in subs:
+                subs.add(bigger)
+                frontier.append(bigger)
+    return sorted(subs, key=lambda N: (len(N), sorted(map(M.index, N))))
+
+
+LATTICE_MODULE_NAMES = st.one_of(
+    MODULE_NAMES, st.sampled_from(["(F2[x]/(x^2))^2", "(Z/4)^2/((2,2))"]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(LATTICE_MODULE_NAMES)
+def test_submodules_equal_frontier_oracle(name):
+    M = module_named(name)
+    assert enumerate_submodules(M) == submodules_by_frontier(M)
+
+
+def maximal_by_comparison(chain):
+    """Reference oracle: the maximal members of every nonempty subfamily
+    (of the whole family only, past 12 members), by pairwise comparison."""
+    n = len(chain)
+    subs = ([c for r in range(1, n + 1) for c in itertools.combinations(range(n), r)]
+            if n <= 12 else [tuple(range(n))])
+    return {sub: [i for i in sub if not any(j != i and chain[i] < chain[j] for j in sub)]
+            for sub in subs}
+
+
+@pytest.mark.parametrize("sizes", [(1, 12), (13, 20)])
+@settings(max_examples=20, deadline=None)
+@given(name=RING_NAMES, data=st.data())
+def test_maximal_by_subset_equals_comparison_oracle(sizes, name, data):
+    R = ring_named(name)
+    ideals = enumerate_ideals(R)
+    size = data.draw(st.integers(*sizes))
+    chain = data.draw(st.lists(st.sampled_from(ideals), min_size=size, max_size=size))
+    report = noetherian_witness(R, chain)
+    expected = maximal_by_comparison(chain)
+    assert list(report.maximal_by_subset.items()) == list(expected.items())
 
 
 def test_closure_check_rejects_a_set_without_zero():
