@@ -264,8 +264,9 @@ def cech_complex_affine(R: PresentedRing, I: IdealHandle, cover: OpenCover,
     p in I of bounded degree over the fixed denominator h^N; the Čech
     restriction maps multiply numerators by the complementary h_j^N.  An
     intersection with the piece D(0), which is empty, has no sections.
-    The largest numerator degree, over all nonzero pieces, must be within
-    ``budgets.max_degree``, and is checked before any matrix is built.
+    The denominator exponent N must be nonnegative, and N and the largest
+    numerator degree, over all nonzero pieces, must be within
+    ``budgets.max_degree``; all three are checked before any matrix is built.
     """
     if R.nvars != 1 or R.quotient:
         raise CapabilityError(
@@ -275,7 +276,10 @@ def cech_complex_affine(R: PresentedRing, I: IdealHandle, cover: OpenCover,
     hs = [piece.f for piece in cover.pieces]
     hdeg = [poly_degree(h) for h in hs]
     npow = window.denominator_exponent
-    if window.base_degree + npow * sum(d for d in hdeg if d >= 0) > budgets.max_degree:
+    if npow < 0:
+        raise DomainError("denominator_exponent must be nonnegative")
+    if (npow > budgets.max_degree or window.base_degree
+            + npow * sum(d for d in hdeg if d >= 0) > budgets.max_degree):
         raise ResourceBudgetError("max_degree", budgets.max_degree)
     if not cover_check(cover, budgets):
         raise ValidationError("pieces do not cover the target",
@@ -291,6 +295,7 @@ def cech_complex_affine(R: PresentedRing, I: IdealHandle, cover: OpenCover,
     if g is None:
         return CechComplex(R.field, [0] * m, [[] for _ in range(m - 1)], meta)
     gdeg = poly_degree(g)
+    mults = [h ** npow for h in hs]
 
     def numdim(subset: Tuple[int, ...]) -> int:
         if any(hs[j].is_zero() for j in subset):
@@ -302,9 +307,8 @@ def cech_complex_affine(R: PresentedRing, I: IdealHandle, cover: OpenCover,
         # Sections over a chart intersection have the basis g, g*x, g*x^2,
         # ...; restriction multiplies by h_j^N, so the coordinates of the
         # image of g*x^k are the coefficients of image/g = x^k * h_j^N.
-        mult = hs[j] ** npow
         for k in range(numdim(small)):
-            for mono, c in mult.terms.items():
+            for mono, c in mults[j].terms.items():
                 yield k + mono[0], k, c
 
     levels = [list(itertools.combinations(range(m), p + 1)) for p in range(m)]

@@ -8,8 +8,14 @@ The ideals of a finite ring R are exactly the R-submodules of R, so the
 ideal functions (``ideal_closure``, ``is_ideal``, ``enumerate_ideals``,
 ``minimal_generators``) are the module functions applied to
 ``ring_as_module(R)``.  There is one closure, ``span``, which builds the
-additive span of the scaled seed by coset doubling.  Everything here is
-sized for exhaustive, sub-minute brute force.
+additive span of the scaled seed by coset doubling; a subset is a submodule
+when it holds zero and ``span`` adds nothing to it.  The submodule lattice
+needs no closure at all: every submodule is a sum of cyclic submodules Ra,
+so ``enumerate_submodules`` lists the distinct Ra once and closes {0} under
+N -> N + Ra, a union of cosets of N.  ``noetherian_witness`` checks its
+family against that lattice and reads the maximal members of every
+subfamily from one bitmask of strict supersets per member.  Everything
+here is sized for exhaustive, sub-minute brute force.
 """
 
 from __future__ import annotations
@@ -199,6 +205,9 @@ def span(M: FiniteModule, seed: Iterable, base: FrozenSet = None) -> FrozenSet:
     add, smul, scalars = M.add, M.smul, M.ring.elements
     grp = set(base) if base is not None else {M.zero}
     for x in seed:
+        # grp is a submodule here, so it holds every multiple of x or misses x.
+        if x in grp:
+            continue
         for r in scalars:
             m = smul(r, x)
             if m in grp:
@@ -215,6 +224,10 @@ def span(M: FiniteModule, seed: Iterable, base: FrozenSet = None) -> FrozenSet:
 def _closure_failure(M: FiniteModule, subset: FrozenSet) -> Optional[Tuple[str, object]]:
     """Why ``subset`` is not a submodule of M, as (message, witness), or
     None when it is one."""
+    # A subset of M is a submodule iff it holds zero and spans nothing more;
+    # only a failure pays for the pairwise search that finds the witness.
+    if M.zero in subset and M._index.keys() >= subset and span(M, subset) == subset:
+        return None
     add, smul, scalars = M.add, M.smul, M.ring.elements
     for a in subset:
         for b in subset:
@@ -238,17 +251,31 @@ def submodule(M: FiniteModule, subset: Iterable, name: str = "N") -> FiniteModul
 
 
 def enumerate_submodules(M: FiniteModule, budgets: Budgets = DEFAULT_BUDGETS) -> List[FrozenSet]:
-    """All submodules of M, as element sets, smallest first; includes 0 and M."""
+    """All submodules of M, as element sets, smallest first; includes 0 and M.
+
+    Every submodule is a sum of cyclic submodules Ra, and Ra = {r*a} needs
+    no closure.  So the distinct Ra are listed once, each with a generator
+    a, and {0} is closed under N -> N + Ra, which is built as the union of
+    the cosets c + N over c in Ra.
+    """
     if M.size > budgets.finite_ring_bound:
         raise BoundExceededError("finite_ring_bound", budgets.finite_ring_bound)
+    add, smul, scalars = M.add, M.smul, M.ring.elements
+    cyclic: Dict[FrozenSet, object] = {}
+    for a in M.elements:
+        cyclic.setdefault(frozenset(smul(r, a) for r in scalars), a)
     subs = {frozenset([M.zero])}
     frontier = list(subs)
     while frontier:
         N = frontier.pop()
-        for a in M.elements:
-            if a in N:
+        for C, a in cyclic.items():
+            if a in N:  # then Ra lies in N
                 continue
-            bigger = span(M, (a,), base=N)
+            grown = set(N)
+            for c in C:
+                if c not in grown:
+                    grown.update([add(c, n) for n in N])
+            bigger = frozenset(grown)
             if bigger not in subs:
                 subs.add(bigger)
                 frontier.append(bigger)
@@ -396,19 +423,24 @@ def noetherian_witness(R: FiniteRing, chain: Sequence[FrozenSet],
     chain = [frozenset(I) for I in chain]
     if not chain:
         raise ValidationError("nonempty family of ideals required")
+    # The lattice is exhaustive, so a member outside it is no ideal.
+    ideals = set(enumerate_ideals(R, budgets))
     for I in chain:
-        if not is_ideal(R, I):
+        if I not in ideals:
             raise ValidationError("input set is not closed under the module operations",
                                   witness=sorted(R.index(x) for x in I))
-    total = len(enumerate_ideals(R, budgets))
+    total = len(ideals)
     gen_lists = [minimal_generators(R, I) for I in chain]
+
+    # Bit j of above[i] is set iff chain[i] is strictly inside chain[j].
+    above = [sum(1 << j for j, J in enumerate(chain) if I < J) for I in chain]
 
     # Longest strictly increasing subchain under inclusion.
     order = sorted(range(len(chain)), key=lambda i: len(chain[i]))
     best = [1] * len(chain)
     for pos, i in enumerate(order):
         for j in order[:pos]:
-            if chain[j] < chain[i]:
+            if above[j] >> i & 1:
                 best[i] = max(best[i], best[j] + 1)
     longest = max(best)
 
@@ -421,9 +453,8 @@ def noetherian_witness(R: FiniteRing, chain: Sequence[FrozenSet],
     else:
         subsets = [tuple(range(len(chain)))]
     for sub in subsets:
-        maxima = [i for i in sub
-                  if not any(j != i and chain[i] < chain[j] for j in sub)]
-        maximal[sub] = maxima
+        mask = sum(1 << i for i in sub)
+        maximal[sub] = [i for i in sub if not above[i] & mask]
 
     ok = longest <= total and all(maximal[s] for s in maximal)
     return NoetherianReport(gen_lists, longest, total, maximal, ok)

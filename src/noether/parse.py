@@ -4,7 +4,9 @@ Grammar: integer coefficients, variables matching ``[a-z][0-9]*``, binary
 operators ``+ - * ^`` (also ``**``), unary minus, parentheses.  Whitespace
 is insignificant.  ``^`` exponents must be non-negative integer literals.
 A product or power whose degree would exceed the degree budget is refused
-before it is expanded.
+before it is expanded, and so is every exponent past that budget, whatever
+its base, so a constant power cannot build a huge integer either.  An
+integer literal too long for Python to convert is a ``ParseError``.
 """
 
 from __future__ import annotations
@@ -56,6 +58,13 @@ class _Parser:
         if degree > self.max_degree:
             raise ResourceBudgetError("max_degree", self.max_degree)
         return degree
+
+    def literal(self, tok) -> int:
+        try:
+            return int(tok[1])
+        except ValueError:  # past Python's limit on digits converted
+            raise ParseError(f"integer literal at column {tok[2]} is too long "
+                             f"({len(tok[1])} digits)", column=tok[2]) from None
 
     def peek(self):
         return self.tokens[self.i] if self.i < len(self.tokens) else None
@@ -121,7 +130,7 @@ class _Parser:
             etok = self.take()
             if etok[0] != "int":
                 raise ParseError("exponent must be an integer literal", column=etok[2])
-            n = int(etok[1])
+            n = self.bound(self.literal(etok))
             d *= n
             if d > self.max_degree:
                 d = self.bound(base.total_degree() * n)
@@ -132,7 +141,7 @@ class _Parser:
         tok = self.take()
         nvars = len(self.var_names)
         if tok[0] == "int":
-            return Polynomial.const(self.field, nvars, int(tok[1])), 0
+            return Polynomial.const(self.field, nvars, self.literal(tok)), 0
         if tok[0] == "var":
             if tok[1] not in self.var_names:
                 raise ParseError(f"unknown variable {tok[1]!r}", column=tok[2])

@@ -15,7 +15,7 @@ from noether.cech import (
     twisted_cohomology_dims,
 )
 from noether.config import Budgets
-from noether.errors import CapabilityError, ResourceBudgetError, ValidationError
+from noether.errors import CapabilityError, DomainError, ResourceBudgetError, ValidationError
 from noether.fields import GF, QQ
 from noether.jobs import JobSpec, run_job
 from noether.rings import PresentedRing
@@ -164,6 +164,16 @@ def test_affine_window_is_bounded_by_the_degree_budget(R):
     for check in (cech_complex_affine, affine_vanishing_check):
         with pytest.raises(ResourceBudgetError):
             check(R, R.ideal("x"), cover, AffineWindow(15, 3), budgets)
+    # Constant pieces add no degree, so the exponent N is bounded by itself.
+    constants = cover_of(R, "1", "3", "5")
+    complex_ = cech_complex_affine(R, R.ideal("x"), constants, AffineWindow(8, 20), budgets)
+    assert complex_.cohomology_dims() == [8, 0]
+    for check in (cech_complex_affine, affine_vanishing_check):
+        for npow in (21, 10**6):
+            with pytest.raises(ResourceBudgetError):
+                check(R, R.ideal("x"), constants, AffineWindow(8, npow), budgets)
+        with pytest.raises(DomainError, match="nonnegative"):
+            check(R, R.ideal("x"), cover_of(R, "1", "1"), AffineWindow(8, -1))
 
 
 def test_affine_rejects_pieces_outside_target(R):

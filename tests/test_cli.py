@@ -322,6 +322,8 @@ def test_parse_job_rejects(text, message):
     ("baer", {"op": "envelope", "bound": 256}, "unknown key 'bound'"),
     ("etale", {"op": "level", "n": 2}, "unknown key 'n'"),
     ("groebner", {"ring": {"vars": ["x", "y", "x"]}, "generators": ["x"]}, "'vars'"),
+    ("groebner", {"ring": {"vars": ["x"]}, "generators": ["1" * 5000 + "*x"]},
+     "integer literal at column 0 is too long"),
 ])
 def test_wrong_payload_type_exit_code(capsys, monkeypatch, command, payload, key):
     code, doc = run(capsys, command, "-", stdin=json.dumps(payload),

@@ -84,9 +84,25 @@ def test_parse_refuses_a_product_or_power_past_the_degree_budget():
         with pytest.raises(ResourceBudgetError) as refused:
             parse_polynomial(text, QQ, VARS, small)
         assert (refused.value.budget_name, refused.value.limit) == ("max_degree", 8)
+    # Every exponent past the budget is refused, whatever its base, so a
+    # constant power cannot build a huge integer.
+    assert parse_polynomial("3^8*x", QQ, VARS, small) == poly("6561*x")
+    for text in ("3^9*x", "(x - x)^9", "1^9"):
+        with pytest.raises(ResourceBudgetError) as refused:
+            parse_polynomial(text, QQ, VARS, small)
+        assert (refused.value.budget_name, refused.value.limit) == ("max_degree", 8)
     # The default budget is 64; the power is refused before it is expanded.
-    with pytest.raises(ResourceBudgetError):
-        parse_polynomial("(x + y + 1)^65", QQ, VARS)
+    for text in ("(x + y + 1)^65", "3^1000000000*x"):
+        with pytest.raises(ResourceBudgetError):
+            parse_polynomial(text, QQ, VARS)
+
+
+def test_parse_refuses_an_integer_literal_too_long_to_convert():
+    with pytest.raises(ParseError, match="column 0 is too long") as refused:
+        parse_polynomial("1" * 5000 + "*x", QQ, VARS)
+    assert refused.value.column == 0
+    with pytest.raises(ParseError, match="column 2 is too long"):
+        parse_polynomial("x^" + "1" * 5000, QQ, VARS)
 
 
 def test_arithmetic_in_characteristic_two():
