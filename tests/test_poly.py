@@ -54,6 +54,23 @@ def test_block_elimination_order_puts_aux_first():
     assert order.key((1, 0, 0)) > order.key((0, 5, 5))
 
 
+def _nested_key(order, m):
+    """The nested sort keys the orders used to return."""
+    if order is LEX:
+        return m
+    n = order.naux if isinstance(order, BlockElim) else 0
+    head, tail = m[:n], m[n:]
+    block = (sum(tail), tuple(-e for e in reversed(tail)))
+    return (sum(head), tuple(-e for e in reversed(head))) + block if n else block
+
+
+@given(st.sampled_from([DEGREVLEX, LEX, BlockElim(1), BlockElim(2)]),
+       st.lists(st.tuples(*[st.integers(0, 4)] * 4), max_size=12))
+def test_order_keys_sort_as_the_nested_keys(order, monos):
+    assert (sorted(monos, key=order.key)
+            == sorted(monos, key=lambda m: _nested_key(order, m)))
+
+
 def test_parse_round_trip():
     p = poly("x^2*y - 3*x + 2")
     assert p.render(VARS) == "x^2*y - 3*x + 2"

@@ -1,10 +1,16 @@
 """Presented rings and ideal operations: membership, equality, saturation,
-colon ideals, radical membership, and localized canonical forms."""
+colon ideals, radical membership against a Rabinowitsch oracle, and
+localized canonical forms."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from noether.errors import DomainError
+from noether import univar
+from noether.config import DEFAULT_BUDGETS
+from noether.errors import DomainError, ResourceBudgetError
 from noether.fields import GF, QQ
+from noether.groebner import groebner_basis
+from noether.poly import DEGREVLEX, Polynomial
 from noether.rings import (
     PresentedRing,
     colon_ideal,
@@ -137,3 +143,64 @@ def test_unit_and_zero_ideal_predicates(R2):
     assert R2.ideal("1").is_unit_ideal()
     assert R2.ideal().is_zero_ideal()
     assert not R2.ideal("x").is_unit_ideal()
+
+
+def rabinowitsch_oracle(f, I, budgets=DEFAULT_BUDGETS):
+    """f in rad(I) iff (I, quotient, 1 - t*f, 1 - u*s) is the unit ideal,
+    where s is the product of the inverted elements; in k[x] every
+    irreducible factor of the canonical generator must divide f."""
+    ring = I.ring
+    if ring.nvars == 1 and not ring.quotient:
+        basis = I.canonical_basis(budgets)
+        if not basis:
+            return f.is_zero()
+        return univar.strip_shared(basis[0], f).is_one()
+    naux = 2 if ring.inverted else 1
+    nv = ring.nvars + naux
+    gens = [g.lift(naux) for g in list(I.generators) + list(ring.quotient)]
+    one = Polynomial.const(ring.field, nv, 1)
+    t = Polynomial.var(ring.field, nv, 0)
+    gens.append(one - t * f.lift(naux))
+    if ring.inverted:
+        u = Polynomial.var(ring.field, nv, 1)
+        gens.append(one - u * ring.inverted_product().lift(naux))
+    basis = groebner_basis(gens, DEGREVLEX, budgets)
+    return len(basis) == 1 and basis[0].is_one()
+
+
+def _polys(field, nvars):
+    """Sparse polynomials of degree <= 2 with at most 3 small terms."""
+    mono = st.tuples(*[st.integers(0, 2)] * nvars).filter(lambda m: sum(m) <= 2)
+    return st.dictionaries(mono, st.integers(-3, 3), max_size=3).map(
+        lambda terms: Polynomial(field, nvars, {m: field.from_int(c)
+                                                for m, c in terms.items()}))
+
+
+@st.composite
+def radical_cases(draw):
+    field = draw(st.sampled_from([QQ, GF(5), GF(32003)]))
+    nvars = draw(st.integers(1, 3))
+    polys = _polys(field, nvars)
+    quotient = tuple(draw(st.lists(polys, max_size=1)))
+    inverted = tuple(draw(st.lists(polys, max_size=1)))
+    gens = draw(st.lists(polys, max_size=3))
+    return field, ("x", "y", "z")[:nvars], quotient, inverted, gens, draw(polys)
+
+
+def _outcome(member, f, I):
+    try:
+        return member(f, I)
+    except ResourceBudgetError as exc:
+        return exc.budget_name
+
+
+@settings(max_examples=200, deadline=None)
+@given(radical_cases())
+def test_radical_membership_equals_rabinowitsch_oracle(case):
+    field, names, quotient, inverted, gens, f = case
+    try:
+        ring = PresentedRing(field, names, quotient, inverted)
+    except DomainError:  # zero inverted, or inverted zero modulo the quotient
+        return
+    I = ring.ideal(gens)
+    assert _outcome(radical_membership, f, I) == _outcome(rabinowitsch_oracle, f, I)
