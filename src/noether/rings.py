@@ -268,27 +268,13 @@ def colon_ideal(I: IdealHandle, p: Polynomial, budgets: Budgets = DEFAULT_BUDGET
 def radical_membership(f: Polynomial, I: IdealHandle, budgets: Budgets = DEFAULT_BUDGETS) -> bool:
     """True iff f lies in the radical of I in the presented ring.
 
-    Rabinowitsch trick with one auxiliary for f, and (when the ring is a
-    localization) a second auxiliary inverting the product of the inverted
-    generators, so units of the presentation behave as units.
+    f is in rad(I*R) iff (I^c : f^infinity) is the unit ideal, where I^c is
+    the canonical form, already saturated by the inverted elements: one
+    Rabinowitsch auxiliary for f, or in k[x] the generator with every
+    factor it shares with f divided out.
     """
+    if f.is_zero():
+        return True
     ring = I.ring
-    if ring.nvars == 1 and not ring.quotient:
-        # In k[x] (localized or not) the canonical basis is a single monic
-        # generator with the inverted factors stripped; f lies in the
-        # radical iff every irreducible factor of that generator divides f.
-        basis = I.canonical_basis(budgets)
-        if not basis:
-            return f.is_zero()
-        return univar.strip_shared(basis[0], f).is_one()
-    naux = 2 if ring.inverted else 1
-    nv = ring.nvars + naux
-    gens = [g.lift(naux) for g in list(I.generators) + list(ring.quotient)]
-    one = Polynomial.const(ring.field, nv, 1)
-    t = Polynomial.var(ring.field, nv, 0)
-    gens.append(one - t * f.lift(naux))
-    if ring.inverted:
-        u = Polynomial.var(ring.field, nv, 1)
-        gens.append(one - u * ring.inverted_product().lift(naux))
-    basis = groebner_basis(gens, DEGREVLEX, budgets)
-    return len(basis) == 1 and basis[0].is_one()
+    gens = _saturate_gens(I.canonical_basis(budgets), f, ring.field, ring.nvars, budgets)
+    return len(gens) == 1 and gens[0].is_one()
