@@ -2,15 +2,16 @@
 
 A polynomial is a map from exponent vectors (tuples of non-negative ints,
 one slot per ring variable) to nonzero field coefficients.  Monomial orders
-are small objects exposing a sort key; ``degrevlex``, ``lex`` and block
-elimination orders (auxiliary variables first and greatest) are provided.
+are small objects whose sort key is a flat tuple of ints; ``degrevlex``,
+``lex`` and block elimination orders (auxiliary variables first and
+greatest) are provided.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from operator import add, le, sub
+from operator import add, le, neg, sub
 from typing import Dict, Tuple
 
 from .errors import DomainError
@@ -41,22 +42,22 @@ def mono_deg(a: Mono) -> int:
 
 
 class MonomialOrder:
-    name = "?"
+    """A sort key per monomial: a flat tuple of ints, greater for the
+    greater monomial."""
 
     def key(self, m: Mono):  # pragma: no cover - interface
         raise NotImplementedError
 
 
-class DegRevLex(MonomialOrder):
-    name = "degrevlex"
+def _degrevlex(m: Mono) -> Tuple[int, ...]:
+    return (sum(m),) + tuple(map(neg, reversed(m)))
 
-    def key(self, m: Mono):
-        return (sum(m), tuple(-e for e in reversed(m)))
+
+class DegRevLex(MonomialOrder):
+    key = staticmethod(_degrevlex)
 
 
 class Lex(MonomialOrder):
-    name = "lex"
-
     def key(self, m: Mono):
         return m
 
@@ -67,22 +68,14 @@ class BlockElim(MonomialOrder):
 
     Any monomial involving an auxiliary variable beats any that does not,
     so basis elements free of auxiliaries generate the elimination ideal.
+    The head block of the key has the fixed length 1 + naux, so the flat
+    key compares as degrevlex on the auxiliaries, then on the rest.
     """
 
     naux: int
 
-    @property
-    def name(self):
-        return f"elim{self.naux}"
-
     def key(self, m: Mono):
-        head, tail = m[: self.naux], m[self.naux :]
-        return (
-            sum(head),
-            tuple(-e for e in reversed(head)),
-            sum(tail),
-            tuple(-e for e in reversed(tail)),
-        )
+        return _degrevlex(m[: self.naux]) + _degrevlex(m[self.naux :])
 
 
 DEGREVLEX = DegRevLex()
@@ -302,7 +295,7 @@ class Polynomial:
 def descending(key):
     """An order ``key`` with every integer negated: a min-heap of these pops
     the greatest monomial first."""
-    return tuple(-k if k.__class__ is int else descending(k) for k in key)
+    return tuple(map(neg, key))
 
 
 def exact_divmod(g: Polynomial, p: Polynomial):
