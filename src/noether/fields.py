@@ -45,7 +45,8 @@ def _is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """Either the rationals (``kind='q'``) or a prime field (``kind='fp'``)."""
+    """Either the rationals (``kind='q'``) or a prime field (``kind='fp'``);
+    ``p`` is the characteristic, 0 for the rationals."""
 
     kind: str
     p: int = 0
@@ -53,14 +54,12 @@ class FieldSpec:
     def __post_init__(self):
         if self.kind not in ("q", "fp"):
             raise DomainError(f"unknown field kind {self.kind!r}")
+        if self.kind == "q" and self.p:
+            raise DomainError("the rationals have characteristic 0")
         if self.kind == "fp" and not _is_prime(self.p):
             raise DomainError(f"{self.p} is not prime")
 
     # -- arithmetic on coefficient values -------------------------------
-
-    @property
-    def characteristic(self) -> int:
-        return self.p if self.kind == "fp" else 0
 
     def zero(self):
         return 0 if self.kind == "fp" else Fraction(0)

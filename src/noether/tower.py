@@ -75,7 +75,7 @@ def _square_pullback(g: Polynomial, target: PresentedRing) -> Polynomial:
 def tower_ring(n: int, field: FieldSpec, rule: str = "power") -> TowerLevel:
     if n < 0:
         raise DomainError("tower level must be nonnegative")
-    if field.characteristic == 2:
+    if field.p == 2:
         raise DomainError("tower requires a field of characteristic != 2")
     R0 = PresentedRing(field, ("x",))
     inverted = [R0.var("x")]

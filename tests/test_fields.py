@@ -9,8 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from noether.errors import CapabilityError
-from noether.fields import GF, _MR_EXACT_BELOW, _is_prime
+from noether.errors import CapabilityError, DomainError
+from noether.fields import GF, QQ, FieldSpec, _MR_EXACT_BELOW, _is_prime
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -24,6 +24,12 @@ def trial_division(n: int) -> bool:
             return False
         d += 1
     return True
+
+
+def test_p_is_the_characteristic():
+    assert (QQ.p, GF(7).p) == (0, 7)
+    with pytest.raises(DomainError, match="characteristic 0"):
+        FieldSpec("q", 2)
 
 
 def test_is_prime_matches_trial_division_below_10_5():
