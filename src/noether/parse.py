@@ -43,9 +43,8 @@ def _tokenize(text: str) -> List[Tuple[str, str, int]]:
 
 
 class _Parser:
-    """Each rule returns its polynomial and an upper bound on its degree,
-    as written; the exact degree is measured only when that bound passes
-    the budget."""
+    """Each rule returns its polynomial.  A product or power is refused by
+    the exact degree of its factors before it is expanded."""
 
     def __init__(self, tokens, field: FieldSpec, var_names, max_degree: int):
         self.tokens = tokens
@@ -82,7 +81,7 @@ class _Parser:
             raise ParseError(f"expected {op!r}, found {tok[1]!r}", column=tok[2])
 
     def parse(self) -> Polynomial:
-        p, _ = self.expr()
+        p = self.expr()
         tok = self.peek()
         if tok is not None:
             raise ParseError(f"trailing input at {tok[1]!r}", column=tok[2])
@@ -95,35 +94,32 @@ class _Parser:
         if tok and tok[0] == "op" and tok[1] in "+-":
             self.take()
             sign = -1 if tok[1] == "-" else 1
-        p, d = self.term()
+        p = self.term()
         if sign < 0:
             p = -p
         while True:
             tok = self.peek()
             if tok and tok[0] == "op" and tok[1] in "+-":
                 self.take()
-                q, e = self.term()
+                q = self.term()
                 p = p - q if tok[1] == "-" else p + q
-                d = max(d, e)
             else:
-                return p, d
+                return p
 
     def term(self):
-        p, d = self.power()
+        p = self.power()
         while True:
             tok = self.peek()
             if tok and tok[0] == "op" and tok[1] == "*":
                 self.take()
-                q, e = self.power()
-                d += e
-                if d > self.max_degree:
-                    d = self.bound(p.total_degree() + q.total_degree())
+                q = self.power()
+                self.bound(p.total_degree() + q.total_degree())
                 p = p * q
             else:
-                return p, d
+                return p
 
     def power(self):
-        base, d = self.atom()
+        base = self.atom()
         tok = self.peek()
         if tok and tok[0] == "op" and tok[1] == "^":
             self.take()
@@ -131,28 +127,25 @@ class _Parser:
             if etok[0] != "int":
                 raise ParseError("exponent must be an integer literal", column=etok[2])
             n = self.bound(self.literal(etok))
-            d *= n
-            if d > self.max_degree:
-                d = self.bound(base.total_degree() * n)
-            return base ** n, d
-        return base, d
+            self.bound(base.total_degree() * n)
+            return base ** n
+        return base
 
     def atom(self):
         tok = self.take()
         nvars = len(self.var_names)
         if tok[0] == "int":
-            return Polynomial.const(self.field, nvars, self.literal(tok)), 0
+            return Polynomial.const(self.field, nvars, self.literal(tok))
         if tok[0] == "var":
             if tok[1] not in self.var_names:
                 raise ParseError(f"unknown variable {tok[1]!r}", column=tok[2])
-            return Polynomial.var(self.field, nvars, self.var_names.index(tok[1])), 1
+            return Polynomial.var(self.field, nvars, self.var_names.index(tok[1]))
         if tok[0] == "op" and tok[1] == "(":
             p = self.expr()
             self.expect_op(")")
             return p
         if tok[0] == "op" and tok[1] == "-":
-            p, d = self.atom()
-            return -p, d
+            return -self.atom()
         raise ParseError(f"unexpected token {tok[1]!r}", column=tok[2])
 
 
