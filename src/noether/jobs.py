@@ -643,16 +643,17 @@ def _run_baer(payload: Dict, budgets: Budgets) -> Report:
 
 
 def _run_etale(payload: Dict, budgets: Budgets) -> Report:
-    from .tower import (pullback_strictness, properness_and_maximality,
+    from .tower import (pullback_strictness, properness_and_maximality, require_depth,
                         run_tower_suite, tower_ring, verify_cover_map)
 
-    field, rule, op = _field_from_json(payload["field"]), payload["rule"], payload["op"]
+    field, rule, op, n = (_field_from_json(payload["field"]), payload["rule"],
+                          payload["op"], payload["depth"])
     config = {"field": field.describe(), "rule": rule}
+    require_depth(n, budgets)
     if op == "suite":
-        rep = run_tower_suite(payload["depth"], field, rule, budgets)
+        rep = run_tower_suite(n, field, rule, budgets)
         return _bool_report("etale", rep.ok, result=rep.as_dict(),
                             config=config)
-    n = payload["depth"]
     if op == "level":
         level = tower_ring(n, field, rule)
         return Report("etale", "pass",

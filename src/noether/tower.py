@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from typing import Dict, List, Optional
 
 from .config import Budgets, DEFAULT_BUDGETS
-from .errors import DomainError
+from .errors import DomainError, ResourceBudgetError
 from .fields import FieldSpec
 from .poly import Polynomial
 from .rings import (IdealHandle, PresentedRing, ideal_contains, ideal_equal,
@@ -286,6 +286,14 @@ class TowerSuiteReport:
                 "ok": self.ok, "failing_level": self.failing_level()}
 
 
+def require_depth(n: int, budgets: Budgets) -> None:
+    """Refuse a tower depth past ``budgets.tower_max_depth``."""
+    if n > budgets.tower_max_depth:
+        raise ResourceBudgetError("tower_max_depth", budgets.tower_max_depth,
+                                  f"depth {n} exceeds the configured maximum "
+                                  f"{budgets.tower_max_depth}")
+
+
 def run_tower_suite(N: int, field: FieldSpec, rule: str = "power",
                     budgets: Budgets = DEFAULT_BUDGETS) -> TowerSuiteReport:
     """All level checks up to depth N plus the strict-containment chain
@@ -296,10 +304,7 @@ def run_tower_suite(N: int, field: FieldSpec, rule: str = "power",
     sections generates the ideal at every level."""
     if N < 0:
         raise DomainError("depth must be nonnegative")
-    if N > budgets.tower_max_depth:
-        raise DomainError(
-            f"depth {N} exceeds the configured maximum "
-            f"{budgets.tower_max_depth}")
+    require_depth(N, budgets)
     levels = [tower_ring(n, field, rule) for n in range(N + 1)]
     cover_maps = [verify_cover_map(levels[n], levels[n + 1], budgets)
                   for n in range(N)]

@@ -494,6 +494,23 @@ def test_budget_exit_code(tmp_path, capsys, monkeypatch):
     assert doc["config"]["error_type"] == "ResourceBudgetError"
 
 
+@pytest.mark.parametrize("payload", [
+    {"op": "suite", "depth": 9},
+    {"op": "level", "depth": 100000},
+    {"op": "cover-map", "depth": 16},
+    {"op": "strictness", "depth": 18},
+    {"op": "maximality", "depth": 9},
+])
+def test_etale_depth_past_the_budget_exit_code(capsys, monkeypatch, payload):
+    # Every op is refused before it builds a level; cover-map at depth 16
+    # and strictness at depth 18 used to run for minutes.
+    code, doc = run(capsys, "etale", "-", stdin=json.dumps(payload),
+                    monkeypatch=monkeypatch)
+    assert (code, doc["config"]["error_type"]) == (3, "ResourceBudgetError")
+    assert doc["result"]["error"] == (f"depth {payload['depth']} exceeds "
+                                      "the configured maximum 8")
+
+
 def test_a_huge_power_is_refused_while_parsed():
     # The power used to be expanded in full, for minutes, before the degree
     # budget was met, so the job runs in its own process under a timeout.

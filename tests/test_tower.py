@@ -3,7 +3,8 @@ growth, properness/maximality, and the full per-level suite."""
 
 import pytest
 
-from noether.errors import DomainError
+from noether.config import Budgets
+from noether.errors import DomainError, ResourceBudgetError
 from noether.fields import GF, QQ
 from noether.rings import ideal_equal, ideal_membership
 from noether.tower import (
@@ -118,6 +119,12 @@ def test_suite_power_rule_passes_depth_five():
         rep = run_tower_suite(5, field, "power")
         assert rep.ok
         assert rep.failing_level() is None
+
+
+def test_suite_depth_is_a_budget():
+    with pytest.raises(ResourceBudgetError) as info:
+        run_tower_suite(3, QQ, "power", Budgets(tower_max_depth=2))
+    assert info.value.budget_name == "tower_max_depth"
 
 
 def test_suite_literal_rule_reports_failing_level():
