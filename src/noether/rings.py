@@ -6,6 +6,13 @@ form of an ideal is its saturation with respect to the product of the
 inverted generators, together with the quotient generators, as a reduced
 Groebner basis.  Two handles over the same ring are equal iff their
 canonical forms coincide, which makes equality decidable in R_f.
+
+Every operation works in k[vars].  Saturation is the one Rabinowitsch
+construction, ``_saturate_gens``: it adds 1 - t*f and eliminates t, or in
+k[x] divides out of the gcd every factor it shares with f.  The canonical
+form saturates by the inverted product, and radical membership asks
+whether the canonical form saturated by f is the unit ideal.
+Intersections and colons eliminate one auxiliary the same way.
 """
 
 from __future__ import annotations
