@@ -26,7 +26,7 @@ class Budgets:
     digraph_node_cap: int = 16
     # Backstop for extraction from a buggy (non-presheaf) oracle.
     extraction_depth: int = 32
-    # Deepest etale tower level run_tower_suite accepts.
+    # Deepest etale tower level any etale job or run_tower_suite accepts.
     tower_max_depth: int = 8
     # Vocabulary size cap for count_digraph_space enumeration.
     digraph_vocab_cap: int = 20000
