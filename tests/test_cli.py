@@ -502,8 +502,8 @@ def test_budget_exit_code(tmp_path, capsys, monkeypatch):
     {"op": "maximality", "depth": 9},
 ])
 def test_etale_depth_past_the_budget_exit_code(capsys, monkeypatch, payload):
-    # Every op is refused before it builds a level; cover-map at depth 16
-    # and strictness at depth 18 used to run for minutes.
+    # Each is refused before a level is built; run, these depths take tens
+    # of seconds or longer.
     code, doc = run(capsys, "etale", "-", stdin=json.dumps(payload),
                     monkeypatch=monkeypatch)
     assert (code, doc["config"]["error_type"]) == (3, "ResourceBudgetError")
