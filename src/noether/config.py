@@ -1,7 +1,9 @@
 """Resource budgets with documented defaults and environment overrides.
 
 Every potentially unbounded computation (Buchberger, exhaustive module
-searches, digraph extraction) consults a ``Budgets`` value.  Environment
+searches, digraph enumeration, the tower) consults a ``Budgets`` value.
+Digraph extraction reads none: each node it adds is a distinct open strictly
+inside its parent's, so it ends once the candidate opens run out.  Environment
 variables of the form ``NOETHER_BUDGET_<FIELD>`` override the defaults,
 e.g. ``NOETHER_BUDGET_MAX_PAIRS=500000``.
 """
@@ -24,8 +26,6 @@ class Budgets:
     finite_ring_bound: int = 256
     # Subset-stratum iteration is exponential in the node count.
     digraph_node_cap: int = 16
-    # Backstop for extraction from a buggy (non-presheaf) oracle.
-    extraction_depth: int = 32
     # Deepest etale tower level any etale job or run_tower_suite accepts.
     tower_max_depth: int = 8
     # Vocabulary size cap for count_digraph_space enumeration.

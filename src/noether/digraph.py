@@ -395,23 +395,23 @@ def digraph_oracle(d: IdealDigraph, basis: Sequence[DistinguishedOpen],
     return SheafOracle(d.ring, valuation, basis, budgets)
 
 
-def _extract(root, expansive: Callable, below: Callable, same: Callable,
-             depth: int) -> Tuple[List, List[Tuple[int, int]]]:
+def _extract(root, expansive: Callable, below: Callable,
+             same: Callable) -> Tuple[List, List[Tuple[int, int]]]:
     """Grow the nodes and edges of a digraph from the ``root`` (open, value)
     pair one generation at a time.
 
     A node's children are the inclusion-maximal (``below``: strictly inside)
     pairs of ``expansive(node)``, a canonical finite subcover of the union of
     its expansive opens; a child whose open is already a node (``same``) is
-    linked, not added again.  A frontier left after ``depth`` generations
-    raises ResourceBudgetError.
+    linked, not added again.  Only new nodes enter the next frontier, and
+    every node but the root has an open no other node has, strictly inside
+    its parent's, so the loop ends within one generation more than there
+    are candidate opens.
     """
     nodes = [root]
     edges: List[Tuple[int, int]] = []
     frontier = [0]
-    for _ in range(depth):
-        if not frontier:
-            break
+    while frontier:
         next_frontier: List[int] = []
         for ni in frontier:
             candidates = expansive(nodes[ni])
@@ -430,8 +430,6 @@ def _extract(root, expansive: Callable, below: Callable, same: Callable,
                 if (ni, existing) not in edges:
                     edges.append((ni, existing))
         frontier = next_frontier
-    if frontier:
-        raise ResourceBudgetError("extraction_depth", depth)
     return nodes, edges
 
 
@@ -439,9 +437,9 @@ def extract_digraph(oracle: SheafOracle, budgets: Budgets = DEFAULT_BUDGETS) -> 
     """Extract a finite digraph of global generators from a sheaf oracle.
 
     A basis open strictly below a node is expansive when the oracle value on
-    it strictly exceeds the localized node ideal.  Termination is the
-    ascending-chain argument on saturated ideals; the extraction_depth
-    budget backstops buggy oracles.
+    it strictly exceeds the localized node ideal.  Every node but the root
+    is a distinct basis open, so extraction ends within ``len(basis) + 1``
+    generations, whatever the oracle answers.
     """
     ring = oracle.ring
 
@@ -462,8 +460,7 @@ def extract_digraph(oracle: SheafOracle, budgets: Budgets = DEFAULT_BUDGETS) -> 
     nodes, edges = _extract(
         (root_open, oracle.query(root_open)), expansive,
         lambda a, b: open_strictly_below(a, b, budgets),
-        lambda a, b: open_equal(a, b, budgets),
-        budgets.extraction_depth)
+        lambda a, b: open_equal(a, b, budgets))
     d = IdealDigraph(ring, tuple(DigraphNode(o, v) for o, v in nodes), tuple(edges), 0)
     _require_valid(d, budgets, "extracted digraph failed validation")
     return d
@@ -551,7 +548,7 @@ def extract_zz_digraph(z: ZZSheafData) -> ZZDigraph:
     # Each generation's opens are strictly smaller than the last, so the
     # loop ends within as many generations as the space has points.
     nodes, edges = _extract((whole, z.assignment[whole]), expansive,
-                            operator.lt, operator.eq, len(z.space.points) + 1)
+                            operator.lt, operator.eq)
     return ZZDigraph(z.space, tuple(nodes), tuple(edges), 0)
 
 

@@ -643,28 +643,26 @@ def _run_baer(payload: Dict, budgets: Budgets) -> Report:
 
 
 def _run_etale(payload: Dict, budgets: Budgets) -> Report:
-    from .tower import (pullback_strictness, properness_and_maximality, require_depth,
+    from .tower import (pullback_strictness, properness_and_maximality,
                         run_tower_suite, tower_ring, verify_cover_map)
 
     field, rule, op, n = (_field_from_json(payload["field"]), payload["rule"],
                           payload["op"], payload["depth"])
     config = {"field": field.describe(), "rule": rule}
-    require_depth(n, budgets)
     if op == "suite":
         rep = run_tower_suite(n, field, rule, budgets)
         return _bool_report("etale", rep.ok, result=rep.as_dict(),
                             config=config)
+    level = tower_ring(n, field, rule, budgets)
     if op == "level":
-        level = tower_ring(n, field, rule)
         return Report("etale", "pass",
                       result={"description": level.describe()}, config=config)
     if op == "cover-map":
-        rep = verify_cover_map(tower_ring(n - 1, field, rule),
-                               tower_ring(n, field, rule), budgets)
+        rep = verify_cover_map(tower_ring(n - 1, field, rule, budgets), level)
     elif op == "strictness":
-        rep = pullback_strictness(n, field, rule, budgets)
+        rep = pullback_strictness(level)
     else:
-        rep = properness_and_maximality(n, field, rule, budgets)
+        rep = properness_and_maximality(level)
     return _bool_report("etale", rep.ok, result=rep.as_dict(), config=config)
 
 

@@ -8,6 +8,12 @@ exponents produced by pulling the point 2 back along the squaring maps),
 ideal (x - 1) from level m to level n is (x^(2^(n-m)) - 1) under either
 rule; the strictness of the resulting chain is the finite-level witness
 that no finite set of sections generates every level's ideal.
+
+``tower_ring`` is the one depth gate.  A level carries the caller's budgets
+with ``max_degree`` raised to at least 2^n, the largest degree any level-n
+check builds: the chain generator x^(2^n) - 1, the deleted points, and
+their images under squaring.  Every check takes levels and reads their
+budgets.
 """
 
 from __future__ import annotations
@@ -25,17 +31,6 @@ from .rings import (IdealHandle, PresentedRing, ideal_contains, ideal_equal,
 EXPONENT_RULES = ("power", "literal")
 
 
-def _level_budgets(n: int, rule: str, budgets: Budgets) -> Budgets:
-    """Degree headroom scaled to the level: saturating against the product
-    of the inverted elements needs degrees up to roughly twice the largest
-    deleted exponent, which outgrows the generic default beyond level 5."""
-    exponents = deleted_exponents(n, rule)
-    need = 4 * (max(exponents) if exponents else 1) + sum(exponents) + 4
-    if need <= budgets.max_degree:
-        return budgets
-    return replace(budgets, max_degree=need)
-
-
 def deleted_exponents(n: int, rule: str = "power") -> List[int]:
     if rule == "power":
         return [2 ** j for j in range(1, n + 1)]
@@ -50,6 +45,7 @@ class TowerLevel:
     ring: PresentedRing
     ideal: IdealHandle
     rule: str
+    budgets: Budgets
 
     def describe(self) -> str:
         return (f"level {self.n} ({self.rule} rule): "
@@ -72,7 +68,14 @@ def _square_pullback(g: Polynomial, target: PresentedRing) -> Polynomial:
     return Polynomial(target.field, target.nvars, terms)
 
 
-def tower_ring(n: int, field: FieldSpec, rule: str = "power") -> TowerLevel:
+def tower_ring(n: int, field: FieldSpec, rule: str = "power",
+               budgets: Budgets = DEFAULT_BUDGETS) -> TowerLevel:
+    """Level n, refused past ``budgets.tower_max_depth`` before anything is
+    built; it carries ``budgets`` with ``max_degree`` raised to at least 2^n."""
+    if n > budgets.tower_max_depth:
+        raise ResourceBudgetError("tower_max_depth", budgets.tower_max_depth,
+                                  f"depth {n} exceeds the configured maximum "
+                                  f"{budgets.tower_max_depth}")
     if n < 0:
         raise DomainError("tower level must be nonnegative")
     if field.p == 2:
@@ -83,7 +86,8 @@ def tower_ring(n: int, field: FieldSpec, rule: str = "power") -> TowerLevel:
     ring = PresentedRing(field, ("x",), quotient=(),
                          inverted=tuple(inverted))
     ideal = ring.ideal(_power_poly(ring, 1, 1))
-    return TowerLevel(n, ring, ideal, rule)
+    budgets = replace(budgets, max_degree=max(budgets.max_degree, 2 ** n))
+    return TowerLevel(n, ring, ideal, rule, budgets)
 
 
 @dataclass
@@ -111,8 +115,7 @@ def _is_unit(ring: PresentedRing, p: Polynomial,
     return IdealHandle(ring, (p,)).is_unit_ideal(budgets)
 
 
-def verify_cover_map(source: TowerLevel, target: TowerLevel,
-                     budgets: Budgets = DEFAULT_BUDGETS) -> CoverMapReport:
+def verify_cover_map(source: TowerLevel, target: TowerLevel) -> CoverMapReport:
     """Checks for the squaring map from level n-1 into level n.
 
     (a) every inverted element of the source has invertible image,
@@ -124,8 +127,7 @@ def verify_cover_map(source: TowerLevel, target: TowerLevel,
         raise DomainError("cover maps connect consecutive levels only")
     if source.rule != target.rule or source.ring.field != target.ring.field:
         raise DomainError("levels from different towers")
-    budgets = _level_budgets(target.n, target.rule, budgets)
-    T = target.ring
+    T, budgets = target.ring, target.budgets
     x = T.var("x")
 
     well_defined = True
@@ -172,26 +174,23 @@ class StrictnessReport:
                 "ok": self.ok}
 
 
-def pullback_ideal(level: TowerLevel, m: int,
-                   budgets: Budgets = DEFAULT_BUDGETS) -> IdealHandle:
+def pullback_ideal(level: TowerLevel, m: int) -> IdealHandle:
     """Image in the given level of the section ideal of level m <= n."""
     if not 0 <= m <= level.n:
         raise DomainError("source level out of range")
     return level.ring.ideal(_power_poly(level.ring, 2 ** (level.n - m), 1))
 
 
-def pullback_strictness(n: int, field: FieldSpec, rule: str = "power",
-                        budgets: Budgets = DEFAULT_BUDGETS) -> StrictnessReport:
+def pullback_strictness(level: TowerLevel) -> StrictnessReport:
     """The ideal generated by all lower-level pullbacks is (x^2 - 1) and is
     strictly inside (x - 1); the witness x + 1 separates them."""
+    n = level.n
     if n < 1:
         raise DomainError("strictness needs at least one lower level")
-    level = tower_ring(n, field, rule)
-    budgets = _level_budgets(n, rule, budgets)
-    R = level.ring
+    R, budgets = level.ring, level.budgets
     gens = []
     for m in range(n):
-        gens.extend(pullback_ideal(level, m, budgets).generators)
+        gens.extend(pullback_ideal(level, m).generators)
     J = R.ideal(gens)
     x2m1 = R.ideal(_power_poly(R, 2, 1))
     pullback_ok = ideal_equal(J, x2m1, budgets)
@@ -222,27 +221,23 @@ class MaximalityReport:
                 "ok": self.ok}
 
 
-def properness_and_maximality(n: int, field: FieldSpec, rule: str = "power",
-                              budgets: Budgets = DEFAULT_BUDGETS
-                              ) -> MaximalityReport:
+def properness_and_maximality(level: TowerLevel) -> MaximalityReport:
     """(x - 1) is proper at level n, and evaluation at 1 exhibits the
     quotient as the base field (every inverted element evaluates to a
     nonzero constant, so the evaluation map is defined on the whole ring)."""
-    level = tower_ring(n, field, rule)
-    budgets = _level_budgets(n, rule, budgets)
     R = level.ring
-    proper = not level.ideal.is_unit_ideal(budgets)
-    point = [field.one()]
+    proper = not level.ideal.is_unit_ideal(level.budgets)
+    point = [R.field.one()]
     evaluations = {}
     maximal = True
     witness = None
     for g in R.inverted:
         constant = g.substitute(point)
         evaluations[R.render(g)] = str(constant)
-        if constant == field.zero():
+        if constant == R.field.zero():
             maximal = False
             witness = R.render(g)
-    return MaximalityReport(n, proper, evaluations, maximal, witness)
+    return MaximalityReport(level.n, proper, evaluations, maximal, witness)
 
 
 @dataclass
@@ -286,14 +281,6 @@ class TowerSuiteReport:
                 "ok": self.ok, "failing_level": self.failing_level()}
 
 
-def require_depth(n: int, budgets: Budgets) -> None:
-    """Refuse a tower depth past ``budgets.tower_max_depth``."""
-    if n > budgets.tower_max_depth:
-        raise ResourceBudgetError("tower_max_depth", budgets.tower_max_depth,
-                                  f"depth {n} exceeds the configured maximum "
-                                  f"{budgets.tower_max_depth}")
-
-
 def run_tower_suite(N: int, field: FieldSpec, rule: str = "power",
                     budgets: Budgets = DEFAULT_BUDGETS) -> TowerSuiteReport:
     """All level checks up to depth N plus the strict-containment chain
@@ -301,26 +288,21 @@ def run_tower_suite(N: int, field: FieldSpec, rule: str = "power",
         (x^(2^N) - 1) ⊊ ... ⊊ (x^2 - 1) ⊊ (x - 1)
 
     inside level N's ring, the depth-N certificate that no finite set of
-    sections generates the ideal at every level."""
-    if N < 0:
-        raise DomainError("depth must be nonnegative")
-    require_depth(N, budgets)
-    levels = [tower_ring(n, field, rule) for n in range(N + 1)]
-    cover_maps = [verify_cover_map(levels[n], levels[n + 1], budgets)
+    sections generates the ideal at every level.  Each level is built once,
+    the top one first, so an over-deep suite is refused before any is."""
+    top = tower_ring(N, field, rule, budgets)
+    levels = [tower_ring(n, field, rule, budgets) for n in range(N)] + [top]
+    cover_maps = [verify_cover_map(levels[n], levels[n + 1])
                   for n in range(N)]
-    strictness = [pullback_strictness(n, field, rule, budgets)
-                  for n in range(1, N + 1)]
-    maximality = [properness_and_maximality(n, field, rule, budgets)
-                  for n in range(N + 1)]
-    budgets = _level_budgets(N, rule, budgets)
-    top = levels[N]
-    handles = [pullback_ideal(top, m, budgets) for m in range(N + 1)]
+    strictness = [pullback_strictness(level) for level in levels[1:]]
+    maximality = [properness_and_maximality(level) for level in levels]
+    handles = [pullback_ideal(top, m) for m in range(N + 1)]
     chain = [f"(x^{2 ** (N - m)} - 1)" if N > m else "(x - 1)"
              for m in range(N + 1)]
     chain_strict = True
     for small, big in zip(handles, handles[1:]):
-        if not (ideal_contains(big, small, budgets)
-                and not ideal_equal(small, big, budgets)):
+        if not (ideal_contains(big, small, top.budgets)
+                and not ideal_equal(small, big, top.budgets)):
             chain_strict = False
             break
     return TowerSuiteReport(N, field.describe(), rule, cover_maps,

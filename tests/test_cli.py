@@ -168,10 +168,13 @@ def test_etale_suite_power(capsys):
 
 
 def test_etale_suite_literal_fails(capsys):
-    code, doc = run(capsys, "etale", "--depth", "3", "--field", "fp:5",
-                    "--exponent-rule", "literal")
-    assert (code, doc["status"]) == (1, "fail")
-    assert doc["result"]["failing_level"] == 3
+    # Depths 7 and 8 build x^128 - 1 and x^256 - 1, within the level's
+    # degree budget of 2^depth.
+    for depth, field in (("3", "fp:5"), ("7", "q"), ("8", "q")):
+        code, doc = run(capsys, "etale", "--depth", depth, "--field", field,
+                        "--exponent-rule", "literal")
+        assert (code, doc["status"]) == (1, "fail"), (depth, field)
+        assert doc["result"]["failing_level"] == 3
 
 
 def test_parse_error_exit_code(capsys, monkeypatch):
@@ -253,6 +256,8 @@ def test_parse_job_document():
      "unknown budget field 'max_dgree'"),
     ('{"command": "groebner", "budgets": {"from_env": 7}}',
      "unknown budget field 'from_env'"),
+    ('{"command": "digraph-extract", "budgets": {"extraction_depth": 32}}',
+     "unknown budget field 'extraction_depth'"),
     ('{"command": "groebner", "budgets": {"max_degree": "abc"}}',
      "budget 'max_degree' must be an integer"),
     ('{"command": "groebner", "budgets": [1]}', "budgets must be a JSON object"),

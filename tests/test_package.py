@@ -2,10 +2,14 @@
 lazily, on first use, to the object its module defines."""
 
 import importlib
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
 import noether
+from noether.config import Budgets
 
 # module -> the names ``noether`` exports from it, as the eager package did.
 EXPORTS = {
@@ -71,3 +75,14 @@ def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         noether.no_such_name
     assert not hasattr(noether, "irreducible_factors")
+
+
+def test_every_budget_is_read():
+    """Each ``Budgets`` field is read as ``budgets.<name>`` somewhere in the
+    package outside ``config.py``: a knob nothing reads is dead."""
+    package = Path(noether.__file__).parent
+    read = set()
+    for path in package.glob("*.py"):
+        if path.name != "config.py":
+            read.update(re.findall(r"budgets\.(\w+)", path.read_text()))
+    assert {f.name for f in fields(Budgets)} - read == set()

@@ -1,11 +1,15 @@
 """The cover tower: level rings, cover maps under x -> x^2, strict pullback
-growth, properness/maximality, and the full per-level suite."""
+growth, properness/maximality, the full per-level suite, and the budgets a
+level carries."""
+
+import itertools
 
 import pytest
 
 from noether.config import Budgets
 from noether.errors import DomainError, ResourceBudgetError
 from noether.fields import GF, QQ
+from noether.jobs import JobSpec, run_job
 from noether.rings import ideal_equal, ideal_membership
 from noether.tower import (
     EXPONENT_RULES,
@@ -85,12 +89,12 @@ def test_pullback_ideal_doubles_exponent():
 
 def test_pullback_strictness_each_level():
     for n in (1, 2, 3):
-        rep = pullback_strictness(n, QQ)
+        rep = pullback_strictness(tower_ring(n, QQ))
         assert rep.ok, rep.as_dict()
 
 
 def test_strictness_witness_fields():
-    rep = pullback_strictness(2, GF(5))
+    rep = pullback_strictness(tower_ring(2, GF(5)))
     d = rep.as_dict()
     assert d["witness_in_big"] and d["witness_not_in_small"]
     assert d["pullback_is_x2_minus_1"] and d["strictly_smaller"]
@@ -98,7 +102,7 @@ def test_strictness_witness_fields():
 
 def test_properness_and_maximality():
     for field in (QQ, GF(5)):
-        rep = properness_and_maximality(2, field)
+        rep = properness_and_maximality(tower_ring(2, field))
         assert rep.ok, rep.as_dict()
 
 
@@ -125,6 +129,39 @@ def test_suite_depth_is_a_budget():
     with pytest.raises(ResourceBudgetError) as info:
         run_tower_suite(3, QQ, "power", Budgets(tower_max_depth=2))
     assert info.value.budget_name == "tower_max_depth"
+
+
+def test_tower_ring_is_the_depth_gate():
+    with pytest.raises(ResourceBudgetError) as info:
+        tower_ring(9, QQ)
+    assert info.value.budget_name == "tower_max_depth"
+    assert "depth 9 exceeds the configured maximum 8" in str(info.value)
+    assert tower_ring(3, QQ, "power", Budgets(tower_max_depth=3)).n == 3
+
+
+def test_level_degree_budget_is_at_least_two_to_the_n():
+    assert tower_ring(2, QQ).budgets == Budgets()
+    assert tower_ring(7, QQ).budgets == Budgets(max_degree=128)
+    caller = Budgets(max_degree=300, max_pairs=7)
+    assert tower_ring(8, QQ, "literal", caller).budgets == caller
+    tight = tower_ring(5, QQ, "power", Budgets(max_degree=1))
+    assert tight.budgets == Budgets(max_degree=32)
+
+
+def test_etale_jobs_need_no_degree_budget_of_their_own():
+    # 2^n is the largest degree a level-n check builds, so a caller's degree
+    # budget of 1 changes no report.
+    ops = ("suite", "level", "cover-map", "strictness", "maximality")
+    for field, rule, op, depth in itertools.product(
+            ("q", "fp:5"), EXPONENT_RULES, ops, range(9)):
+        payload = {"op": op, "field": field, "rule": rule, "depth": depth}
+        reports = []
+        for budgets in (Budgets(), Budgets(max_degree=1)):
+            report = run_job(JobSpec("etale", payload, budgets))
+            assert "max_degree" not in str(report.result), payload
+            report.timings.clear()
+            reports.append(report.as_dict())
+        assert reports[0] == reports[1], payload
 
 
 def test_suite_literal_rule_reports_failing_level():
