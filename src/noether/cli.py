@@ -15,9 +15,16 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from .config import Budgets
 from .errors import ParseError
-from .jobs import COMMANDS, EXIT_PARSE, SCHEMAS, JobSpec, decode_object, run_job
+from .jobs import COMMANDS, EXIT_PARSE, SCHEMAS, decode_object, load_job, run_job
+
+# Each convenience flag writes one payload key: {command: ((flag, key, type, choices), ...)}.
+FLAGS = {
+    "cech-projective": (("--n", "n", int, None), ("--d", "d", int, None)),
+    "etale": (("--depth", "depth", int, None), ("--field", "field", str, None),
+              ("--exponent-rule", "rule", str, ("power", "literal")),
+              ("--op", "op", str, tuple(SCHEMAS["etale"]))),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -30,20 +37,10 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name)
         cmd.add_argument("payload", nargs="?", default=None,
                          help="payload JSON file, or '-' for stdin")
-        cmd.add_argument("--json", dest="fmt", action="store_const",
-                         const="json", default="json")
         cmd.add_argument("--text", dest="fmt", action="store_const",
-                         const="text")
-        if name == "cech-projective":
-            cmd.add_argument("--n", type=int)
-            cmd.add_argument("--d", type=int)
-        if name == "etale":
-            cmd.add_argument("--depth", type=int)
-            cmd.add_argument("--field", default=None,
-                             help="q or fp:<p>")
-            cmd.add_argument("--exponent-rule", dest="rule",
-                             choices=("power", "literal"))
-            cmd.add_argument("--op", default=None, choices=tuple(SCHEMAS["etale"]))
+                         const="text", default="json")
+        for flag, key, kind, choices in FLAGS.get(name, ()):
+            cmd.add_argument(flag, dest=key, type=kind, choices=choices)
     return parser
 
 
@@ -56,29 +53,16 @@ def _load_payload(args: argparse.Namespace) -> dict:
         except (OSError, UnicodeDecodeError) as exc:
             raise ParseError(f"cannot read payload {args.payload!r}: {exc}") from exc
         payload = decode_object(text, "payload")
-    if args.command == "cech-projective":
-        if getattr(args, "n", None) is not None:
-            payload["n"] = args.n
-        if getattr(args, "d", None) is not None:
-            payload["d"] = args.d
-    if args.command == "etale":
-        if getattr(args, "depth", None) is not None:
-            payload["depth"] = args.depth
-        if getattr(args, "field", None):
-            payload["field"] = args.field
-        if getattr(args, "rule", None):
-            payload["rule"] = args.rule
-        if getattr(args, "op", None):
-            payload["op"] = args.op
+    for _, key, _, _ in FLAGS.get(args.command, ()):
+        if getattr(args, key) is not None:
+            payload[key] = getattr(args, key)
     return payload
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        payload = _load_payload(args)
-        job = JobSpec(args.command, payload, Budgets.from_env())
+        job = load_job(args.command, _load_payload(args))
     except ParseError as exc:
         print(json.dumps({"status": "error", "error": str(exc)}, indent=2))
         return EXIT_PARSE

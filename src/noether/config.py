@@ -5,7 +5,8 @@ searches, digraph enumeration, the tower) consults a ``Budgets`` value.
 Digraph extraction reads none: each node it adds is a distinct open strictly
 inside its parent's, so it ends once the candidate opens run out.  Environment
 variables of the form ``NOETHER_BUDGET_<FIELD>`` override the defaults,
-e.g. ``NOETHER_BUDGET_MAX_PAIRS=500000``.
+e.g. ``NOETHER_BUDGET_MAX_PAIRS=500000``; any other ``NOETHER_BUDGET_*``
+name is refused, as an unknown key of a job's ``budgets`` is.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ import os
 from dataclasses import dataclass, fields
 
 from .errors import ParseError
+
+ENV_PREFIX = "NOETHER_BUDGET_"
 
 
 @dataclass(frozen=True)
@@ -38,17 +41,32 @@ class Budgets:
     baer_materialize_bound: int = 4096
 
     @staticmethod
-    def from_env() -> "Budgets":
-        overrides = {}
-        for f in fields(Budgets):
-            var = f"NOETHER_BUDGET_{f.name.upper()}"
-            raw = os.environ.get(var)
-            if raw is not None:
+    def checked(values: dict, env: bool = False) -> dict:
+        """``values`` as field overrides, keyed by field name, or for ``env`` by
+        variable name ``NOETHER_BUDGET_<FIELD>`` with integer texts; a key or
+        value it cannot take is a ParseError naming the key."""
+        names = {(ENV_PREFIX + f.name.upper() if env else f.name): f.name
+                 for f in fields(Budgets)}
+        out = {}
+        for key, value in values.items():
+            if key not in names:
+                raise ParseError(f"unknown budget field {key!r}")
+            if env:
                 try:
-                    overrides[f.name] = int(raw)
+                    value = int(value)
                 except ValueError:
-                    raise ParseError(f"{var} must be an integer, got {raw!r}") from None
-        return Budgets(**overrides)
+                    pass
+            if type(value) is not int:
+                what = key if env else f"budget {key!r}"
+                raise ParseError(f"{what} must be an integer, got {value!r}")
+            out[names[key]] = value
+        return out
+
+    @staticmethod
+    def from_env() -> "Budgets":
+        """The defaults under every ``NOETHER_BUDGET_*`` variable."""
+        env = {var: raw for var, raw in os.environ.items() if var.startswith(ENV_PREFIX)}
+        return Budgets(**Budgets.checked(env, env=True))
 
 
 DEFAULT_BUDGETS = Budgets()

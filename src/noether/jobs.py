@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field as dc_field, fields, replace
+from dataclasses import dataclass, field as dc_field, replace
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from .config import Budgets, DEFAULT_BUDGETS
@@ -244,27 +244,24 @@ def decode_object(text: str, what: str) -> Dict[str, Any]:
     return doc
 
 
-def parse_job(text: str) -> JobSpec:
-    """Parse a complete job document
-    {"command": ..., "payload": {...}, "budgets": {"<field>": <int>}}."""
-    doc = decode_object(text, "job")
-    command = doc.get("command")
+def load_job(command: Any, payload: Any, budgets: Any = {}) -> JobSpec:
+    """The one way in, for the CLI and ``parse_job``: the command, the payload
+    object and the ``budgets`` overrides checked, the environment's applied
+    and then the job's."""
     if command not in COMMANDS:
         raise ParseError(f"unknown command {command!r}; "
                          f"expected one of {', '.join(COMMANDS)}")
-    payload = doc.get("payload", {})
-    if not isinstance(payload, dict):
-        raise ParseError("payload must be a JSON object")
-    overrides = doc.get("budgets", {})
-    if not isinstance(overrides, dict):
-        raise ParseError("budgets must be a JSON object")
-    names = {f.name for f in fields(Budgets)}
-    for name, value in overrides.items():
-        if name not in names:
-            raise ParseError(f"unknown budget field {name!r}")
-        if type(value) is not int:
-            raise ParseError(f"budget {name!r} must be an integer, got {value!r}")
+    for what, value in (("payload", payload), ("budgets", budgets)):
+        if not isinstance(value, dict):
+            raise ParseError(f"{what} must be a JSON object")
+    overrides = Budgets.checked(budgets)
     return JobSpec(command, payload, replace(Budgets.from_env(), **overrides))
+
+
+def parse_job(text: str) -> JobSpec:
+    """A whole job document {"command": ..., "payload": {...}, "budgets": {...}}."""
+    doc = decode_object(text, "job")
+    return load_job(doc.get("command"), doc.get("payload", {}), doc.get("budgets", {}))
 
 
 def _field_from_json(desc: str) -> FieldSpec:

@@ -141,7 +141,7 @@ class IdealHandle:
                 raise DomainError("generator from a different ring")
         self.ring = ring
         self.generators = tuple(generators)
-        self._canonical: Optional[Tuple[Polynomial, ...]] = None
+        self._canonical: Optional[Tuple[Budgets, Tuple[Polynomial, ...]]] = None
 
     # -- bases -------------------------------------------------------------
 
@@ -159,14 +159,16 @@ class IdealHandle:
         The canonical form is the contraction to k[vars] of the ideal this
         handle generates in the presented ring: generators plus quotient,
         saturated with respect to the product of the inverted elements.
+        Under other budgets than the cached basis's it is computed afresh,
+        so a budget refuses it as it would on a new handle.
         """
-        if self._canonical is None:
+        if self._canonical is None or self._canonical[0] != budgets:
             gens = list(self.generators) + list(self.ring.quotient)
             if self.ring.inverted:
                 s = self.ring.inverted_product()
                 gens = _saturate_gens(gens, s, self.ring.field, self.ring.nvars, budgets)
-            self._canonical = self._reduced_basis(gens, budgets)
-        return self._canonical
+            self._canonical = (budgets, self._reduced_basis(gens, budgets))
+        return self._canonical[1]
 
     def _reduced_basis(self, gens: List[Polynomial], budgets: Budgets) -> Tuple[Polynomial, ...]:
         """Reduced Groebner basis of gens: the monic gcd in k[x], else Buchberger."""

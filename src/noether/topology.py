@@ -137,11 +137,6 @@ class FiniteSpace:
     def leq(self, a, b) -> bool:
         return bool(self._down[self._at(b)] >> self._at(a) & 1)
 
-    def is_open(self, subset: FrozenSet) -> bool:
-        mask = self._mask(subset)
-        return all(not self._down[i] & ~mask
-                   for i in range(len(self.points)) if mask >> i & 1)
-
     def connected(self, subset: FrozenSet) -> bool:
         """Connectivity in the comparability graph restricted to the subset,
         by breadth-first search from its lowest point."""

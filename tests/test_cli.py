@@ -8,16 +8,17 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from noether.cli import _build_parser, _load_payload, main
+from noether.cli import FLAGS, _build_parser, _load_payload, main
 from noether.config import Budgets
 from noether.errors import ParseError
-from noether.jobs import (COMMANDS, REQUIRED, SCHEMAS, JobSpec, Variants, parse_job,
-                          run_job)
+from noether.jobs import (COMMANDS, DIGRAPH, NODE, REQUIRED, SCHEMAS, JobSpec, Variants,
+                          parse_job, run_job)
 
 
 def run(capsys, *argv, stdin=None, monkeypatch=None):
@@ -237,10 +238,92 @@ def test_cli_flags_write_keys_every_op_takes():
                        ("etale", "op")}
 
 
+def test_flag_table_writes_schema_keys_and_the_benchmarked_forms():
+    for command, flags in FLAGS.items():
+        schema = SCHEMAS[command]
+        schemas = list(schema.values()) if isinstance(schema, Variants) else [schema]
+        tags = {schema.tag} if isinstance(schema, Variants) else set()
+        for flag, key, _, _ in flags:
+            assert all(key in keys or key in tags for keys in schemas), (command, flag)
+    parser = _build_parser()
+    for argv, payload in [
+        (["cech-projective", "--n", "1", "--d", "-3"], {"n": 1, "d": -3}),
+        (["etale", "--depth", "3", "--field", "q", "--exponent-rule", "power"],
+         {"depth": 3, "field": "q", "rule": "power"}),
+    ]:
+        assert _load_payload(parser.parse_args(argv)) == payload
+
+
+def test_empty_field_flag_exits_2_like_the_payload(capsys, monkeypatch):
+    flag = run(capsys, "etale", "--depth", "2", "--field", "")
+    payload = run(capsys, "etale", "-", stdin='{"depth": 2, "field": ""}',
+                  monkeypatch=monkeypatch)
+    for _, doc in (flag, payload):
+        doc.pop("timings")
+    assert flag == payload
+    assert flag[0] == 2
+    assert "unknown field descriptor ''" in flag[1]["result"]["error"]
+
+
+def test_json_flag_is_refused(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["groebner", "--json"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("var", ["NOETHER_BUDGET_MAX_DEGRE", "NOETHER_BUDGET_EXTRACTION_DEPTH",
+                                 "NOETHER_BUDGET_max_degree", "NOETHER_BUDGET_"])
+def test_unknown_budget_variable_exits_2_on_both_channels(capsys, monkeypatch, var):
+    # The CLI and parse_job share one loader, so they refuse alike.
+    monkeypatch.setenv(var, "1")
+    message = f"unknown budget field {var!r}"
+    code, doc = run(capsys, "etale", "--depth", "2")
+    assert (code, doc) == (2, {"status": "error", "error": message})
+    with pytest.raises(ParseError, match=re.escape(message)):
+        parse_job('{"command": "groebner"}')
+
+
 def test_readme_lists_every_command():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     listed = readme.split("Subcommands:", 1)[1].split("\n\n", 1)[0]
     assert re.findall(r"`([a-z-]+)`", listed) == list(COMMANDS)
+
+
+def schema_entries(kind):
+    """(key, kind) for every key of a kind (see SCHEMAS), of its variants and
+    of the kinds nested in it."""
+    if isinstance(kind, tuple):
+        for alternative in kind:
+            yield from schema_entries(alternative)
+    elif isinstance(kind, list):
+        yield from schema_entries(kind[0])
+    elif isinstance(kind, Variants):
+        yield kind.tag, str
+        for schema in kind.values():
+            yield from schema_entries(schema)
+    elif isinstance(kind, dict):
+        for key, (sub, _) in kind.items():
+            yield key, sub
+            yield from schema_entries(sub)
+
+
+def test_readme_payload_keys_are_schema_keys():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    paragraph = readme.split("Every key a command takes", 1)[1].split("\n\n", 1)[0]
+    named = set(re.findall(r"`([a-z_]+)`", paragraph))
+    ops = {op for schema in SCHEMAS.values() if isinstance(schema, Variants) for op in schema}
+    budgets = {f.name for f in fields(Budgets)}
+    keys = named - set(COMMANDS) - ops - budgets - {"true"}  # true: a JSON value
+    assert {"op", "kind", "digraph", "gens", "n", "d", "depth", "rank"} <= keys
+    entries = [entry for schema in SCHEMAS.values() for entry in schema_entries(schema)]
+    assert keys <= {key for key, _ in entries}
+    assert set(SCHEMAS["cech-projective"]) == {"n", "d"}
+    # "A digraph is always the nested `digraph` object, and a node's
+    # generators are its `gens`."
+    assert all(kind is DIGRAPH for key, kind in entries if key == "digraph")
+    assert DIGRAPH["nodes"][0] == [NODE]
+    assert set(NODE) == {"open", "gens", "fractions"} and NODE["gens"][0] == [str]
 
 
 def test_parse_job_document():

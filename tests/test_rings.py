@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from noether import univar
-from noether.config import DEFAULT_BUDGETS
+from noether.config import DEFAULT_BUDGETS, Budgets
 from noether.errors import DomainError, ResourceBudgetError
 from noether.fields import GF, QQ
 from noether.groebner import groebner_basis
@@ -116,6 +116,22 @@ def test_localized_groebner_basis_is_canonical():
     base = PresentedRing(QQ, ("x",))
     R = base.with_inverted(base.parse("x"))
     assert [R.render(g) for g in op_groebner_basis(R.ideal("x^2 - x"))] == ["x - 1"]
+
+
+@pytest.mark.parametrize("order", [("default", "tight"), ("tight", "default"), ("tight",)])
+def test_canonical_basis_obeys_each_calls_budgets_in_any_order(order):
+    # The handle keeps one basis with the budgets it was computed under: a
+    # call under tighter budgets is refused as on a fresh handle, and a
+    # refused call leaves the handle usable under looser ones.
+    base = PresentedRing(QQ, ("x",))
+    R = base.with_inverted(base.parse("x"))
+    I = R.ideal("x^10 - 1")
+    for name in order:
+        if name == "tight":
+            with pytest.raises(ResourceBudgetError, match="max_degree"):
+                I.canonical_basis(Budgets(max_degree=2))
+        else:
+            assert [R.render(g) for g in I.canonical_basis()] == ["x^10 - 1"]
 
 
 def test_quotient_ring_membership():

@@ -171,7 +171,6 @@ def test_finite_space_opens_match_the_definition(preorder):
     # all_subsets lists by size, then lexicographically: the opens' order.
     assert X.opens() == down_sets
     for S in all_subsets(n):
-        assert X.is_open(S) == (S in down_sets)
         assert X.connected(S) == (bool(S) and comparability_connected(leq, S))
     assert X.connected_opens() == [S for S in down_sets
                                    if S and comparability_connected(leq, S)]
@@ -191,7 +190,7 @@ def test_finite_space_lists_are_fresh_copies():
 def test_finite_space_rejects_foreign_and_repeated_points():
     X = FiniteSpace((0, 1), ((0, 1),))
     with pytest.raises(DomainError, match="not a point"):
-        X.is_open(frozenset({0, 7}))
+        X.connected(frozenset({0, 7}))
     with pytest.raises(DomainError, match="not a point"):
         FiniteSpace((0, 1), ((0, 5),))
     with pytest.raises(DomainError, match="repeated point"):
