@@ -415,8 +415,8 @@ def criterion_8(budgets: Budgets = DEFAULT_BUDGETS) -> Tuple[bool, str]:
                             f"{power.failing_level()}")
 
         literal = run_tower_suite(N, field, "literal", budgets)
-        ring3 = tower_ring(3, field, "literal").ring
-        witness = ring3.render(ring3.parse("x^8 - 2"))
+        ring3 = tower_ring(3, field, "literal", budgets).ring
+        witness = ring3.render(ring3.parse("x^8 - 2", budgets))
         first = next((r for r in literal.cover_maps if not r.ok), None)
         if first is None:
             failures.append(f"{name}/literal cover maps all pass")

@@ -26,7 +26,7 @@ from .fields import FieldSpec, QQ
 from .poly import Polynomial
 from .rings import IdealHandle, PresentedRing
 from .topology import OpenCover, cover_check, open_contains
-from .univar import poly_degree
+from .univar import gcd, poly_degree
 
 
 # ---------------------------------------------------------------------------
@@ -319,9 +319,10 @@ def affine_vanishing_check(R: PresentedRing, I: IdealHandle, cover: OpenCover,
                            window: AffineWindow = AffineWindow(),
                            budgets: Budgets = DEFAULT_BUDGETS) -> bool:
     """True iff all higher Čech cohomology vanishes in the window and H^0
-    matches the truncated space of global sections of the sheaf of I.
-    Refuses a window past ``budgets.max_degree`` as ``cech_complex_affine``
-    does."""
+    matches the truncated global sections of the sheaf of I, read in the
+    complex's window: P/d^N with P in (g), deg P <= base_degree + N * deg d,
+    d the gcd of the nonzero pieces.  Refuses a window past
+    ``budgets.max_degree`` as ``cech_complex_affine`` does."""
     complex_ = cech_complex_affine(R, I, cover, window, budgets)
     hdims = complex_.cohomology_dims()
     if not hdims:  # the empty cover, which covers only D(0): no sections at all
@@ -329,9 +330,8 @@ def affine_vanishing_check(R: PresentedRing, I: IdealHandle, cover: OpenCover,
     if any(h != 0 for h in hdims[1:]):
         return False
     g = _principal_generator(I, budgets)
-    if g is None:
+    d = gcd([piece.f for piece in cover.pieces], R.field)
+    if g is None or d.is_zero():  # the zero ideal, or only empty pieces
         return hdims[0] == 0
-    fdeg = poly_degree(cover.target.f)
-    cap = window.base_degree + window.denominator_exponent * fdeg
-    expected = max(0, cap - poly_degree(g) + 1)
-    return hdims[0] == expected
+    cap = window.base_degree + window.denominator_exponent * poly_degree(d)
+    return hdims[0] == max(0, cap - poly_degree(g) + 1)

@@ -27,8 +27,14 @@ FLAGS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """A usage error is a ParseError, printed as every other one is."""
+        raise ParseError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="noether",
         description="Sheaves of ideals as finite digraphs: kernel, "
                     "topology, cohomology, injectives, and the cover tower.")
@@ -60,8 +66,8 @@ def _load_payload(args: argparse.Namespace) -> dict:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         job = load_job(args.command, _load_payload(args))
     except ParseError as exc:
         print(json.dumps({"status": "error", "error": str(exc)}, indent=2))

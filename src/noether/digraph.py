@@ -204,8 +204,9 @@ def clear_denominators(
                 raise DomainError(
                     f"denominator {ring.render(den)} is not a unit on {u.render()}")
             nums.append(num)
-        canonical = IdealHandle(ru, tuple(nums)).canonical_basis(budgets)
-        if not ideal_equal(IdealHandle(ru, tuple(nums)), IdealHandle(ru, canonical), budgets):
+        given = IdealHandle(ru, tuple(nums))
+        canonical = given.canonical_basis(budgets)
+        if not ideal_equal(given, IdealHandle(ru, canonical), budgets):
             raise ValidationError("canonicalization changed the ideal")
         nodes.append(DigraphNode(u, tuple(canonical)))
     return IdealDigraph(ring, tuple(nodes), tuple(edges), root)

@@ -62,7 +62,7 @@ MODULE = Variants("kind", {"ring": {}, "zero": {}, "free": _RANK,
                            "quotient": {**_RANK, "relations": ([[ELEMENT]], [])},
                            "submodule": {**_RANK, "generators": ([[ELEMENT]], [])}})
 NODE = {"open": (OPEN, REQUIRED), "gens": ([str], []),
-        "fractions": ([{"num": (str, REQUIRED), "den": (str, "1")}], None)}
+        "fractions": ([{"num": (str, REQUIRED), "den": (str, "1")}], [])}
 DIGRAPH = {"ring": (RING, {}), "nodes": ([NODE], []), "edges": ([[int]], []), "root": (int, 0)}
 
 _TEXT, _TEXTS, _ON_RING = (str, REQUIRED), ([str], []), {"ring": (RING, {})}
@@ -261,6 +261,9 @@ def load_job(command: Any, payload: Any, budgets: Any = {}) -> JobSpec:
 def parse_job(text: str) -> JobSpec:
     """A whole job document {"command": ..., "payload": {...}, "budgets": {...}}."""
     doc = decode_object(text, "job")
+    unknown = [key for key in doc if key not in ("command", "payload", "budgets")]
+    if unknown:
+        raise ParseError(f"unknown key {unknown[0]!r} in 'job'")
     return load_job(doc.get("command"), doc.get("payload", {}), doc.get("budgets", {}))
 
 
@@ -284,7 +287,11 @@ def _ring_from_json(desc: Dict[str, Any], budgets: Budgets) -> PresentedRing:
     base = PresentedRing(field, vars_)
     quotient = tuple(base.parse(s, budgets) for s in desc["quotient"])
     inverted = tuple(base.parse(s, budgets) for s in desc["inverted"])
-    return PresentedRing(field, vars_, quotient, inverted)
+    ring = PresentedRing(field, vars_, quotient, inverted)
+    # Only a quotient (with an inverted zero divisor of it) can give the zero ring.
+    if quotient and ring.ideal().is_unit_ideal(budgets):
+        raise DomainError(f"{ring.describe()} is the zero ring")
+    return ring
 
 
 def _bounded(base: int, exp: int, what: str, budgets: Budgets) -> None:
@@ -362,7 +369,8 @@ def _pairs(value: List[List[int]], key: str) -> Tuple[Tuple[int, int], ...]:
 
 def _digraph_from_json(desc: Dict[str, Any],
                        budgets: Budgets) -> Tuple[PresentedRing, IdealDigraph]:
-    from .digraph import DigraphNode, IdealDigraph, clear_denominators
+    """Every node through ``clear_denominators``, each of its ``gens`` g as g/1."""
+    from .digraph import clear_denominators
 
     ring = _ring_from_json(desc["ring"], budgets)
     edges = _pairs(desc["edges"], "edges")
@@ -370,12 +378,9 @@ def _digraph_from_json(desc: Dict[str, Any],
     for node in desc["nodes"]:
         u = _open_from_json(ring, node["open"], budgets)
         fracs = [(ring.parse(fr["num"], budgets), ring.parse(fr["den"], budgets))
-                 for fr in node["fractions"] or []]
+                 for fr in node["fractions"]]
         nodes.append((u, fracs + [(ring.parse(g, budgets), ring.one()) for g in node["gens"]]))
-    if any(node["fractions"] is not None for node in desc["nodes"]):
-        return ring, clear_denominators(ring, nodes, edges, desc["root"], budgets)
-    nodes = tuple(DigraphNode(u, tuple(g for g, _ in fracs)) for u, fracs in nodes)
-    return ring, IdealDigraph(ring, nodes, edges, desc["root"])
+    return ring, clear_denominators(ring, nodes, edges, desc["root"], budgets)
 
 
 def _digraph_to_json(d: IdealDigraph) -> Dict[str, Any]:

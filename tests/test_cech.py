@@ -132,6 +132,18 @@ def test_affine_complex_of_equal_ideals_in_a_localization(ideal):
     assert report.result["cohomology"] == [9, 0]
 
 
+@pytest.mark.parametrize("ring,target,pieces", [
+    ({}, "x", ["x^2"]), ({"vars": ["x"], "inverted": ["x"]}, "1", ["x"])])
+def test_affine_h0_is_read_in_the_pieces_window(ring, target, pieces):
+    # Sections are numerators over the pieces' denominators, so the expected
+    # H^0 is sized by the gcd of the pieces, not by the target: D(x^2) = D(x),
+    # and in Q[x, 1/x] the piece D(x) is the whole space D(1).
+    report = run_job(JobSpec("cech-affine", {
+        "op": "vanishing", "ring": ring, "ideal": ["x - 2"],
+        "cover": {"target": target, "pieces": pieces}}))
+    assert report.status == "pass", report.result
+
+
 @pytest.mark.parametrize("payload,code,result", [
     ({"op": "complex", "ideal": ["x"], "cover": {"target": "x", "pieces": ["0", "x"]}},
      0, [11, 0]),

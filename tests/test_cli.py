@@ -98,6 +98,51 @@ def test_digraph_validate_and_witness(tmp_path, capsys):
     assert doc["witness"] == {"increasing": [[0, 1]]}
 
 
+def test_inverting_zero_divisor_of_quotient_rejected_at_load():
+    # x^2 and x are zero divisors modulo x^2, and (1) leaves no ring at all.
+    for ring, name in [({"quotient": ["x^2"], "inverted": ["x^2"]}, "Q[x]/(x^2)[1/(x^2)]"),
+                       ({"quotient": ["x^2"], "inverted": ["x"]}, "Q[x]/(x^2)[1/(x)]"),
+                       ({"quotient": ["1"]}, "Q[x]/(1)")]:
+        report = run_job(JobSpec("groebner", {"ring": ring, "generators": ["x - 3"]}))
+        assert (report.exit_code, report.result) == (2, {"error": f"{name} is the zero ring"})
+
+
+def test_a_quotient_is_read_under_the_jobs_degree_budget():
+    payload = {"ring": {"quotient": ["x^100 - 1"]}, "generators": ["x^2 - 1"]}
+    report = run_job(JobSpec("groebner", payload, Budgets(max_degree=128)))
+    assert (report.exit_code, report.result["basis"]) == (0, ["x^2 - 1"])
+
+
+@pytest.mark.parametrize("fractions", [{}, {"fractions": []}])
+def test_clear_denominators_returns_canonical_bases(fractions):
+    # A node's ideal is read in canonical form whether or not it has fractions.
+    digraph = {"nodes": [{"open": "1", "gens": ["x^2 - x", "2*x - 2"], **fractions},
+                         {"open": "x", "gens": ["x^2 - 1", "x - 1"]}], "edges": [[0, 1]]}
+    report = run_job(JobSpec("digraph-validate", {"op": "clear-denominators",
+                                                  "digraph": digraph}))
+    assert [n["gens"] for n in report.result["nodes"]] == [["x - 1"], ["x - 1"]]
+
+
+@pytest.mark.parametrize("command,payload", [
+    ("digraph-validate", {"op": "validate"}), ("digraph-validate", {"op": "clear-denominators"}),
+    ("digraph-eval", {"op": "evaluate", "open": "x"}),
+    ("digraph-eval", {"op": "membership", "open": "x", "numerator": "x"}),
+    ("digraph-eval", {"op": "quasi-coherent", "basis": ["x"]}),
+    ("digraph-extract", {"basis": ["x"]}),
+])
+@pytest.mark.parametrize("edges", [[], [[0, 1]]])
+def test_an_empty_node_open_exits_2(command, payload, edges):
+    digraph = {"nodes": [{"open": "1", "gens": ["x"]}, {"open": "0", "gens": ["1"]}],
+               "edges": edges}
+    if command == "digraph-extract":
+        payload = dict(payload, oracle={"kind": "digraph", "digraph": digraph})
+    else:
+        payload = dict(payload, digraph=digraph)
+    report = run_job(JobSpec(command, payload))
+    assert (report.exit_code, report.result) == (
+        2, {"error": "empty open has no coordinate ring here"})
+
+
 def test_digraph_eval(tmp_path, capsys):
     payload = {"op": "evaluate", "open": "x", "digraph": {
         "ring": {"field": "q", "vars": ["x"]},
@@ -266,10 +311,25 @@ def test_empty_field_flag_exits_2_like_the_payload(capsys, monkeypatch):
 
 
 def test_json_flag_is_refused(capsys):
+    code, doc = run(capsys, "groebner", "--json")
+    assert (code, doc) == (2, {"status": "error", "error": "unrecognized arguments: --json"})
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["etale", "--bogus"], "unrecognized arguments: --bogus"),
+    (["cech-projective", "--n", "abc"], "argument --n: invalid int value: 'abc'"),
+    ([], "the following arguments are required: command"),
+])
+def test_usage_errors_print_the_json_error(capsys, argv, message):
+    code, doc = run(capsys, *argv)
+    assert (code, doc) == (2, {"status": "error", "error": message})
+
+
+def test_help_is_unchanged(capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["groebner", "--json"])
-    assert exc.value.code == 2
-    assert "unrecognized arguments: --json" in capsys.readouterr().err
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: noether")
 
 
 @pytest.mark.parametrize("var", ["NOETHER_BUDGET_MAX_DEGRE", "NOETHER_BUDGET_EXTRACTION_DEPTH",
@@ -345,6 +405,8 @@ def test_parse_job_document():
      "budget 'max_degree' must be an integer"),
     ('{"command": "groebner", "budgets": [1]}', "budgets must be a JSON object"),
     ('{"command": "groebner", "payload": [1]}', "payload must be a JSON object"),
+    ('{"command": "ideal", "payload": {"op": "membership", "ideal": ["x"], "element": "x^9"}, '
+     '"budget": {"max_degree": 8}}', "unknown key 'budget' in 'job'"),
     ('["groebner"]', "job must be a JSON object"),
     ("  ", "empty job input"),
     ('{"command": ', "invalid JSON job"),

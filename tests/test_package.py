@@ -1,6 +1,8 @@
 """The package's exports: ``import noether`` binds each of its 119 names
-lazily, on first use, to the object its module defines."""
+lazily, on first use, to the object its module defines.  Also two checks
+of the package source: every budget is read, and passed on."""
 
+import ast
 import importlib
 import re
 from dataclasses import fields
@@ -86,3 +88,70 @@ def test_every_budget_is_read():
         if path.name != "config.py":
             read.update(re.findall(r"budgets\.(\w+)", path.read_text()))
     assert {f.name for f in fields(Budgets)} - read == set()
+
+
+def _takes_budgets(fn: ast.AST) -> bool:
+    args = fn.args
+    return any(a.arg == "budgets" for a in args.posonlyargs + args.args + args.kwonlyargs)
+
+
+def _passes_budgets(call: ast.Call) -> bool:
+    values = call.args + [k.value for k in call.keywords]
+    return any(isinstance(n, ast.Name) and n.id == "budgets"
+               or isinstance(n, ast.Attribute) and n.attr == "budgets"
+               for v in values for n in ast.walk(v))
+
+
+def test_every_budgets_function_passes_its_budgets_on():
+    """A function with a ``budgets`` parameter passes budgets to each package
+    function or method it calls that takes them, so no answer is computed
+    under the defaults behind the caller's back.  A bare name is resolved in
+    its module (a def there, or what ``from .m import`` binds); ``m.f`` with
+    ``m`` a package module is ``f`` there; a method call resolves to the
+    methods of that name in the calling module, else in the whole package."""
+    package = Path(noether.__file__).parent
+    trees = {p.stem: ast.parse(p.read_text()) for p in package.glob("*.py")}
+    functions, methods = {}, {}  # module -> {name: takes budgets}
+    for module, tree in trees.items():
+        functions[module] = {n.name: _takes_budgets(n) for n in tree.body
+                             if isinstance(n, ast.FunctionDef)}
+        own = methods[module] = {}
+        for cls in (n for n in tree.body if isinstance(n, ast.ClassDef)):
+            for n in (n for n in cls.body if isinstance(n, ast.FunctionDef)):
+                own[n.name] = own.get(n.name, False) or _takes_budgets(n)
+
+    def imported(tree):
+        names, modules = {}, set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    if node.module is None:
+                        modules.add(alias.asname or alias.name)
+                    else:
+                        names[alias.asname or alias.name] = (node.module, alias.name)
+        return names, modules
+
+    missed = []
+    for module, tree in trees.items():
+        names, modules = imported(tree)
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef) or not _takes_budgets(fn):
+                continue
+            for call in (n for n in ast.walk(fn) if isinstance(n, ast.Call)):
+                f = call.func
+                if isinstance(f, ast.Name):
+                    home, name = names.get(f.id, (module, f.id))
+                    takes = functions.get(home, {}).get(name, False)
+                elif isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name) \
+                        and f.value.id in modules:
+                    takes = functions.get(f.value.id, {}).get(f.attr, False)
+                elif isinstance(f, ast.Attribute):
+                    if f.attr in methods[module]:
+                        takes = methods[module][f.attr]
+                    else:
+                        takes = any(m.get(f.attr, False) for m in methods.values())
+                else:
+                    continue
+                if takes and not _passes_budgets(call):
+                    missed.append(f"{module}.{fn.name}:{call.lineno} {ast.unparse(f)}")
+    assert missed == []

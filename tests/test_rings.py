@@ -142,11 +142,14 @@ def test_quotient_ring_membership():
     assert ideal_membership(R.parse("x^3 - 1"), I)
 
 
-def test_inverting_zero_divisor_of_quotient_rejected():
+@pytest.mark.parametrize("quotient,inverted", [("x^2", "x^2"), ("x^2", "x"), ("1", None)])
+def test_a_zero_ring_presentation_answers_the_unit_ideal(quotient, inverted):
+    # The constructor computes no basis: a job refuses a zero ring at load
+    # (tests/test_cli.py), while the library answers (1) for every ideal.
     base = PresentedRing(QQ, ("x",))
-    with pytest.raises(DomainError):
-        PresentedRing(QQ, ("x",), quotient=(base.parse("x^2"),),
-                      inverted=(base.parse("x^2"),))
+    R = PresentedRing(QQ, ("x",), quotient=(base.parse(quotient),),
+                      inverted=(base.parse(inverted),) if inverted else ())
+    assert R.ideal().is_unit_ideal() and R.ideal("x - 3").is_unit_ideal()
 
 
 def test_finite_field_coefficients():
@@ -216,7 +219,7 @@ def test_radical_membership_equals_rabinowitsch_oracle(case):
     field, names, quotient, inverted, gens, f = case
     try:
         ring = PresentedRing(field, names, quotient, inverted)
-    except DomainError:  # zero inverted, or inverted zero modulo the quotient
+    except DomainError:  # zero inverted
         return
     I = ring.ideal(gens)
     assert _outcome(radical_membership, f, I) == _outcome(rabinowitsch_oracle, f, I)
