@@ -1,8 +1,12 @@
 """The benchmark's traced run (``perfbench/run.py --trace 1``) patches every
 name listed in ``perfbench/tracer.LAYERS``; a refactor that deletes or
-renames one of them breaks the traced run, so each must still resolve."""
+renames one of them breaks the traced run, so each must still resolve, and
+to a plain function: the tracer wraps ``cls.__dict__[attr]`` and calls it,
+so a property or cached_property under a traced name would raise
+``TypeError`` on every call of a traced run."""
 
 import importlib
+import inspect
 import importlib.util
 from pathlib import Path
 
@@ -29,9 +33,9 @@ def test_traced_names_resolve(layer):
     for name in sorted(set(timed) | set(counted)):
         if "." in name:
             cls_name, attr = name.split(".")
-            cls = getattr(module, cls_name, None)
-            if cls is None or attr not in cls.__dict__:
+            raw = getattr(module, cls_name, object).__dict__.get(attr)
+            if not (inspect.isfunction(raw) or isinstance(raw, staticmethod)):
                 missing.append(name)
-        elif not callable(getattr(module, name, None)):
+        elif not inspect.isfunction(getattr(module, name, None)):
             missing.append(name)
-    assert not missing, f"{module_name} lacks {missing}"
+    assert not missing, f"{module_name} lacks functions {missing}"

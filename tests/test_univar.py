@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -18,8 +19,10 @@ from noether.fields import GF, QQ
 from noether.groebner import groebner_basis
 from noether.poly import DEGREVLEX, BlockElim, Polynomial
 from noether.rings import PresentedRing, radical_membership, saturate
-from noether.univar import (coprime_base, divides, gcd, irreducible_factors,
-                            squarefree_factors)
+from noether.errors import CapabilityError
+from noether.univar import (coprime_base, divides, exact_quotient, from_sympy, gcd,
+                            irreducible_factors, multiplicity, squarefree_factors,
+                            strip_shared, to_sympy)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -304,3 +307,110 @@ def test_coprime_base_refines_the_irreducible_factors(case):
         assert set(qs) <= primes
         for f in factorizations:
             assert len({f.get(q, 0) for q in qs}) == 1
+
+
+# -- gcd, division, multiplicity and squarefree parts against sympy.Poly ------
+
+ORACLE_FIELDS = st.sampled_from([QQ, GF(2), GF(3), GF(5), GF(32003)])
+
+
+def field_elements(field):
+    if field.p:
+        return st.integers(0, field.p - 1)
+    return st.builds(Fraction, st.integers(-12, 12), st.integers(1, 12))
+
+
+def of_coefficients(field, coeffs):
+    """sum c_i x^i for field elements c_i."""
+    return Polynomial(field, 1, {(i,): c for i, c in enumerate(coeffs)})
+
+
+@st.composite
+def oracle_polys(draw, field, max_degree=8):
+    """A polynomial of degree <= max_degree: dense random coefficients, or a
+    power b^k times a cofactor, so that repeated factors and, over F_p,
+    p-th powers h(x^p) occur."""
+    elements = field_elements(field)
+    if draw(st.booleans()):
+        return of_coefficients(field, draw(st.lists(elements, max_size=max_degree + 1)))
+    k = draw(st.integers(2, max(2, max_degree)))
+    base_degree = draw(st.integers(0, max_degree // k))
+    base = of_coefficients(field, draw(st.lists(elements, min_size=base_degree + 1,
+                                                max_size=base_degree + 1)))
+    rest_degree = max_degree - k * base_degree
+    rest = of_coefficients(field, draw(st.lists(elements, min_size=1,
+                                                max_size=rest_degree + 1)))
+    return base ** k * rest
+
+
+def monic_sympy(sp, field):
+    """A sympy polynomial back in our type, normalized to monic (0 stays 0)."""
+    return from_sympy(sp if sp.is_zero else sp.monic(), field)
+
+
+def with_polys(n):
+    return ORACLE_FIELDS.flatmap(lambda F: st.tuples(
+        st.just(F), *[oracle_polys(F) for _ in range(n)]))
+
+
+@settings(deadline=None)
+@given(with_polys(3))
+def test_gcd_and_division_match_sympy(case):
+    field, a, b, c = case
+    sa, sb = to_sympy(a), to_sympy(b)
+    assert gcd([a, b], field) == monic_sympy(sa.gcd(sb), field)
+    assert gcd([a, b, c], field) == monic_sympy(sa.gcd(sb).gcd(to_sympy(c)), field)
+    for num, den in ((b, a), (a * c, a), (a, b * b)):
+        if den.is_zero():
+            assert divides(den, num) == num.is_zero()
+            continue
+        quo, rem = to_sympy(num).div(to_sympy(den))
+        assert divides(den, num) == rem.is_zero
+        if rem.is_zero:
+            assert exact_quotient(num, den) == from_sympy(quo, field)
+        else:
+            with pytest.raises(CapabilityError):
+                exact_quotient(num, den)
+
+
+@settings(deadline=None)
+@given(with_polys(3), st.integers(0, 3))
+def test_multiplicity_and_strip_shared_match_sympy(case, k):
+    field, q, h, f = case
+    g = q ** k * h
+    if not q.is_constant() and not g.is_zero():
+        sq, sg, e = to_sympy(q), to_sympy(g), 0
+        while True:
+            quo, rem = sg.div(sq)
+            if not rem.is_zero:
+                break
+            sg, e = quo, e + 1
+        assert multiplicity(q, g) == e >= k
+    if g.is_zero():
+        return
+    g = g.monic(DEGREVLEX)
+    sg, sf = to_sympy(g), to_sympy(f)
+    while True:
+        d = sg.gcd(sf)
+        if d.degree() == 0:
+            break
+        sg = sg.div(d)[0].monic()
+    assert strip_shared(g, f) == from_sympy(sg, field)
+
+
+@settings(deadline=None)
+@given(with_polys(1))
+# p-th powers h(x^p), alone and beside a factor of another multiplicity.
+@example((GF(2), poly(GF(2), [1, 1, 1]) ** 4))
+@example((GF(3), poly(GF(3), [1, 1]) ** 3 * poly(GF(3), [1, 0, 1]) ** 2))
+def test_squarefree_factors_match_sympy(case):
+    field, f = case
+    if f.is_zero():
+        return
+    got = squarefree_factors(f)
+    assert product(field, [a ** i for a, i in got]) == f.monic(DEGREVLEX)
+    for a, _ in got:
+        assert a == a.monic(DEGREVLEX) and not a.is_constant()
+        assert to_sympy(a).is_sqf
+    for (a, _), (b, _) in itertools.combinations(got, 2):
+        assert to_sympy(a).gcd(to_sympy(b)).degree() == 0
