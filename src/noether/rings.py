@@ -65,9 +65,13 @@ class PresentedRing:
         return Polynomial.var(self.field, self.nvars, self.vars.index(name))
 
     def inverted_product(self) -> Polynomial:
-        s = self.one()
-        for p in self.inverted:
-            s = s * p
+        """The product of the inverted elements, computed once per ring."""
+        s = self.__dict__.get("_inverted_product")
+        if s is None:
+            s = self.one()
+            for p in self.inverted:
+                s = s * p
+            object.__setattr__(self, "_inverted_product", s)
         return s
 
     def with_inverted(self, f: Polynomial) -> "PresentedRing":

@@ -3,24 +3,110 @@ coprime bases, irreducible factorization.
 
 Section ideals of sheaves on a univariate base need no factoring: a coprime
 base (squarefree factors refined by gcds) separates the primes as finely as
-the computation asks, using only Euclidean arithmetic on our own polynomial
-type.  ``irreducible_factors`` delegates to sympy, imported only when it is
-called; it is kept as the oracle that the coprime base is tested against.
+the computation asks, using only Euclidean arithmetic.  ``irreducible_factors``
+delegates to sympy, imported only when it is called; it is kept as the
+oracle that the coprime base is tested against.
+
+Every loop runs on dense coefficient lists of ints, lowest degree first,
+with no trailing zeros ([] is zero), each in its normal form: over F_p the
+coefficients lie in ``range(p)`` and the list is monic; over Q the list is
+primitive with a positive leading coefficient.  Division over Q is
+fraction-free, with the cofactor step ``a*r - b*x^k*g`` of
+``groebner._reduce``, and exact division by a primitive divisor stays in
+the integers (Gauss's lemma).  ``Polynomial``s, and over Q ``Fraction``s,
+exist only at the public boundary: ``_dense`` reads one in, ``_poly``
+writes one out.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd as igcd, lcm
 from typing import List, Sequence, Tuple
 
 from .errors import CapabilityError
 from .fields import FieldSpec
-from .poly import DEGREVLEX, Polynomial, exact_divmod
+from .poly import DEGREVLEX, Polynomial
+
+Dense = List[int]
 
 
 def _require_univariate(p: Polynomial):
     if p.nvars != 1:
         raise CapabilityError("univariate polynomial required")
+
+
+def _dense(f: Polynomial) -> Tuple[object, Dense]:
+    """``(u, c)`` with f = u * c, c the normal form of f and u a field
+    element (1 for zero f)."""
+    _require_univariate(f)
+    F = f.field
+    if f.is_zero():
+        return F.one(), []
+    den = 1 if F.p else lcm(*(v.denominator for v in f.terms.values()))
+    c = [0] * (max(f.terms)[0] + 1)
+    for (e,), v in f.terms.items():
+        c[e] = v if F.p else v.numerator * (den // v.denominator)
+    normal = _normal(c, F.p)
+    return (c[-1] if F.p else Fraction(c[-1] // normal[-1], den)), normal
+
+
+def _poly(c: Dense, field: FieldSpec, u=None) -> Polynomial:
+    """``u * c`` as a Polynomial; the monic one when ``u`` is None."""
+    if field.p:
+        u = 1 if u is None else u
+        return Polynomial(field, 1, {(e,): v * u % field.p for e, v in enumerate(c)})
+    num, den = (1, c[-1] if c else 1) if u is None else (u.numerator, u.denominator)
+    return Polynomial(field, 1, {(e,): Fraction(v * num, den) for e, v in enumerate(c) if v})
+
+
+def _normal(c: Dense, p: int) -> Dense:
+    """The normal form of the nonzero multiples of integer list ``c``."""
+    if p:
+        c = [v % p for v in c]
+    while c and not c[-1]:
+        c.pop()
+    if not c:
+        return c
+    if p:
+        inv = pow(c[-1], -1, p)
+        return c if inv == 1 else [v * inv % p for v in c]
+    content = igcd(*c) if c[-1] > 0 else -igcd(*c)
+    return c if content == 1 else [v // content for v in c]
+
+
+def _divide(a: Dense, b: Dense, p: int) -> Tuple[Dense, Dense]:
+    """``(q, r)`` with s*a = q*b + r, deg r < deg b, r in normal form and s
+    a nonzero integer, for an integer list a and a nonzero normal form b.
+
+    Each step cancels the leading coefficient lr of what is left by the
+    cofactor step ``a*r - b*x^k*g`` of ``groebner._reduce``, with a =
+    lc(g)/e, b = lr/e, e = gcd(lr, lc(g)).  Over F_p g is monic, so a is 1;
+    over Q, when the primitive g divides, the quotient is integral (Gauss's
+    lemma), so a is 1 at every step.  Either way s is 1 when b divides a."""
+    n, lb = len(b) - 1, b[-1]
+    r, q = list(a), [0] * (len(a) - n)
+    for k in range(len(q) - 1, -1, -1):
+        lr = r.pop()
+        if p:
+            lr %= p
+        elif lr:
+            e = igcd(lr, lb)
+            if lb != e:
+                r, q = [lb // e * v for v in r], [lb // e * v for v in q]
+            lr //= e
+        if lr:
+            q[k] = lr
+            for i in range(n):
+                r[k + i] -= lr * b[i]
+    return q, _normal(r, p)
+
+
+def _gcd(a: Dense, b: Dense, p: int) -> Dense:
+    """The normal form of gcd(a, b) for normal forms a and b."""
+    while b:
+        a, b = b, _divide(a, b, p)[1]
+    return a
 
 
 def poly_degree(p: Polynomial) -> int:
@@ -33,71 +119,81 @@ def poly_degree(p: Polynomial) -> int:
 
 def exact_quotient(p: Polynomial, g: Polynomial) -> Polynomial:
     """p / g when g divides p exactly; raises on a nonzero remainder."""
-    quo, r = exact_divmod(p, g)
-    if not r.is_zero():
+    (u, a), (v, b) = _dense(p), _dense(g)
+    q, r = _divide(a, b, p.field.p) if b else ([], [1])
+    if r:
         raise CapabilityError("exact quotient requested for a non-multiple")
-    return quo
+    return _poly(q, p.field, p.field.div(u, v))
 
 
 def divides(a: Polynomial, b: Polynomial) -> bool:
     """True iff a | b in k[x]; zero divides only zero."""
-    if a.is_zero():
-        return b.is_zero()
-    _, r = exact_divmod(b, a)
-    return r.is_zero()
+    divisor, multiple = _dense(a)[1], _dense(b)[1]
+    if not divisor:
+        return not multiple
+    return not _divide(multiple, divisor, a.field.p)[1]
 
 
 def gcd(polys: Sequence[Polynomial], field: FieldSpec) -> Polynomial:
     """Monic gcd of a family; the empty/all-zero family yields 0."""
-    acc = None
+    acc: Dense = []
     for p in polys:
-        _require_univariate(p)
-        if p.is_zero():
-            continue
-        acc = p if acc is None else _euclid(acc, p)
-    if acc is None:
-        return Polynomial.zero(field, 1)
-    return acc.monic(DEGREVLEX)
-
-
-def _euclid(a: Polynomial, b: Polynomial) -> Polynomial:
-    while not b.is_zero():
-        _, r = exact_divmod(a, b)
-        a, b = b, r
-    return a
+        acc = _gcd(acc, _dense(p)[1], field.p)
+    return _poly(acc, field)
 
 
 def strip_shared(g: Polynomial, f: Polynomial) -> Polynomial:
     """Monic nonzero g with every irreducible factor it shares with f
     divided out: the generator of (g) : f^infinity in k[x]."""
+    p = g.field.p
+    a, shared = _dense(g)[1], _dense(f)[1]
+    if not a:
+        raise CapabilityError("cannot strip factors from zero")
     while True:
-        d = _euclid(g, f).monic(DEGREVLEX)
-        if d.is_one():
-            return g
-        g = exact_divmod(g, d)[0].monic(DEGREVLEX)
+        # The factors a still shares with f all divide the last gcd.
+        shared = _gcd(a, shared, p)
+        if len(shared) == 1:
+            return _poly(a, g.field)
+        a = _divide(a, shared, p)[0]
 
 
 def multiplicity(q: Polynomial, g: Polynomial) -> int:
     """Largest e with q^e | g (g nonzero, q nonconstant)."""
+    b, a = _dense(q)[1], _dense(g)[1]
+    if len(b) < 2 or not a:
+        raise CapabilityError("multiplicity needs a nonconstant q and a nonzero g")
     e = 0
     while True:
-        quo, r = exact_divmod(g, q)
-        if not r.is_zero():
+        quotient, r = _divide(a, b, q.field.p)
+        if r:
             return e
-        g = quo
-        e += 1
+        a, e = quotient, e + 1
 
 
-def _derivative(p: Polynomial) -> Polynomial:
-    F = p.field
-    return Polynomial(F, 1, {(e - 1,): F.mul(F.from_int(e), c)
-                             for (e,), c in p.terms.items() if e})
-
-
-def _pth_root(p: Polynomial) -> Polynomial:
-    """h with h(x^q) = p over F_q, q prime (the Frobenius fixes F_q)."""
-    q = p.field.p
-    return Polynomial(p.field, 1, {(e // q,): c for (e,), c in p.terms.items()})
+def _squarefree(f: Dense, q: int) -> List[Tuple[Dense, int]]:
+    """``squarefree_factors`` of the nonzero normal form f, in normal forms."""
+    if len(f) == 1:
+        return []
+    df = _normal([e * v for e, v in enumerate(f)][1:], q)
+    if not df:
+        # f = h(x^q) = h(x)^q over F_q, since the Frobenius fixes F_q.
+        return [(a, i * q) for a, i in _squarefree(f[::q], q)]
+    c = _gcd(f, df, q)
+    w = _divide(f, c, q)[0]
+    out = []
+    i = 1
+    while len(w) > 1:
+        # w: the product of the irreducible factors of f of multiplicity
+        # >= i that q does not divide; c: f's cofactor still to split.
+        y = _gcd(w, c, q)
+        z = _divide(w, y, q)[0]
+        if len(z) > 1:
+            out.append((z, i))
+        w, c = y, _divide(c, y, q)[0]
+        i += 1
+    if len(c) > 1:
+        out.extend((a, j * q) for a, j in _squarefree(c[::q], q))
+    return out
 
 
 def squarefree_factors(p: Polynomial) -> List[Tuple[Polynomial, int]]:
@@ -110,32 +206,10 @@ def squarefree_factors(p: Polynomial) -> List[Tuple[Polynomial, int]]:
     left over as some h(x^q) (all of f when its derivative vanishes), and
     the q-th root h is decomposed in turn, with multiplicities times q.
     """
-    _require_univariate(p)
-    if p.is_zero():
+    f = _dense(p)[1]
+    if not f:
         raise CapabilityError("cannot factor zero")
-    f = p.monic(DEGREVLEX)
-    if f.is_constant():
-        return []
-    q = f.field.p
-    df = _derivative(f)
-    if df.is_zero():
-        return [(a, i * q) for a, i in squarefree_factors(_pth_root(f))]
-    c = _euclid(f, df).monic(DEGREVLEX)
-    w = exact_quotient(f, c)
-    out = []
-    i = 1
-    while not w.is_constant():
-        # w: the product of the irreducible factors of f of multiplicity
-        # >= i that q does not divide; c: f's cofactor still to split.
-        y = _euclid(w, c).monic(DEGREVLEX)
-        z = exact_quotient(w, y)
-        if not z.is_constant():
-            out.append((z, i))
-        w, c = y, exact_quotient(c, y)
-        i += 1
-    if not c.is_constant():
-        out.extend((a, j * q) for a, j in squarefree_factors(_pth_root(c)))
-    return out
+    return [(_poly(a, p.field), i) for a, i in _squarefree(f, p.field.p)]
 
 
 def coprime_base(polys: Sequence[Polynomial]) -> List[Polynomial]:
@@ -148,26 +222,28 @@ def coprime_base(polys: Sequence[Polynomial]) -> List[Polynomial]:
     every squarefree factor of every member, so its irreducible factors
     all divide a member to the same power.
     """
-    base: List[Polynomial] = []
+    base: List[Dense] = []
+    field = None
     for p in polys:
         if p.is_zero():
             continue
-        for a, _ in squarefree_factors(p):
+        field, q = p.field, p.field.p
+        for a, _ in _squarefree(_dense(p)[1], q):
             refined = []
             for b in base:
-                g = _euclid(a, b).monic(DEGREVLEX)
-                if g.is_one():
+                g = _gcd(a, b, q)
+                if len(g) == 1:
                     refined.append(b)
                     continue
                 refined.append(g)
-                rest = exact_quotient(b, g)
-                if not rest.is_constant():
+                rest = _divide(b, g, q)[0]
+                if len(rest) > 1:
                     refined.append(rest)
-                a = exact_quotient(a, g)
-            if not a.is_constant():
+                a = _divide(a, g, q)[0]
+            if len(a) > 1:
                 refined.append(a)
             base = refined
-    return base
+    return [_poly(b, field) for b in base]
 
 
 def _domain(field: FieldSpec):

@@ -309,6 +309,17 @@ def test_coprime_base_refines_the_irreducible_factors(case):
             assert len({f.get(q, 0) for q in qs}) == 1
 
 
+@pytest.mark.parametrize("call,q,g", [
+    (multiplicity, "x", "0"), (multiplicity, "2", "x"), (multiplicity, "0", "x"),
+    (strip_shared, "0", "x")])
+def test_division_loops_refuse_inputs_they_cannot_finish(call, q, g):
+    """Every power of a constant divides x, and every power of x divides 0;
+    zero keeps every factor it shares with x."""
+    ring = PresentedRing(QQ, ("x",))
+    with pytest.raises(CapabilityError):
+        call(ring.parse(q), ring.parse(g))
+
+
 # -- gcd, division, multiplicity and squarefree parts against sympy.Poly ------
 
 ORACLE_FIELDS = st.sampled_from([QQ, GF(2), GF(3), GF(5), GF(32003)])
