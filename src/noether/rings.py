@@ -65,7 +65,7 @@ class PresentedRing:
         return Polynomial.var(self.field, self.nvars, self.vars.index(name))
 
     def inverted_product(self) -> Polynomial:
-        """The product of the inverted elements, computed once per ring."""
+        """The inverted elements' product, kept once per ring outside the fields."""
         s = self.__dict__.get("_inverted_product")
         if s is None:
             s = self.one()

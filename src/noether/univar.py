@@ -26,7 +26,7 @@ from typing import List, Sequence, Tuple
 
 from .errors import CapabilityError
 from .fields import FieldSpec
-from .poly import DEGREVLEX, Polynomial
+from .poly import Polynomial
 
 Dense = List[int]
 
@@ -75,30 +75,30 @@ def _normal(c: Dense, p: int) -> Dense:
     return c if content == 1 else [v // content for v in c]
 
 
-def _divide(a: Dense, b: Dense, p: int) -> Tuple[Dense, Dense]:
-    """``(q, r)`` with s*a = q*b + r, deg r < deg b, r in normal form and s
-    a nonzero integer, for an integer list a and a nonzero normal form b.
+def _divide(f: Dense, g: Dense, p: int) -> Tuple[Dense, Dense]:
+    """``(q, r)`` with s*f = q*g + r, deg r < deg g, r in normal form and s
+    a nonzero integer, for an integer list f and a nonzero normal form g.
 
     Each step cancels the leading coefficient lr of what is left by the
     cofactor step ``a*r - b*x^k*g`` of ``groebner._reduce``, with a =
     lc(g)/e, b = lr/e, e = gcd(lr, lc(g)).  Over F_p g is monic, so a is 1;
-    over Q, when the primitive g divides, the quotient is integral (Gauss's
-    lemma), so a is 1 at every step.  Either way s is 1 when b divides a."""
-    n, lb = len(b) - 1, b[-1]
-    r, q = list(a), [0] * (len(a) - n)
+    over Q, when the primitive g divides f, the quotient is integral (Gauss's
+    lemma), so a is 1 at every step.  Either way s is 1 when g divides f."""
+    n, lg = len(g) - 1, g[-1]
+    r, q = list(f), [0] * (len(f) - n)
     for k in range(len(q) - 1, -1, -1):
         lr = r.pop()
         if p:
             lr %= p
         elif lr:
-            e = igcd(lr, lb)
-            if lb != e:
-                r, q = [lb // e * v for v in r], [lb // e * v for v in q]
+            e = igcd(lr, lg)
+            if lg != e:
+                r, q = [lg // e * v for v in r], [lg // e * v for v in q]
             lr //= e
         if lr:
             q[k] = lr
             for i in range(n):
-                r[k + i] -= lr * b[i]
+                r[k + i] -= lr * g[i]
     return q, _normal(r, p)
 
 
@@ -287,5 +287,5 @@ def irreducible_factors(p: Polynomial) -> List[Tuple[Polynomial, int]]:
         q = from_sympy(sympy.Poly(fac, sympy.Symbol("x"), domain=_domain(p.field)), p.field)
         if q.is_constant():
             continue
-        out.append((q.monic(DEGREVLEX), int(mult)))
+        out.append((_poly(_dense(q)[1], p.field), int(mult)))
     return out

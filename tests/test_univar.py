@@ -368,9 +368,11 @@ def with_polys(n):
 @given(with_polys(3))
 def test_gcd_and_division_match_sympy(case):
     field, a, b, c = case
-    sa, sb = to_sympy(a), to_sympy(b)
+    sa, sb, sc = to_sympy(a), to_sympy(b), to_sympy(c)
     assert gcd([a, b], field) == monic_sympy(sa.gcd(sb), field)
-    assert gcd([a, b, c], field) == monic_sympy(sa.gcd(sb).gcd(to_sympy(c)), field)
+    assert gcd([a, b, c], field) == monic_sympy(sa.gcd(sb).gcd(sc), field)
+    # A shared factor c keeps Euclid's remainders nonconstant and non-monic.
+    assert gcd([a * c, b * c], field) == monic_sympy((sa * sc).gcd(sb * sc), field)
     for num, den in ((b, a), (a * c, a), (a, b * b)):
         if den.is_zero():
             assert divides(den, num) == num.is_zero()
