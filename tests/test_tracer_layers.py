@@ -6,8 +6,8 @@ so a property or cached_property under a traced name would raise
 ``TypeError`` on every call of a traced run."""
 
 import importlib
-import inspect
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest

@@ -1,6 +1,7 @@
 """The univariate layer: its fast paths against Buchberger and Rabinowitsch
 elimination, squarefree decomposition and coprime bases against sympy's
-factorization, its place below ``rings``, and what each process imports:
+factorization, its gcd, division and squarefree parts against sympy.Poly,
+its place below ``rings``, and what each process imports:
 no job loads sympy, and a CLI job loads only the layers its command uses."""
 
 import ast
@@ -15,11 +16,11 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from noether.errors import CapabilityError
 from noether.fields import GF, QQ
 from noether.groebner import groebner_basis
 from noether.poly import DEGREVLEX, BlockElim, Polynomial
 from noether.rings import PresentedRing, radical_membership, saturate
-from noether.errors import CapabilityError
 from noether.univar import (coprime_base, divides, exact_quotient, from_sympy, gcd,
                             irreducible_factors, multiplicity, squarefree_factors,
                             strip_shared, to_sympy)
@@ -31,7 +32,7 @@ coefficients = st.lists(st.integers(-3, 3), min_size=1, max_size=7)  # degree <=
 
 
 def poly(field, coeffs):
-    """sum c_i x^i in k[x]."""
+    """sum c_i x^i in k[x], for integers or field elements c_i."""
     return Polynomial(field, 1, {(i,): field.from_int(c) for i, c in enumerate(coeffs)})
 
 
@@ -331,11 +332,6 @@ def field_elements(field):
     return st.builds(Fraction, st.integers(-12, 12), st.integers(1, 12))
 
 
-def of_coefficients(field, coeffs):
-    """sum c_i x^i for field elements c_i."""
-    return Polynomial(field, 1, {(i,): c for i, c in enumerate(coeffs)})
-
-
 @st.composite
 def oracle_polys(draw, field, max_degree=8):
     """A polynomial of degree <= max_degree: dense random coefficients, or a
@@ -343,14 +339,13 @@ def oracle_polys(draw, field, max_degree=8):
     p-th powers h(x^p) occur."""
     elements = field_elements(field)
     if draw(st.booleans()):
-        return of_coefficients(field, draw(st.lists(elements, max_size=max_degree + 1)))
+        return poly(field, draw(st.lists(elements, max_size=max_degree + 1)))
     k = draw(st.integers(2, max(2, max_degree)))
     base_degree = draw(st.integers(0, max_degree // k))
-    base = of_coefficients(field, draw(st.lists(elements, min_size=base_degree + 1,
-                                                max_size=base_degree + 1)))
+    base = poly(field, draw(st.lists(elements, min_size=base_degree + 1,
+                                     max_size=base_degree + 1)))
     rest_degree = max_degree - k * base_degree
-    rest = of_coefficients(field, draw(st.lists(elements, min_size=1,
-                                                max_size=rest_degree + 1)))
+    rest = poly(field, draw(st.lists(elements, min_size=1, max_size=rest_degree + 1)))
     return base ** k * rest
 
 
