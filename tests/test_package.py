@@ -1,6 +1,7 @@
 """The package's exports: ``import noether`` binds each of its 119 names
-lazily, on first use, to the object its module defines.  Also two checks
-of the package source: every budget is read, and passed on."""
+lazily, on first use, to the object its module defines.  Also three checks
+of the package source: every budget is read and passed on, and every
+private helper is used."""
 
 import ast
 import importlib
@@ -155,3 +156,22 @@ def test_every_budgets_function_passes_its_budgets_on():
                 if takes and not _passes_budgets(call):
                     missed.append(f"{module}.{fn.name}:{call.lineno} {ast.unparse(f)}")
     assert missed == []
+
+
+def test_every_private_definition_is_referenced():
+    """Each private function, method or class defined in the package is
+    named somewhere in the package's code, as a name or an attribute: a
+    helper that nothing refers to is dead."""
+    package = Path(noether.__file__).parent
+    defined, used = set(), set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if node.name.startswith("_") and not node.name.endswith("__"):
+                    defined.add((path.stem, node.name))
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert len(defined) > 50
+    assert sorted(f"{m}.{n}" for m, n in defined if n not in used) == []

@@ -1,16 +1,18 @@
 """Presented rings and ideal operations: membership, equality, saturation,
-colon ideals, radical membership against a Rabinowitsch oracle, and
-localized canonical forms."""
+colon ideals, radical membership against a Rabinowitsch oracle, canonical
+bases and saturations against an elimination oracle, univariate colons and
+intersections against sympy, and localized canonical forms."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from noether import univar
+from noether.univar import from_sympy, to_sympy
 from noether.config import DEFAULT_BUDGETS, Budgets
 from noether.errors import DomainError, ResourceBudgetError
 from noether.fields import GF, QQ
 from noether.groebner import groebner_basis
-from noether.poly import DEGREVLEX, Polynomial
+from noether.poly import DEGREVLEX, BlockElim, Polynomial
 from noether.rings import (
     PresentedRing,
     colon_ideal,
@@ -223,3 +225,73 @@ def test_radical_membership_equals_rabinowitsch_oracle(case):
         return
     I = ring.ideal(gens)
     assert _outcome(radical_membership, f, I) == _outcome(rabinowitsch_oracle, f, I)
+
+
+def elimination_oracle(ring, gens, f):
+    """The reduced basis of (gens, quotient) : f^infinity in k[vars]: the
+    u-free part of a basis of (gens, quotient, 1 - u*f) under an order
+    eliminating u.  It calls no ring or univariate code."""
+    nv = ring.nvars + 1
+    one = Polynomial.const(ring.field, nv, 1)
+    u = Polynomial.var(ring.field, nv, 0)
+    lifted = [g.lift(1) for g in list(gens) + list(ring.quotient)] + [one - u * f.lift(1)]
+    return [g.drop_aux(1) for g in groebner_basis(lifted, BlockElim(1)) if not g.uses_aux(1)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(radical_cases())
+def test_canonical_basis_and_saturation_equal_elimination_oracle(case):
+    """The canonical basis is (gens, quotient) : s^infinity with s the
+    product of the inverted elements, and ``saturate(I, f)`` is generated
+    by (gens, quotient) : f^infinity, with canonical basis the saturation
+    by f*s; each is a reduced degrevlex basis, which Buchberger returns
+    unchanged."""
+    field, names, quotient, inverted, gens, f = case
+    try:
+        ring = PresentedRing(field, names, quotient, inverted)
+    except DomainError:  # zero inverted
+        return
+    s = ring.one()
+    for h in inverted:
+        s = s * h
+    I = ring.ideal(gens)
+    bases = [(I.canonical_basis(), elimination_oracle(ring, gens, s))]
+    if not f.is_zero():
+        J = saturate(I, f)
+        bases.append((J.generators, elimination_oracle(ring, gens, f)))
+        bases.append((J.canonical_basis(), elimination_oracle(ring, gens, f * s)))
+    for basis, oracle in bases:
+        assert list(basis) == oracle
+        assert groebner_basis(list(basis), DEGREVLEX) == list(basis)
+
+
+_univariate = st.lists(st.integers(-3, 3), max_size=5)  # degree <= 4
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([QQ, GF(5)]), _univariate, _univariate, _univariate,
+       st.none() | _univariate)
+def test_univariate_colon_and_intersection_equal_sympy(field, a, b, c, inverted):
+    """In k[x], localized or not, with g and h the canonical generators of I
+    and J, the colon (I : p) is (g / gcd(g, p)) and the intersection is
+    (lcm(g, h)), each monic; the zero ideal has g = 0."""
+    def poly(coeffs):
+        return Polynomial(field, 1, {(i,): field.from_int(v) for i, v in enumerate(coeffs)})
+
+    s = None if inverted is None else poly(inverted)
+    ring = PresentedRing(field, ("x",), inverted=() if s is None or s.is_zero() else (s,))
+    I, J, p = ring.ideal(poly(a)), ring.ideal(poly(b)), poly(c)
+
+    def generator(K):
+        basis = K.canonical_basis()
+        return to_sympy(basis[0] if basis else ring.zero())
+
+    def canonical(sp):
+        return [] if sp.is_zero else [from_sympy(sp.monic(), field)]
+
+    g, h = generator(I), generator(J)
+    colon = canonical(g.exquo(g.gcd(to_sympy(p)))) if not p.is_zero() else [ring.one()]
+    assert list(colon_ideal(I, p).canonical_basis()) == colon
+    meet = ideal_combine("intersection", I, J)
+    assert list(meet.canonical_basis()) == ([] if g.is_zero or h.is_zero
+                                            else canonical(g.lcm(h)))
