@@ -18,12 +18,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
 from .config import Budgets, DEFAULT_BUDGETS
 from .errors import CapabilityError, DomainError, ResourceBudgetError, ValidationError
 from .fields import FieldSpec, QQ
-from .poly import Polynomial
 from .rings import IdealHandle, PresentedRing
 from .topology import OpenCover, cover_check, open_contains
 from .univar import gcd, poly_degree
@@ -244,17 +243,6 @@ class AffineWindow:
     denominator_exponent: int = 3
 
 
-def _principal_generator(I: IdealHandle,
-                         budgets: Budgets) -> Optional[Polynomial]:
-    """Monic single generator of a univariate ideal (None for the zero ideal)."""
-    basis = I.canonical_basis(budgets)
-    if not basis:
-        return None
-    if len(basis) != 1:
-        raise CapabilityError("expected a principal ideal in one variable")
-    return basis[0]
-
-
 def cech_complex_affine(R: PresentedRing, I: IdealHandle, cover: OpenCover,
                         window: AffineWindow = AffineWindow(),
                         budgets: Budgets = DEFAULT_BUDGETS) -> CechComplex:
@@ -288,7 +276,7 @@ def cech_complex_affine(R: PresentedRing, I: IdealHandle, cover: OpenCover,
         if not open_contains(cover.target, piece, budgets):
             raise ValidationError("cover piece sticks out of the target",
                                   witness=piece.render())
-    g = _principal_generator(I, budgets)
+    g = next(iter(I.canonical_basis(budgets)), None)
     m = len(cover.pieces)
     meta = {"base_degree": window.base_degree,
             "denominator_exponent": npow}
@@ -329,7 +317,7 @@ def affine_vanishing_check(R: PresentedRing, I: IdealHandle, cover: OpenCover,
         return True
     if any(h != 0 for h in hdims[1:]):
         return False
-    g = _principal_generator(I, budgets)
+    g = next(iter(I.canonical_basis(budgets)), None)
     d = gcd([piece.f for piece in cover.pieces], R.field)
     if g is None or d.is_zero():  # the zero ideal, or only empty pieces
         return hdims[0] == 0

@@ -323,7 +323,7 @@ def _section_generators(d: IdealDigraph, u: DistinguishedOpen) -> Tuple[Polynomi
     ring = d.ring
     # The generic stalk: all (nonempty) node opens contain the zero prime.
     all_gens = [g for node in d.nodes for g in node.gens]
-    if univar.gcd(all_gens, ring.field).is_zero():
+    if all(g.is_zero() for g in all_gens):
         return ()
 
     s_u = u.f * ring.inverted_product()

@@ -8,12 +8,14 @@ Groebner basis, computed under the caller's budgets.  ``ideal_equal``
 compares two handles over the same ring by their canonical forms, which
 makes equality decidable in R_f; a handle itself compares by identity.
 
-Every operation works in k[vars].  Saturation is the one Rabinowitsch
-construction, ``_saturate_gens``: it adds 1 - t*f and eliminates t, or in
-k[x] divides out of the gcd every factor it shares with f.  The canonical
-form saturates by the inverted product, and radical membership asks
-whether the canonical form saturated by f is the unit ideal.
-Intersections and colons eliminate one auxiliary the same way.
+Every operation works in k[vars], and every basis comes from one routine,
+``_saturated_basis``: the reduced basis of (gens) : f^infinity.  In k[x] it
+is the monic gcd with every factor it shares with f divided out; elsewhere
+Buchberger for a constant f, else the one Rabinowitsch construction, which
+adds 1 - t*f and eliminates t.  The canonical form saturates by the
+inverted product, and radical membership asks whether the canonical form
+saturated by f is the unit ideal.  Intersections and colons eliminate one
+auxiliary the same way.
 """
 
 from __future__ import annotations
@@ -111,24 +113,28 @@ def _intersection_gens(field: FieldSpec, nvars: int, gi: Sequence[Polynomial],
     return _eliminate_aux(lifted, budgets)
 
 
-def _saturate_gens(
-    gens: Sequence[Polynomial],
-    f: Polynomial,
-    field: FieldSpec,
-    nvars: int,
-    budgets: Budgets,
-) -> List[Polynomial]:
-    """Generators of (gens) : f^infinity in k[vars], by Rabinowitsch elimination."""
+def _saturated_basis(ring: PresentedRing, gens: Sequence[Polynomial], f: Polynomial,
+                     budgets: Budgets) -> Tuple[Polynomial, ...]:
+    """Reduced Groebner basis of (gens) : f^infinity in k[vars]."""
     if f.is_zero():
         raise DomainError("cannot saturate with respect to zero")
-    if nvars == 1:
-        g = univar.gcd(gens, field)
-        return [] if g.is_zero() else [univar.strip_shared(g, f)]
-    lifted = [g.lift(1) for g in gens]
-    t = Polynomial.var(field, nvars + 1, 0)
-    one = Polynomial.const(field, nvars + 1, 1)
-    lifted.append(one - t * f.lift(1))
-    return _eliminate_aux(lifted, budgets)
+    if ring.nvars == 1:
+        # The degree budget Buchberger applies to its input generators, not to f.
+        for g in gens:
+            if g.total_degree() > budgets.max_degree:
+                raise ResourceBudgetError("max_degree", budgets.max_degree)
+        g = univar.gcd(gens, ring.field)
+        if g.is_zero():
+            return ()
+        return (g if f.is_constant() else univar.strip_shared(g, f),)
+    if f.is_constant():
+        return tuple(groebner_basis(list(gens), ring.order, budgets))
+    # Under the elimination order the t-free elements are compared by
+    # degrevlex, so they are already the reduced basis, in its order.
+    t = Polynomial.var(ring.field, ring.nvars + 1, 0)
+    one = Polynomial.const(ring.field, ring.nvars + 1, 1)
+    lifted = [g.lift(1) for g in gens] + [one - t * f.lift(1)]
+    return tuple(_eliminate_aux(lifted, budgets))
 
 
 class IdealHandle:
@@ -150,7 +156,8 @@ class IdealHandle:
         Not cached and not used by the library: an ideal's one basis is
         :meth:`canonical_basis`.
         """
-        return self._reduced_basis(list(self.generators) + list(self.ring.quotient), budgets)
+        gens = self.generators + self.ring.quotient
+        return _saturated_basis(self.ring, gens, self.ring.one(), budgets)
 
     def canonical_basis(self, budgets: Budgets = DEFAULT_BUDGETS) -> Tuple[Polynomial, ...]:
         """Reduced Groebner basis of the ideal's canonical form.
@@ -162,23 +169,10 @@ class IdealHandle:
         so a budget refuses it as it would on a new handle.
         """
         if self._canonical is None or self._canonical[0] != budgets:
-            gens = list(self.generators) + list(self.ring.quotient)
-            if self.ring.inverted:
-                s = self.ring.inverted_product()
-                gens = _saturate_gens(gens, s, self.ring.field, self.ring.nvars, budgets)
-            self._canonical = (budgets, self._reduced_basis(gens, budgets))
+            gens = self.generators + self.ring.quotient
+            basis = _saturated_basis(self.ring, gens, self.ring.inverted_product(), budgets)
+            self._canonical = (budgets, basis)
         return self._canonical[1]
-
-    def _reduced_basis(self, gens: List[Polynomial], budgets: Budgets) -> Tuple[Polynomial, ...]:
-        """Reduced Groebner basis of gens: the monic gcd in k[x], else Buchberger."""
-        if self.ring.nvars != 1:
-            return tuple(groebner_basis(gens, self.ring.order, budgets))
-        # The same degree budget Buchberger applies to its input generators.
-        for g in gens:
-            if g.total_degree() > budgets.max_degree:
-                raise ResourceBudgetError("max_degree", budgets.max_degree)
-        g = univar.gcd(gens, self.ring.field)
-        return () if g.is_zero() else (g,)
 
     # -- predicates ----------------------------------------------------------
 
@@ -239,9 +233,8 @@ def ideal_combine(op: str, I: IdealHandle, J: IdealHandle,
 
 def saturate(I: IdealHandle, f: Polynomial, budgets: Budgets = DEFAULT_BUDGETS) -> IdealHandle:
     """The saturation I : f^infinity as a new handle over the same ring."""
-    gens = _saturate_gens(list(I.generators) + list(I.ring.quotient), f,
-                          I.ring.field, I.ring.nvars, budgets)
-    return IdealHandle(I.ring, tuple(gens))
+    gens = I.generators + I.ring.quotient
+    return IdealHandle(I.ring, _saturated_basis(I.ring, gens, f, budgets))
 
 
 def colon_ideal(I: IdealHandle, p: Polynomial, budgets: Budgets = DEFAULT_BUDGETS) -> IdealHandle:
@@ -273,6 +266,5 @@ def radical_membership(f: Polynomial, I: IdealHandle, budgets: Budgets = DEFAULT
     """
     if f.is_zero():
         return True
-    ring = I.ring
-    gens = _saturate_gens(I.canonical_basis(budgets), f, ring.field, ring.nvars, budgets)
-    return len(gens) == 1 and gens[0].is_one()
+    basis = _saturated_basis(I.ring, I.canonical_basis(budgets), f, budgets)
+    return len(basis) == 1 and basis[0].is_one()

@@ -107,6 +107,18 @@ def test_inverting_zero_divisor_of_quotient_rejected_at_load():
         assert (report.exit_code, report.result) == (2, {"error": f"{name} is the zero ring"})
 
 
+@pytest.mark.parametrize("ring", [{"vars": ["x"]}, {"vars": ["x"], "inverted": ["x"]},
+                                  {"vars": ["x", "y"], "inverted": ["x"]}])
+def test_a_basis_checks_the_degree_budget_on_its_input_generators(ring):
+    # The product x^80 - x^40 is past the default budget of 64, though its
+    # saturation by x, x^40 - 1, is not: every ring refuses it alike.
+    payload = {"op": "combine", "mode": "product", "ring": ring,
+               "left": ["x^40"], "right": ["x^40 - 1"]}
+    report = run_job(JobSpec("ideal", payload))
+    assert (report.exit_code, report.result) == (
+        3, {"error": "budget 'max_degree' exceeded (limit 64)"})
+
+
 def test_a_quotient_is_read_under_the_jobs_degree_budget():
     payload = {"ring": {"quotient": ["x^100 - 1"]}, "generators": ["x^2 - 1"]}
     report = run_job(JobSpec("groebner", payload, Budgets(max_degree=128)))
