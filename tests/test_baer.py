@@ -168,3 +168,56 @@ def test_quotient_modules_of_f2t(R4):
         Q = quotient_module(base, span(base, sub))
         assert baer_test(Q).injective == first_principles_injective(
             Q, [free_module(R, 1), free_module(R, 2)])
+
+
+# -- job-level gates: sizes, slots and stalls through run_job --------------------
+
+
+Z4 = {"zmod": 4}
+F2X = {"gf_quotient": {"p": 2, "modulus": [0, 0, 1]}}
+ZERO, RING = {"kind": "zero"}, {"kind": "ring"}
+Z4_MOD_2 = {"kind": "quotient", "rank": 1, "relations": [[2]]}
+F2X_MOD_X = {"kind": "quotient", "rank": 1, "relations": [[[0, 1]]]}
+TIGHT = {"baer_materialize_bound": 4}
+
+
+def baer_job(ring, module, op, budgets=None, **extra):
+    job = {"command": "baer", "budgets": budgets or {},
+           "payload": {"op": op, "finite_ring": ring, "module": module, **extra}}
+    return run_job(parse_job(json.dumps(job)))
+
+
+@pytest.mark.parametrize("ring,module,sizes", [
+    (Z4, ZERO, (1, 8, 3)), (Z4, RING, (4, 64, 7)), (Z4, Z4_MOD_2, (2, 32, 5)),
+    (F2X, ZERO, (1, 8, 3)), (F2X, RING, (4, 64, 7)), (F2X, F2X_MOD_X, (2, 32, 5)),
+])
+def test_step_job_sizes_and_slots(ring, module, sizes):
+    report = baer_job(ring, module, "step")
+    assert report.exit_code == 0
+    result = report.result
+    assert (result["input_size"], result["output_size"], result["slots"]) == sizes
+
+
+@pytest.mark.parametrize("ring,module,K,budgets,stage_sizes,stalled_at", [
+    (Z4, ZERO, 0, None, [1], None),
+    (Z4, ZERO, 1, None, [1, 8], None),
+    (Z4, ZERO, 2, None, [1, 8, 512], None),
+    (Z4, ZERO, 3, None, [1, 8, 512], 2),
+    (Z4, RING, 3, None, [4, 64, 16777216], 2),
+    (Z4, Z4_MOD_2, 2, None, [2, 32, 32768], None),
+    (Z4, Z4_MOD_2, 3, None, [2, 32, 32768], 2),
+    (F2X, ZERO, 2, None, [1, 8, 512], None),
+    (F2X, F2X_MOD_X, 3, None, [2, 32, 32768], 2),
+    (Z4, ZERO, 1, TIGHT, [1, 8], None),
+    (Z4, ZERO, 2, TIGHT, [1, 8], 1),
+    (Z4, RING, 3, TIGHT, [4, 64], 1),
+    (Z4, Z4_MOD_2, 3, TIGHT, [2, 32], 1),
+    (F2X, ZERO, 0, TIGHT, [1], None),
+    (F2X, RING, 2, TIGHT, [4, 64], 1),
+    (F2X, F2X_MOD_X, 3, TIGHT, [2, 32], 1),
+])
+def test_chain_job_stages_and_stalls(ring, module, K, budgets, stage_sizes, stalled_at):
+    report = baer_job(ring, module, "chain", budgets, K=K)
+    assert report.exit_code == 0
+    assert report.result["stage_sizes"] == stage_sizes
+    assert report.result["stalled_at"] == stalled_at

@@ -2,6 +2,7 @@
 sheaf, extraction, quasi-coherence, the constant-sheaf-Z analog, and the
 desk-scale enumeration of all digraphs over a finite ring."""
 
+import itertools
 import random
 
 import pytest
@@ -11,7 +12,7 @@ from noether.config import DEFAULT_BUDGETS
 from noether.errors import DomainError, OracleError, ValidationError
 from noether import univar
 from noether.fields import GF, QQ
-from noether.finite import zmod
+from noether.finite import enumerate_ideals, gf_poly_quotient, ideal_closure, zmod
 from noether.poly import Polynomial
 from noether.digraph import (
     DigraphNode,
@@ -26,6 +27,7 @@ from noether.digraph import (
     extract_digraph,
     extract_zz_digraph,
     is_quasi_coherent,
+    localize_finite,
     quasi_coherent_oracle,
     section_membership,
     validate_digraph,
@@ -36,6 +38,7 @@ from noether.topology import (
     DistinguishedOpen,
     FiniteSpace,
     coordinate_ring,
+    enumerate_spec,
     open_equal,
 )
 
@@ -359,6 +362,25 @@ def test_g0_oracle_round_trip(R):
         assert ideal_equal(evaluate_sheaf(d, u), evaluate_sheaf(g0(R), u))
 
 
+def g0_extraction(R, *basis_texts):
+    d = extract_digraph(digraph_oracle(g0(R), basis_of(R, *basis_texts)))
+    return [n.open for n in d.nodes], d.edges
+
+
+def test_g0_extraction_ignores_an_open_equal_to_a_candidate(R):
+    # D(x^2) = D(x): the extra basis open changes neither nodes nor edges.
+    opens, edges = g0_extraction(R, "x", "x^2", "x - 1")
+    plain_opens, plain_edges = g0_extraction(R, "x", "x - 1")
+    assert edges == plain_edges == ((0, 1),)
+    assert [u.f for u in opens] == [u.f for u in plain_opens] == [R.one(), R.parse("x")]
+
+
+def test_g0_extraction_keeps_the_first_of_equal_opens(R):
+    opens, edges = g0_extraction(R, "x^2", "x", "2*x", "x*(x - 1)")
+    assert edges == ((0, 1),)
+    assert opens[1].f == R.parse("x^2")
+
+
 def test_extraction_termination_certificate(R):
     # Along every root-to-leaf path the saturated global ideals strictly grow.
     basis = basis_of(R, "x", "x - 1", "x^2 - x")
@@ -449,3 +471,48 @@ def test_count_digraph_space_z6():
                                      (9, 3), (10, 9), (11, 2), (12, 18)])
 def test_count_digraph_space_zmod(n, count):
     assert count_digraph_space(zmod(n)) == count
+
+
+def count_by_edge_subsets(R):
+    """The digraph space counted the long way: every node set, ideal
+    assignment and subset of the increasing edges, kept when the root
+    reaches every node."""
+    primes = enumerate_spec(R)
+    opens = {}
+    for a in R.elements:
+        pts = frozenset(i for i, p in enumerate(primes) if a not in p)
+        if pts:
+            opens.setdefault(pts, a)
+    whole = frozenset(range(len(primes)))
+    non_root = [u for u in opens if u != whole]
+    local = {u: localize_finite(R, a) for u, a in opens.items()}
+    count = 0
+    for k in range(len(non_root) + 1):
+        for chosen in itertools.combinations(non_root, k):
+            node_opens = (whole,) + chosen
+            for ideals in itertools.product(
+                    *(enumerate_ideals(local[u][0]) for u in node_opens)):
+                ideal_of = dict(zip(node_opens, ideals))
+                usable = [(p, c) for p in node_opens for c in node_opens
+                          if c < p and ideal_closure(
+                              local[c][0], {local[c][1][x] for x in ideal_of[p]})
+                          < ideal_of[c]]
+                for r in range(len(usable) + 1):
+                    for es in itertools.combinations(usable, r):
+                        reach, frontier = {whole}, [whole]
+                        while frontier:
+                            x = frontier.pop()
+                            for p, c in es:
+                                if p == x and c not in reach:
+                                    reach.add(c)
+                                    frontier.append(c)
+                        count += len(reach) == len(node_opens)
+    return count
+
+
+@pytest.mark.parametrize("ring", [zmod(n) for n in range(2, 13)] + [
+    gf_poly_quotient(2, [0, 0, 1]), gf_poly_quotient(3, [0, 0, 1]),
+    gf_poly_quotient(2, [0, 1, 1]), gf_poly_quotient(2, [1, 1, 1])],
+    ids=lambda R: R.name)
+def test_count_digraph_space_matches_edge_subset_enumeration(ring):
+    assert count_digraph_space(ring) == count_by_edge_subsets(ring)
