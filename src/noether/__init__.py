@@ -62,7 +62,7 @@ _EXPORTS = {
     ),
     "baer": (
         "BaerReport", "baer_test", "LedgerEntry", "BaerModule",
-        "BaerStepResult", "baer_step", "BaerChain", "baer_chain",
+        "baer_step", "BaerChain", "baer_chain",
         "injective_envelope_bruteforce", "first_principles_injective",
     ),
     "tower": (

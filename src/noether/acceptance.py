@@ -369,8 +369,8 @@ def criterion_7(budgets: Budgets = DEFAULT_BUDGETS) -> Tuple[bool, str]:
 
     R4 = zmod(4)
     step = baer_step(zero_module(R4), budgets)  # postconditions verified inside
-    if step.output_size != 8:
-        return False, f"baer_step(0 over Z/4) has size {step.output_size}"
+    if step.size != 8:
+        return False, f"baer_step(0 over Z/4) has size {step.size}"
 
     two = free_module(R4, 1)
     z2 = quotient_module(two, span(two, [(2,)]), name="Z/2")

@@ -71,10 +71,6 @@ class LedgerEntry:
     ideal: FrozenSet
     graph: Dict  # linear map ideal -> M, as an element graph
 
-    def __hash__(self):
-        return hash((self.ideal, tuple(sorted(self.graph.items(),
-                                              key=repr))))
-
 
 class BaerModule:
     """The quotient (M ⊕ ⨁_s R) / ⟨(i_s(x), -x at slot s)⟩ in normal form.
@@ -151,22 +147,8 @@ class BaerModule:
                             self.zero, name=name)
 
 
-@dataclass
-class BaerStepResult:
-    module: FiniteModule
-    extension: BaerModule
-    ledger: Tuple[LedgerEntry, ...]
-
-    def embedding(self, m) -> Tuple:
-        return self.extension.embed(m)
-
-    @property
-    def output_size(self) -> int:
-        return self.extension.size
-
-
-def baer_step(M: FiniteModule, budgets: Budgets = DEFAULT_BUDGETS) -> BaerStepResult:
-    """One Baer extension step, with its postconditions verified.
+def baer_step(M: FiniteModule, budgets: Budgets = DEFAULT_BUDGETS) -> BaerModule:
+    """One Baer extension step M1 ⊇ M, with its postconditions verified.
 
     Checks that the embedding is injective and linear and that every ledger
     map from an ideal into M extends to a map from the whole ring into M1.
@@ -197,7 +179,7 @@ def baer_step(M: FiniteModule, budgets: Budgets = DEFAULT_BUDGETS) -> BaerStepRe
 
     for s, entry in enumerate(ext.ledger):
         _verify_slot_extension(ext, s, entry)
-    return BaerStepResult(M, ext, ext.ledger)
+    return ext
 
 
 def _verify_slot_extension(ext: BaerModule, s: int, entry: LedgerEntry):
@@ -227,14 +209,12 @@ def _verify_slot_extension(ext: BaerModule, s: int, entry: LedgerEntry):
 
 @dataclass
 class BaerChain:
-    stages: List  # FiniteModule entries, plus possibly a final BaerModule
-    steps: List[BaerStepResult]
-    verified: bool
+    stages: List  # M, then the BaerModule each step built
     stalled_at: Optional[int] = None
 
     @property
-    def length(self) -> int:
-        return len(self.steps)
+    def verified(self) -> bool:
+        return self.stalled_at != 0
 
 
 def baer_chain(M: FiniteModule, K: int,
@@ -244,43 +224,32 @@ def baer_chain(M: FiniteModule, K: int,
     At every stage k < K, every linear map from an ideal into M_k extends
     to the ring with values in M_{k+1}; baer_step certifies this through
     its ledger, so the chain verification is the accumulation of the per-
-    step postconditions.  Stages that are too large to tabulate stop the
-    chain early with a stage marker (the final stage may stay lazy).
+    step postconditions.  Each step tabulates the lazy stage before it; a
+    stage too large to tabulate or to extend stops the chain there, so the
+    last stage may stay lazy.
     """
     if K < 0:
         raise DomainError("chain length must be nonnegative")
     stages: List = [M]
-    steps: List[BaerStepResult] = []
-    current = M
     for k in range(K):
         try:
-            step = baer_step(current, budgets)
+            current = stages[-1]
+            if k:
+                current = current.materialize(name=f"{M.name}_{k}",
+                                              budgets=budgets)
+            stages.append(baer_step(current, budgets))
         except BoundExceededError:
-            return BaerChain(stages, steps, verified=bool(steps),
-                             stalled_at=k)
-        steps.append(step)
-        if k + 1 < K:
-            try:
-                current = step.extension.materialize(
-                    name=f"{M.name}_{k + 1}", budgets=budgets)
-            except BoundExceededError:
-                return BaerChain(stages + [step.extension], steps,
-                                 verified=True, stalled_at=k + 1)
-            stages.append(current)
-        else:
-            stages.append(step.extension)
-    return BaerChain(stages, steps, verified=True)
+            return BaerChain(stages, stalled_at=k)
+    return BaerChain(stages)
 
 
 def chain_fixed_pointwise(chain: BaerChain) -> bool:
     """The composed embeddings of the chain are injective on the base
     module's elements.  Not exported: a check for tests of ``baer_chain``."""
-    if not chain.steps:
-        return True
     base = chain.stages[0]
     current = list(base.elements)
-    for step in chain.steps:
-        current = [step.embedding(m) for m in current]
+    for stage in chain.stages[1:]:
+        current = [stage.embed(m) for m in current]
         if len(set(current)) != base.size:
             return False
     return True

@@ -629,12 +629,12 @@ def _run_baer(payload: Dict, budgets: Budgets) -> Report:
     if op == "step":
         step = baer_step(M, budgets)
         return Report("baer", "pass", result={
-            "input_size": M.size, "output_size": step.output_size,
+            "input_size": M.size, "output_size": step.size,
             "slots": len(step.ledger)}, config={"ring": R.name})
     if op == "chain":
         chain = baer_chain(M, payload["K"], budgets)
         return _bool_report("baer", chain.verified, result={
-            "stage_sizes": [getattr(s, "size", None) for s in chain.stages],
+            "stage_sizes": [s.size for s in chain.stages],
             "verified": chain.verified, "stalled_at": chain.stalled_at},
             config={"ring": R.name, "K": payload["K"]})
     env = injective_envelope_bruteforce(M, budgets)
