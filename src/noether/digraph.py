@@ -452,8 +452,7 @@ def extract_digraph(oracle: SheafOracle, budgets: Budgets = DEFAULT_BUDGETS) -> 
                 continue
             value = oracle.query(h)
             rh = coordinate_ring(h, budgets)
-            if (_grows(IdealHandle(rh, value), IdealHandle(rh, gens), budgets)
-                    and not any(open_equal(h, o, budgets) for o, _ in out)):
+            if _grows(IdealHandle(rh, value), IdealHandle(rh, gens), budgets):
                 out.append((h, value))
         return out
 
@@ -596,7 +595,10 @@ def count_digraph_space(R: FiniteRing, budgets: Budgets = DEFAULT_BUDGETS) -> in
     Node vocabulary: one class per nonempty distinguished open (opens are
     compared as prime-ideal sets), each paired with any ideal of the
     corresponding localization.  Counts every (node set, ideal assignment,
-    edge set) passing the digraph invariants.
+    edge set) passing the digraph invariants.  Edges strictly shrink opens
+    and none enters the root, so an edge set reaches every node exactly when
+    each non-root node keeps at least one of its e edges increasing on
+    ideals: 2^e - 1 choices per node.
     """
     primes = enumerate_spec(R, budgets)
     if not primes:
@@ -636,8 +638,6 @@ def count_digraph_space(R: FiniteRing, budgets: Budgets = DEFAULT_BUDGETS) -> in
                     parent = ideals[node_opens.index(p)]
                     if ideal_closure(Q_c, {proj_c[x] for x in parent}) < ideals[node_opens.index(c)]:
                         usable.append((p, c))
-                for r in range(len(usable) + 1):
-                    for es in itertools.combinations(usable, r):
-                        if _reachable(root_idx, es).issuperset(node_opens):
-                            count += 1
+                count += math.prod(2 ** sum(1 for _, t in usable if t == c) - 1
+                                   for c in chosen)
     return count
