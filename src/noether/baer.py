@@ -9,8 +9,10 @@ with one free slot per pair of an ideal I and a linear map i : I -> M.
 Elements are kept in a normal form (base component, one coset
 representative per slot), so the quotient is never tabulated; this keeps
 the second chain stage tractable even when its underlying set is huge.
-``baer_chain`` iterates the step and certifies the finite-stage extension
-property that the usual colimit argument rests on.
+``baer_chain`` returns the list of modules M, M1, M2, ...; each step
+tabulates the lazy stage before it, and the per-step certificates add up
+to the finite-stage extension property that the usual colimit argument
+rests on.
 """
 
 from __future__ import annotations
@@ -212,10 +214,6 @@ class BaerChain:
     stages: List  # M, then the BaerModule each step built
     stalled_at: Optional[int] = None
 
-    @property
-    def verified(self) -> bool:
-        return self.stalled_at != 0
-
 
 def baer_chain(M: FiniteModule, K: int,
                budgets: Budgets = DEFAULT_BUDGETS) -> BaerChain:
@@ -226,7 +224,8 @@ def baer_chain(M: FiniteModule, K: int,
     its ledger, so the chain verification is the accumulation of the per-
     step postconditions.  Each step tabulates the lazy stage before it; a
     stage too large to tabulate or to extend stops the chain there, so the
-    last stage may stay lazy.
+    last stage may stay lazy.  A budget that refuses the first step is
+    raised: there is no chain to return.
     """
     if K < 0:
         raise DomainError("chain length must be nonnegative")
@@ -239,6 +238,8 @@ def baer_chain(M: FiniteModule, K: int,
                                               budgets=budgets)
             stages.append(baer_step(current, budgets))
         except BoundExceededError:
+            if k == 0:
+                raise
             return BaerChain(stages, stalled_at=k)
     return BaerChain(stages)
 

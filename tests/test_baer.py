@@ -82,7 +82,7 @@ def test_step_embedding_is_verified_and_injective(R4):
 
 def test_chain_sizes_from_zero(R4):
     chain = baer_chain(zero_module(R4), 2)
-    assert chain.verified and chain.stalled_at is None
+    assert chain.stalled_at is None
     assert [getattr(s, "size") for s in chain.stages] == [1, 8, 512]
     assert chain_fixed_pointwise(chain)
 
@@ -92,7 +92,7 @@ def test_chain_final_stage_may_stay_lazy(R4):
     # keeps it as a lazy normal-form module without tabulating elements.
     M = two_torsion(R4)
     chain = baer_chain(M, 2)
-    assert chain.verified
+    assert chain.stalled_at is None
     assert chain.stages[-1].size == 32768
     assert chain_fixed_pointwise(chain)
 
@@ -101,25 +101,26 @@ def test_chain_respects_materialize_bound(R4):
     tight = Budgets(baer_materialize_bound=4)
     chain = baer_chain(zero_module(R4), 2, tight)
     assert chain.stalled_at == 1
-    assert chain.verified
+    assert [s.size for s in chain.stages] == [1, 8]
 
 
 def test_chain_over_z9_stalls_at_the_baer_bound():
     # The second step maps every ideal of Z/9 into the 2187-element stage;
     # the homs are found without tabulating it, and the next extension
-    # exceeds baer_bound, so the chain stops there, verified.
+    # exceeds baer_bound, so the chain stops there.
     job = {"command": "baer", "payload": {
         "op": "chain", "finite_ring": {"zmod": 9}, "module": {"kind": "ring"}, "K": 2}}
     report = run_job(parse_job(json.dumps(job)))
     assert report.exit_code == 0
-    assert report.result == {"stage_sizes": [9, 2187], "verified": True,
-                             "stalled_at": 1}
+    assert report.result == {"stage_sizes": [9, 2187], "stalled_at": 1}
 
 
 def test_baer_module_size_bound(R4):
     tight = Budgets(baer_bound=4)
     with pytest.raises(BoundExceededError):
         baer_step(zero_module(R4), tight)
+    with pytest.raises(BoundExceededError):
+        baer_chain(zero_module(R4), 1, tight)
 
 
 def test_lazy_arithmetic_matches_materialized(R4):
@@ -218,3 +219,14 @@ def test_chain_job_stages_and_stalls(ring, module, K, budgets, stage_sizes, stal
     assert report.exit_code == 0
     assert report.result["stage_sizes"] == stage_sizes
     assert report.result["stalled_at"] == stalled_at
+
+
+@pytest.mark.parametrize("K", [1, 2])
+def test_chain_whose_first_step_is_refused_exits_like_the_step(K):
+    # Z/4^2 has 21 ideal maps; their extension exceeds a 64-element bound.
+    module, budgets = {"kind": "free", "rank": 2}, {"baer_bound": 64}
+    step = baer_job(Z4, module, "step", budgets)
+    chain = baer_job(Z4, module, "chain", budgets, K=K)
+    assert step.exit_code == chain.exit_code == 3
+    assert chain.result["error"] == step.result["error"]
+    assert "one-step extension with 21 slots" in chain.result["error"]
