@@ -8,7 +8,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from noether.config import DEFAULT_BUDGETS
+from noether.config import DEFAULT_BUDGETS, Budgets
 from noether.errors import DomainError, OracleError, ValidationError
 from noether import univar
 from noether.fields import GF, QQ
@@ -510,9 +510,13 @@ def count_by_edge_subsets(R):
     return count
 
 
-@pytest.mark.parametrize("ring", [zmod(n) for n in range(2, 13)] + [
+# Up to Z/12 Spec has at most two points, so every non-root node has one
+# possible edge, from the root; Spec(Z/30) has three, and a one-point open
+# may take edges from the root and from two of the two-point opens.
+@pytest.mark.parametrize("ring", [zmod(n) for n in (*range(2, 13), 30)] + [
     gf_poly_quotient(2, [0, 0, 1]), gf_poly_quotient(3, [0, 0, 1]),
     gf_poly_quotient(2, [0, 1, 1]), gf_poly_quotient(2, [1, 1, 1])],
     ids=lambda R: R.name)
 def test_count_digraph_space_matches_edge_subset_enumeration(ring):
-    assert count_digraph_space(ring) == count_by_edge_subsets(ring)
+    wide = Budgets(digraph_vocab_cap=10**8)
+    assert count_digraph_space(ring, wide) == count_by_edge_subsets(ring)
