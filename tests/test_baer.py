@@ -101,7 +101,7 @@ def test_chain_respects_materialize_bound(R4):
     tight = Budgets(baer_materialize_bound=4)
     chain = baer_chain(zero_module(R4), 2, tight)
     assert chain.stalled_at == 1
-    assert [s.size for s in chain.stages] == [1, 8]
+    assert isinstance(chain.stages[-1], BaerModule)  # left lazy
 
 
 def test_chain_over_z9_stalls_at_the_baer_bound():
