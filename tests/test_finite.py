@@ -7,6 +7,7 @@ import itertools
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from noether.digraph import localize_finite
 from noether.errors import BoundExceededError, DomainError, ValidationError
 from noether.finite import (
     all_homs,
@@ -415,3 +416,109 @@ def test_all_homs_refuses_a_large_search_space(rank_a, rank_b):
     assert B.size ** len(module_generators(A)) > 10**6
     with pytest.raises(BoundExceededError, match="hom search space too large"):
         all_homs(A, B)
+
+
+# -- every ring and module operation against its plain definition --------------
+
+def draw_base_ring(data):
+    """Z/n with n <= 12, or F_p[x]/(f) for p in {2, 3, 5} and a random monic
+    f, with its add and mul written out from the definitions."""
+    if data.draw(st.booleans()):
+        n = data.draw(st.integers(2, 12))
+        return zmod(n), (lambda a, b: (a + b) % n), (lambda a, b: a * b % n)
+    p = data.draw(st.sampled_from([2, 3, 5]))
+    d = data.draw(st.integers(1, 3 if p == 2 else 2))
+    f = data.draw(st.lists(st.integers(0, p - 1), min_size=d, max_size=d))
+
+    def times_x(g):  # x*g, with x^d replaced by -(f_0 + ... + f_{d-1} x^{d-1})
+        return tuple((lo - g[-1] * c) % p for lo, c in zip((0,) + g[:-1], f))
+
+    def mul(a, b):  # sum of a_i * x^i * b
+        out, g = (0,) * d, b
+        for c in a:
+            out = tuple((o + c * y) % p for o, y in zip(out, g))
+            g = times_x(g)
+        return out
+
+    return (gf_poly_quotient(p, f + [1]),
+            lambda a, b: tuple((x + y) % p for x, y in zip(a, b)), mul)
+
+
+def first_in_coset(elements, z, add, subgroup):
+    """The element-order-first member of the coset z + subgroup."""
+    coset = {add(z, n) for n in subgroup}
+    return next(e for e in elements if e in coset)
+
+
+def draw_ring(data):
+    """A random ring of one of the four constructions, with add and mul
+    computed from its definition rather than by the ring."""
+    kind = data.draw(st.sampled_from(["base", "product", "localized"]))
+    R, add, mul = draw_base_ring(data)
+    if kind == "base":
+        return R, add, mul
+    if kind == "product":
+        S, add2, mul2 = draw_base_ring(data)
+        assume(R.size * S.size <= 64)
+        return (product_ring([R, S]),
+                lambda a, b: (add(a[0], b[0]), add2(a[1], b[1])),
+                lambda a, b: (mul(a[0], b[0]), mul2(a[1], b[1])))
+    a = data.draw(st.sampled_from(R.elements))
+    powers = [R.one]
+    for _ in range(R.size):
+        powers.append(mul(powers[-1], a))
+    kernel = [r for r in R.elements if any(mul(q, r) == R.zero for q in powers[1:])]
+    Q, _ = localize_finite(R, a)
+    return (Q, lambda x, y: first_in_coset(R.elements, add(x, y), add, kernel),
+            lambda x, y: first_in_coset(R.elements, mul(x, y), add, kernel))
+
+
+def draw_module_with_ops(data, R, radd, rmul, depth=0):
+    """A free module of rank 0-2, a quotient of one by a random submodule, or
+    a direct sum of two such, with add and smul from their definitions."""
+    kinds = ["free", "quotient"] + (["sum"] if depth == 0 else [])
+    kind = data.draw(st.sampled_from(kinds))
+    if kind == "sum":
+        parts = [draw_module_with_ops(data, R, radd, rmul, 1) for _ in range(2)]
+        assume(parts[0][0].size * parts[1][0].size <= 256)
+        (A, add_a, smul_a), (B, add_b, smul_b) = parts
+        return (direct_sum([A, B]).module,
+                lambda x, y: (add_a(x[0], y[0]), add_b(x[1], y[1])),
+                lambda r, x: (smul_a(r, x[0]), smul_b(r, x[1])))
+    rank = data.draw(st.integers(0 if kind == "free" else 1, 2))
+    assume(R.size ** rank <= 729)
+    F = free_module(R, rank)
+
+    def add(a, b):
+        return tuple(radd(x, y) for x, y in zip(a, b))
+
+    def smul(r, a):
+        return tuple(rmul(r, x) for x in a)
+
+    if kind == "free":
+        return F, add, smul
+    N = span(F, data.draw(st.lists(st.sampled_from(F.elements), max_size=2)))
+    return (quotient_module(F, N),
+            lambda a, b: first_in_coset(F.elements, add(a, b), add, N),
+            lambda r, a: first_in_coset(F.elements, smul(r, a), add, N))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_every_operation_equals_its_definition(data):
+    R, radd, rmul = draw_ring(data)
+    ops = [(R.add, radd, R.elements), (R.mul, rmul, R.elements)]
+    if data.draw(st.booleans()):
+        M, madd, msmul = draw_module_with_ops(data, R, radd, rmul)
+        ops = [(M.add, madd, M.elements), (M.smul, msmul, R.elements)]
+        right = M.elements
+    else:
+        right = R.elements
+    for op, definition, left in ops:
+        for _ in range(4):
+            a = data.draw(st.sampled_from(left))
+            b = data.draw(st.sampled_from(right))
+            expected = definition(a, b)
+            # The second call is the one a table of results answers.
+            assert op(a, b) == expected
+            assert op(a, b) == expected
