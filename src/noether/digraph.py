@@ -36,7 +36,7 @@ from .errors import (
     ResourceBudgetError,
     ValidationError,
 )
-from .finite import (FiniteRing, coset_representatives, enumerate_ideals,
+from .finite import (FiniteRing, _memo, coset_representatives, enumerate_ideals,
                      ideal_closure)
 from .poly import Polynomial
 from .rings import (
@@ -581,8 +581,8 @@ def localize_finite(R: FiniteRing, a) -> Tuple[FiniteRing, Dict]:
     rep, classes = coset_representatives(R, kernel)
     Q = FiniteRing(
         f"{R.name}_loc", classes,
-        lambda x, y: rep[R.add(x, y)],
-        lambda x, y: rep[R.mul(x, y)],
+        _memo(lambda x, y: rep[R.add(x, y)]),
+        _memo(lambda x, y: rep[R.mul(x, y)]),
         lambda x: rep[R.neg(x)],
         R.zero, rep[R.one],
     )

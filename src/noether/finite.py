@@ -2,7 +2,12 @@
 
 Finite rings are Z/n, F_p[x]/(f) and finite direct products of these;
 modules carry callable add / scalar-action maps.  Elements are plain
-hashable values with the zero element listed first.
+hashable values with the zero element listed first.  F_p[x]/(f), products,
+free modules, quotients and direct sums keep a table of each operation's
+results, filled as each pair is first met and dropped with the object;
+nothing is tabulated ahead of use.  Z/n keeps its ``%`` arithmetic, which
+costs less than a lookup, and a submodule or a ring as a module uses the
+operations it comes from.
 
 The ideals of a finite ring R are exactly the R-submodules of R, so the
 ideal functions (``ideal_closure``, ``is_ideal``, ``enumerate_ideals``,
@@ -28,6 +33,22 @@ from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence
 from .config import Budgets, DEFAULT_BUDGETS
 from .errors import BoundExceededError, DomainError, ValidationError
 from .fields import _is_prime
+
+
+def _memo(op: Callable) -> Callable:
+    """The two-argument ``op`` with a table of its results, filled as each
+    argument pair is first met; the table lives as long as the returned
+    function, that is, as long as the ring or module holding it."""
+    table: Dict = {}
+
+    def memo(a, b):
+        try:
+            return table[a, b]
+        except KeyError:
+            table[a, b] = out = op(a, b)
+            return out
+
+    return memo
 
 
 class FiniteRing:
@@ -132,7 +153,7 @@ def gf_poly_quotient(p: int, modulus: Sequence[int]) -> FiniteRing:
     zero = (0,) * d
     one = reduce([1])
     fname = f"F{p}[x]/(" + ",".join(str(c) for c in f) + ")"
-    return FiniteRing(fname, elements, add, mul, neg, zero, one)
+    return FiniteRing(fname, elements, _memo(add), _memo(mul), neg, zero, one)
 
 
 def product_ring(rings: Sequence[FiniteRing]) -> FiniteRing:
@@ -145,8 +166,8 @@ def product_ring(rings: Sequence[FiniteRing]) -> FiniteRing:
     elements.insert(0, zero)
     return FiniteRing(
         " x ".join(r.name for r in rings), elements,
-        lambda a, b: tuple(r.add(x, y) for r, x, y in zip(rings, a, b)),
-        lambda a, b: tuple(r.mul(x, y) for r, x, y in zip(rings, a, b)),
+        _memo(lambda a, b: tuple(r.add(x, y) for r, x, y in zip(rings, a, b))),
+        _memo(lambda a, b: tuple(r.mul(x, y) for r, x, y in zip(rings, a, b))),
         lambda a: tuple(r.neg(x) for r, x in zip(rings, a)),
         zero, tuple(r.one for r in rings),
     )
@@ -322,8 +343,8 @@ def quotient_module(M: FiniteModule, N: FrozenSet, name: str = "M/N") -> FiniteM
         raise ValidationError("submodule not contained in module")
     rep, cosets = coset_representatives(M, N)
     return FiniteModule(M.ring, cosets,
-                        lambda a, b: rep[M.add(a, b)],
-                        lambda r, a: rep[M.smul(r, a)],
+                        _memo(lambda a, b: rep[M.add(a, b)]),
+                        _memo(lambda r, a: rep[M.smul(r, a)]),
                         M.zero, name=name)
 
 
@@ -332,8 +353,8 @@ def free_module(R: FiniteRing, rank: int) -> FiniteModule:
                  key=lambda t: tuple(R.index(x) for x in t))
     zero = (R.zero,) * rank
     return FiniteModule(R, els,
-                        lambda a, b: tuple(R.add(x, y) for x, y in zip(a, b)),
-                        lambda r, a: tuple(R.mul(r, x) for x in a),
+                        _memo(lambda a, b: tuple(R.add(x, y) for x, y in zip(a, b))),
+                        _memo(lambda r, a: tuple(R.mul(r, x) for x in a)),
                         zero, name=f"{R.name}^{rank}")
 
 
@@ -357,8 +378,8 @@ def direct_sum(modules: Sequence[FiniteModule], budgets: Budgets = DEFAULT_BUDGE
             raise BoundExceededError("finite_ring_bound", budgets.finite_ring_bound)
     S = FiniteModule(
         ring, itertools.product(*[m.elements for m in modules]),
-        lambda a, b: tuple(m.add(x, y) for m, x, y in zip(modules, a, b)),
-        lambda r, a: tuple(m.smul(r, x) for m, x in zip(modules, a)),
+        _memo(lambda a, b: tuple(m.add(x, y) for m, x, y in zip(modules, a, b))),
+        _memo(lambda r, a: tuple(m.smul(r, x) for m, x in zip(modules, a))),
         tuple(m.zero for m in modules), name=" + ".join(m.name for m in modules),
     )
 
@@ -471,7 +492,9 @@ def all_homs(A: FiniteModule, B: FiniteModule, budgets: Budgets = DEFAULT_BUDGET
     relations are the r with r*g_j in S_{j-1}.  An image b_j, tried in
     ``B.elements`` order, is accepted iff r*b_j is the known image of r*g_j
     for every relation r; phi then extends as phi(s) + r*b_j, well defined
-    and R-linear.  B is never tabulated.  Maps come out in product order of
+    and R-linear.  Only the sums and multiples in B that the search meets
+    are computed, through B's own tables where it keeps them (a Baer stage
+    keeps none).  Maps come out in product order of
     the images (b_1 most significant), keyed in ``A.elements`` order.
     """
     if A.ring != B.ring:

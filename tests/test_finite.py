@@ -1,6 +1,7 @@
 """Finite rings and modules: ideal lattices, the noetherian witness report,
 and module/hom machinery."""
 
+import collections
 import functools
 import itertools
 
@@ -10,6 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 from noether.digraph import localize_finite
 from noether.errors import BoundExceededError, DomainError, ValidationError
 from noether.finite import (
+    FiniteRing,
     all_homs,
     direct_sum,
     enumerate_ideals,
@@ -522,3 +524,27 @@ def test_every_operation_equals_its_definition(data):
             # The second call is the one a table of results answers.
             assert op(a, b) == expected
             assert op(a, b) == expected
+
+
+def test_tables_are_filled_only_on_use():
+    calls = collections.Counter()
+
+    def counted(name, op):
+        def run(a, b):
+            calls[name] += 1
+            return op(a, b)
+        return run
+
+    R = FiniteRing("Z/16", range(16), counted("add", lambda a, b: (a + b) % 16),
+                   counted("mul", lambda a, b: a * b % 16), lambda a: -a % 16, 0, 1)
+    F = free_module(R, 3)
+    assert not calls
+    N = frozenset({F.zero, (8, 0, 0)})
+    Q = quotient_module(F, N)
+    # The cosets need one sum a + n per element of F, three ring sums each.
+    assert calls == {"add": 3 * F.size}
+    x, y = (1, 2, 3), (4, 5, 6)
+    for _ in range(2):  # the second round is answered by the tables
+        assert Q.add(x, y) == (5, 7, 9)
+        assert Q.smul(5, x) == (5, 10, 15)
+        assert calls == {"add": 3 * F.size + 3, "mul": 3}
