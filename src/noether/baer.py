@@ -154,12 +154,19 @@ def baer_step(M: FiniteModule, budgets: Budgets = DEFAULT_BUDGETS) -> BaerModule
 
     Checks that the embedding is injective and linear and that every ledger
     map from an ideal into M extends to a map from the whole ring into M1.
+    The size is checked against ``baer_bound`` after each ideal's maps, so a
+    refused step names the slots found so far and lists no more of them.
     """
     R = M.ring
-    ledger = []
+    ledger, size = [], M.size
     for ideal in enumerate_ideals(R, budgets):
-        for graph in hom_from_ideal(R, ideal, M, budgets):
-            ledger.append(LedgerEntry(frozenset(ideal), graph))
+        graphs = hom_from_ideal(R, ideal, M, budgets)
+        ledger.extend(LedgerEntry(frozenset(ideal), graph) for graph in graphs)
+        # Each slot multiplies the size by |R/I|; stop before the next ideal.
+        size *= (R.size // len(ideal)) ** len(graphs)
+        if size > budgets.baer_bound:
+            raise BoundExceededError("baer_bound", budgets.baer_bound,
+                                     f"one-step extension with {len(ledger)} slots")
     ext = BaerModule(M, ledger, budgets)
 
     images = {}

@@ -223,10 +223,12 @@ def test_chain_job_stages_and_stalls(ring, module, K, budgets, stage_sizes, stal
 
 @pytest.mark.parametrize("K", [1, 2])
 def test_chain_whose_first_step_is_refused_exits_like_the_step(K):
-    # Z/4^2 has 21 ideal maps; their extension exceeds a 64-element bound.
+    # The 16-element Z/4^2 has one map from (0) and four from (2); with
+    # those 5 slots the extension exceeds a 64-element bound, before the
+    # 16 maps from (1) are listed.
     module, budgets = {"kind": "free", "rank": 2}, {"baer_bound": 64}
     step = baer_job(Z4, module, "step", budgets)
     chain = baer_job(Z4, module, "chain", budgets, K=K)
     assert step.exit_code == chain.exit_code == 3
     assert chain.result["error"] == step.result["error"]
-    assert "one-step extension with 21 slots" in chain.result["error"]
+    assert "one-step extension with 5 slots" in chain.result["error"]
