@@ -31,7 +31,7 @@ class Budgets:
     digraph_node_cap: int = 16
     # Deepest etale tower level any etale job or run_tower_suite accepts.
     tower_max_depth: int = 8
-    # Vocabulary size cap for count_digraph_space enumeration.
+    # Most ideal assignments count_digraph_space walks for one node set.
     digraph_vocab_cap: int = 20000
     # Largest one-step extension module a Baer step may construct (its size
     # after the identification quotient; elements are kept in normal form,

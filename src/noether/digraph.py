@@ -598,7 +598,8 @@ def count_digraph_space(R: FiniteRing, budgets: Budgets = DEFAULT_BUDGETS) -> in
     edge set) passing the digraph invariants.  Edges strictly shrink opens
     and none enters the root, so an edge set reaches every node exactly when
     each non-root node keeps at least one of its e edges increasing on
-    ideals: 2^e - 1 choices per node.
+    ideals: 2^e - 1 choices per node.  ``digraph_vocab_cap`` bounds the
+    ideal assignments walked for one node set.
     """
     primes = enumerate_spec(R, budgets)
     if not primes:
@@ -627,8 +628,7 @@ def count_digraph_space(R: FiniteRing, budgets: Budgets = DEFAULT_BUDGETS) -> in
             allowed_edges = [(p, c) for p in node_opens for c in node_opens
                              if p != c and opens[c] < opens[p]]
             ideal_choices = [ideal_lists[i] for i in node_opens]
-            total = math.prod(map(len, ideal_choices)) * 2 ** len(allowed_edges)
-            if total > budgets.digraph_vocab_cap:
+            if math.prod(map(len, ideal_choices)) > budgets.digraph_vocab_cap:
                 raise BoundExceededError("digraph_vocab_cap", budgets.digraph_vocab_cap)
             for ideals in itertools.product(*ideal_choices):
                 # The edges that are increasing on ideals.

@@ -3,6 +3,7 @@ sheaf, extraction, quasi-coherence, the constant-sheaf-Z analog, and the
 desk-scale enumeration of all digraphs over a finite ring."""
 
 import itertools
+import json
 import random
 
 import pytest
@@ -13,6 +14,7 @@ from noether.errors import DomainError, OracleError, ValidationError
 from noether import univar
 from noether.fields import GF, QQ
 from noether.finite import enumerate_ideals, gf_poly_quotient, ideal_closure, zmod
+from noether.jobs import parse_job, run_job
 from noether.poly import Polynomial
 from noether.digraph import (
     DigraphNode,
@@ -520,3 +522,21 @@ def count_by_edge_subsets(R):
 def test_count_digraph_space_matches_edge_subset_enumeration(ring):
     wide = Budgets(digraph_vocab_cap=10**8)
     assert count_digraph_space(ring, wide) == count_by_edge_subsets(ring)
+
+
+def count_space_job(ring, budgets):
+    job = {"command": "digraph-validate", "budgets": budgets,
+           "payload": {"op": "count-space", "finite_ring": ring}}
+    return run_job(parse_job(json.dumps(job)))
+
+
+def test_count_space_on_z30_fits_the_default_cap():
+    # At most 8 * 4 * 4 * 4 * 2 * 2 * 2 = 4,096 ideal assignments per node set.
+    report = count_space_job({"zmod": 30}, {})
+    assert (report.exit_code, report.result) == (0, {"count": 2041})
+
+
+def test_count_space_on_z30_still_refuses_a_small_cap():
+    report = count_space_job({"zmod": 30}, {"digraph_vocab_cap": 100})
+    assert report.exit_code == 3
+    assert "digraph_vocab_cap" in report.result["error"]
