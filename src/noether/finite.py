@@ -494,8 +494,8 @@ def all_homs(A: FiniteModule, B: FiniteModule, budgets: Budgets = DEFAULT_BUDGET
     for every relation r; phi then extends as phi(s) + r*b_j, well defined
     and R-linear.  Only the sums and multiples in B that the search meets
     are computed, through B's own tables where it keeps them (a Baer stage
-    keeps none).  Maps come out in product order of
-    the images (b_1 most significant), keyed in ``A.elements`` order.
+    keeps none).  Maps come out in product order of the images (b_1 most
+    significant), keyed in ``A.elements`` order.
     """
     if A.ring != B.ring:
         raise DomainError("modules over different rings")
