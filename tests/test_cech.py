@@ -1,6 +1,8 @@
-"""Cech cohomology: exact ranks on projective space, the twisted-sheaf
-dimension formulas, and affine vanishing."""
+"""Cech cohomology: exact ranks against field-operation elimination, the
+twisted-sheaf dimension formulas, d∘d = 0 on rational differentials, and
+affine vanishing."""
 
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from noether.cech import (
     AffineWindow,
+    CechComplex,
     TwistData,
     affine_vanishing_check,
     cech_complex_affine,
@@ -33,6 +36,75 @@ def test_matrix_rank_characteristic_matters():
     f2 = GF(2)
     rows = [[f2.from_int(2), f2.zero()], [f2.zero(), f2.from_int(2)]]
     assert matrix_rank(rows, f2) == 0
+
+
+def field_rank(rows, field):
+    """The rank by Gauss-Jordan elimination with the field's own operations
+    (``Fraction`` arithmetic over Q), kept as the oracle for
+    ``matrix_rank``."""
+    mat = [list(r) for r in rows]
+    rank, zero = 0, field.zero()
+    for col in range(len(mat[0]) if mat else 0):
+        pivot = next((r for r in range(rank, len(mat)) if mat[r][col] != zero), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        inv = field.inv(mat[rank][col])
+        mat[rank] = [field.mul(inv, v) for v in mat[rank]]
+        for r in range(len(mat)):
+            if r != rank and mat[r][col] != zero:
+                c = mat[r][col]
+                mat[r] = [field.sub(a, field.mul(c, b)) for a, b in zip(mat[r], mat[rank])]
+        rank += 1
+    return rank
+
+
+def _in_field(q, field):
+    """A rational as an element of ``field``: itself over Q, else its image
+    in F_p, or its numerator's when p divides the denominator."""
+    if not field.p:
+        return q
+    num = field.from_int(q.numerator)
+    return num if q.denominator % field.p == 0 else field.div(num, field.from_int(q.denominator))
+
+
+@st.composite
+def rank_cases(draw):
+    """Matrices of 0-8 rows by 0-8 columns with rational entries of
+    denominator at most 50, zeros among them, and zero and repeated rows."""
+    field = draw(st.sampled_from([QQ, GF(2), GF(5), GF(32003)]))
+    ncols = draw(st.integers(0, 8))
+    entry = st.just(Fraction(0)) | st.fractions(-60, 60, max_denominator=50)
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=6))
+    extra = draw(st.lists(st.integers(-1, max(len(rows) - 1, 0)), max_size=8 - len(rows)))
+    for k in extra:  # -1 adds a zero row, k >= 0 repeats row k
+        rows.append([Fraction(0)] * ncols if k < 0 or not rows else rows[k])
+    order = draw(st.permutations(range(len(rows))))
+    return field, [[_in_field(q, field) for q in rows[i]] for i in order]
+
+
+@settings(max_examples=300, deadline=None)
+@given(rank_cases())
+def test_matrix_rank_equals_field_elimination(case):
+    field, rows = case
+    assert matrix_rank(rows, field) == field_rank(rows, field)
+
+
+@pytest.mark.parametrize("field,later,earlier,closed", [
+    # d_1 d_0 = 2*(1/2) - 3*(1/3) = 0, which scaling the rows of d_0 on
+    # their own (to 1 and 1) would turn into 2 - 3.
+    (QQ, [[2, -3]], [[Fraction(1, 2)], [Fraction(1, 3)]], True),
+    (QQ, [[2, -2]], [[Fraction(1, 2)], [Fraction(1, 3)]], False),
+    (QQ, [[Fraction(1, 4), Fraction(-1, 6)]], [[Fraction(2, 3)], [1]], True),
+    (GF(5), [[2, 2]], [[3], [2]], True),
+    (GF(5), [[2, 2]], [[3], [3]], False),
+    (QQ, [[1, 1], [0, 0]], [[1, 0], [-1, 0]], True),
+    (QQ, [[1, 1], [0, 1]], [[1, 0], [-1, 0]], False),
+])
+def test_verify_d_squared_on_rational_differentials(field, later, earlier, closed):
+    dims = [len(earlier[0]), len(earlier), len(later)]
+    complex_ = CechComplex(field, dims, [earlier, later])
+    assert complex_.verify_d_squared() is closed
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -1,7 +1,10 @@
 """Presented rings and ideal operations: membership, equality, saturation,
 colon ideals, radical membership against a Rabinowitsch oracle, canonical
 bases and saturations against an elimination oracle, univariate colons and
-intersections against sympy, and localized canonical forms."""
+intersections against sympy and against the elimination of an auxiliary
+variable, with its degree budget, and localized canonical forms."""
+
+import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +15,7 @@ from noether.config import DEFAULT_BUDGETS, Budgets
 from noether.errors import DomainError, ResourceBudgetError
 from noether.fields import GF, QQ
 from noether.groebner import groebner_basis
-from noether.poly import DEGREVLEX, BlockElim, Polynomial
+from noether.poly import DEGREVLEX, BlockElim, Polynomial, exact_divmod
 from noether.rings import (
     PresentedRing,
     colon_ideal,
@@ -295,3 +298,79 @@ def test_univariate_colon_and_intersection_equal_sympy(field, a, b, c, inverted)
     meet = ideal_combine("intersection", I, J)
     assert list(meet.canonical_basis()) == ([] if g.is_zero or h.is_zero
                                             else canonical(g.lcm(h)))
+
+
+def intersection_by_elimination(field, gi, gj, budgets=DEFAULT_BUDGETS):
+    """Generators of (gi) intersect (gj) in k[x]: the t-free part of a basis
+    of t*(gi) + (1 - t)*(gj) under an order eliminating t."""
+    t = Polynomial.var(field, 2, 0)
+    one = Polynomial.const(field, 2, 1)
+    lifted = [t * g.lift(1) for g in gi] + [(one - t) * g.lift(1) for g in gj]
+    basis = groebner_basis(lifted, BlockElim(1), budgets)
+    return [g.drop_aux(1) for g in basis if not g.uses_aux(1)]
+
+
+def colon_by_elimination(I, p, budgets=DEFAULT_BUDGETS):
+    """Generators of (I : p) for nonzero p: (I intersect (p)) / p."""
+    meet = intersection_by_elimination(I.ring.field, I.canonical_basis(budgets), [p], budgets)
+    return [exact_divmod(g, p)[0] for g in meet]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([QQ, GF(2), GF(5)]), _univariate, _univariate, _univariate,
+       st.none() | _univariate, st.none() | _univariate)
+def test_univariate_intersection_and_colon_equal_elimination(field, a, b, c, inverted,
+                                                             quotient):
+    def poly(coeffs):
+        return Polynomial(field, 1, {(i,): field.from_int(v) for i, v in enumerate(coeffs)})
+
+    s = None if inverted is None else poly(inverted)
+    ring = PresentedRing(field, ("x",),
+                         quotient=() if quotient is None else (poly(quotient),),
+                         inverted=() if s is None or s.is_zero() else (s,))
+    I, J, p = ring.ideal(poly(a)), ring.ideal(poly(b)), poly(c)
+    meet = ideal_combine("intersection", I, J)
+    assert list(meet.generators) == intersection_by_elimination(
+        field, I.canonical_basis(), J.canonical_basis())
+    if not p.is_zero():
+        assert list(colon_ideal(I, p).generators) == colon_by_elimination(I, p)
+
+
+# (g, h) with g | h, h | g or gcd(g, h) = 1, and the zero ideal.
+BUDGET_PIECES = ("0", "1", "x", "x^2", "x - 1", "(x - 1)^2", "x^2 + 2", "x^3 + x + 1")
+
+
+def _outcome_of(compute):
+    try:
+        return list(compute())
+    except ResourceBudgetError as exc:
+        return exc.budget_name
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)])
+def test_univariate_degree_budget_refuses_where_elimination_does(field):
+    """Over pairs of ideals whose generators divide one another or are
+    coprime, intersections and colons refuse ``max_degree`` exactly where
+    the elimination of the auxiliary variable does, for every budget from 0
+    to 7, the largest degree a lifted generator reaches."""
+    ring = PresentedRing(field, ("x",))
+    pieces = [ring.parse(t) for t in BUDGET_PIECES]
+    pairs = set()
+    for u, v in itertools.product(pieces, repeat=2):
+        pairs.update([(u, v), (u, u * v), (u * v, v)])
+    for u, v in sorted(pairs, key=lambda pair: (str(pair[0].terms), str(pair[1].terms))):
+        g, h = univar.gcd([u], field), univar.gcd([v], field)
+        d = univar.gcd([g, h], field)
+        assert d.is_one() or d in (g, h)
+        I, J = ring.ideal(u), ring.ideal(v)
+        for degree in range(0, 8):
+            budgets = Budgets(max_degree=degree)
+            assert _outcome_of(
+                lambda: ideal_combine("intersection", I, J, budgets).generators
+            ) == _outcome_of(
+                lambda: intersection_by_elimination(field, I.canonical_basis(budgets),
+                                                    J.canonical_basis(budgets), budgets))
+            if not v.is_zero():
+                assert _outcome_of(
+                    lambda: colon_ideal(I, v, budgets).generators
+                ) == _outcome_of(lambda: colon_by_elimination(I, v, budgets))
