@@ -11,13 +11,16 @@ degree over a fixed denominator power; the truncation window is part of
 the result so it can be audited.
 Both build their differentials with the one complex builder,
 ``_alternating_complex``, and differ only in the section spaces over chart
-intersections and the restriction maps between them.
+intersections and the restriction maps between them.  Ranks and the check
+d∘d = 0 run on integer matrices (over Q scaled by a common denominator,
+over F_p reduced mod p), with fraction-free elimination for the rank.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field as dc_field
+from math import gcd as igcd, lcm
 from typing import Callable, Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
 from .config import Budgets, DEFAULT_BUDGETS
@@ -32,35 +35,53 @@ from .univar import gcd, poly_degree
 # Exact linear algebra over a FieldSpec
 # ---------------------------------------------------------------------------
 
+def _integer_rows(rows: List[List], p: int) -> List[List[int]]:
+    """The matrix as integer rows: over Q (``p`` zero) scaled by one common
+    denominator, over F_p reduced mod p.  Scaling the whole matrix by one
+    nonzero constant keeps its rank and which products with it vanish."""
+    if p:
+        return [[v % p for v in row] for row in rows]
+    den = lcm(*(v.denominator for row in rows for v in row))
+    return [[v.numerator * (den // v.denominator) for v in row] for row in rows]
+
+
+def _primitive(row: List[int]) -> List[int]:
+    """An integer row divided by its content."""
+    content = igcd(*row)
+    return row if content <= 1 else [v // content for v in row]
+
+
 def matrix_rank(rows: List[List], field: FieldSpec) -> int:
-    """Rank by fraction-free-enough Gaussian elimination (exact field ops)."""
-    if not rows:
-        return 0
-    mat = [list(r) for r in rows]
-    ncols = len(mat[0])
+    """Rank by fraction-free elimination on integer rows (Bareiss 1968).
+
+    The rows are read as integers, each primitive over Q and reduced mod p
+    over F_p.  A pivot row clears its leading column from every other row
+    by the cofactor step ``a*row - b*pivot`` of ``groebner._reduce``, with
+    a = lc(pivot)/e, b = row[col]/e and e their gcd, and over Q each new
+    row is divided by its content; over F_p the pivot is made monic, so a
+    is 1.  The rank is the number of pivots."""
+    p = field.p
+    mat = [row if p else _primitive(row) for row in _integer_rows(rows, p) if any(row)]
     rank = 0
-    row = 0
-    zero = field.zero()
-    for col in range(ncols):
-        pivot = None
-        for r in range(row, len(mat)):
-            if mat[r][col] != zero:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        mat[row], mat[pivot] = mat[pivot], mat[row]
-        inv = field.inv(mat[row][col])
-        mat[row] = [field.mul(inv, v) for v in mat[row]]
-        for r in range(len(mat)):
-            if r != row and mat[r][col] != zero:
-                c = mat[r][col]
-                mat[r] = [field.sub(a, field.mul(c, b))
-                          for a, b in zip(mat[r], mat[row])]
+    while mat:
+        pivot = mat.pop()
         rank += 1
-        row += 1
-        if row == len(mat):
-            break
+        col = next(i for i, v in enumerate(pivot) if v)
+        lead = pivot[col]
+        if p and lead != 1:
+            inv = pow(lead, -1, p)
+            pivot, lead = [v * inv % p for v in pivot], 1
+        rest = []
+        for row in mat:
+            c = row[col]
+            if c and p:
+                row = [(x - c * y) % p for x, y in zip(row, pivot)]
+            elif c:
+                e = igcd(c, lead)
+                row = _primitive([lead // e * x - c // e * y for x, y in zip(row, pivot)])
+            if any(row):
+                rest.append(row)
+        mat = rest
     return rank
 
 
@@ -84,16 +105,16 @@ class CechComplex:
     window: Dict[str, int] = dc_field(default_factory=dict)
 
     def verify_d_squared(self) -> bool:
-        F = self.field
-        zero = F.zero()
-        for later, earlier in zip(self.differentials[1:], self.differentials):
+        """True iff d_(p+1) d_p = 0 for every p, on integer matrices: each
+        differential scaled by one constant over Q, or reduced mod p."""
+        p = self.field.p
+        mats = [_integer_rows(m, p) for m in self.differentials]
+        for later, earlier in zip(mats[1:], mats):
             columns = list(zip(*earlier))
             for row in later:
                 for col in columns:
-                    acc = zero
-                    for x, y in zip(row, col):
-                        acc = F.add(acc, F.mul(x, y))
-                    if acc != zero:
+                    acc = sum(x * y for x, y in zip(row, col))
+                    if (acc % p if p else acc):
                         return False
         return True
 

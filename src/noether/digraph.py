@@ -619,6 +619,9 @@ def count_digraph_space(R: FiniteRing, budgets: Budgets = DEFAULT_BUDGETS) -> in
     localizations = [localize_finite(R, a) for a in reps]
     ideal_lists = [enumerate_ideals(Q, budgets) for Q, _ in localizations]
 
+    # (child, parent's ideal) -> the ideal it generates in the child's
+    # localization, closed once per call.
+    images: Dict[Tuple[int, FrozenSet], FrozenSet] = {}
     count = 0
     m = len(opens)
     non_root = [i for i in range(m) if i != root_idx]
@@ -634,9 +637,13 @@ def count_digraph_space(R: FiniteRing, budgets: Budgets = DEFAULT_BUDGETS) -> in
                 # The edges that are increasing on ideals.
                 usable = []
                 for (p, c) in allowed_edges:
-                    Q_c, proj_c = localizations[c]
                     parent = ideals[node_opens.index(p)]
-                    if ideal_closure(Q_c, {proj_c[x] for x in parent}) < ideals[node_opens.index(c)]:
+                    image = images.get((c, parent))
+                    if image is None:
+                        Q_c, proj_c = localizations[c]
+                        image = images[c, parent] = ideal_closure(
+                            Q_c, {proj_c[x] for x in parent})
+                    if image < ideals[node_opens.index(c)]:
                         usable.append((p, c))
                 count += math.prod(2 ** sum(1 for _, t in usable if t == c) - 1
                                    for c in chosen)

@@ -19,7 +19,9 @@ needs no closure at all: every submodule is a sum of cyclic submodules Ra,
 so ``enumerate_submodules`` lists the distinct Ra once and closes {0} under
 N -> N + Ra, a union of cosets of N.  ``noetherian_witness`` checks its
 family against that lattice and reads the maximal members of every
-subfamily from one bitmask of strict supersets per member.  Everything
+subfamily from one bitmask of strict supersets per member.  A ring keeps
+its ideal lattice once listed, so the ideal searches over one ring (Baer
+steps, Spec, the Noetherian checks) list it once.  Everything
 here is sized for exhaustive, sub-minute brute force.
 """
 
@@ -66,6 +68,7 @@ class FiniteRing:
         self.zero = zero
         self.one = one
         self._index = {e: i for i, e in enumerate(self.elements)}
+        self._ideals: Optional[List[FrozenSet]] = None  # see enumerate_ideals
 
     @property
     def size(self) -> int:
@@ -404,8 +407,15 @@ def is_ideal(R: FiniteRing, subset: FrozenSet) -> bool:
 
 
 def enumerate_ideals(R: FiniteRing, budgets: Budgets = DEFAULT_BUDGETS) -> List[FrozenSet]:
-    """All ideals of R, as element sets, smallest first; includes (0) and R."""
-    return enumerate_submodules(ring_as_module(R), budgets)
+    """All ideals of R, as element sets, smallest first; includes (0) and R.
+
+    The lattice is kept on R, listed on the first call; every call checks
+    ``finite_ring_bound`` and returns a new list."""
+    if R.size > budgets.finite_ring_bound:
+        raise BoundExceededError("finite_ring_bound", budgets.finite_ring_bound)
+    if R._ideals is None:
+        R._ideals = enumerate_submodules(ring_as_module(R), budgets)
+    return list(R._ideals)
 
 
 def minimal_generators(R: FiniteRing, I: FrozenSet) -> List:

@@ -14,8 +14,10 @@ is the monic gcd with every factor it shares with f divided out; elsewhere
 Buchberger for a constant f, else the one Rabinowitsch construction, which
 adds 1 - t*f and eliminates t.  The canonical form saturates by the
 inverted product, and radical membership asks whether the canonical form
-saturated by f is the unit ideal.  Intersections and colons eliminate one
-auxiliary the same way.
+saturated by f is the unit ideal.  Intersections and colons follow the
+same split: in k[x], (g) intersect (h) is the monic lcm (g / gcd(g, h)) * h
+and the colon (g) : p is lcm(g, p) / p; elsewhere they eliminate one
+auxiliary t from t*I + (1 - t)*J.
 """
 
 from __future__ import annotations
@@ -106,7 +108,28 @@ def _eliminate_aux(lifted: List[Polynomial], budgets: Budgets) -> List[Polynomia
 
 def _intersection_gens(field: FieldSpec, nvars: int, gi: Sequence[Polynomial],
                        gj: Sequence[Polynomial], budgets: Budgets) -> List[Polynomial]:
-    """Generators of (gi) intersect (gj): eliminate t from t*(gi) + (1-t)*(gj)."""
+    """Generators of (gi) intersect (gj).
+
+    In k[x] each side is (g) or (0), and the intersection is (0) or the
+    monic lcm, formed as (g / gcd(g, h)) * h.  ``max_degree`` refuses it
+    where the elimination below refuses when g and h are coprime or one
+    divides the other: when a generator times t, of degree deg + 1, or the
+    lcm passes the budget.  When they share a factor and neither divides
+    the other, elimination meets higher degrees on the way and refuses
+    some smaller budgets too.  In more variables, eliminate t from
+    t*(gi) + (1-t)*(gj).
+    """
+    if nvars == 1:
+        if any(univar.poly_degree(g) >= budgets.max_degree for g in (*gi, *gj)):
+            raise ResourceBudgetError("max_degree", budgets.max_degree)
+        if not gi or not gj:
+            return []
+        (g,), (h,) = gi, gj
+        d = univar.gcd([g, h], field)
+        if (univar.poly_degree(g) + univar.poly_degree(h) - univar.poly_degree(d)
+                > budgets.max_degree):
+            raise ResourceBudgetError("max_degree", budgets.max_degree)
+        return [(univar.exact_quotient(g, d) * h).monic(DEGREVLEX)]
     t = Polynomial.var(field, nvars + 1, 0)
     one = Polynomial.const(field, nvars + 1, 1)
     lifted = [t * g.lift(1) for g in gi] + [(one - t) * g.lift(1) for g in gj]

@@ -15,6 +15,7 @@ from noether.config import DEFAULT_BUDGETS, Budgets
 from noether.errors import DomainError, ResourceBudgetError
 from noether.fields import GF, QQ
 from noether.groebner import groebner_basis
+from noether.jobs import JobSpec, run_job
 from noether.poly import DEGREVLEX, BlockElim, Polynomial, exact_divmod
 from noether.rings import (
     PresentedRing,
@@ -374,3 +375,22 @@ def test_univariate_degree_budget_refuses_where_elimination_does(field):
                 assert _outcome_of(
                     lambda: colon_ideal(I, v, budgets).generators
                 ) == _outcome_of(lambda: colon_by_elimination(I, v, budgets))
+
+
+@pytest.mark.parametrize("budgets", [{"max_degree": 3}, {"max_pairs": 0}])
+@pytest.mark.parametrize("payload,generators", [
+    ({"op": "combine", "mode": "intersection", "left": ["x^2 - x"], "right": ["x^2 + x"]},
+     ["x^3 - x"]),
+    ({"op": "colon", "ideal": ["x^2 - x"], "element": "x^2 + x"}, ["x - 1"]),
+])
+def test_univariate_intersection_and_colon_need_no_elimination_budget(budgets, payload,
+                                                                      generators):
+    """x^2 - x and x^2 + x share the factor x and neither divides the other.
+    Eliminating t from their lifts processes pairs and meets degree 4, so
+    it exited 3 under either budget; the lcm x^3 - x has degree 3 and costs
+    no pairs, so both jobs answer."""
+    from noether.jobs import JobSpec, run_job
+
+    report = run_job(JobSpec("ideal", payload, Budgets(**budgets)))
+    assert report.exit_code == 0, report.result
+    assert report.result["generators"] == generators
