@@ -110,13 +110,10 @@ def _intersection_gens(field: FieldSpec, nvars: int, gi: Sequence[Polynomial],
                        gj: Sequence[Polynomial], budgets: Budgets) -> List[Polynomial]:
     """Generators of (gi) intersect (gj).
 
-    In k[x] each side is (g) or (0), and the intersection is (0) or the
-    monic lcm, formed as (g / gcd(g, h)) * h.  ``max_degree`` refuses it
-    where the elimination below refuses when g and h are coprime or one
-    divides the other: when a generator times t, of degree deg + 1, or the
-    lcm passes the budget.  When they share a factor and neither divides
-    the other, elimination meets higher degrees on the way and refuses
-    some smaller budgets too.  In more variables, eliminate t from
+    In k[x], where each side is (g) or (0), the monic lcm (g / gcd(g, h)) * h.
+    ``max_degree`` refuses a generator times t or an lcm past it: exactly
+    where the elimination below refuses for coprime or dividing generators,
+    and at most where it refuses otherwise.  Elsewhere, eliminate t from
     t*(gi) + (1-t)*(gj).
     """
     if nvars == 1:
