@@ -8,6 +8,7 @@ import pytest
 from noether.baer import (
     BaerModule,
     LedgerEntry,
+    _verify_slot_extension,
     baer_chain,
     baer_step,
     baer_test,
@@ -16,7 +17,7 @@ from noether.baer import (
     injective_envelope_bruteforce,
 )
 from noether.config import Budgets
-from noether.errors import BoundExceededError
+from noether.errors import BoundExceededError, ValidationError
 from noether.finite import (
     all_homs,
     free_module,
@@ -65,6 +66,17 @@ def test_baer_agrees_with_first_principles(R4):
     ambient = [free_module(R4, 1), free_module(R4, 2)]
     for M in (zero_module(R4), ring_as_module(R4), two_torsion(R4)):
         assert baer_test(M).injective == first_principles_injective(M, ambient)
+
+
+def test_slot_that_disagrees_with_its_ledger_map_is_refused(R4):
+    ext = baer_step(ring_as_module(R4))
+    zero = ext.base.zero
+    s, entry = next((s, e) for s, e in enumerate(ext.ledger)
+                    if any(v != zero for v in e.graph.values()))
+    _verify_slot_extension(ext, s, entry)
+    wrong = LedgerEntry(entry.ideal, {x: zero for x in entry.ideal})
+    with pytest.raises(ValidationError, match="does not restrict to the ideal map"):
+        _verify_slot_extension(ext, s, wrong)
 
 
 def test_step_from_zero_has_size_eight(R4):

@@ -1,6 +1,7 @@
 """Buchberger kernel: known bases, determinism, budgets, and an independent
 GF(2) linear-algebra membership oracle."""
 
+import copy
 import math
 import random
 from fractions import Fraction
@@ -14,7 +15,7 @@ from noether.errors import ResourceBudgetError
 from noether.fields import GF, QQ
 from noether.groebner import _form, _reduce, groebner_basis, normal_form
 from noether.parse import parse_polynomial
-from noether.poly import DEGREVLEX, LEX, BlockElim, Polynomial
+from noether.poly import DEGREVLEX, LEX, BlockElim, MonomialOrder, Polynomial
 
 VARS = ("x", "y")
 
@@ -436,3 +437,42 @@ def test_integer_remainder_is_a_multiple_of_the_exact_one(case, order):
         else:
             assert lc == 1 and all(0 < v < F.p for v in remainder.values())
         assert list(remainder) == sorted(remainder, key=order.key, reverse=True)
+
+
+class _EveryTermDegree(MonomialOrder):
+    """An order's comparison alone, without the order's class: the basis
+    computation then checks the degree of every term it meets, the slow
+    path of the degree budget."""
+
+    def __init__(self, order):
+        self.key = order.key
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_ideals(fields=(QQ, GF(7))), st.sampled_from([DEGREVLEX, LEX, BlockElim(1)]),
+       st.integers(2, 8))
+# Reducing x^3 by x - y^3 under lex or with x eliminated passes through
+# x*y^6 and y^9 before y^5 - 1 brings it down to y^4: a degree budget of 8
+# refuses on the way.
+@example(polys("x - y^3", "y^5 - 1", "x^3"), LEX, 8)
+@example(polys("x - y^3", "y^5 - 1", "x^3"), BlockElim(1), 8)
+@example(polys("x - y^3", "x^3"), LEX, 8)
+@example(GROWING[1][1], LEX, 6)
+def test_basis_refuses_and_leads_like_the_slow_path(gens, order, max_degree):
+    """``max_degree`` refuses a basis exactly where a computation that checks
+    every term's degree refuses it, and each returned element's leading
+    monomial, recorded or derived, is its greatest term under every order."""
+    budgets = Budgets(max_degree=max_degree)
+    try:
+        expected = groebner_basis(gens, _EveryTermDegree(order), budgets)
+    except ResourceBudgetError:
+        with pytest.raises(ResourceBudgetError):
+            groebner_basis(gens, order, budgets)
+        return
+    basis = groebner_basis(gens, order, budgets)
+    assert basis == expected
+    # A copy keeps whatever lead the element recorded, so each order is the
+    # first one asked of some copy.
+    for o in (DEGREVLEX, LEX, BlockElim(1)):
+        for g in map(copy.copy, basis):
+            assert g.leading_monomial(o) == max(g.terms, key=o.key)

@@ -6,7 +6,8 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from noether.errors import DomainError
+from noether.config import Budgets
+from noether.errors import DomainError, ResourceBudgetError
 from noether.fields import QQ
 from noether.finite import zmod
 from noether.rings import PresentedRing, ideal_equal
@@ -31,6 +32,29 @@ def R():
 
 def D(R, text):
     return DistinguishedOpen(R, R.parse(text))
+
+
+# What an open derives under one budget is no answer under a tighter one:
+# x*y has degree 2, and its saturations add an auxiliary, so max_degree 1
+# refuses each of these on a fresh open.
+DERIVED = {
+    "contains": lambda a, b, budgets: open_contains(a, b, budgets),
+    "empty": lambda a, b, budgets: a.is_empty(budgets),
+    "whole": lambda a, b, budgets: a.is_whole(budgets),
+    "coordinate ring": lambda a, b, budgets: coordinate_ring(a, budgets),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DERIVED))
+def test_derived_answers_refuse_a_tighter_budget_like_a_fresh_open(R, name):
+    derive, tight = DERIVED[name], Budgets(max_degree=1)
+    with pytest.raises(ResourceBudgetError):
+        derive(D(R, "x*y"), D(R, "x^2*y"), tight)
+    a, b = D(R, "x*y"), D(R, "x^2*y")
+    first = derive(a, b, Budgets())
+    with pytest.raises(ResourceBudgetError):
+        derive(a, b, tight)
+    assert derive(a, b, Budgets()) == first
 
 
 def test_whole_and_empty(R):
