@@ -193,20 +193,20 @@ def baer_step(M: FiniteModule, budgets: Budgets = DEFAULT_BUDGETS) -> BaerModule
 
 def _verify_slot_extension(ext: BaerModule, s: int, entry: LedgerEntry):
     """The slot map r -> class of (0, r e_s) must be linear and restrict,
-    through the embedding, to the ledger's ideal map."""
+    through the embedding, to the ledger's ideal map.  Each class is
+    normalized once, before the pairs are checked."""
     R = ext.ring
+    unit = {r: ext.slot_unit(s, r) for r in R.elements}
     for r in R.elements:
         for r2 in R.elements:
-            lhs = ext.slot_unit(s, R.add(r, r2))
-            rhs = ext.add(ext.slot_unit(s, r), ext.slot_unit(s, r2))
-            if lhs != rhs:
+            if unit[R.add(r, r2)] != ext.add(unit[r], unit[r2]):
                 raise ValidationError("slot extension is not additive",
                                       witness=(s, r, r2))
-            if ext.slot_unit(s, R.mul(r, r2)) != ext.smul(r, ext.slot_unit(s, r2)):
+            if unit[R.mul(r, r2)] != ext.smul(r, unit[r2]):
                 raise ValidationError("slot extension is not linear",
                                       witness=(s, r, r2))
     for x in entry.ideal:
-        if ext.slot_unit(s, x) != ext.embed(entry.graph[x]):
+        if unit[x] != ext.embed(entry.graph[x]):
             raise ValidationError(
                 "slot extension does not restrict to the ideal map",
                 witness=(s, x))

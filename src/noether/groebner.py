@@ -4,7 +4,10 @@ Produces reduced (monic, auto-reduced) Groebner bases, which are unique for
 a given ideal and monomial order.
 
 * Leading monomials are computed once per basis element and kept in a
-  ``leads`` list beside the basis.
+  ``leads`` list beside the basis.  Each input is normalized straight into
+  its form (see below) and deduplicated on it; each returned polynomial is
+  built from its form and records its leading monomial for the order, the
+  form's first key.
 * Pairs wait in a heap under the normal selection strategy: each gets its
   key (degree of the lcm, order key of the lcm, i, j) once, when created.
 * The Gebauer-Moeller update (Gebauer & Moeller 1988, "On an installation
@@ -14,7 +17,10 @@ a given ideal and monomial order.
   leading monomial divides strictly.  Elements whose leading monomial the
   new one divides stop serving as reducers.
 * Division is one loop, ``_reduce``, for both fields.  It reduces into one
-  dict, with a heap of negated order keys giving the next leading term.
+  dict, with a heap of the order's heap keys (its keys negated, built in
+  one step by ``MonomialOrder.heap_key``) giving the next leading term.
+  Under a graded order only the input's degrees are checked against
+  ``max_degree``: every new term lies below the popped one.
   It is fraction-free (Arnold 2003, "Modular algorithms for computing
   Groebner bases"): it divides integer polynomials, over Q primitive ones
   and over F_p ones with coefficients in ``range(p)``, reduced mod ``p``
@@ -41,7 +47,6 @@ from .errors import ResourceBudgetError
 from .poly import (
     MonomialOrder,
     Polynomial,
-    descending,
     mono_deg,
     mono_div,
     mono_divides,
@@ -118,11 +123,14 @@ def _reduce(terms, reducers, order: MonomialOrder, max_degree: int, p: int):
     """
     if any(mono_deg(m) > max_degree for m in terms):
         raise ResourceBudgetError("max_degree", max_degree)
-    key = order.key
+    key = order.heap_key
+    # Under a graded order a new term q*t lies below the popped lm = q*gm,
+    # so its degree is no higher than a degree already checked.
+    check = not order.graded
     # Cancelled terms stay in ``work`` as zeros, so a monomial enters the
     # heap (and has its key computed) at most once.
     work = dict(terms)
-    heap = [(descending(key(m)), m) for m in work]
+    heap = [(key(m), m) for m in work]
     heapify(heap)
     remainder = {}
     scale = 1
@@ -154,10 +162,10 @@ def _reduce(terms, reducers, order: MonomialOrder, max_degree: int, p: int):
             if m in work:
                 work[m] -= b * v
             else:
-                if mono_deg(m) > max_degree:
+                if check and mono_deg(m) > max_degree:
                     raise ResourceBudgetError("max_degree", max_degree)
                 work[m] = -b * v
-                heappush(heap, (descending(key(m)), m))
+                heappush(heap, (key(m), m))
     if not remainder:
         return remainder, scale
     lc = next(iter(remainder.values()))
@@ -211,8 +219,8 @@ def groebner_basis(
     F, nvars = gens[0].field, gens[0].nvars
 
     # Each element is kept as a form (see ``_reduce``): its primitive
-    # integer multiple with a positive leading coefficient over Q, itself
-    # (monic) over F_p.  A remainder lists its leading term first.
+    # integer multiple with a positive leading coefficient over Q, its monic
+    # multiple mod p over F_p.  A remainder lists its leading term first.
     forms = []  # forms[i] is the form of the i-th element
     leads = []  # leads[i] is its leading monomial, a key of forms[i]
     active: List[int] = []  # element indices still used as reducers
@@ -255,10 +263,18 @@ def groebner_basis(
 
     seen = set()
     for g in gens:
-        g = g.monic(order)
-        if g not in seen:
-            seen.add(g)
-            update(g.leading_monomial(order), _form(g.terms, F)[0])
+        hm = g.leading_monomial(order)
+        if F.p:
+            inv = pow(g.terms[hm], -1, F.p)
+            h = {m: v * inv % F.p for m, v in g.terms.items()}
+        else:
+            h = _form(g.terms, F)[0]
+            if h[hm] < 0:
+                h = {m: -v for m, v in h.items()}
+        distinct = frozenset(h.items())
+        if distinct not in seen:
+            seen.add(distinct)
+            update(hm, h)
 
     processed = 0
     while pairs:
@@ -280,6 +296,10 @@ def groebner_basis(
     # each member by its remainder against the others suffices.
     for i, (hm, h) in enumerate(members):
         members[i] = (hm, _reduce(h, members[:i] + members[i + 1:], order, max_degree, F.p)[0])
-    members.sort(key=lambda member: order.key(member[0]), reverse=True)
-    return [Polynomial(F, nvars, {m: F.div(c, h[hm]) for m, c in h.items()})
-            for hm, h in members]
+    members.sort(key=lambda member: order.heap_key(member[0]))
+    basis = []
+    for hm, h in members:
+        g = Polynomial(F, nvars, h if F.p else {m: Fraction(v, h[hm]) for m, v in h.items()})
+        g._lead = (order, hm)
+        basis.append(g)
+    return basis

@@ -43,23 +43,43 @@ def mono_deg(a: Mono) -> int:
 
 class MonomialOrder:
     """A sort key per monomial: a flat tuple of ints, greater for the
-    greater monomial."""
+    greater monomial.
+
+    ``heap_key`` is that key with every int negated, so a min-heap of heap
+    keys pops the greatest monomial first; each order builds it in one step
+    (degrevlex: ``(-sum(m),) + m[::-1]``).  A ``graded`` order compares
+    total degree first, so a monomial below another has no higher degree.
+    """
+
+    graded = False
 
     def key(self, m: Mono):  # pragma: no cover - interface
         raise NotImplementedError
+
+    def heap_key(self, m: Mono):
+        return tuple(map(neg, self.key(m)))
 
 
 def _degrevlex(m: Mono) -> Tuple[int, ...]:
     return (sum(m),) + tuple(map(neg, reversed(m)))
 
 
+def _degrevlex_heap(m: Mono) -> Tuple[int, ...]:
+    return (-sum(m),) + m[::-1]
+
+
 class DegRevLex(MonomialOrder):
+    graded = True
     key = staticmethod(_degrevlex)
+    heap_key = staticmethod(_degrevlex_heap)
 
 
 class Lex(MonomialOrder):
     def key(self, m: Mono):
         return m
+
+    def heap_key(self, m: Mono):
+        return tuple(map(neg, m))
 
 
 @dataclass(frozen=True)
@@ -77,6 +97,9 @@ class BlockElim(MonomialOrder):
     def key(self, m: Mono):
         return _degrevlex(m[: self.naux]) + _degrevlex(m[self.naux :])
 
+    def heap_key(self, m: Mono):
+        return _degrevlex_heap(m[: self.naux]) + _degrevlex_heap(m[self.naux :])
+
 
 DEGREVLEX = DegRevLex()
 LEX = Lex()
@@ -87,10 +110,12 @@ class Polynomial:
 
     The leading monomial is memoized for the last order asked (``_lead``);
     it is the very key object of ``terms``, so callers may compare it with
-    ``is``.
+    ``is``.  ``groebner_basis`` records it for the order of the basis.  A
+    univariate polynomial keeps its ``(unit, dense normal form)`` in
+    ``_dense_form`` once ``noether.univar`` has derived or built it.
     """
 
-    __slots__ = ("field", "nvars", "terms", "_hash", "_lead")
+    __slots__ = ("field", "nvars", "terms", "_hash", "_lead", "_dense_form")
 
     def __init__(self, field: FieldSpec, nvars: int, terms: Dict[Mono, object]):
         self.field = field
@@ -104,6 +129,7 @@ class Polynomial:
         self.terms = clean
         self._hash = None
         self._lead = None
+        self._dense_form = None
 
     # -- constructors ----------------------------------------------------
 
@@ -292,28 +318,22 @@ class Polynomial:
         return f"Polynomial({self.render([f'v{i}' for i in range(self.nvars)])})"
 
 
-def descending(key):
-    """An order ``key`` with every integer negated: a min-heap of these pops
-    the greatest monomial first."""
-    return tuple(map(neg, key))
-
-
 def exact_divmod(g: Polynomial, p: Polynomial):
     """Single-divisor division in degrevlex; returns (quotient, remainder).
 
     Stops at the first leading monomial that p's does not divide, so the
     remainder is zero exactly when p divides g.  Reduces into one dict,
-    with a heap of negated order keys giving the next leading term.
+    with a heap of degrevlex heap keys giving the next leading term.
     """
     F = g.field
-    key = DEGREVLEX.key
+    key = DEGREVLEX.heap_key
     pm = p.leading_monomial(DEGREVLEX)
     pc = p.terms[pm]
     tail = [(t, v) for t, v in p.terms.items() if t is not pm]
     # Cancelled terms stay in ``work`` as zeros, so a monomial enters the
     # heap at most once.
     work = dict(g.terms)
-    heap = [(descending(key(m)), m) for m in work]
+    heap = [(key(m), m) for m in work]
     heapify(heap)
     quotient = {}
     while heap:
@@ -331,5 +351,5 @@ def exact_divmod(g: Polynomial, p: Polynomial):
                 work[m] = F.sub(work[m], F.mul(c, v))
             else:
                 work[m] = F.neg(F.mul(c, v))
-                heappush(heap, (descending(key(m)), m))
+                heappush(heap, (key(m), m))
     return Polynomial(F, g.nvars, quotient), Polynomial.zero(F, g.nvars)

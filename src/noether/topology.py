@@ -3,13 +3,20 @@
 Opens are intensional: a defining element f, compared by mutual radical
 containment (D(f) = D(g) iff f is in the radical of (g) and conversely).
 Point sets never appear except for finite rings, where Spec is enumerable.
+
+An open derives each of these once and keeps it: its principal ideal
+handle (f), whose canonical basis the handle keeps per budgets; its
+coordinate ring R_f; its emptiness under each ``budgets``; and, under each
+``budgets``, whether it contains the open of each other f it was asked
+about.  A tighter budget than a kept answer's is asked afresh, so it
+refuses as it would on a new open.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import FrozenSet, List, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from .config import Budgets, DEFAULT_BUDGETS
 from .errors import DomainError
@@ -22,19 +29,34 @@ from .rings import IdealHandle, PresentedRing, radical_membership
 class DistinguishedOpen:
     ring: PresentedRing
     f: Polynomial
+    # Answers kept per budgets: ("empty", budgets) -> emptiness, and
+    # (g, budgets) -> whether D(g) lies inside this open.
+    _known: Dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.f.nvars != self.ring.nvars or self.f.field != self.ring.field:
             raise DomainError("defining element from a different ring")
 
+    @cached_property
+    def principal(self) -> IdealHandle:
+        """The ideal (f) of the presented ring."""
+        return IdealHandle(self.ring, (self.f,))
+
+    @cached_property
+    def localized(self) -> PresentedRing:
+        """R_f, the ring itself when f is 1."""
+        return self.ring if self.f.is_one() else self.ring.with_inverted(self.f)
+
     def is_empty(self, budgets: Budgets = DEFAULT_BUDGETS) -> bool:
         """D(f) is empty iff f is nilpotent in the presented ring."""
-        zero = IdealHandle(self.ring, ())
-        return radical_membership(self.f, zero, budgets)
+        key = ("empty", budgets)
+        if key not in self._known:
+            self._known[key] = radical_membership(self.f, IdealHandle(self.ring, ()), budgets)
+        return self._known[key]
 
     def is_whole(self, budgets: Budgets = DEFAULT_BUDGETS) -> bool:
         """D(f) = Spec(R) iff f is a unit in the presented ring."""
-        return IdealHandle(self.ring, (self.f,)).is_unit_ideal(budgets)
+        return self.principal.is_unit_ideal(budgets)
 
     def render(self) -> str:
         return f"D({self.ring.render(self.f)})"
@@ -45,7 +67,10 @@ def open_contains(a: DistinguishedOpen, b: DistinguishedOpen,
     """True iff D(b) is a subset of D(a)."""
     if a.ring != b.ring:
         raise DomainError("opens over different rings")
-    return radical_membership(b.f, IdealHandle(a.ring, (a.f,)), budgets)
+    key = (b.f, budgets)
+    if key not in a._known:
+        a._known[key] = radical_membership(b.f, a.principal, budgets)
+    return a._known[key]
 
 
 def open_equal(a: DistinguishedOpen, b: DistinguishedOpen,
@@ -86,9 +111,7 @@ def coordinate_ring(u: DistinguishedOpen, budgets: Budgets = DEFAULT_BUDGETS) ->
     """The localized ring R_f of a nonempty distinguished open."""
     if u.is_empty(budgets):
         raise DomainError("empty open has no coordinate ring here")
-    if u.f.is_one():
-        return u.ring
-    return u.ring.with_inverted(u.f)
+    return u.localized
 
 
 def enumerate_spec(R: FiniteRing, budgets: Budgets = DEFAULT_BUDGETS) -> List[FrozenSet]:

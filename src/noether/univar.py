@@ -15,7 +15,9 @@ fraction-free, with the cofactor step ``a*r - b*x^k*g`` of
 ``groebner._reduce``, and exact division by a primitive divisor stays in
 the integers (Gauss's lemma).  ``Polynomial``s, and over Q ``Fraction``s,
 exist only at the public boundary: ``_dense`` reads one in, ``_poly``
-writes one out.
+writes one out.  Each ``Polynomial`` keeps its dense normal form once it is
+known (``Polynomial._dense_form``): ``_dense`` derives it at most once per
+polynomial, and a polynomial ``_poly`` built already has it.
 """
 
 from __future__ import annotations
@@ -38,26 +40,34 @@ def _require_univariate(p: Polynomial):
 
 def _dense(f: Polynomial) -> Tuple[object, Dense]:
     """``(u, c)`` with f = u * c, c the normal form of f and u a field
-    element (1 for zero f)."""
+    element (1 for zero f).  Callers must not change c: f keeps it."""
+    if f._dense_form is not None:
+        return f._dense_form
     _require_univariate(f)
     F = f.field
     if f.is_zero():
-        return F.one(), []
+        f._dense_form = F.one(), []
+        return f._dense_form
     den = 1 if F.p else lcm(*(v.denominator for v in f.terms.values()))
     c = [0] * (max(f.terms)[0] + 1)
     for (e,), v in f.terms.items():
         c[e] = v if F.p else v.numerator * (den // v.denominator)
     normal = _normal(c, F.p)
-    return (c[-1] if F.p else Fraction(c[-1] // normal[-1], den)), normal
+    f._dense_form = (c[-1] if F.p else Fraction(c[-1] // normal[-1], den)), normal
+    return f._dense_form
 
 
 def _poly(c: Dense, field: FieldSpec, u=None) -> Polynomial:
-    """``u * c`` as a Polynomial; the monic one when ``u`` is None."""
+    """``u * c`` as a Polynomial, for c in normal form; the monic one when
+    ``u`` is None.  The polynomial keeps ``(u, c)`` as its dense form."""
+    if u is None:
+        u = Fraction(1, c[-1]) if c and not field.p else field.one()
     if field.p:
-        u = 1 if u is None else u
-        return Polynomial(field, 1, {(e,): v * u % field.p for e, v in enumerate(c)})
-    num, den = (1, c[-1] if c else 1) if u is None else (u.numerator, u.denominator)
-    return Polynomial(field, 1, {(e,): Fraction(v * num, den) for e, v in enumerate(c) if v})
+        f = Polynomial(field, 1, {(e,): v * u % field.p for e, v in enumerate(c)})
+    else:
+        f = Polynomial(field, 1, {(e,): v * u for e, v in enumerate(c) if v})
+    f._dense_form = (u if c else field.one()), c
+    return f
 
 
 def _normal(c: Dense, p: int) -> Dense:

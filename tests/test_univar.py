@@ -21,8 +21,8 @@ from noether.fields import GF, QQ
 from noether.groebner import groebner_basis
 from noether.poly import DEGREVLEX, BlockElim, Polynomial
 from noether.rings import PresentedRing, radical_membership, saturate
-from noether.univar import (coprime_base, divides, exact_quotient, from_sympy, gcd,
-                            irreducible_factors, multiplicity, squarefree_factors,
+from noether.univar import (_dense, coprime_base, divides, exact_quotient, from_sympy,
+                            gcd, irreducible_factors, multiplicity, squarefree_factors,
                             strip_shared, to_sympy)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -379,6 +379,21 @@ def test_gcd_and_division_match_sympy(case):
         else:
             with pytest.raises(CapabilityError):
                 exact_quotient(num, den)
+
+
+@settings(deadline=None)
+@given(with_polys(2))
+def test_kept_dense_forms_equal_derived_ones(case):
+    """A polynomial keeps the (unit, normal form) that it was built from or
+    first derived: the same as a copy without it derives."""
+    field, a, b = case
+    out = [a, b, gcd([a, b], field), exact_quotient(a * b, b) if not b.is_zero() else a]
+    out += coprime_base([a, b])
+    if not a.is_zero():
+        out += [f for f, _ in squarefree_factors(a)] + [strip_shared(a, b)]
+    for f in out:
+        assert _dense(f) == _dense(Polynomial(field, 1, f.terms))
+        assert _dense(f) is _dense(f)
 
 
 @settings(deadline=None)
