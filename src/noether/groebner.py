@@ -17,8 +17,8 @@ a given ideal and monomial order.
   leading monomial divides strictly.  Elements whose leading monomial the
   new one divides stop serving as reducers.
 * Division is one loop, ``_reduce``, for both fields.  It reduces into one
-  dict, with a heap of the order's heap keys (its keys negated, built in
-  one step by ``MonomialOrder.heap_key``) giving the next leading term.
+  dict, with a heap of the order's heap keys (its keys negated, as
+  ``MonomialOrder.heap_key`` builds them) giving the next leading term.
   Under a graded order only the input's degrees are checked against
   ``max_degree``: every new term lies below the popped one.
   It is fraction-free (Arnold 2003, "Modular algorithms for computing

@@ -46,9 +46,10 @@ class MonomialOrder:
     greater monomial.
 
     ``heap_key`` is that key with every int negated, so a min-heap of heap
-    keys pops the greatest monomial first; each order builds it in one step
-    (degrevlex: ``(-sum(m),) + m[::-1]``).  A ``graded`` order compares
-    total degree first, so a monomial below another has no higher degree.
+    keys pops the greatest monomial first.  By default it negates ``key``;
+    degrevlex and the block orders build it in one step (degrevlex:
+    ``(-sum(m),) + m[::-1]``).  A ``graded`` order compares total degree
+    first, so a monomial below another has no higher degree.
     """
 
     graded = False
@@ -77,9 +78,6 @@ class DegRevLex(MonomialOrder):
 class Lex(MonomialOrder):
     def key(self, m: Mono):
         return m
-
-    def heap_key(self, m: Mono):
-        return tuple(map(neg, m))
 
 
 @dataclass(frozen=True)
