@@ -20,8 +20,10 @@ from noether.config import Budgets
 from noether.errors import BoundExceededError, ValidationError
 from noether.finite import (
     all_homs,
+    enumerate_submodules,
     free_module,
     gf_poly_quotient,
+    product_ring,
     quotient_module,
     ring_as_module,
     span,
@@ -178,6 +180,46 @@ def test_quotient_modules_of_f2t(R4):
         Q = quotient_module(base, span(base, sub))
         assert baer_test(Q).injective == first_principles_injective(
             Q, [free_module(R, 1), free_module(R, 2)])
+
+
+def first_principles_by_graphs(M, ambient_modules):
+    """``first_principles_injective`` comparing each map A -> M with the
+    restrictions by its full graph on A: the oracle of the generator-image
+    comparison."""
+    for B in ambient_modules:
+        homs_B = all_homs(B, M)
+        for carrier in enumerate_submodules(B):
+            A = submodule(B, carrier, name="A")
+            restrictions = {tuple(big[a] for a in A.elements) for big in homs_B}
+            for graph in all_homs(A, M):
+                if tuple(graph[a] for a in A.elements) not in restrictions:
+                    return False
+    return True
+
+
+FIRST_PRINCIPLES_RINGS = ([zmod(n) for n in range(2, 13)]
+                          + [gf_poly_quotient(p, [0, 0, 1]) for p in (2, 3)]
+                          + [product_ring([zmod(2), zmod(4)])])
+
+
+def test_first_principles_equals_the_graph_comparing_oracle():
+    """Zero, ring, quotient, submodule and free modules over each ring, with
+    R and (when small) R^2 as the ambient modules."""
+    answers = set()
+    for R in FIRST_PRINCIPLES_RINGS:
+        base = ring_as_module(R)
+        ideals = enumerate_submodules(base)[1:-1]
+        modules = [zero_module(R), base]
+        modules += [quotient_module(base, N, name="R/N") for N in ideals]
+        modules += [submodule(base, N, name="N") for N in ideals[:1]]
+        if R.size <= 4:
+            modules.append(free_module(R, 2))
+        ambient = [free_module(R, rank) for rank in (1, 2) if R.size ** rank <= 64]
+        for M in modules:
+            answer = first_principles_injective(M, ambient)
+            assert answer == first_principles_by_graphs(M, ambient), (R, M.name)
+            answers.add(answer)
+    assert answers == {True, False}
 
 
 # -- job-level gates: sizes, slots and stalls through run_job --------------------

@@ -4,10 +4,12 @@ desk-scale enumeration of all digraphs over a finite ring."""
 
 import itertools
 import json
+import math
+import operator
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from noether.config import DEFAULT_BUDGETS, Budgets
 from noether.errors import DomainError, OracleError, ValidationError
@@ -20,7 +22,9 @@ from noether.digraph import (
     DigraphNode,
     IdealDigraph,
     SheafOracle,
+    ZZDigraph,
     ZZSheafData,
+    _extract,
     _section_generators,
     clear_denominators,
     count_digraph_space,
@@ -454,6 +458,83 @@ def test_zz_regeneration_on_three_point_fan():
     d = extract_zz_digraph(data)
     for U in X.connected_opens():
         assert zz_sheaf_value(d, U) == assign[U]
+
+
+def zz_oracle(z):
+    """``extract_zz_digraph`` on frozensets, validation included, as it was
+    before the space kept its layout: the oracle of the index path."""
+    opens = z.space.connected_opens()
+    for U in opens:
+        if U not in z.assignment:
+            raise ValidationError("missing assignment", witness=sorted(U))
+        if z.assignment[U] < 0:
+            raise ValidationError("negative ideal index", witness=sorted(U))
+    for U in opens:
+        for V in opens:
+            if U < V and not (z.assignment[V] % z.assignment[U] == 0 if z.assignment[U]
+                              else z.assignment[V] == 0):
+                raise ValidationError("restriction law violated",
+                                      witness=(sorted(U), sorted(V)))
+    whole = z.space.whole()
+    if not z.space.connected(whole):
+        raise ValidationError("space must be connected; run per component")
+
+    def expansive(node):
+        V, nV = node
+        return [(U, z.assignment[U]) for U in opens
+                if U < V and (nV % z.assignment[U] == 0 if z.assignment[U] else nV == 0)
+                and z.assignment[U] != nV]
+
+    nodes, edges = _extract((whole, z.assignment[whole]), expansive,
+                            operator.lt, operator.eq)
+    return ZZDigraph(z.space, tuple(nodes), tuple(edges), 0)
+
+
+@st.composite
+def zz_sheaf_data(draw):
+    """A preorder on up to 5 points, and an assignment on its connected
+    opens that keeps the restriction law, breaks it, misses a key or goes
+    negative."""
+    n = draw(st.integers(1, 5))
+    below = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          min_size=n - 1, max_size=8))
+    space = FiniteSpace(range(n), below)
+    opens = space.connected_opens()
+    kind = draw(st.sampled_from(["keep", "break", "miss", "negative"]))
+    assign = {}
+    for V in opens:  # by size, so every open inside V is already assigned
+        if kind == "break":
+            assign[V] = draw(st.integers(0, 8))
+            continue
+        inside = [assign[U] for U in opens if U < V]
+        k = draw(st.sampled_from([2, 3, 1, 0]))
+        assign[V] = 0 if 0 in inside else math.lcm(1, *inside) * k
+    if kind in ("miss", "negative") and opens:
+        U = draw(st.sampled_from(opens))
+        if kind == "miss":
+            del assign[U]
+        else:
+            assign[U] = -draw(st.integers(1, 4))
+    return ZZSheafData(space, assign)
+
+
+def zz_outcome(extract, z):
+    try:
+        d = extract(z)
+    except ValidationError as exc:
+        return "error", str(exc), exc.witness
+    return d.nodes, d.edges
+
+
+@settings(max_examples=300, deadline=None)
+@given(zz_sheaf_data())
+# On a chain the law fails at ({0}, the whole space) and ({0, 1}, {0, 1, 2}):
+# the first by U, then V, is the witness.
+@example(ZZSheafData(FiniteSpace(range(4), [(0, 1), (1, 2), (2, 3)]), {
+    frozenset(range(1)): 2, frozenset(range(2)): 6, frozenset(range(3)): 4,
+    frozenset(range(4)): 3}))
+def test_zz_extraction_matches_the_frozenset_oracle(z):
+    assert zz_outcome(extract_zz_digraph, z) == zz_outcome(zz_oracle, z)
 
 
 # -- enumeration ------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """The package's exports: ``import noether`` binds each of its 118 names
-lazily, on first use, to the object its module defines.  Also three checks
-of the package source: every budget is read and passed on, and every
-private helper is used."""
+lazily, on first use, to the object its module defines.  Also four checks
+of the package source: every budget is read and passed on, every private
+helper is used, and no module keeps a cache of answers."""
 
 import ast
 import importlib
@@ -175,3 +175,80 @@ def test_every_private_definition_is_referenced():
                 used.add(node.attr)
     assert len(defined) > 50
     assert sorted(f"{m}.{n}" for m, n in defined if n not in used) == []
+
+
+MUTATORS = {"append", "extend", "insert", "add", "update", "setdefault", "pop",
+            "popitem", "clear", "remove", "discard", "sort", "reverse"}
+CONTAINER_CALLS = {"dict", "list", "set", "defaultdict", "OrderedDict", "Counter", "deque"}
+
+
+def _name(node: ast.AST):
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def _module_caches(tree: ast.Module):
+    """``lru_cache``/``cache`` decorators, and statements in a function that
+    change a dict, list or set bound at module level, by its name or by a
+    local name bound to it (a local of the same name does not count unless
+    the function declares it ``global``)."""
+    containers = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None and (
+                isinstance(node.value, (ast.Dict, ast.List, ast.Set, ast.DictComp,
+                                        ast.ListComp, ast.SetComp))
+                or isinstance(node.value, ast.Call)
+                and _name(node.value.func) in CONTAINER_CALLS):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            containers.update(t.id for t in targets if isinstance(t, ast.Name))
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for dec in fn.decorator_list:
+            if _name(dec.func if isinstance(dec, ast.Call) else dec) in ("lru_cache", "cache"):
+                found.append(f"{fn.name}: @{ast.unparse(dec)}")
+        nodes = list(ast.walk(fn))
+        declared = {n for node in nodes if isinstance(node, ast.Global) for n in node.names}
+        local = {a.arg for a in ast.walk(fn.args) if isinstance(a, ast.arg)}
+        local |= {n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+        shared = containers - (local - declared)
+        shared |= {t.id for node in nodes if isinstance(node, ast.Assign)
+                   and _name(node.value) in shared for t in node.targets
+                   if isinstance(t, ast.Name) and isinstance(node.value, ast.Name)}
+        for node in nodes:
+            if isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
+                target = node.value
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                    and node.func.attr in MUTATORS:
+                target = node.func.value
+            else:
+                target = None
+            if isinstance(target, ast.Name) and target.id in shared or \
+                    isinstance(node, ast.Global) and shared & set(node.names):
+                found.append(f"{fn.name}:{node.lineno} {ast.unparse(node)}")
+    return found
+
+
+def test_no_module_keeps_a_cache_of_answers():
+    """No ``functools.lru_cache`` or ``cache`` decorator in the package, and
+    no function that changes a module-level dict, list or set: such a cache
+    would carry answers from one job, test or benchmark round into the
+    next.  What is derived once is kept by the object it belongs to (a
+    ring's bases, a space's layout).  ``__init__``'s ``globals()[name] =
+    value`` binds an export, not an answer, and is not a module-level
+    container."""
+    package = Path(noether.__file__).parent
+    found = [f"{path.stem}.{hit}" for path in sorted(package.glob("*.py"))
+             for hit in _module_caches(ast.parse(path.read_text()))]
+    assert found == []
+    memo = ast.parse("_MEMO = {}\n"
+                     "@functools.lru_cache(None)\n"
+                     "def f(x):\n"
+                     "    _MEMO[x] = x\n"
+                     "    _MEMO.setdefault(x, x)\n"
+                     "def g(_MEMO):\n"
+                     "    _MEMO[0] = 0\n"
+                     "def h(x):\n"
+                     "    memo = _MEMO\n"
+                     "    memo[x] = x\n")
+    assert len(_module_caches(memo)) == 4

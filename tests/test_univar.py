@@ -2,7 +2,9 @@
 elimination, squarefree decomposition and coprime bases against sympy's
 factorization, its gcd, division and squarefree parts against sympy.Poly,
 its place below ``rings``, and what each process imports:
-no job loads sympy, and a CLI job loads only the layers its command uses."""
+no job loads sympy, and a CLI job loads only the layers its command uses.
+Also that a job's report, minus ``timings``, does not depend on what ran
+before it in the process or on the hash seed."""
 
 import ast
 import itertools
@@ -21,7 +23,8 @@ from noether.fields import GF, QQ
 from noether.groebner import groebner_basis
 from noether.poly import DEGREVLEX, BlockElim, Polynomial
 from noether.rings import PresentedRing, radical_membership, saturate
-from noether.univar import (_dense, coprime_base, divides, exact_quotient, from_sympy,
+from noether.jobs import load_job, run_job
+from noether.univar import (_dense, _poly, coprime_base, divides, exact_quotient, from_sympy,
                             gcd, irreducible_factors, multiplicity, squarefree_factors,
                             strip_shared, to_sympy)
 
@@ -187,6 +190,47 @@ def test_sympy_is_imported_only_to_factor(tmp_path):
     assert json.loads(proc.stdout) == [
         {"open": "1", "generators": ["x - 1"]},
         {"open": "1", "generators": ["x^6 + 1"]}]
+
+
+def report(command, payload):
+    """The job's report minus ``timings``, as its JSON reads it back."""
+    doc = run_job(load_job(command, payload)).as_dict()
+    del doc["timings"]
+    return json.loads(json.dumps(doc, sort_keys=True))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(CLI_JOBS), st.sampled_from(CLI_JOBS))
+def test_a_report_does_not_depend_on_the_job_run_before(job, other):
+    """What a run keeps (a ring's bases, a space's layout, an operation
+    table) must not change the next report in the same process."""
+    first = report(*job[:2])
+    report(*other[:2])
+    assert report(*job[:2]) == first
+
+
+REPORTS_SCRIPT = """
+import json, sys
+from noether.jobs import load_job, run_job
+out = []
+for command, payload in json.load(sys.stdin):
+    doc = run_job(load_job(command, payload)).as_dict()
+    del doc["timings"]
+    out.append(doc)
+print(json.dumps(out, sort_keys=True))
+"""
+
+
+@pytest.mark.parametrize("hash_seed", ["1", "2"])
+def test_a_report_does_not_depend_on_the_hash_seed(hash_seed):
+    """Each job of CLI_JOBS gives the same report in a fresh process under
+    PYTHONHASHSEED 1 and 2 as in this one, whose hash seed is random."""
+    jobs = [[command, payload] for command, payload, _ in CLI_JOBS]
+    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED=hash_seed)
+    proc = subprocess.run([sys.executable, "-c", REPORTS_SCRIPT], input=json.dumps(jobs),
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [report(*job) for job in jobs]
 
 
 LAYERS_SCRIPT = """
@@ -394,6 +438,31 @@ def test_kept_dense_forms_equal_derived_ones(case):
     for f in out:
         assert _dense(f) == _dense(Polynomial(field, 1, f.terms))
         assert _dense(f) is _dense(f)
+
+
+@settings(deadline=None)
+@given(with_polys(3))
+@example((QQ, poly(QQ, [1, 2]), poly(QQ, [1]), poly(QQ, [0, 1])))
+def test_a_held_result_is_the_monic_polynomial_poly_builds(case):
+    """``gcd`` and ``strip_shared`` may return an input itself, but only the
+    monic result: equal to what ``_poly`` builds from its normal form, unit
+    included.  Over Q that unit is 1/lc of the normal form, not 1."""
+    field, a, b, c = case
+    monic = [p.monic(DEGREVLEX) for p in (a, b) if not p.is_zero()]
+    calls = [([a, b], gcd([a, b], field)), ([a], gcd([a], field))]
+    calls += [([m, m * c], gcd([m, m * c], field)) for m in monic]
+    calls += [([p], strip_shared(p, c)) for p in [a, *monic] if not p.is_zero()]
+    for inputs, result in calls:
+        built = _poly(_dense(result)[1], field)
+        assert result == built
+        if any(result is p for p in inputs):
+            assert _dense(result) == _dense(built)
+
+
+def test_gcd_and_strip_shared_of_a_non_monic_polynomial_are_monic():
+    half = Polynomial(QQ, 1, {(1,): Fraction(1), (0,): Fraction(1, 2)})  # x + 1/2
+    assert gcd([poly(QQ, [1, 2])], QQ) == half
+    assert strip_shared(poly(QQ, [1, 2]), poly(QQ, [0, 1])) == half
 
 
 @settings(deadline=None)
