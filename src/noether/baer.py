@@ -25,7 +25,7 @@ from .config import Budgets, DEFAULT_BUDGETS
 from .errors import BoundExceededError, DomainError, ValidationError
 from .finite import (FiniteModule, all_homs, coset_representatives,
                      enumerate_ideals, enumerate_submodules, free_module,
-                     hom_from_ideal, quotient_module, submodule)
+                     hom_from_ideal, module_generators, quotient_module, submodule)
 
 
 # ---------------------------------------------------------------------------
@@ -297,13 +297,16 @@ def first_principles_injective(M: FiniteModule,
                                ambient_modules: Sequence[FiniteModule],
                                budgets: Budgets = DEFAULT_BUDGETS) -> bool:
     """Definitional injectivity over a finite test universe: for every
-    submodule A of every listed module B, every map A -> M extends to B."""
+    submodule A of every listed module B, every map A -> M extends to B:
+    the restrictions of the maps B -> M, each fixed by its images of A's
+    generators, are as many as the maps A -> M."""
     for B in ambient_modules:
         homs_B = all_homs(B, M, budgets)
-        for carrier in enumerate_submodules(B, budgets):
+        # The last submodule is B, where each map is its own extension.
+        for carrier in enumerate_submodules(B, budgets)[:-1]:
             A = submodule(B, carrier, name="A")
-            restrictions = {tuple(big[a] for a in A.elements) for big in homs_B}
-            for graph in all_homs(A, M, budgets):
-                if tuple(graph[a] for a in A.elements) not in restrictions:
-                    return False
+            gens = module_generators(A)
+            restrictions = {tuple(big[a] for a in gens) for big in homs_B}
+            if len(restrictions) != len(all_homs(A, M, budgets)):
+                return False
     return True

@@ -490,26 +490,33 @@ def is_quasi_coherent(d: IdealDigraph, basis: Sequence[DistinguishedOpen],
 class ZZSheafData:
     """Ideal sheaf n_U * Z of the constant sheaf Z on a finite space.
 
-    ``assignment`` maps every nonempty connected open (frozenset of points)
-    to a nonnegative integer n_U, subject to: U <= V implies n_U | n_V
-    (smaller opens carry larger ideals)."""
+    ``assignment`` maps every nonempty connected open (frozenset of points),
+    and nothing else, to a nonnegative integer n_U, subject to: U <= V
+    implies n_U | n_V (smaller opens carry larger ideals)."""
 
     space: FiniteSpace
     assignment: Dict[FrozenSet, int]
 
-    def validate(self):
-        opens = self.space.connected_opens()
-        for U in opens:
+    def validate(self) -> List[int]:
+        """The n_U in ``connected_opens()`` order, once the assignment is
+        checked on the space's layout."""
+        index, pairs, _, _ = self.space._zz_layout
+        for U in self.assignment:
+            if U not in index:
+                raise ValidationError("not a nonempty connected open", witness=sorted(U))
+        values = []
+        for U in index:
             if U not in self.assignment:
                 raise ValidationError("missing assignment", witness=sorted(U))
             if self.assignment[U] < 0:
                 raise ValidationError("negative ideal index", witness=sorted(U))
-        for U in opens:
-            for V in opens:
-                if U < V and not _divides_int(self.assignment[U], self.assignment[V]):
-                    raise ValidationError(
-                        "restriction law violated",
-                        witness=(sorted(U), sorted(V)))
+            values.append(self.assignment[U])
+        for i, j in pairs:
+            if not _divides_int(values[i], values[j]):
+                opens = self.space.connected_opens()
+                raise ValidationError("restriction law violated",
+                                      witness=(sorted(opens[i]), sorted(opens[j])))
+        return values
 
 
 def _divides_int(a: int, b: int) -> bool:
@@ -531,24 +538,23 @@ def extract_zz_digraph(z: ZZSheafData) -> ZZDigraph:
 
     U is expansive from V iff n_V Z is strictly contained in n_U Z, i.e.
     n_U properly divides n_V; children are the inclusion-maximal expansive
-    connected opens.  Finiteness is automatic on a finite space.
+    connected opens.  Finiteness is automatic on a finite space.  Expansive
+    opens are found on indices into the space's layout.
     """
-    z.validate()
-    whole = z.space.whole()
-    if not z.space.connected(whole):
+    n = z.validate()
+    index, _, inside, connected = z.space._zz_layout
+    if not connected:
         raise ValidationError("space must be connected; run per component")
     opens = z.space.connected_opens()
 
     def expansive(node):
         V, nV = node
-        return [(U, z.assignment[U]) for U in opens
-                if U < V and _divides_int(z.assignment[U], nV)
-                and z.assignment[U] != nV]
+        return [(opens[i], n[i]) for i in inside[index[V]]
+                if _divides_int(n[i], nV) and n[i] != nV]
 
     # Each generation's opens are strictly smaller than the last, so the
     # loop ends within as many generations as the space has points.
-    nodes, edges = _extract((whole, z.assignment[whole]), expansive,
-                            operator.lt, operator.eq)
+    nodes, edges = _extract((opens[-1], n[-1]), expansive, operator.lt, operator.eq)
     return ZZDigraph(z.space, tuple(nodes), tuple(edges), 0)
 
 
@@ -561,7 +567,7 @@ def zz_sheaf_value(d: ZZDigraph, W: FrozenSet) -> int:
     through expansive opens until some containing node attains the true
     value exactly, so the gcd reproduces the source assignment.
     """
-    return math.gcd(*(nU for (U, nU) in d.nodes if W <= U))
+    return math.gcd(*[nU for U, nU in d.nodes if W <= U])
 
 
 # -- desk-scale enumeration of all digraphs --------------------------------------

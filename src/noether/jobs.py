@@ -510,8 +510,14 @@ def _run_digraph_validate(payload: Dict, budgets: Budgets) -> Report:
 
         space = FiniteSpace(payload["space"]["points"],
                             _pairs(payload["space"]["below"], "below"))
-        data = ZZSheafData(space, {frozenset(entry["open"]): entry["n"]
-                                   for entry in payload["assignment"]})
+        assignment = {}
+        for entry in payload["assignment"]:
+            U = frozenset(entry["open"])
+            if U in assignment or not U <= space.whole():
+                problem = "repeats an open" if U in assignment else "names a non-point"
+                raise ParseError(f"'assignment' open {entry['open']!r} {problem}")
+            assignment[U] = entry["n"]
+        data = ZZSheafData(space, assignment)
         out = extract_zz_digraph(data)
         regenerated = all(
             zz_sheaf_value(out, U) == data.assignment[frozenset(U)]

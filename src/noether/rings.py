@@ -9,7 +9,9 @@ compares two handles over the same ring by their canonical forms, which
 makes equality decidable in R_f; a handle itself compares by identity.
 
 Every operation works in k[vars], and every basis comes from one routine,
-``_saturated_basis``: the reduced basis of (gens) : f^infinity.  In k[x] it
+``_saturated_basis``: the reduced basis of (gens) : f^infinity, which the
+ring keeps per (gens, f, budgets), as it keeps its localizations; handles
+and opens keep nothing.  In k[x] it
 is the monic gcd with every factor it shares with f divided out; elsewhere
 Buchberger for a constant f, else the one Rabinowitsch construction, which
 adds 1 - t*f and eliminates t.  The canonical form saturates by the
@@ -23,7 +25,7 @@ auxiliary t from t*I + (1 - t)*J.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from . import univar
 from .config import Budgets, DEFAULT_BUDGETS
@@ -79,8 +81,12 @@ class PresentedRing:
         return s
 
     def with_inverted(self, f: Polynomial) -> "PresentedRing":
-        """The localization at ``f`` (coordinate ring of D(f))."""
-        return PresentedRing(self.field, self.vars, self.quotient, self.inverted + (f,))
+        """The localization at ``f`` (coordinate ring of D(f)), kept per f
+        outside the fields, so that its bases are kept once too."""
+        kept = self.__dict__.setdefault("_localizations", {})
+        if f not in kept:
+            kept[f] = PresentedRing(self.field, self.vars, self.quotient, self.inverted + (f,))
+        return kept[f]
 
     def ideal(self, *gens) -> "IdealHandle":
         if len(gens) == 1 and isinstance(gens[0], (list, tuple)):
@@ -135,7 +141,14 @@ def _intersection_gens(field: FieldSpec, nvars: int, gi: Sequence[Polynomial],
 
 def _saturated_basis(ring: PresentedRing, gens: Sequence[Polynomial], f: Polynomial,
                      budgets: Budgets) -> Tuple[Polynomial, ...]:
-    """Reduced Groebner basis of (gens) : f^infinity in k[vars]."""
+    """Reduced Groebner basis of (gens) : f^infinity in k[vars], kept in the
+    ring's table per (gens, f, budgets).  Under other budgets it is computed
+    afresh, so a budget refuses it as it would the first time."""
+    bases = ring.__dict__.setdefault("_bases", {})
+    key = (tuple(gens), f, budgets)
+    basis = bases.get(key)
+    if basis is not None:
+        return basis
     if f.is_zero():
         raise DomainError("cannot saturate with respect to zero")
     if ring.nvars == 1:
@@ -144,21 +157,22 @@ def _saturated_basis(ring: PresentedRing, gens: Sequence[Polynomial], f: Polynom
             if g.total_degree() > budgets.max_degree:
                 raise ResourceBudgetError("max_degree", budgets.max_degree)
         g = univar.gcd(gens, ring.field)
-        if g.is_zero():
-            return ()
-        return (g if f.is_constant() else univar.strip_shared(g, f),)
-    if f.is_constant():
-        return tuple(groebner_basis(list(gens), ring.order, budgets))
-    # Under the elimination order the t-free elements are compared by
-    # degrevlex, so they are already the reduced basis, in its order.
-    t = Polynomial.var(ring.field, ring.nvars + 1, 0)
-    one = Polynomial.const(ring.field, ring.nvars + 1, 1)
-    lifted = [g.lift(1) for g in gens] + [one - t * f.lift(1)]
-    return tuple(_eliminate_aux(lifted, budgets))
+        basis = () if g.is_zero() else (g if f.is_constant() else univar.strip_shared(g, f),)
+    elif f.is_constant():
+        basis = tuple(groebner_basis(list(gens), ring.order, budgets))
+    else:
+        # Under the elimination order the t-free elements are compared by
+        # degrevlex, so they are already the reduced basis, in its order.
+        t = Polynomial.var(ring.field, ring.nvars + 1, 0)
+        one = Polynomial.const(ring.field, ring.nvars + 1, 1)
+        lifted = [g.lift(1) for g in gens] + [one - t * f.lift(1)]
+        basis = tuple(_eliminate_aux(lifted, budgets))
+    bases[key] = basis
+    return basis
 
 
 class IdealHandle:
-    """Finite generator list in a presented ring, with cached canonical form."""
+    """Finite generator list in a presented ring; its bases are the ring's."""
 
     def __init__(self, ring: PresentedRing, generators: Tuple[Polynomial, ...]):
         for g in generators:
@@ -166,14 +180,13 @@ class IdealHandle:
                 raise DomainError("generator from a different ring")
         self.ring = ring
         self.generators = tuple(generators)
-        self._canonical: Optional[Tuple[Budgets, Tuple[Polynomial, ...]]] = None
 
     # -- bases -------------------------------------------------------------
 
     def plain_basis(self, budgets: Budgets = DEFAULT_BUDGETS) -> Tuple[Polynomial, ...]:
         """Reduced Groebner basis of (generators + quotient), no saturation.
 
-        Not cached and not used by the library: an ideal's one basis is
+        Not used by the library: an ideal's one basis is
         :meth:`canonical_basis`.
         """
         gens = self.generators + self.ring.quotient
@@ -185,14 +198,9 @@ class IdealHandle:
         The canonical form is the contraction to k[vars] of the ideal this
         handle generates in the presented ring: generators plus quotient,
         saturated with respect to the product of the inverted elements.
-        Under other budgets than the cached basis's it is computed afresh,
-        so a budget refuses it as it would on a new handle.
         """
-        if self._canonical is None or self._canonical[0] != budgets:
-            gens = self.generators + self.ring.quotient
-            basis = _saturated_basis(self.ring, gens, self.ring.inverted_product(), budgets)
-            self._canonical = (budgets, basis)
-        return self._canonical[1]
+        gens = self.generators + self.ring.quotient
+        return _saturated_basis(self.ring, gens, self.ring.inverted_product(), budgets)
 
     # -- predicates ----------------------------------------------------------
 

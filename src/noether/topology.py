@@ -4,17 +4,15 @@ Opens are intensional: a defining element f, compared by mutual radical
 containment (D(f) = D(g) iff f is in the radical of (g) and conversely).
 Point sets never appear except for finite rings, where Spec is enumerable.
 
-An open derives each of these once and keeps it: its principal ideal
-handle (f), whose canonical basis the handle keeps per budgets; its
-coordinate ring R_f; its emptiness under each ``budgets``; and, under each
-``budgets``, whether it contains the open of each other f it was asked
-about.  A tighter budget than a kept answer's is asked afresh, so it
-refuses as it would on a new open.
+An open keeps nothing: its ring keeps its coordinate rings R_f and each
+basis its answers rest on, per ``budgets``, so an answer under a tighter
+budget refuses as it would on a new open.  A finite space keeps its opens
+and its constant-sheaf-Z layout, each derived once, on first use.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
@@ -29,34 +27,18 @@ from .rings import IdealHandle, PresentedRing, radical_membership
 class DistinguishedOpen:
     ring: PresentedRing
     f: Polynomial
-    # Answers kept per budgets: ("empty", budgets) -> emptiness, and
-    # (g, budgets) -> whether D(g) lies inside this open.
-    _known: Dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.f.nvars != self.ring.nvars or self.f.field != self.ring.field:
             raise DomainError("defining element from a different ring")
 
-    @cached_property
-    def principal(self) -> IdealHandle:
-        """The ideal (f) of the presented ring."""
-        return IdealHandle(self.ring, (self.f,))
-
-    @cached_property
-    def localized(self) -> PresentedRing:
-        """R_f, the ring itself when f is 1."""
-        return self.ring if self.f.is_one() else self.ring.with_inverted(self.f)
-
     def is_empty(self, budgets: Budgets = DEFAULT_BUDGETS) -> bool:
         """D(f) is empty iff f is nilpotent in the presented ring."""
-        key = ("empty", budgets)
-        if key not in self._known:
-            self._known[key] = radical_membership(self.f, IdealHandle(self.ring, ()), budgets)
-        return self._known[key]
+        return radical_membership(self.f, IdealHandle(self.ring, ()), budgets)
 
     def is_whole(self, budgets: Budgets = DEFAULT_BUDGETS) -> bool:
         """D(f) = Spec(R) iff f is a unit in the presented ring."""
-        return self.principal.is_unit_ideal(budgets)
+        return IdealHandle(self.ring, (self.f,)).is_unit_ideal(budgets)
 
     def render(self) -> str:
         return f"D({self.ring.render(self.f)})"
@@ -67,10 +49,7 @@ def open_contains(a: DistinguishedOpen, b: DistinguishedOpen,
     """True iff D(b) is a subset of D(a)."""
     if a.ring != b.ring:
         raise DomainError("opens over different rings")
-    key = (b.f, budgets)
-    if key not in a._known:
-        a._known[key] = radical_membership(b.f, a.principal, budgets)
-    return a._known[key]
+    return radical_membership(b.f, IdealHandle(a.ring, (a.f,)), budgets)
 
 
 def open_equal(a: DistinguishedOpen, b: DistinguishedOpen,
@@ -108,10 +87,11 @@ def cover_check(c: OpenCover, budgets: Budgets = DEFAULT_BUDGETS) -> bool:
 
 
 def coordinate_ring(u: DistinguishedOpen, budgets: Budgets = DEFAULT_BUDGETS) -> PresentedRing:
-    """The localized ring R_f of a nonempty distinguished open."""
+    """The localized ring R_f of a nonempty distinguished open, the ring
+    itself when f is 1."""
     if u.is_empty(budgets):
         raise DomainError("empty open has no coordinate ring here")
-    return u.localized
+    return u.ring if u.f.is_one() else u.ring.with_inverted(u.f)
 
 
 def enumerate_spec(R: FiniteRing, budgets: Budgets = DEFAULT_BUDGETS) -> List[FrozenSet]:
@@ -128,7 +108,7 @@ class FiniteSpace:
     ``below`` holds pairs (a, b) of points meaning a <= b; reflexive-
     transitive closure is taken.  Open sets are subsets closed downward.
     Point i is bit i of a mask: each point's down-closure and comparability
-    masks are computed once, and the opens once per space, on first use.
+    masks are computed once, and the opens and ZZ layout once, on first use.
     """
 
     def __init__(self, points: Sequence, below: Sequence[Tuple] = ()):
@@ -185,6 +165,21 @@ class FiniteSpace:
         opens = [frozenset(p for i, p in enumerate(self.points) if m >> i & 1)
                  for m in masks]
         return opens, [U for U in opens if self.connected(U)]
+
+    @cached_property
+    def _zz_layout(self) -> Tuple[Dict[FrozenSet, int], List[Tuple[int, int]],
+                                  List[List[int]], bool]:
+        """Each connected open's index in ``connected_opens()``; the pairs
+        (i, j) with open i strictly inside open j, compared as masks, in
+        that order; for each j, those i; and whether the space is connected
+        (then the whole space is the last connected open)."""
+        connected = self._open_lists[1]
+        masks = [self._mask(U) for U in connected]
+        pairs = [(i, j) for i, a in enumerate(masks) for j in range(i + 1, len(masks))
+                 if a & ~masks[j] == 0]
+        inside = [[i for i, k in pairs if k == j] for j in range(len(masks))]
+        index = {U: i for i, U in enumerate(connected)}
+        return index, pairs, inside, self.whole() in index
 
     def opens(self) -> List[FrozenSet]:
         return list(self._open_lists[0])

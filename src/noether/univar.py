@@ -17,7 +17,9 @@ the integers (Gauss's lemma).  ``Polynomial``s, and over Q ``Fraction``s,
 exist only at the public boundary: ``_dense`` reads one in, ``_poly``
 writes one out.  Each ``Polynomial`` keeps its dense normal form once it is
 known (``Polynomial._dense_form``): ``_dense`` derives it at most once per
-polynomial, and a polynomial ``_poly`` built already has it.
+polynomial, and a polynomial ``_poly`` built already has it.  ``gcd`` and
+``strip_shared`` return the caller's own polynomial when the result is that
+monic input, and build none.
 """
 
 from __future__ import annotations
@@ -149,6 +151,10 @@ def gcd(polys: Sequence[Polynomial], field: FieldSpec) -> Polynomial:
     acc: Dense = []
     for p in polys:
         acc = _gcd(acc, _dense(p)[1], field.p)
+    for p in polys:
+        u, c = _dense(p)
+        if c and c == acc and u * c[-1] == 1:  # p is monic: over Q, u is 1/c[-1]
+            return p
     return _poly(acc, field)
 
 
@@ -156,14 +162,14 @@ def strip_shared(g: Polynomial, f: Polynomial) -> Polynomial:
     """Monic nonzero g with every irreducible factor it shares with f
     divided out: the generator of (g) : f^infinity in k[x]."""
     p = g.field.p
-    a, shared = _dense(g)[1], _dense(f)[1]
+    (u, a), shared = _dense(g), _dense(f)[1]
     if not a:
         raise CapabilityError("cannot strip factors from zero")
     while True:
         # The factors a still shares with f all divide the last gcd.
         shared = _gcd(a, shared, p)
         if len(shared) == 1:
-            return _poly(a, g.field)
+            return g if a is _dense(g)[1] and u * a[-1] == 1 else _poly(a, g.field)
         a = _divide(a, shared, p)[0]
 
 

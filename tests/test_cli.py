@@ -486,6 +486,13 @@ def test_parse_job_rejects(text, message):
     ("groebner", {"ring": {"vars": ["x", "y", "x"]}, "generators": ["x"]}, "'vars'"),
     ("groebner", {"ring": {"vars": ["x"]}, "generators": ["1" * 5000 + "*x"]},
      "integer literal at column 0 is too long"),
+    ("digraph-validate", {"op": "zz-extract", "space": {"points": [0, 1], "below": [[0, 1]]},
+                          "assignment": [{"open": [0, 1], "n": 4}, {"open": [0, 0, 1], "n": 8},
+                                         {"open": [0], "n": 2}]},
+     "'assignment' open [0, 0, 1] repeats an open"),
+    ("digraph-validate", {"op": "zz-extract", "space": {"points": [0, 1], "below": [[0, 1]]},
+                          "assignment": [{"open": [0, 1], "n": 4}, {"open": [7], "n": 2}]},
+     "'assignment' open [7] names a non-point"),
 ])
 def test_wrong_payload_type_exit_code(capsys, monkeypatch, command, payload, key):
     code, doc = run(capsys, command, "-", stdin=json.dumps(payload),
@@ -637,6 +644,17 @@ def test_malformed_finite_space_exit_code(capsys, monkeypatch, space, message):
     assert (code, doc["status"]) == (2, "error")
     assert doc["config"]["error_type"] == "DomainError"
     assert message in doc["result"]["error"]
+
+
+@pytest.mark.parametrize("entry", [[], [1]])  # [1] is no open: 0 <= 1
+def test_zz_assignment_off_the_connected_opens_fails_validation(capsys, monkeypatch, entry):
+    code, doc = run(capsys, "digraph-validate", "-", stdin=json.dumps({
+        "op": "zz-extract", "space": {"points": [0, 1], "below": [[0, 1]]},
+        "assignment": [{"open": [0], "n": 2}, {"open": [0, 1], "n": 4},
+                       {"open": entry, "n": 2}]}), monkeypatch=monkeypatch)
+    assert (code, doc["status"]) == (1, "fail")
+    assert doc["config"]["error_type"] == "ValidationError"
+    assert doc["witness"] == entry
 
 
 def test_hom_from_empty_ideal_fails_validation(capsys, monkeypatch):
