@@ -2,12 +2,14 @@
 twisted-sheaf dimension formulas, d∘d = 0 on rational differentials, and
 affine vanishing."""
 
+import itertools
 from fractions import Fraction
 from math import comb
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from noether import cech
 from noether.cech import (
     AffineWindow,
     CechComplex,
@@ -146,6 +148,55 @@ def test_structure_sheaf_middle_vanishing_p3():
 def test_dimension_capability_bound():
     with pytest.raises(CapabilityError):
         twisted_cohomology_dims(TwistData(5, 1))
+
+
+def every_pattern_complex(n, negatives, field):
+    """The summand of one sign pattern, the frozenset ``negatives`` of
+    negative charts: the alternating complex on the chart subsets that
+    contain it."""
+    levels = [[subset for subset in itertools.combinations(range(n + 1), p + 1)
+               if negatives <= frozenset(subset)]
+              for p in range(n + 1)]
+    one = field.one()
+    return cech._alternating_complex(field, levels, lambda s: 1,
+                                     lambda s, j: ((0, 0, one),), {})
+
+
+def every_pattern_count(n, d, negatives, window):
+    """Vectors in [-window, window]^(n+1) with sum d whose strictly negative
+    coordinates are exactly ``negatives``, by dynamic programming."""
+    span = (n + 1) * window
+    dist = {0: 1}
+    for i in range(n + 1):
+        nxt = {}
+        lo, hi = (-window, -1) if i in negatives else (0, window)
+        for s, c in dist.items():
+            for v in range(lo, hi + 1):
+                key = s + v
+                if abs(key) <= span:
+                    nxt[key] = nxt.get(key, 0) + c
+        dist = nxt
+    return dist.get(d, 0)
+
+
+def every_pattern_dims(n, d):
+    """H^i(P^n, O(d)) summed over all 2^(n+1) sign patterns, one complex
+    each: the oracle for the one-pattern-per-orbit sum."""
+    window = TwistData(n, d).window
+    dims = {i: 0 for i in range(n + 1)}
+    for negs in map(frozenset, itertools.chain.from_iterable(
+            itertools.combinations(range(n + 1), r) for r in range(n + 2))):
+        hdims = every_pattern_complex(n, negs, QQ).cohomology_dims()
+        count = every_pattern_count(n, d, negs, window)
+        for i, h in enumerate(hdims):
+            dims[i] += h * count
+    return dims
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_twisted_dims_equal_the_every_pattern_sum(n):
+    for d in range(-20, 21):
+        assert twisted_cohomology_dims(TwistData(n, d)) == every_pattern_dims(n, d), d
 
 
 # -- affine covers ------------------------------------------------------------
