@@ -2,7 +2,8 @@
 """Print a table of dim H^i(P^n, O(d)) for a range of twists.
 
 All ranks are computed exactly over Q from the alternating Cech complex of
-the standard chart cover, decomposed by multidegree sign pattern.
+the standard chart cover, decomposed by multidegree sign pattern: one
+pattern per number r of negative charts, weighted by C(n + 1, r).
 
 Usage:
     python3 scripts/cech_table.py [--n N] [--dmin D] [--dmax D]

@@ -4,11 +4,13 @@ Two settings are supported.  Twisted structure sheaves O(d) on projective
 space are handled through Laurent-monomial combinatorics: the alternating
 complex on the coordinate chart cover splits as a direct sum over
 multidegrees, and the summand at a multidegree depends only on its sign
-pattern, so a handful of exact rank computations settles every degree at
-once.  Affine quasi-coherent data on a univariate base without quotient
-is handled by truncating each section space to numerators of bounded
-degree over a fixed denominator power; the truncation window is part of
-the result so it can be audited.
+pattern.  Permuting the charts carries a pattern's summand and its
+multidegree count onto those of any pattern with as many negative charts,
+so one pattern per number r of negative charts, weighted by C(n + 1, r),
+settles every degree at once.  Affine quasi-coherent data on a univariate
+base without quotient is handled by truncating each section space to
+numerators of bounded degree over a fixed denominator power; the
+truncation window is part of the result so it can be audited.
 Both build their differentials with the one complex builder,
 ``_alternating_complex``, and differ only in the section spaces over chart
 intersections and the restriction maps between them.  Ranks and the check
@@ -20,8 +22,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field as dc_field
-from math import gcd as igcd, lcm
-from typing import Callable, Dict, FrozenSet, Iterable, List, Sequence, Tuple
+from math import comb, gcd as igcd, lcm
+from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 from .config import Budgets, DEFAULT_BUDGETS
 from .errors import CapabilityError, DomainError, ResourceBudgetError, ValidationError
@@ -168,21 +170,21 @@ def _alternating_complex(field: FieldSpec,
     return CechComplex(field, dims, diffs, window)
 
 
-def _pattern_complex(n: int, negatives: FrozenSet[int],
-                     field: FieldSpec) -> CechComplex:
+def _pattern_complex(n: int, r: int) -> CechComplex:
     """Multidegree summand of the Čech complex on the coordinate charts
-    D(x_0), ..., D(x_n), by sign pattern.
+    D(x_0), ..., D(x_n) whose negative charts are 0, ..., r - 1.
 
     A subset S of charts supports a Laurent monomial with negative exponents
-    exactly on ``negatives`` iff S contains every chart in ``negatives``.
-    The summand is the alternating complex on those admissible subsets; its
-    cohomology multiplies the multidegree count.
+    exactly on those charts iff S contains all of them.  The summand is the
+    alternating complex on those admissible subsets; its cohomology
+    multiplies the multidegree count.
     """
+    head = tuple(range(r))
     levels = [[subset for subset in itertools.combinations(range(n + 1), p + 1)
-               if negatives <= frozenset(subset)]
+               if subset[:r] == head]
               for p in range(n + 1)]
-    one = field.one()
-    return _alternating_complex(field, levels, lambda s: 1,
+    one = QQ.one()
+    return _alternating_complex(QQ, levels, lambda s: 1,
                                 lambda s, j: ((0, 0, one),), {})
 
 
@@ -208,24 +210,17 @@ class TwistData:
         return abs(self.d) + self.n + 1
 
 
-def _count_multidegrees(n: int, d: int, negatives: FrozenSet[int],
-                        window: int) -> int:
+def _count_multidegrees(n: int, d: int, r: int, window: int) -> int:
     """Count integer vectors a in [-window, window]^(n+1) with sum d whose
-    strictly negative coordinates are exactly ``negatives``."""
-    # dynamic programming over coordinates; sums range over a finite band
-    span = (n + 1) * window
+    strictly negative coordinates are exactly the first r."""
+    # dynamic programming over coordinates: dist[s] counts the prefixes with sum s
     dist = {0: 1}
     for i in range(n + 1):
         nxt: Dict[int, int] = {}
-        if i in negatives:
-            lo, hi = -window, -1
-        else:
-            lo, hi = 0, window
+        values = range(-window, 0) if i < r else range(window + 1)
         for s, c in dist.items():
-            for v in range(lo, hi + 1):
-                key = s + v
-                if abs(key) <= span:
-                    nxt[key] = nxt.get(key, 0) + c
+            for v in values:
+                nxt[s + v] = nxt.get(s + v, 0) + c
         dist = nxt
     return dist.get(d, 0)
 
@@ -233,19 +228,17 @@ def _count_multidegrees(n: int, d: int, negatives: FrozenSet[int],
 def twisted_cohomology_dims(t: TwistData,
                             budgets: Budgets = DEFAULT_BUDGETS) -> Dict[int, int]:
     """Dimensions of H^i(P^n, O(d)) from the cover by the n+1 coordinate
-    charts D(x_i)."""
+    charts D(x_i), one sign pattern per number r of negative charts."""
     n, d = t.n, t.d
     if n > 4 or abs(d) > 20:
         raise CapabilityError("supported range is n <= 4 and |d| <= 20")
     window = t.window
     dims = {i: 0 for i in range(n + 1)}
-    for negs in map(frozenset, itertools.chain.from_iterable(
-            itertools.combinations(range(n + 1), r) for r in range(n + 2))):
-        complex_ = _pattern_complex(n, negs, QQ)
-        hdims = complex_.cohomology_dims()
+    for r in range(n + 2):
+        hdims = _pattern_complex(n, r).cohomology_dims()
         if not any(hdims):
             continue
-        count = _count_multidegrees(n, d, negs, window)
+        count = comb(n + 1, r) * _count_multidegrees(n, d, r, window)
         for i, h in enumerate(hdims):
             dims[i] += h * count
     return dims

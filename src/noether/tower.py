@@ -52,14 +52,10 @@ class TowerLevel:
                 f"{self.ring.describe()}, ideal (x - 1)")
 
 
-def _const(R: PresentedRing, n: int) -> Polynomial:
-    return Polynomial.const(R.field, R.nvars, n)
-
-
 def _power_poly(R: PresentedRing, e: int, shift: int) -> Polynomial:
-    """x^e - shift as an element of R."""
-    x = R.var(R.vars[0])
-    return x ** e - _const(R, shift)
+    """x^e - shift as an element of R, for e >= 1: its two terms."""
+    F = R.field
+    return Polynomial(F, R.nvars, {(e,): F.one(), (0,): F.from_int(-shift)})
 
 
 def _square_pullback(g: Polynomial, target: PresentedRing) -> Polynomial:
@@ -128,7 +124,6 @@ def verify_cover_map(source: TowerLevel, target: TowerLevel) -> CoverMapReport:
     if source.rule != target.rule or source.ring.field != target.ring.field:
         raise DomainError("levels from different towers")
     T, budgets = target.ring, target.budgets
-    x = T.var("x")
 
     well_defined = True
     witness = None
@@ -139,7 +134,7 @@ def verify_cover_map(source: TowerLevel, target: TowerLevel) -> CoverMapReport:
             witness = T.render(image)
             break
 
-    two_x = _const(T, 2) * x
+    two_x = Polynomial(T.field, T.nvars, {(1,): T.field.from_int(2)})
     etale = _is_unit(T, two_x, budgets)
     if not etale and witness is None:
         witness = T.render(two_x)

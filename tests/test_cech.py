@@ -199,6 +199,20 @@ def test_twisted_dims_equal_the_every_pattern_sum(n):
         assert twisted_cohomology_dims(TwistData(n, d)) == every_pattern_dims(n, d), d
 
 
+@pytest.mark.parametrize("n", range(5))
+def test_twisted_dims_build_one_complex_per_negative_count(monkeypatch, n):
+    built = []
+    builder = cech._alternating_complex
+
+    def counted(*args):
+        built.append(args)
+        return builder(*args)
+
+    monkeypatch.setattr(cech, "_alternating_complex", counted)
+    twisted_cohomology_dims(TwistData(n, 2))
+    assert len(built) <= n + 2
+
+
 # -- affine covers ------------------------------------------------------------
 
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from noether.config import DEFAULT_BUDGETS, Budgets
-from noether.errors import DomainError, OracleError, ValidationError
+from noether.errors import DomainError, OracleError, ResourceBudgetError, ValidationError
 from noether import univar
 from noether.fields import GF, QQ
 from noether.finite import enumerate_ideals, gf_poly_quotient, ideal_closure, zmod
@@ -168,6 +168,42 @@ def test_invalid_digraph_refused(R, function, make):
     with pytest.raises(ValidationError) as info:
         TAKES_A_DIGRAPH[function](R, make(R))
     assert info.value.witness["structural"] is False
+
+
+def test_section_membership_checks_the_node_cap_before_validating(R):
+    with pytest.raises(ResourceBudgetError) as info:
+        section_membership(cyclic_digraph(R), D(R, "x"), R.one(), None,
+                           Budgets(digraph_node_cap=1))
+    assert info.value.budget_name == "digraph_node_cap"
+    with pytest.raises(ValidationError):
+        section_membership(cyclic_digraph(R), D(R, "x"), R.one())
+
+
+G0_JSON = {"ring": {"field": "q", "vars": ["x"]},
+           "nodes": [{"open": "1", "gens": []}, {"open": "x", "gens": ["1"]}],
+           "edges": [[0, 1]], "root": 0}
+G0_BASIS = ["x", "x - 1", "x^2 - x"]
+
+
+@pytest.mark.parametrize("command,payload,answer", [
+    ("digraph-eval", {"op": "membership", "open": "x", "numerator": "1", "digraph": G0_JSON},
+     {"value": True}),
+    ("digraph-eval", {"op": "evaluate", "open": "x", "digraph": G0_JSON},
+     {"open": "x", "generators": ["1"]}),
+    ("digraph-eval", {"op": "quasi-coherent", "basis": G0_BASIS, "digraph": G0_JSON},
+     {"value": False}),
+    ("digraph-extract", {"oracle": {"kind": "digraph", "digraph": G0_JSON}, "basis": G0_BASIS},
+     {key: G0_JSON[key] for key in ("nodes", "edges", "root")}),
+])
+def test_digraph_jobs_refuse_past_the_node_cap(command, payload, answer):
+    def run(budgets):
+        job = {"command": command, "payload": payload, "budgets": budgets}
+        return run_job(parse_job(json.dumps(job)))
+
+    capped = run({"digraph_node_cap": 1})
+    assert capped.exit_code == 3
+    assert "digraph_node_cap" in capped.result["error"]
+    assert run({}).result == answer
 
 
 # -- clearing denominators -------------------------------------------------------

@@ -10,9 +10,11 @@ from noether.config import Budgets
 from noether.errors import DomainError, ResourceBudgetError
 from noether.fields import GF, QQ
 from noether.jobs import JobSpec, run_job
-from noether.rings import ideal_equal, ideal_membership
+from noether.poly import Polynomial
+from noether.rings import PresentedRing, ideal_equal, ideal_membership
 from noether.tower import (
     EXPONENT_RULES,
+    _power_poly,
     deleted_exponents,
     properness_and_maximality,
     pullback_ideal,
@@ -46,6 +48,20 @@ def test_level_two_inverts_x_and_shifted_powers():
 def test_characteristic_two_rejected():
     with pytest.raises(DomainError):
         tower_ring(1, GF(2))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3), GF(5)])
+def test_binomials_equal_a_power_minus_a_constant(field):
+    # Every x^e - shift a level up to the deepest allowed one builds: the
+    # deleted points of either rule, the chain x^(2^k) - 1 and x + 1.
+    R = PresentedRing(field, ("x",))
+    depth = Budgets().tower_max_depth
+    exponents = {2 ** k for k in range(depth + 1)}
+    for rule in EXPONENT_RULES:
+        exponents.update(deleted_exponents(depth, rule))
+    for e, shift in itertools.product(sorted(exponents), (2, 1, -1)):
+        old = R.var("x") ** e - Polynomial.const(field, 1, shift)
+        assert _power_poly(R, e, shift) == old, (e, shift)
 
 
 @pytest.mark.parametrize("field", [QQ, GF(5)])
