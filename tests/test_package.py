@@ -5,6 +5,7 @@ helper is used, and no module keeps a cache of answers."""
 
 import ast
 import importlib
+import itertools
 import re
 from dataclasses import fields
 from pathlib import Path
@@ -13,6 +14,7 @@ import pytest
 
 import noether
 from noether.config import Budgets
+from noether.errors import DomainError
 
 # module -> the names ``noether`` exports from it, as the eager package did.
 EXPORTS = {
@@ -252,3 +254,158 @@ def test_no_module_keeps_a_cache_of_answers():
                      "    memo = _MEMO\n"
                      "    memo[x] = x\n")
     assert len(_module_caches(memo)) == 4
+
+
+# -- the record classes: construction, equality and hashing ------------------
+
+def _record_cases():
+    """(module, class, field names, defaults, field tuples, frozen) for each
+    record class: today's positional order, keyword names and defaults.
+    Each later tuple differs from the first in every field it can differ in
+    alone and stay valid.  Values are checked only where the class
+    validates them."""
+    from noether.config import DEFAULT_BUDGETS
+    from noether.fields import GF, QQ
+    from noether.rings import PresentedRing
+    from noether.topology import DistinguishedOpen, FiniteSpace
+
+    R = PresentedRing(QQ, ("x",))
+    S = PresentedRing(GF(3), ("x", "y"))
+    x, one = R.parse("x"), R.one()
+    D_x, D_1 = DistinguishedOpen(R, x), DistinguishedOpen(R, one)
+    space, point = FiniteSpace([0, 1], [(0, 1)]), FiniteSpace([0])
+    return [
+        ("acceptance", "AcceptanceResult", "name passed detail seconds limit", {},
+         [("c1", True, "ok", 0.5, 1.0), ("c2", False, "no", 0.7, 2.0)], False),
+        ("baer", "BaerReport", "injective witness", {"witness": None},
+         [(True, None), (False, (frozenset({0}), {0: 1}))], False),
+        ("baer", "LedgerEntry", "ideal graph", {},
+         [(frozenset({0}), ((0, 0),)), (frozenset({0, 2}), ((0, 0), (2, 1)))], True),
+        ("baer", "BaerChain", "stages stalled_at", {"stalled_at": None},
+         [(["M"], None), (["M", "E"], 1)], False),
+        ("cech", "CechComplex", "field dims differentials window", {"window": {}},
+         [(QQ, [1], [], {}), (GF(2), [1, 1], [[[1]]], {"base_degree": 2})], False),
+        ("cech", "TwistData", "n d", {}, [(1, 2), (2, -4)], True),
+        ("cech", "AffineWindow", "base_degree denominator_exponent",
+         {"base_degree": 8, "denominator_exponent": 3}, [(8, 3), (2, 1)], True),
+        ("digraph", "DigraphNode", "open gens", {}, [(D_x, (x,)), (D_1, ())], True),
+        ("digraph", "IdealDigraph", "ring nodes edges root", {"root": 0},
+         [(R, ("n0",), (), 0), (S, ("n0", "n1"), ((0, 1),), 1)], True),
+        ("digraph", "DigraphReport",
+         "global_ok functional_ok decreasing_ok increasing_ok structural_ok witnesses",
+         {"global_ok": True, "functional_ok": True, "decreasing_ok": True,
+          "increasing_ok": True, "structural_ok": True, "witnesses": {}},
+         [(True, True, True, True, True, {}), (False, False, False, False, False, {"w": 1})],
+         False),
+        ("digraph", "ZZSheafData", "space assignment", {},
+         [(space, ((frozenset({0}), 2),)), (point, ((frozenset({0}), 3),))], True),
+        ("digraph", "ZZDigraph", "space nodes edges root", {"root": 0},
+         [(space, ((frozenset({0}), 2),), (), 0), (point, (), ((0, 1),), 1)], True),
+        ("fields", "FieldSpec", "kind p", {"p": 0}, [("q", 0), ("fp", 5), ("fp", 7)], True),
+        ("finite", "DirectSum", "module injections", {}, [("M", []), ("N", [abs])], False),
+        ("finite", "NoetherianReport",
+         "generator_lists max_strict_chain ideal_count_bound maximal_by_subset ok", {},
+         [([[1]], 2, 3, {(0,): [1]}, True), ([], 0, 1, {}, False)], False),
+        ("jobs", "JobSpec", "command payload budgets", {"budgets": DEFAULT_BUDGETS},
+         [("groebner", {"a": 1}, DEFAULT_BUDGETS), ("ideal", {}, "B")], False),
+        ("jobs", "Report", "command status result witness config timings",
+         {"result": None, "witness": None, "config": {}, "timings": {}},
+         [("open", "pass", None, None, {}, {}), ("baer", "fail", 1, [2], {"c": 3}, {"t": 0.5})],
+         False),
+        ("poly", "BlockElim", "naux", {}, [(1,), (2,)], True),
+        ("rings", "PresentedRing", "field vars quotient inverted",
+         {"quotient": (), "inverted": ()},
+         [(QQ, ("x",), (), ()), (QQ, ("y",), (x * x - one,), (x,)), (GF(3), ("x",), (), ())],
+         True),
+        ("topology", "DistinguishedOpen", "ring f", {}, [(R, x), (R, one)], True),
+        ("topology", "OpenCover", "target pieces", {}, [(D_1, (D_x,)), (D_x, ())], True),
+        ("tower", "TowerLevel", "n ring ideal rule budgets", {},
+         [(1, R, "I", "a", DEFAULT_BUDGETS), (2, S, "J", "b", "B")], True),
+        ("tower", "CoverMapReport", "source target well_defined etale compatible witness",
+         {"witness": None}, [(0, 1, True, True, True, None), (1, 2, False, True, False, "w")],
+         False),
+        ("tower", "StrictnessReport",
+         "n pullback_is_x2_minus_1 strictly_smaller witness_in_big witness_not_in_small", {},
+         [(1, True, True, True, True), (2, False, True, False, True)], False),
+        ("tower", "MaximalityReport", "n proper evaluations maximal witness",
+         {"witness": None}, [(1, True, {"x": "0"}, True, None), (2, False, {}, False, "w")],
+         False),
+        ("tower", "TowerSuiteReport",
+         "depth field rule cover_maps strictness maximality chain chain_strict", {},
+         [(2, "Q", "a", [], [], [], ["x"], True), (3, "F3", "b", [1], [2], [3], [], False)],
+         False),
+        ("config", "Budgets", " ".join(BUDGET_FIELDS), dict(zip(BUDGET_FIELDS, BUDGET_DEFAULTS)),
+         [BUDGET_DEFAULTS, (5,) + BUDGET_DEFAULTS[1:]], True),
+    ]
+
+
+BUDGET_FIELDS = ("max_pairs", "max_degree", "finite_ring_bound", "digraph_node_cap",
+                 "tower_max_depth", "digraph_vocab_cap", "baer_bound",
+                 "baer_materialize_bound")
+BUDGET_DEFAULTS = (10**6, 64, 256, 16, 8, 20000, 2**24, 4096)
+
+
+def test_record_cases_cover_the_27_record_classes():
+    cases = _record_cases()
+    assert len({(m, c) for m, c, *_ in cases}) == 27
+    assert sum(frozen for *_, frozen in cases) == 14
+
+
+@pytest.mark.parametrize("case", range(27))
+def test_record_builds_compares_and_hashes_as_before(case):
+    """Each record class builds by position and by keyword, with today's
+    defaults (a fresh dict where the default is a dict); two instances are
+    equal exactly when their fields are, never equal an instance of another
+    class, and a frozen class hashes an instance as the tuple of its fields,
+    so equal instances hash equal."""
+    cases = _record_cases()
+    module, name, names, defaults, samples, frozen = cases[case]
+    cls = getattr(importlib.import_module(f"noether.{module}"), name)
+    names = names.split()
+    other_module, other_name, _, _, other_samples, _ = cases[(case + 1) % len(cases)]
+    other = getattr(importlib.import_module(f"noether.{other_module}"), other_name)(
+        *other_samples[0])
+    built = []
+    for values in samples:
+        a = cls(*values)
+        b = cls(**dict(zip(names, values)))
+        assert [getattr(a, n) for n in names] == list(values)
+        assert a == b and not a != b
+        assert a != values and a != other and not a == other
+        if frozen:
+            assert hash(a) == hash(b) == hash(tuple(values))
+        else:
+            with pytest.raises(TypeError):
+                hash(a)
+        built.append(a)
+    for a, b in itertools.combinations(built, 2):
+        assert a != b and not a == b
+    for values in samples[1:]:
+        for i in range(len(names)):
+            try:
+                mixed = cls(*samples[0][:i], values[i], *samples[0][i + 1:])
+            except DomainError:
+                continue
+            assert (mixed == built[0]) == (values[i] == samples[0][i])
+    required = [n for n in names if n not in defaults]
+    bare = cls(*samples[0][:len(required)])
+    assert {n: getattr(bare, n) for n in defaults} == defaults
+    for n, default in defaults.items():
+        if isinstance(default, dict):
+            assert getattr(bare, n) is not getattr(cls(*samples[0][:len(required)]), n)
+
+
+def test_presented_ring_equality_ignores_what_it_keeps():
+    """A ring that has computed bases, a localization and its inverted
+    product equals, and hashes as, a fresh ring with the same presentation."""
+    from noether.fields import QQ
+    from noether.rings import PresentedRing
+
+    used = PresentedRing(QQ, ("x", "y"))
+    used.ideal("x^2 - y", "x*y - 1").canonical_basis()
+    used.with_inverted(used.parse("x")).ideal("x*y - 1").canonical_basis()
+    used.inverted_product()
+    assert used.__dict__.keys() - {"field", "vars", "quotient", "inverted"}
+    fresh = PresentedRing(QQ, ("x", "y"))
+    assert used == fresh and hash(used) == hash(fresh)
+    assert used != PresentedRing(QQ, ("x", "y"), (used.parse("x"),))
