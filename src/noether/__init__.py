@@ -8,7 +8,8 @@ localized rings whose union fails finite generation.
 
 ``import noether`` loads no layer: each exported name is imported from its
 module on first use (PEP 562), so a process pays only for the layers it
-touches.
+touches.  A layer needed in only a few functions of another is imported
+in those functions, and no module imports ``dataclasses``.
 """
 
 import importlib

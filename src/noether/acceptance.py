@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from dataclasses import dataclass
 from math import comb
 from typing import Callable, Dict, List, Sequence, Tuple
 
@@ -33,13 +32,19 @@ from .topology import DistinguishedOpen, FiniteSpace, coordinate_ring
 from .tower import run_tower_suite, tower_ring
 
 
-@dataclass
 class AcceptanceResult:
-    name: str
-    passed: bool
-    detail: str
-    seconds: float
-    limit: float
+    def __init__(self, name: str, passed: bool, detail: str, seconds: float, limit: float):
+        self.name = name
+        self.passed = passed
+        self.detail = detail
+        self.seconds = seconds
+        self.limit = limit
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.name, self.passed, self.detail, self.seconds, self.limit)
+                == (other.name, other.passed, other.detail, other.seconds, other.limit))
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ rests on.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .config import Budgets, DEFAULT_BUDGETS
@@ -32,10 +31,15 @@ from .finite import (FiniteModule, all_homs, coset_representatives,
 # Baer's criterion
 # ---------------------------------------------------------------------------
 
-@dataclass
 class BaerReport:
-    injective: bool
-    witness: Optional[Tuple[FrozenSet, Dict]] = None
+    def __init__(self, injective: bool, witness: Optional[Tuple[FrozenSet, Dict]] = None):
+        self.injective = injective
+        self.witness = witness
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.injective, self.witness) == (other.injective, other.witness)
 
     def as_dict(self) -> Dict:
         out = {"injective": self.injective}
@@ -68,10 +72,18 @@ def baer_test(M: FiniteModule, budgets: Budgets = DEFAULT_BUDGETS) -> BaerReport
 # The one-step extension M1 in lazy normal form
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class LedgerEntry:
-    ideal: FrozenSet
-    graph: Dict  # linear map ideal -> M, as an element graph
+    def __init__(self, ideal: FrozenSet, graph: Dict):
+        self.ideal = ideal
+        self.graph = graph  # linear map ideal -> M, as an element graph
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.ideal, self.graph) == (other.ideal, other.graph)
+
+    def __hash__(self):
+        return hash((self.ideal, self.graph))
 
 
 class BaerModule:
@@ -216,10 +228,15 @@ def _verify_slot_extension(ext: BaerModule, s: int, entry: LedgerEntry):
 # The chain
 # ---------------------------------------------------------------------------
 
-@dataclass
 class BaerChain:
-    stages: List  # M, then the BaerModule each step built
-    stalled_at: Optional[int] = None
+    def __init__(self, stages: List, stalled_at: Optional[int] = None):
+        self.stages = stages  # M, then the BaerModule each step built
+        self.stalled_at = stalled_at
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.stages, self.stalled_at) == (other.stages, other.stalled_at)
 
 
 def baer_chain(M: FiniteModule, K: int,

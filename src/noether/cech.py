@@ -21,16 +21,16 @@ over F_p reduced mod p), with fraction-free elimination for the rank.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field as dc_field
 from math import comb, gcd as igcd, lcm
-from typing import Callable, Dict, Iterable, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Sequence, Tuple
 
 from .config import Budgets, DEFAULT_BUDGETS
 from .errors import CapabilityError, DomainError, ResourceBudgetError, ValidationError
 from .fields import FieldSpec, QQ
-from .rings import IdealHandle, PresentedRing
-from .topology import OpenCover, cover_check, open_contains
-from .univar import gcd, poly_degree
+
+if TYPE_CHECKING:
+    from .rings import IdealHandle, PresentedRing
+    from .topology import OpenCover
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +91,6 @@ def matrix_rank(rows: List[List], field: FieldSpec) -> int:
 # Generic alternating cochain complexes
 # ---------------------------------------------------------------------------
 
-@dataclass
 class CechComplex:
     """An alternating Čech complex with explicitly tabulated differentials.
 
@@ -101,10 +100,18 @@ class CechComplex:
     ``window`` records the truncation used to make section spaces finite.
     """
 
-    field: FieldSpec
-    dims: List[int]
-    differentials: List[List[List]]
-    window: Dict[str, int] = dc_field(default_factory=dict)
+    def __init__(self, field: FieldSpec, dims: List[int], differentials: List[List[List]],
+                 window: Dict[str, int] = None):
+        self.field = field
+        self.dims = dims
+        self.differentials = differentials
+        self.window = {} if window is None else window
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.field, self.dims, self.differentials, self.window)
+                == (other.field, other.dims, other.differentials, other.window))
 
     def verify_d_squared(self) -> bool:
         """True iff d_(p+1) d_p = 0 for every p, on integer matrices: each
@@ -192,16 +199,22 @@ def _pattern_complex(n: int, r: int) -> CechComplex:
 # Twisted structure sheaves on projective space
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class TwistData:
     """O(d) on P^n; ``window`` bounds the exponents of the monomial basis."""
 
-    n: int
-    d: int
-
-    def __post_init__(self):
-        if self.n < 0:
+    def __init__(self, n: int, d: int):
+        if n < 0:
             raise DomainError("projective dimension must be nonnegative")
+        self.n = n
+        self.d = d
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.d) == (other.n, other.d)
+
+    def __hash__(self):
+        return hash((self.n, self.d))
 
     @property
     def window(self) -> int:
@@ -248,13 +261,22 @@ def twisted_cohomology_dims(t: TwistData,
 # Affine quasi-coherent complexes (univariate base)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class AffineWindow:
     """Truncation for affine section spaces: numerators of degree at most
     base_degree + denominator_exponent * deg(chart product)."""
 
-    base_degree: int = 8
-    denominator_exponent: int = 3
+    def __init__(self, base_degree: int = 8, denominator_exponent: int = 3):
+        self.base_degree = base_degree
+        self.denominator_exponent = denominator_exponent
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.base_degree, self.denominator_exponent)
+                == (other.base_degree, other.denominator_exponent))
+
+    def __hash__(self):
+        return hash((self.base_degree, self.denominator_exponent))
 
 
 def cech_complex_affine(R: PresentedRing, I: IdealHandle, cover: OpenCover,
@@ -270,6 +292,8 @@ def cech_complex_affine(R: PresentedRing, I: IdealHandle, cover: OpenCover,
     numerator degree, over all nonzero pieces, must be within
     ``budgets.max_degree``; all three are checked before any matrix is built.
     """
+    from .topology import cover_check, open_contains
+    from .univar import poly_degree
     if R.nvars != 1 or R.quotient:
         raise CapabilityError(
             "affine Čech complexes require a univariate base ring")
@@ -325,6 +349,7 @@ def affine_vanishing_check(R: PresentedRing, I: IdealHandle, cover: OpenCover,
     complex's window: P/d^N with P in (g), deg P <= base_degree + N * deg d,
     d the gcd of the nonzero pieces.  Refuses a window past
     ``budgets.max_degree`` as ``cech_complex_affine`` does."""
+    from .univar import gcd, poly_degree
     complex_ = cech_complex_affine(R, I, cover, window, budgets)
     hdims = complex_.cohomology_dims()
     if not hdims:  # the empty cover, which covers only D(0): no sections at all

@@ -23,8 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field as dc_field
-from typing import (Callable, Dict, FrozenSet, Iterable, List, Optional,
+from typing import (TYPE_CHECKING, Callable, Dict, FrozenSet, Iterable, List, Optional,
                     Sequence, Set, Tuple)
 
 from .config import Budgets, DEFAULT_BUDGETS
@@ -36,8 +35,6 @@ from .errors import (
     ResourceBudgetError,
     ValidationError,
 )
-from .finite import (FiniteRing, _memo, coset_representatives, enumerate_ideals,
-                     ideal_closure)
 from .poly import Polynomial
 from .rings import (
     IdealHandle,
@@ -58,32 +55,63 @@ from .topology import (
 )
 from . import univar
 
+if TYPE_CHECKING:
+    from .finite import FiniteRing
 
-@dataclass(frozen=True)
+
 class DigraphNode:
-    open: DistinguishedOpen
-    gens: Tuple[Polynomial, ...]
+    def __init__(self, open: DistinguishedOpen, gens: Tuple[Polynomial, ...]):
+        self.open = open
+        self.gens = gens
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.open, self.gens) == (other.open, other.gens)
+
+    def __hash__(self):
+        return hash((self.open, self.gens))
 
     def ideal_in(self, ring: PresentedRing) -> IdealHandle:
         return IdealHandle(ring, self.gens)
 
 
-@dataclass(frozen=True)
 class IdealDigraph:
-    ring: PresentedRing
-    nodes: Tuple[DigraphNode, ...]
-    edges: Tuple[Tuple[int, int], ...]
-    root: int = 0
+    def __init__(self, ring: PresentedRing, nodes: Tuple[DigraphNode, ...],
+                 edges: Tuple[Tuple[int, int], ...], root: int = 0):
+        self.ring = ring
+        self.nodes = nodes
+        self.edges = edges
+        self.root = root
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.ring, self.nodes, self.edges, self.root)
+                == (other.ring, other.nodes, other.edges, other.root))
+
+    def __hash__(self):
+        return hash((self.ring, self.nodes, self.edges, self.root))
 
 
-@dataclass
 class DigraphReport:
-    global_ok: bool = True
-    functional_ok: bool = True
-    decreasing_ok: bool = True
-    increasing_ok: bool = True
-    structural_ok: bool = True
-    witnesses: Dict[str, object] = dc_field(default_factory=dict)
+    def __init__(self, global_ok: bool = True, functional_ok: bool = True,
+                 decreasing_ok: bool = True, increasing_ok: bool = True,
+                 structural_ok: bool = True, witnesses: Dict[str, object] = None):
+        self.global_ok = global_ok
+        self.functional_ok = functional_ok
+        self.decreasing_ok = decreasing_ok
+        self.increasing_ok = increasing_ok
+        self.structural_ok = structural_ok
+        self.witnesses = {} if witnesses is None else witnesses
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.global_ok, self.functional_ok, self.decreasing_ok,
+                 self.increasing_ok, self.structural_ok, self.witnesses)
+                == (other.global_ok, other.functional_ok, other.decreasing_ok,
+                    other.increasing_ok, other.structural_ok, other.witnesses))
 
     @property
     def valid(self) -> bool:
@@ -328,7 +356,7 @@ def _section_generators(d: IdealDigraph, u: DistinguishedOpen) -> Tuple[Polynomi
 
     s_u = u.f * ring.inverted_product()
     family = all_gens + [node.open.f for node in d.nodes] + [s_u]
-    total = ring.one()
+    powers = []
     for b in univar.coprime_base(family):
         if univar.divides(b, s_u):
             continue  # b is a unit on u
@@ -336,10 +364,8 @@ def _section_generators(d: IdealDigraph, u: DistinguishedOpen) -> Tuple[Polynomi
         g_s = univar.gcd([g for node in alive for g in node.gens], ring.field)
         if g_s.is_zero():
             return ()
-        e = univar.multiplicity(b, g_s)
-        if e:
-            total = total * b ** e
-    return (total,)
+        powers.append((b, univar.multiplicity(b, g_s)))
+    return (univar.power_product(powers, ring.field),)
 
 
 # -- sheaf oracles and extraction ----------------------------------------------
@@ -486,7 +512,6 @@ def is_quasi_coherent(d: IdealDigraph, basis: Sequence[DistinguishedOpen],
 # -- constant-sheaf-Z analog on finite spaces -----------------------------------
 
 
-@dataclass(frozen=True)
 class ZZSheafData:
     """Ideal sheaf n_U * Z of the constant sheaf Z on a finite space.
 
@@ -494,8 +519,17 @@ class ZZSheafData:
     and nothing else, to a nonnegative integer n_U, subject to: U <= V
     implies n_U | n_V (smaller opens carry larger ideals)."""
 
-    space: FiniteSpace
-    assignment: Dict[FrozenSet, int]
+    def __init__(self, space: FiniteSpace, assignment: Dict[FrozenSet, int]):
+        self.space = space
+        self.assignment = assignment
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.space, self.assignment) == (other.space, other.assignment)
+
+    def __hash__(self):
+        return hash((self.space, self.assignment))
 
     def validate(self) -> List[int]:
         """The n_U in ``connected_opens()`` order, once the assignment is
@@ -525,12 +559,22 @@ def _divides_int(a: int, b: int) -> bool:
     return b % a == 0
 
 
-@dataclass(frozen=True)
 class ZZDigraph:
-    space: FiniteSpace
-    nodes: Tuple[Tuple[FrozenSet, int], ...]
-    edges: Tuple[Tuple[int, int], ...]
-    root: int = 0
+    def __init__(self, space: FiniteSpace, nodes: Tuple[Tuple[FrozenSet, int], ...],
+                 edges: Tuple[Tuple[int, int], ...], root: int = 0):
+        self.space = space
+        self.nodes = nodes
+        self.edges = edges
+        self.root = root
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.space, self.nodes, self.edges, self.root)
+                == (other.space, other.nodes, other.edges, other.root))
+
+    def __hash__(self):
+        return hash((self.space, self.nodes, self.edges, self.root))
 
 
 def extract_zz_digraph(z: ZZSheafData) -> ZZDigraph:
@@ -579,6 +623,7 @@ def localize_finite(R: FiniteRing, a) -> Tuple[FiniteRing, Dict]:
     The kernel is {r : a^k r = 0 for some k}; a becomes invertible in the
     quotient.  Returns the quotient ring and the projection map r -> class.
     """
+    from .finite import FiniteRing, _memo, coset_representatives
     powers = [R.one]
     for _ in range(2 * R.size):
         powers.append(R.mul(powers[-1], a))
@@ -607,6 +652,7 @@ def count_digraph_space(R: FiniteRing, budgets: Budgets = DEFAULT_BUDGETS) -> in
     ideals: 2^e - 1 choices per node.  ``digraph_vocab_cap`` bounds the
     ideal assignments walked for one node set.
     """
+    from .finite import enumerate_ideals, ideal_closure
     primes = enumerate_spec(R, budgets)
     if not primes:
         raise DomainError("ring has no prime ideals")

@@ -7,7 +7,6 @@ them directly.  No floating point anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CapabilityError, DomainError
@@ -43,21 +42,27 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
 class FieldSpec:
     """Either the rationals (``kind='q'``) or a prime field (``kind='fp'``);
     ``p`` is the characteristic, 0 for the rationals."""
 
-    kind: str
-    p: int = 0
-
-    def __post_init__(self):
-        if self.kind not in ("q", "fp"):
-            raise DomainError(f"unknown field kind {self.kind!r}")
-        if self.kind == "q" and self.p:
+    def __init__(self, kind: str, p: int = 0):
+        if kind not in ("q", "fp"):
+            raise DomainError(f"unknown field kind {kind!r}")
+        if kind == "q" and p:
             raise DomainError("the rationals have characteristic 0")
-        if self.kind == "fp" and not _is_prime(self.p):
-            raise DomainError(f"{self.p} is not prime")
+        if kind == "fp" and not _is_prime(p):
+            raise DomainError(f"{p} is not prime")
+        self.kind = kind
+        self.p = p
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.p) == (other.kind, other.p)
+
+    def __hash__(self):
+        return hash((self.kind, self.p))
 
     # -- arithmetic on coefficient values -------------------------------
 

@@ -28,7 +28,6 @@ here is sized for exhaustive, sub-minute brute force.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
@@ -361,10 +360,15 @@ def free_module(R: FiniteRing, rank: int) -> FiniteModule:
                         zero, name=f"{R.name}^{rank}")
 
 
-@dataclass
 class DirectSum:
-    module: FiniteModule
-    injections: List[Callable]
+    def __init__(self, module: FiniteModule, injections: List[Callable]):
+        self.module = module
+        self.injections = injections
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.module, self.injections) == (other.module, other.injections)
 
 
 def direct_sum(modules: Sequence[FiniteModule], budgets: Budgets = DEFAULT_BUDGETS) -> DirectSum:
@@ -433,13 +437,23 @@ def is_prime_ideal(R: FiniteRing, I: FrozenSet) -> bool:
     return True
 
 
-@dataclass
 class NoetherianReport:
-    generator_lists: List[List]
-    max_strict_chain: int
-    ideal_count_bound: int
-    maximal_by_subset: Dict[Tuple[int, ...], List[int]]
-    ok: bool
+    def __init__(self, generator_lists: List[List], max_strict_chain: int,
+                 ideal_count_bound: int,
+                 maximal_by_subset: Dict[Tuple[int, ...], List[int]], ok: bool):
+        self.generator_lists = generator_lists
+        self.max_strict_chain = max_strict_chain
+        self.ideal_count_bound = ideal_count_bound
+        self.maximal_by_subset = maximal_by_subset
+        self.ok = ok
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.generator_lists, self.max_strict_chain, self.ideal_count_bound,
+                 self.maximal_by_subset, self.ok)
+                == (other.generator_lists, other.max_strict_chain, other.ideal_count_bound,
+                    other.maximal_by_subset, other.ok))
 
 
 def noetherian_witness(R: FiniteRing, chain: Sequence[FrozenSet],

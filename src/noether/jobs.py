@@ -7,14 +7,18 @@ configuration echo; timings live in their own field so the rest of the
 report is byte-identical across runs.
 
 Each handler imports the layers it uses when it runs, in the branch that
-uses them, so a CLI process loads only what its command needs.
+uses them, and the layers import one another where they need to, so a CLI
+process loads only the modules its job runs: a ``cech-projective`` job
+loads ``cech`` and ``fields`` and no ring layer, and only a job that builds
+a finite ring loads ``finite`` (``tests/test_univar.py`` pins the set per
+command).  ``JobSpec`` and ``Report`` are plain classes, as every record of
+the package is, so no job imports ``dataclasses``.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field as dc_field, replace
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from .config import Budgets, DEFAULT_BUDGETS
@@ -159,21 +163,37 @@ def _check(value, kind, key: str):
     return out
 
 
-@dataclass
 class JobSpec:
-    command: str
-    payload: Dict[str, Any]
-    budgets: Budgets = DEFAULT_BUDGETS
+    def __init__(self, command: str, payload: Dict[str, Any],
+                 budgets: Budgets = DEFAULT_BUDGETS):
+        self.command = command
+        self.payload = payload
+        self.budgets = budgets
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.command, self.payload, self.budgets)
+                == (other.command, other.payload, other.budgets))
 
 
-@dataclass
 class Report:
-    command: str
-    status: str  # pass | fail | error
-    result: Any = None
-    witness: Any = None
-    config: Dict[str, Any] = dc_field(default_factory=dict)
-    timings: Dict[str, float] = dc_field(default_factory=dict)
+    def __init__(self, command: str, status: str, result: Any = None, witness: Any = None,
+                 config: Dict[str, Any] = None, timings: Dict[str, float] = None):
+        self.command = command
+        self.status = status  # pass | fail | error
+        self.result = result
+        self.witness = witness
+        self.config = {} if config is None else config
+        self.timings = {} if timings is None else timings
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.command, self.status, self.result, self.witness, self.config,
+                 self.timings)
+                == (other.command, other.status, other.result, other.witness, other.config,
+                    other.timings))
 
     @property
     def exit_code(self) -> int:
@@ -255,7 +275,7 @@ def load_job(command: Any, payload: Any, budgets: Any = {}) -> JobSpec:
         if not isinstance(value, dict):
             raise ParseError(f"{what} must be a JSON object")
     overrides = Budgets.checked(budgets)
-    return JobSpec(command, payload, replace(Budgets.from_env(), **overrides))
+    return JobSpec(command, payload, Budgets.from_env().replace(**overrides))
 
 
 def parse_job(text: str) -> JobSpec:

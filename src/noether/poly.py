@@ -9,7 +9,6 @@ greatest) are provided.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from operator import add, le, neg, sub
 from typing import Dict, Tuple
@@ -80,7 +79,6 @@ class Lex(MonomialOrder):
         return m
 
 
-@dataclass(frozen=True)
 class BlockElim(MonomialOrder):
     """Product order eliminating the first ``naux`` variables.
 
@@ -90,7 +88,16 @@ class BlockElim(MonomialOrder):
     key compares as degrevlex on the auxiliaries, then on the rest.
     """
 
-    naux: int
+    def __init__(self, naux: int):
+        self.naux = naux
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.naux == other.naux
+
+    def __hash__(self):
+        return hash((self.naux,))
 
     def key(self, m: Mono):
         return _degrevlex(m[: self.naux]) + _degrevlex(m[self.naux :])

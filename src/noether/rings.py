@@ -24,10 +24,8 @@ auxiliary t from t*I + (1 - t)*J.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-from . import univar
 from .config import Budgets, DEFAULT_BUDGETS
 from .errors import DomainError, ResourceBudgetError
 from .fields import FieldSpec
@@ -36,21 +34,34 @@ from .parse import parse_polynomial
 from .poly import BlockElim, DEGREVLEX, Polynomial, exact_divmod
 
 
-@dataclass(frozen=True)
 class PresentedRing:
-    field: FieldSpec
-    vars: Tuple[str, ...]
-    quotient: Tuple[Polynomial, ...] = ()
-    inverted: Tuple[Polynomial, ...] = ()
+    """k[vars]/(quotient) with the ``inverted`` elements inverted.  Equality
+    and hashing read these four and not the bases, localizations and
+    inverted product the ring keeps."""
+
     order = DEGREVLEX
 
-    def __post_init__(self):
-        for p in self.quotient + self.inverted:
-            if p.nvars != self.nvars or p.field != self.field:
+    def __init__(self, field: FieldSpec, vars: Tuple[str, ...],
+                 quotient: Tuple[Polynomial, ...] = (), inverted: Tuple[Polynomial, ...] = ()):
+        self.field = field
+        self.vars = vars
+        self.quotient = quotient
+        self.inverted = inverted
+        for p in quotient + inverted:
+            if p.nvars != self.nvars or p.field != field:
                 raise DomainError("presentation polynomial from a different ring")
-        for p in self.inverted:
+        for p in inverted:
             if p.is_zero():
                 raise DomainError("cannot invert zero")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.field, self.vars, self.quotient, self.inverted)
+                == (other.field, other.vars, other.quotient, other.inverted))
+
+    def __hash__(self):
+        return hash((self.field, self.vars, self.quotient, self.inverted))
 
     @property
     def nvars(self) -> int:
@@ -77,7 +88,7 @@ class PresentedRing:
             s = self.one()
             for p in self.inverted:
                 s = s * p
-            object.__setattr__(self, "_inverted_product", s)
+            self._inverted_product = s
         return s
 
     def with_inverted(self, f: Polynomial) -> "PresentedRing":
@@ -123,16 +134,16 @@ def _intersection_gens(field: FieldSpec, nvars: int, gi: Sequence[Polynomial],
     t*(gi) + (1-t)*(gj).
     """
     if nvars == 1:
-        if any(univar.poly_degree(g) >= budgets.max_degree for g in (*gi, *gj)):
+        from .univar import exact_quotient, gcd, poly_degree
+        if any(poly_degree(g) >= budgets.max_degree for g in (*gi, *gj)):
             raise ResourceBudgetError("max_degree", budgets.max_degree)
         if not gi or not gj:
             return []
         (g,), (h,) = gi, gj
-        d = univar.gcd([g, h], field)
-        if (univar.poly_degree(g) + univar.poly_degree(h) - univar.poly_degree(d)
-                > budgets.max_degree):
+        d = gcd([g, h], field)
+        if poly_degree(g) + poly_degree(h) - poly_degree(d) > budgets.max_degree:
             raise ResourceBudgetError("max_degree", budgets.max_degree)
-        return [(univar.exact_quotient(g, d) * h).monic(DEGREVLEX)]
+        return [(exact_quotient(g, d) * h).monic(DEGREVLEX)]
     t = Polynomial.var(field, nvars + 1, 0)
     one = Polynomial.const(field, nvars + 1, 1)
     lifted = [t * g.lift(1) for g in gi] + [(one - t) * g.lift(1) for g in gj]
@@ -152,12 +163,13 @@ def _saturated_basis(ring: PresentedRing, gens: Sequence[Polynomial], f: Polynom
     if f.is_zero():
         raise DomainError("cannot saturate with respect to zero")
     if ring.nvars == 1:
+        from .univar import gcd, strip_shared
         # The degree budget Buchberger applies to its input generators, not to f.
         for g in gens:
             if g.total_degree() > budgets.max_degree:
                 raise ResourceBudgetError("max_degree", budgets.max_degree)
-        g = univar.gcd(gens, ring.field)
-        basis = () if g.is_zero() else (g if f.is_constant() else univar.strip_shared(g, f),)
+        g = gcd(gens, ring.field)
+        basis = () if g.is_zero() else (g if f.is_constant() else strip_shared(g, f),)
     elif f.is_constant():
         basis = tuple(groebner_basis(list(gens), ring.order, budgets))
     else:

@@ -12,25 +12,34 @@ and its constant-sheaf-Z layout, each derived once, on first use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Sequence, Tuple
 
 from .config import Budgets, DEFAULT_BUDGETS
 from .errors import DomainError
-from .finite import FiniteRing, enumerate_ideals, is_prime_ideal
 from .poly import Polynomial
 from .rings import IdealHandle, PresentedRing, radical_membership
 
+if TYPE_CHECKING:
+    from .finite import FiniteRing
 
-@dataclass(frozen=True)
+
 class DistinguishedOpen:
-    ring: PresentedRing
-    f: Polynomial
+    """D(f) in Spec of ``ring``."""
 
-    def __post_init__(self):
-        if self.f.nvars != self.ring.nvars or self.f.field != self.ring.field:
+    def __init__(self, ring: PresentedRing, f: Polynomial):
+        if f.nvars != ring.nvars or f.field != ring.field:
             raise DomainError("defining element from a different ring")
+        self.ring = ring
+        self.f = f
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.ring, self.f) == (other.ring, other.f)
+
+    def __hash__(self):
+        return hash((self.ring, self.f))
 
     def is_empty(self, budgets: Budgets = DEFAULT_BUDGETS) -> bool:
         """D(f) is empty iff f is nilpotent in the presented ring."""
@@ -69,15 +78,24 @@ def open_intersect(a: DistinguishedOpen, b: DistinguishedOpen) -> DistinguishedO
     return DistinguishedOpen(a.ring, a.f * b.f)
 
 
-@dataclass(frozen=True)
 class OpenCover:
-    target: DistinguishedOpen
-    pieces: Tuple[DistinguishedOpen, ...]
+    """The ``pieces`` offered as a cover of ``target``; ``cover_check``
+    decides whether they cover it."""
 
-    def __post_init__(self):
-        for p in self.pieces:
-            if p.ring != self.target.ring:
+    def __init__(self, target: DistinguishedOpen, pieces: Tuple[DistinguishedOpen, ...]):
+        for p in pieces:
+            if p.ring != target.ring:
                 raise DomainError("cover piece over a different ring")
+        self.target = target
+        self.pieces = pieces
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.target, self.pieces) == (other.target, other.pieces)
+
+    def __hash__(self):
+        return hash((self.target, self.pieces))
 
 
 def cover_check(c: OpenCover, budgets: Budgets = DEFAULT_BUDGETS) -> bool:
@@ -96,6 +114,7 @@ def coordinate_ring(u: DistinguishedOpen, budgets: Budgets = DEFAULT_BUDGETS) ->
 
 def enumerate_spec(R: FiniteRing, budgets: Budgets = DEFAULT_BUDGETS) -> List[FrozenSet]:
     """All prime ideals of a finite ring, by exhaustive primality filtering."""
+    from .finite import enumerate_ideals, is_prime_ideal
     return [I for I in enumerate_ideals(R, budgets) if is_prime_ideal(R, I)]
 
 

@@ -18,7 +18,6 @@ budgets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import Dict, List, Optional
 
 from .config import Budgets, DEFAULT_BUDGETS
@@ -39,13 +38,23 @@ def deleted_exponents(n: int, rule: str = "power") -> List[int]:
     raise DomainError(f"unknown exponent rule: {rule!r}")
 
 
-@dataclass(frozen=True)
 class TowerLevel:
-    n: int
-    ring: PresentedRing
-    ideal: IdealHandle
-    rule: str
-    budgets: Budgets
+    def __init__(self, n: int, ring: PresentedRing, ideal: IdealHandle, rule: str,
+                 budgets: Budgets):
+        self.n = n
+        self.ring = ring
+        self.ideal = ideal
+        self.rule = rule
+        self.budgets = budgets
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.n, self.ring, self.ideal, self.rule, self.budgets)
+                == (other.n, other.ring, other.ideal, other.rule, other.budgets))
+
+    def __hash__(self):
+        return hash((self.n, self.ring, self.ideal, self.rule, self.budgets))
 
     def describe(self) -> str:
         return (f"level {self.n} ({self.rule} rule): "
@@ -82,18 +91,27 @@ def tower_ring(n: int, field: FieldSpec, rule: str = "power",
     ring = PresentedRing(field, ("x",), quotient=(),
                          inverted=tuple(inverted))
     ideal = ring.ideal(_power_poly(ring, 1, 1))
-    budgets = replace(budgets, max_degree=max(budgets.max_degree, 2 ** n))
+    budgets = budgets.replace(max_degree=max(budgets.max_degree, 2 ** n))
     return TowerLevel(n, ring, ideal, rule, budgets)
 
 
-@dataclass
 class CoverMapReport:
-    source: int
-    target: int
-    well_defined: bool
-    etale: bool
-    compatible: bool
-    witness: Optional[str] = None
+    def __init__(self, source: int, target: int, well_defined: bool, etale: bool,
+                 compatible: bool, witness: Optional[str] = None):
+        self.source = source
+        self.target = target
+        self.well_defined = well_defined
+        self.etale = etale
+        self.compatible = compatible
+        self.witness = witness
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.source, self.target, self.well_defined, self.etale, self.compatible,
+                 self.witness)
+                == (other.source, other.target, other.well_defined, other.etale,
+                    other.compatible, other.witness))
 
     @property
     def ok(self) -> bool:
@@ -147,13 +165,22 @@ def verify_cover_map(source: TowerLevel, target: TowerLevel) -> CoverMapReport:
                           compatible, witness)
 
 
-@dataclass
 class StrictnessReport:
-    n: int
-    pullback_is_x2_minus_1: bool
-    strictly_smaller: bool
-    witness_in_big: bool
-    witness_not_in_small: bool
+    def __init__(self, n: int, pullback_is_x2_minus_1: bool, strictly_smaller: bool,
+                 witness_in_big: bool, witness_not_in_small: bool):
+        self.n = n
+        self.pullback_is_x2_minus_1 = pullback_is_x2_minus_1
+        self.strictly_smaller = strictly_smaller
+        self.witness_in_big = witness_in_big
+        self.witness_not_in_small = witness_not_in_small
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.n, self.pullback_is_x2_minus_1, self.strictly_smaller,
+                 self.witness_in_big, self.witness_not_in_small)
+                == (other.n, other.pullback_is_x2_minus_1, other.strictly_smaller,
+                    other.witness_in_big, other.witness_not_in_small))
 
     @property
     def ok(self) -> bool:
@@ -198,13 +225,20 @@ def pullback_strictness(level: TowerLevel) -> StrictnessReport:
     return StrictnessReport(n, pullback_ok, strict, in_big, not_in_small)
 
 
-@dataclass
 class MaximalityReport:
-    n: int
-    proper: bool
-    evaluations: Dict[str, str]
-    maximal: bool
-    witness: Optional[str] = None
+    def __init__(self, n: int, proper: bool, evaluations: Dict[str, str], maximal: bool,
+                 witness: Optional[str] = None):
+        self.n = n
+        self.proper = proper
+        self.evaluations = evaluations
+        self.maximal = maximal
+        self.witness = witness
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.n, self.proper, self.evaluations, self.maximal, self.witness)
+                == (other.n, other.proper, other.evaluations, other.maximal, other.witness))
 
     @property
     def ok(self) -> bool:
@@ -235,16 +269,26 @@ def properness_and_maximality(level: TowerLevel) -> MaximalityReport:
     return MaximalityReport(level.n, proper, evaluations, maximal, witness)
 
 
-@dataclass
 class TowerSuiteReport:
-    depth: int
-    field: str
-    rule: str
-    cover_maps: List[CoverMapReport]
-    strictness: List[StrictnessReport]
-    maximality: List[MaximalityReport]
-    chain: List[str]
-    chain_strict: bool
+    def __init__(self, depth: int, field: str, rule: str, cover_maps: List[CoverMapReport],
+                 strictness: List[StrictnessReport], maximality: List[MaximalityReport],
+                 chain: List[str], chain_strict: bool):
+        self.depth = depth
+        self.field = field
+        self.rule = rule
+        self.cover_maps = cover_maps
+        self.strictness = strictness
+        self.maximality = maximality
+        self.chain = chain
+        self.chain_strict = chain_strict
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.depth, self.field, self.rule, self.cover_maps, self.strictness,
+                 self.maximality, self.chain, self.chain_strict)
+                == (other.depth, other.field, other.rule, other.cover_maps,
+                    other.strictness, other.maximality, other.chain, other.chain_strict))
 
     @property
     def ok(self) -> bool:

@@ -158,6 +158,22 @@ def gcd(polys: Sequence[Polynomial], field: FieldSpec) -> Polynomial:
     return _poly(acc, field)
 
 
+def power_product(powers: Sequence[Tuple[Polynomial, int]], field: FieldSpec) -> Polynomial:
+    """The monic product of b^e over the pairs (b, e), each b nonzero,
+    multiplied out on dense normal forms; 1 for no pairs."""
+    acc: Dense = [1]
+    for b, e in powers:
+        c = _dense(b)[1]
+        for _ in range(e):
+            out = [0] * (len(acc) + len(c) - 1)
+            for i, x in enumerate(acc):
+                if x:
+                    for j, y in enumerate(c):
+                        out[i + j] += x * y
+            acc = [v % field.p for v in out] if field.p else out
+    return _poly(acc, field)
+
+
 def strip_shared(g: Polynomial, f: Polynomial) -> Polynomial:
     """Monic nonzero g with every irreducible factor it shares with f
     divided out: the generator of (g) : f^infinity in k[x]."""

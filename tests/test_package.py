@@ -1,13 +1,13 @@
 """The package's exports: ``import noether`` binds each of its 118 names
-lazily, on first use, to the object its module defines.  Also four checks
-of the package source: every budget is read and passed on, every private
-helper is used, and no module keeps a cache of answers."""
+lazily, on first use, to the object its module defines.  Also five checks
+of the package source: no module imports ``dataclasses``, every budget is
+read and passed on, every private helper is used, and no module keeps a
+cache of answers; and how each record class builds, compares and hashes."""
 
 import ast
 import importlib
 import itertools
 import re
-from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -82,6 +82,24 @@ def test_unknown_name_raises_attribute_error():
     assert not hasattr(noether, "irreducible_factors")
 
 
+def test_no_module_imports_dataclasses():
+    """The records are plain classes: importing ``dataclasses`` costs a
+    process 8-11 ms, and every CLI job would pay it."""
+    package = Path(noether.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.stem}:{node.lineno}" for name in names
+                      if name.split(".")[0] == "dataclasses"]
+    assert found == []
+
+
 def test_every_budget_is_read():
     """Each ``Budgets`` field is read as ``budgets.<name>`` somewhere in the
     package outside ``config.py``: a knob nothing reads is dead."""
@@ -90,7 +108,7 @@ def test_every_budget_is_read():
     for path in package.glob("*.py"):
         if path.name != "config.py":
             read.update(re.findall(r"budgets\.(\w+)", path.read_text()))
-    assert {f.name for f in fields(Budgets)} - read == set()
+    assert set(Budgets.FIELDS) - read == set()
 
 
 def _takes_budgets(fn: ast.AST) -> bool:

@@ -23,10 +23,10 @@ from noether.fields import GF, QQ
 from noether.groebner import groebner_basis
 from noether.poly import DEGREVLEX, BlockElim, Polynomial
 from noether.rings import PresentedRing, radical_membership, saturate
-from noether.jobs import load_job, run_job
+from noether.jobs import COMMANDS, load_job, run_job
 from noether.univar import (_dense, _poly, coprime_base, divides, exact_quotient, from_sympy,
-                            gcd, irreducible_factors, multiplicity, squarefree_factors,
-                            strip_shared, to_sympy)
+                            gcd, irreducible_factors, multiplicity, power_product,
+                            squarefree_factors, strip_shared, to_sympy)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -240,20 +240,38 @@ if len(sys.argv) > 1:
     from noether.cli import main
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(sys.argv[1:]) == 0
-print(json.dumps(sorted(m for m in sys.modules if m.startswith("noether."))))
+print(json.dumps(sorted(m for m in sys.modules
+                        if m.startswith("noether.") or m in ("dataclasses", "inspect"))))
 """
 
+# The noether.* modules a CLI process loads for each command of CLI_JOBS,
+# besides cli, config, errors and jobs.  Only jobs that build a finite ring
+# load finite, and univar loads only for a univariate ring and for the
+# digraph and cech-affine commands.
+JOB_LAYERS = {
+    "groebner": "fields groebner parse poly rings",
+    "ideal": "fields groebner parse poly rings univar",
+    "open": "fields groebner parse poly rings topology univar",
+    "digraph-validate": "digraph fields groebner parse poly rings topology univar",
+    "digraph-eval": "digraph fields groebner parse poly rings topology univar",
+    "digraph-extract": "digraph fields groebner parse poly rings topology univar",
+    "cech-affine": "cech fields groebner parse poly rings topology univar",
+    "cech-projective": "cech fields",
+    "baer": "baer fields finite",
+    "etale": "fields groebner parse poly rings tower",
+}
 
-@pytest.mark.parametrize("command,payload,absent", [
-    (None, None, None),
-    ("baer", {"op": "test", "finite_ring": {"zmod": 4},
-              "module": {"kind": "ring"}},
-     {"poly", "groebner", "digraph", "cech", "tower"}),
-    ("groebner", {"ring": {"field": "q", "vars": ["x", "y"]},
-                  "generators": ["x^2 - 1", "x*y - 1"]},
-     {"finite", "topology", "digraph", "cech", "baer", "tower"}),
-])
-def test_process_loads_only_the_layers_it_uses(tmp_path, command, payload, absent):
+
+def test_job_layers_name_every_command():
+    assert set(JOB_LAYERS) == {command for command, _, _ in CLI_JOBS} == set(COMMANDS) - {"suite"}
+
+
+@pytest.mark.parametrize("command,payload", [(None, None)] + [
+    job[:2] for job in CLI_JOBS], ids=["import"] + [job[0] for job in CLI_JOBS])
+def test_process_loads_only_the_layers_it_uses(tmp_path, command, payload):
+    """``import noether`` loads no layer, and a CLI job exactly the layers
+    of ``JOB_LAYERS``; neither loads ``dataclasses``, nor ``inspect``,
+    which ``dataclasses`` imports."""
     argv = []
     if command is not None:
         path = tmp_path / "job.json"
@@ -263,12 +281,12 @@ def test_process_loads_only_the_layers_it_uses(tmp_path, command, payload, absen
     proc = subprocess.run([sys.executable, "-c", LAYERS_SCRIPT, *argv],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    loaded = {name.split(".")[1] for name in json.loads(proc.stdout)}
+    loaded = json.loads(proc.stdout)
     if command is None:
-        assert loaded == set()  # import noether loads no layer
+        assert loaded == []
     else:
-        assert command in loaded
-        assert not loaded & absent
+        expected = {"cli", "config", "errors", "jobs", *JOB_LAYERS[command].split()}
+        assert loaded == sorted(f"noether.{name}" for name in expected)
 
 
 # -- squarefree decomposition and coprime bases against sympy's factorization --
@@ -352,6 +370,19 @@ def test_coprime_base_refines_the_irreducible_factors(case):
         assert set(qs) <= primes
         for f in factorizations:
             assert len({f.get(q, 0) for q in qs}) == 1
+
+
+@settings(deadline=None)
+@given(SQUAREFREE_FIELDS.flatmap(lambda F: st.tuples(st.just(F), st.lists(
+    st.tuples(products_of_powers(F), st.integers(0, 4)), max_size=4))))
+def test_power_product_is_the_monic_sparse_product(case):
+    """The product of the b^e multiplied out on dense forms is the monic
+    product ``Polynomial`` arithmetic gives, and keeps its dense form."""
+    field, powers = case
+    powers = [(b, e) for b, e in powers if not b.is_zero()]
+    got = power_product(powers, field)
+    assert got == product(field, [b ** e for b, e in powers]).monic(DEGREVLEX)
+    assert got._dense_form == _dense(poly(field, [1]) * got)
 
 
 @pytest.mark.parametrize("call,q,g", [
