@@ -1,12 +1,14 @@
 """Polynomial arithmetic, monomial orders, and the parser."""
 
+from fractions import Fraction
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from noether.config import Budgets
 from noether.errors import ParseError, ResourceBudgetError
 from noether.fields import GF, QQ
-from noether.parse import parse_polynomial
+from noether.parse import _tokenize, parse_polynomial
 from noether.poly import (
     DEGREVLEX,
     LEX,
@@ -155,6 +157,14 @@ def test_ring_axioms(p, q, r):
 
 
 @given(polynomials())
+def test_equal_polynomials_hash_alike_over_ints_and_fractions(p):
+    """A polynomial over Q with int coefficients equals the one with the
+    same values as ``Fraction``s, and hashes alike."""
+    rational = Polynomial(QQ, 3, {m: Fraction(c) for m, c in p.terms.items()})
+    assert rational == p and hash(rational) == hash(p)
+
+
+@given(polynomials())
 def test_render_reparses_to_same_polynomial(p):
     text = p.render(VARS)
     assert parse_polynomial(text, QQ, VARS) == p
@@ -206,3 +216,178 @@ def test_exact_divmod_matches_rebuilt_division(case):
     quotient, remainder = exact_divmod(g, p)
     assert (quotient, remainder) == rebuilt_divmod(g, p)
     assert quotient * p + remainder == g
+
+
+# -- the parser against its Polynomial-arithmetic oracle ----------------------
+
+
+class OracleParser:
+    """The recursive-descent parser as it was on ``Polynomial`` arithmetic:
+    each rule returns its polynomial, and a product or power is refused by
+    the exact degree of its factors before it is expanded."""
+
+    def __init__(self, tokens, field, var_names, max_degree):
+        self.tokens = tokens
+        self.i = 0
+        self.field = field
+        self.var_names = list(var_names)
+        self.max_degree = max_degree
+
+    def bound(self, degree):
+        if degree > self.max_degree:
+            raise ResourceBudgetError("max_degree", self.max_degree)
+        return degree
+
+    def literal(self, tok):
+        try:
+            return int(tok[1])
+        except ValueError:
+            raise ParseError(f"integer literal at column {tok[2]} is too long "
+                             f"({len(tok[1])} digits)", column=tok[2]) from None
+
+    def peek(self):
+        return self.tokens[self.i] if self.i < len(self.tokens) else None
+
+    def take(self):
+        tok = self.peek()
+        if tok is None:
+            raise ParseError("unexpected end of input")
+        self.i += 1
+        return tok
+
+    def expect_op(self, op):
+        tok = self.take()
+        if tok[0] != "op" or tok[1] != op:
+            raise ParseError(f"expected {op!r}, found {tok[1]!r}", column=tok[2])
+
+    def parse(self):
+        p = self.expr()
+        tok = self.peek()
+        if tok is not None:
+            raise ParseError(f"trailing input at {tok[1]!r}", column=tok[2])
+        return p
+
+    def expr(self):
+        sign = 1
+        tok = self.peek()
+        if tok and tok[0] == "op" and tok[1] in "+-":
+            self.take()
+            sign = -1 if tok[1] == "-" else 1
+        p = self.term()
+        if sign < 0:
+            p = -p
+        while True:
+            tok = self.peek()
+            if tok and tok[0] == "op" and tok[1] in "+-":
+                self.take()
+                q = self.term()
+                p = p - q if tok[1] == "-" else p + q
+            else:
+                return p
+
+    def term(self):
+        p = self.power()
+        while True:
+            tok = self.peek()
+            if tok and tok[0] == "op" and tok[1] == "*":
+                self.take()
+                q = self.power()
+                self.bound(p.total_degree() + q.total_degree())
+                p = p * q
+            else:
+                return p
+
+    def power(self):
+        base = self.atom()
+        tok = self.peek()
+        if tok and tok[0] == "op" and tok[1] == "^":
+            self.take()
+            etok = self.take()
+            if etok[0] != "int":
+                raise ParseError("exponent must be an integer literal", column=etok[2])
+            n = self.bound(self.literal(etok))
+            self.bound(base.total_degree() * n)
+            return base ** n
+        return base
+
+    def atom(self):
+        tok = self.take()
+        nvars = len(self.var_names)
+        if tok[0] == "int":
+            return Polynomial.const(self.field, nvars, self.literal(tok))
+        if tok[0] == "var":
+            if tok[1] not in self.var_names:
+                raise ParseError(f"unknown variable {tok[1]!r}", column=tok[2])
+            return Polynomial.var(self.field, nvars, self.var_names.index(tok[1]))
+        if tok[0] == "op" and tok[1] == "(":
+            p = self.expr()
+            self.expect_op(")")
+            return p
+        if tok[0] == "op" and tok[1] == "-":
+            return -self.atom()
+        raise ParseError(f"unexpected token {tok[1]!r}", column=tok[2])
+
+
+def oracle_parse(text, field, var_names, budgets):
+    if not text.strip():
+        raise ParseError("empty polynomial text")
+    return OracleParser(_tokenize(text), field, var_names, budgets.max_degree).parse()
+
+
+@st.composite
+def _expression(draw, depth=3):
+    """A text of nested sums, products and powers, with unary minus, both
+    power spellings, cancelling differences, literals above 2^64 and
+    multiples of 7, which vanish in F_7 and so lower a factor's degree."""
+    kind = draw(st.integers(0, 5)) if depth else 0
+    inner = _expression(depth - 1)
+    if kind == 0:
+        return draw(st.one_of(st.sampled_from(["x", "y", "z"] * 4 + ["w", "x^3*y", "z^4"]),
+                              st.integers(0, 9).map(str), st.integers(2**64, 2**70).map(str),
+                              st.integers(1, 3).map(lambda k: str(7 * k))))
+    if kind == 1:
+        parts = draw(st.lists(st.tuples(st.sampled_from([" + ", " - ", "-"]), inner),
+                              min_size=2, max_size=4))
+        return draw(st.sampled_from(["", "-", "+"])) + "".join(
+            part if k == 0 else op + part for k, (op, part) in enumerate(parts))
+    if kind == 2:
+        factors = draw(st.lists(inner, min_size=2, max_size=3))
+        return draw(st.sampled_from(["*", " * "])).join(f"({f})" for f in factors)
+    if kind == 3:
+        return f"({draw(inner)}){draw(st.sampled_from(['^', '**', ' ^ ']))}{draw(st.integers(0, 9))}"
+    if kind == 4:
+        return draw(st.sampled_from(["-({})", "({})", "-{}", "(({}))"])).format(draw(inner))
+    a, b = draw(inner), draw(inner)
+    return f"({a})*({b}) - ({b})*({a}) + {a}"
+
+
+@st.composite
+def _texts(draw):
+    """An expression, a fifth of the time with one character dropped or
+    inserted."""
+    text = draw(_expression())
+    where = draw(st.integers(0, len(text)))
+    kind = draw(st.sampled_from([0, 0, 0, 1, 2]))
+    if kind == 1:
+        return text[:where] + text[where + 1:]
+    if kind == 2:
+        return text[:where] + draw(st.sampled_from(list("()+-*^x7 #"))) + text[where:]
+    return text
+
+
+def _parse_outcome(parser, text, field, budgets):
+    try:
+        p = parser(text, field, VARS, budgets)
+    except ParseError as exc:
+        return "parse", str(exc), exc.column
+    except ResourceBudgetError as exc:
+        return "budget", str(exc), exc.budget_name, exc.limit
+    return "ok", p, {m: type(c) for m, c in p.terms.items()}
+
+
+@settings(max_examples=400, deadline=None)
+@given(_texts(), st.sampled_from([QQ, GF(7)]), st.integers(0, 8))
+def test_parser_equals_the_polynomial_arithmetic_oracle(text, field, max_degree):
+    budgets = Budgets(max_degree=max_degree)
+    assert (_parse_outcome(parse_polynomial, text, field, budgets)
+            == _parse_outcome(oracle_parse, text, field, budgets))

@@ -269,6 +269,39 @@ def test_canonical_basis_and_saturation_equal_elimination_oracle(case):
         assert groebner_basis(list(basis), DEGREVLEX) == list(basis)
 
 
+def two_basis_oracle(f, I):
+    """Radical membership on the path of two bases: the canonical basis of
+    I (generators and quotient saturated by the inverted product), then
+    that basis saturated by f; f is in the radical iff the result is (1)."""
+    if f.is_zero():
+        return True
+    ring = I.ring
+    canonical = elimination_oracle(ring, I.generators, ring.inverted_product())
+    basis = elimination_oracle(ring, canonical, f)
+    return len(basis) == 1 and basis[0].is_one()
+
+
+@st.composite
+def multivariate_radical_cases(draw):
+    """Ideals in 2 or 3 variables over Q and F_7, in a plain ring, a ring
+    with a quotient or a ring with an inverted element."""
+    field = draw(st.sampled_from([QQ, GF(7)]))
+    nvars = draw(st.integers(2, 3))
+    polys = _polys(field, nvars)
+    kind = draw(st.sampled_from(["plain", "quotient", "inverted"]))
+    quotient = (draw(polys),) if kind == "quotient" else ()
+    inverted = (draw(polys.filter(lambda p: not p.is_zero())),) if kind == "inverted" else ()
+    ring = PresentedRing(field, ("x", "y", "z")[:nvars], quotient, inverted)
+    return ring.ideal(draw(st.lists(polys, max_size=3))), draw(polys)
+
+
+@settings(max_examples=300, deadline=None)
+@given(multivariate_radical_cases())
+def test_radical_membership_equals_the_two_basis_path(case):
+    I, f = case
+    assert radical_membership(f, I) == two_basis_oracle(f, I)
+
+
 _univariate = st.lists(st.integers(-3, 3), max_size=5)  # degree <= 4
 
 
