@@ -4,13 +4,14 @@ Two settings are supported.  Twisted structure sheaves O(d) on projective
 space are handled through Laurent-monomial combinatorics: the alternating
 complex on the coordinate chart cover splits as a direct sum over
 multidegrees, and the summand at a multidegree depends only on its sign
-pattern.  Permuting the charts carries a pattern's summand and its
-multidegree count onto those of any pattern with as many negative charts,
-so one pattern per number r of negative charts, weighted by C(n + 1, r),
-settles every degree at once.  Affine quasi-coherent data on a univariate
-base without quotient is handled by truncating each section space to
-numerators of bounded degree over a fixed denominator power; the
-truncation window is part of the result so it can be audited.
+pattern.  Permuting the charts carries a pattern's summand onto that of
+any pattern with as many negative charts, so one pattern per number r of
+negative charts settles every degree at once; only r = 0 and r = n + 1
+have cohomology, and their multidegrees are counted by binomials.  Affine
+quasi-coherent data on a univariate base without quotient is handled by
+truncating each section space to numerators of bounded degree over a
+fixed denominator power; the truncation window is part of the result so
+it can be audited.
 Both build their differentials with the one complex builder,
 ``_alternating_complex``, and differ only in the section spaces over chart
 intersections and the restriction maps between them.  Ranks and the check
@@ -223,37 +224,27 @@ class TwistData:
         return abs(self.d) + self.n + 1
 
 
-def _count_multidegrees(n: int, d: int, r: int, window: int) -> int:
-    """Count integer vectors a in [-window, window]^(n+1) with sum d whose
-    strictly negative coordinates are exactly the first r."""
-    # dynamic programming over coordinates: dist[s] counts the prefixes with sum s
-    dist = {0: 1}
-    for i in range(n + 1):
-        nxt: Dict[int, int] = {}
-        values = range(-window, 0) if i < r else range(window + 1)
-        for s, c in dist.items():
-            for v in values:
-                nxt[s + v] = nxt.get(s + v, 0) + c
-        dist = nxt
-    return dist.get(d, 0)
-
-
 def twisted_cohomology_dims(t: TwistData,
                             budgets: Budgets = DEFAULT_BUDGETS) -> Dict[int, int]:
     """Dimensions of H^i(P^n, O(d)) from the cover by the n+1 coordinate
-    charts D(x_i), one sign pattern per number r of negative charts."""
+    charts D(x_i), one sign pattern per number r of negative charts.
+
+    Only the patterns with no negative chart (H^0) and with every chart
+    negative (H^n) have cohomology.  Their multidegrees, all exponents
+    nonnegative or all negative with sum d, number C(n + d, n) and
+    C(-d - 1, n), which the window never binds.
+    """
     n, d = t.n, t.d
     if n > 4 or abs(d) > 20:
         raise CapabilityError("supported range is n <= 4 and |d| <= 20")
-    window = t.window
+    counts = {0: comb(n + d, n) if d >= 0 else 0, n + 1: comb(-d - 1, n) if d < 0 else 0}
     dims = {i: 0 for i in range(n + 1)}
     for r in range(n + 2):
         hdims = _pattern_complex(n, r).cohomology_dims()
-        if not any(hdims):
-            continue
-        count = comb(n + 1, r) * _count_multidegrees(n, d, r, window)
+        if r not in counts and any(hdims):
+            raise AssertionError(f"the pattern with {r} negative charts has cohomology")
         for i, h in enumerate(hdims):
-            dims[i] += h * count
+            dims[i] += h * counts.get(r, 0)
     return dims
 
 

@@ -293,9 +293,14 @@ def groebner_basis(
     members = [(leads[k], forms[k]) for k in active
                if not any(j != k and mono_divides(leads[j], leads[k]) for j in active)]
     # Auto-reduce: leading monomials never change, so one pass of replacing
-    # each member by its remainder against the others suffices.
+    # each member by its remainder against the others suffices.  A member
+    # none of whose terms another's leading monomial divides is its own
+    # remainder, and is kept as it is.
+    heads = [hm for hm, _ in members]
     for i, (hm, h) in enumerate(members):
-        members[i] = (hm, _reduce(h, members[:i] + members[i + 1:], order, max_degree, F.p)[0])
+        others = heads[:i] + heads[i + 1:]
+        if any(mono_divides(gm, m) for m in h for gm in others):
+            members[i] = (hm, _reduce(h, members[:i] + members[i + 1:], order, max_degree, F.p)[0])
     members.sort(key=lambda member: order.heap_key(member[0]))
     basis = []
     for hm, h in members:

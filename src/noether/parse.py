@@ -3,6 +3,8 @@
 Grammar: integer coefficients, variables matching ``[a-z][0-9]*``, binary
 operators ``+ - * ^`` (also ``**``), unary minus, parentheses.  Whitespace
 is insignificant.  ``^`` exponents must be non-negative integer literals.
+The grammar has no division, so the parser computes on integers (mod p over
+F_p) and makes the field's coefficients once, at the end.
 A product or power whose degree would exceed the degree budget is refused
 before it is expanded, and so is every exponent past that budget, whatever
 its base, so a constant power cannot build a huge integer either.  An
@@ -17,7 +19,7 @@ from typing import List, Tuple
 from .config import Budgets, DEFAULT_BUDGETS
 from .errors import ParseError, ResourceBudgetError
 from .fields import FieldSpec
-from .poly import Polynomial
+from .poly import Polynomial, mono_mul
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([a-z][0-9]*)|(\*\*|[-+*^()]))")
 
@@ -31,27 +33,23 @@ def _tokenize(text: str) -> List[Tuple[str, str, int]]:
             if text[pos:].strip() == "":
                 break
             raise ParseError(f"unexpected character {text[pos]!r}", column=pos)
-        if m.group(1):
-            tokens.append(("int", m.group(1), m.start()))
-        elif m.group(2):
-            tokens.append(("var", m.group(2), m.start()))
-        else:
-            op = "^" if m.group(3) == "**" else m.group(3)
-            tokens.append(("op", op, m.start()))
+        value = "^" if m.group(3) == "**" else m.group(m.lastindex)
+        tokens.append((("int", "var", "op")[m.lastindex - 1], value, m.start()))
         pos = m.end()
     return tokens
 
 
 class _Parser:
-    """Each rule returns its polynomial.  A product or power is refused by
-    the exact degree of its factors before it is expanded."""
+    """Each rule returns its polynomial as ``{exponents: int}``, reduced mod p
+    over F_p and without zero coefficients, so a product or power is refused
+    by the exact degree of its factors before it is expanded."""
 
     def __init__(self, tokens, field: FieldSpec, var_names, max_degree: int):
-        self.tokens = tokens
-        self.i = 0
-        self.field = field
-        self.var_names = list(var_names)
-        self.max_degree = max_degree
+        self.tokens, self.i, self.p, self.max_degree = tokens, 0, field.p, max_degree
+        names = list(var_names)
+        self.one = (0,) * len(names)
+        self.vars = {v: tuple(int(j == i) for j in range(len(names)))
+                     for i, v in enumerate(names) if v not in names[:i]}
 
     def bound(self, degree: int) -> int:
         if degree > self.max_degree:
@@ -75,77 +73,75 @@ class _Parser:
         self.i += 1
         return tok
 
-    def expect_op(self, op):
-        tok = self.take()
-        if tok[0] != "op" or tok[1] != op:
-            raise ParseError(f"expected {op!r}, found {tok[1]!r}", column=tok[2])
-
-    def parse(self) -> Polynomial:
-        p = self.expr()
+    def at(self, ops):
+        """The next token, taken, if it is one of the operators ``ops``."""
         tok = self.peek()
-        if tok is not None:
-            raise ParseError(f"trailing input at {tok[1]!r}", column=tok[2])
-        return p
+        if tok and tok[0] == "op" and tok[1] in ops:
+            self.i += 1
+            return tok
+
+    def clean(self, terms):
+        if self.p:
+            return {m: c % self.p for m, c in terms.items() if c % self.p}
+        return {m: c for m, c in terms.items() if c}
+
+    def mul(self, a, b):
+        out = {}
+        for m1, c1 in a.items():
+            for m2, c2 in b.items():
+                m = mono_mul(m1, m2)
+                out[m] = out.get(m, 0) + c1 * c2
+        return self.clean(out)
 
     def expr(self):
-        # sum of signed terms
-        sign = 1
-        tok = self.peek()
-        if tok and tok[0] == "op" and tok[1] in "+-":
-            self.take()
-            sign = -1 if tok[1] == "-" else 1
-        p = self.term()
-        if sign < 0:
-            p = -p
+        # sum of signed terms, the first with an optional sign
+        tok, total = self.at("+-"), {}
         while True:
-            tok = self.peek()
-            if tok and tok[0] == "op" and tok[1] in "+-":
-                self.take()
-                q = self.term()
-                p = p - q if tok[1] == "-" else p + q
-            else:
-                return p
+            sign = -1 if tok and tok[1] == "-" else 1
+            for m, c in self.term().items():
+                total[m] = total.get(m, 0) + sign * c
+            tok = self.at("+-")
+            if not tok:
+                return self.clean(total)
 
     def term(self):
         p = self.power()
-        while True:
-            tok = self.peek()
-            if tok and tok[0] == "op" and tok[1] == "*":
-                self.take()
-                q = self.power()
-                self.bound(p.total_degree() + q.total_degree())
-                p = p * q
-            else:
-                return p
+        while self.at("*"):
+            q = self.power()
+            self.bound(max(map(sum, p), default=-1) + max(map(sum, q), default=-1))
+            p = self.mul(p, q)
+        return p
 
     def power(self):
         base = self.atom()
-        tok = self.peek()
-        if tok and tok[0] == "op" and tok[1] == "^":
-            self.take()
-            etok = self.take()
-            if etok[0] != "int":
-                raise ParseError("exponent must be an integer literal", column=etok[2])
-            n = self.bound(self.literal(etok))
-            self.bound(base.total_degree() * n)
-            return base ** n
-        return base
+        if not self.at("^"):
+            return base
+        etok = self.take()
+        if etok[0] != "int":
+            raise ParseError("exponent must be an integer literal", column=etok[2])
+        n = self.bound(self.literal(etok))
+        self.bound(max(map(sum, base), default=-1) * n)
+        result = {self.one: 1}
+        for _ in range(n):
+            result = self.mul(result, base)
+        return result
 
     def atom(self):
         tok = self.take()
-        nvars = len(self.var_names)
         if tok[0] == "int":
-            return Polynomial.const(self.field, nvars, self.literal(tok))
+            return self.clean({self.one: self.literal(tok)})
         if tok[0] == "var":
-            if tok[1] not in self.var_names:
+            if tok[1] not in self.vars:
                 raise ParseError(f"unknown variable {tok[1]!r}", column=tok[2])
-            return Polynomial.var(self.field, nvars, self.var_names.index(tok[1]))
+            return {self.vars[tok[1]]: 1}
         if tok[0] == "op" and tok[1] == "(":
             p = self.expr()
-            self.expect_op(")")
+            tok = self.take()
+            if tok[0] != "op" or tok[1] != ")":
+                raise ParseError(f"expected ')', found {tok[1]!r}", column=tok[2])
             return p
         if tok[0] == "op" and tok[1] == "-":
-            return -self.atom()
+            return self.clean({m: -c for m, c in self.atom().items()})
         raise ParseError(f"unexpected token {tok[1]!r}", column=tok[2])
 
 
@@ -155,4 +151,8 @@ def parse_polynomial(text: str, field: FieldSpec, var_names,
         raise ParseError(f"polynomial text must be a string, got {text!r}")
     if not text.strip():
         raise ParseError("empty polynomial text")
-    return _Parser(_tokenize(text), field, var_names, budgets.max_degree).parse()
+    parser = _Parser(_tokenize(text), field, var_names, budgets.max_degree)
+    terms, tok = parser.expr(), parser.peek()
+    if tok is not None:
+        raise ParseError(f"trailing input at {tok[1]!r}", column=tok[2])
+    return Polynomial(field, len(parser.one), {m: field.from_int(c) for m, c in terms.items()})

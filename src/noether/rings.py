@@ -15,8 +15,13 @@ and opens keep nothing.  In k[x] it
 is the monic gcd with every factor it shares with f divided out; elsewhere
 Buchberger for a constant f, else the one Rabinowitsch construction, which
 adds 1 - t*f and eliminates t.  The canonical form saturates by the
-inverted product, and radical membership asks whether the canonical form
-saturated by f is the unit ideal.  Intersections and colons follow the
+inverted product.  A saturation or intersection is returned as its reduced
+basis, which over a ring that inverts nothing the ring keeps as the
+canonical basis of the handle built from it.  Radical membership asks
+whether the canonical form saturated by f is the unit ideal: in k[x] by
+that saturation, elsewhere by one basis with 1 - t*s*f, s the inverted
+product, with no elimination; the ring keeps each answer per (generators,
+f, budgets).  Intersections and colons follow the
 same split: in k[x], (g) intersect (h) is the monic lcm (g / gcd(g, h)) * h
 and the colon (g) : p is lcm(g, p) / p; elsewhere they eliminate one
 auxiliary t from t*I + (1 - t)*J.
@@ -36,8 +41,8 @@ from .poly import BlockElim, DEGREVLEX, Polynomial, exact_divmod
 
 class PresentedRing:
     """k[vars]/(quotient) with the ``inverted`` elements inverted.  Equality
-    and hashing read these four and not the bases, localizations and
-    inverted product the ring keeps."""
+    and hashing read these four and not the bases, radical-membership
+    answers, localizations and inverted product the ring keeps."""
 
     order = DEGREVLEX
 
@@ -148,6 +153,18 @@ def _intersection_gens(field: FieldSpec, nvars: int, gi: Sequence[Polynomial],
     one = Polynomial.const(field, nvars + 1, 1)
     lifted = [t * g.lift(1) for g in gi] + [(one - t) * g.lift(1) for g in gj]
     return _eliminate_aux(lifted, budgets)
+
+
+def _reduced_handle(ring: PresentedRing, basis: Sequence[Polynomial],
+                    budgets: Budgets) -> "IdealHandle":
+    """A handle on ``basis``, the reduced basis of an ideal that contains
+    the quotient.  Over a ring that inverts nothing that is the handle's
+    canonical basis, which the ring then keeps as such under ``budgets``."""
+    basis = tuple(basis)
+    if not ring.inverted:
+        key = (basis + ring.quotient, ring.inverted_product(), budgets)
+        ring.__dict__.setdefault("_bases", {})[key] = basis
+    return IdealHandle(ring, basis)
 
 
 def _saturated_basis(ring: PresentedRing, gens: Sequence[Polynomial], f: Polynomial,
@@ -267,14 +284,17 @@ def ideal_combine(op: str, I: IdealHandle, J: IdealHandle,
     if op == "intersection":
         gens = _intersection_gens(ring.field, ring.nvars, I.canonical_basis(budgets),
                                   J.canonical_basis(budgets), budgets)
-        return IdealHandle(ring, tuple(gens))
+        return _reduced_handle(ring, gens, budgets)
     raise DomainError(f"unknown ideal operation {op!r}")
 
 
 def saturate(I: IdealHandle, f: Polynomial, budgets: Budgets = DEFAULT_BUDGETS) -> IdealHandle:
-    """The saturation I : f^infinity as a new handle over the same ring."""
+    """The saturation (generators, quotient) : f^infinity as a new handle
+    over the same ring, on its reduced basis; over a ring that inverts
+    nothing that basis is the handle's canonical basis, and the ring keeps
+    it as such, so it is not computed again."""
     gens = I.generators + I.ring.quotient
-    return IdealHandle(I.ring, _saturated_basis(I.ring, gens, f, budgets))
+    return _reduced_handle(I.ring, _saturated_basis(I.ring, gens, f, budgets), budgets)
 
 
 def colon_ideal(I: IdealHandle, p: Polynomial, budgets: Budgets = DEFAULT_BUDGETS) -> IdealHandle:
@@ -300,11 +320,27 @@ def radical_membership(f: Polynomial, I: IdealHandle, budgets: Budgets = DEFAULT
     """True iff f lies in the radical of I in the presented ring.
 
     f is in rad(I*R) iff (I^c : f^infinity) is the unit ideal, where I^c is
-    the canonical form, already saturated by the inverted elements: one
-    Rabinowitsch auxiliary for f, or in k[x] the generator with every
-    factor it shares with f divided out.
+    the canonical form, (generators, quotient) : s^infinity with s the
+    product of the inverted elements.  In k[x] that saturation is the
+    canonical generator with every factor it shares with f divided out.
+    Elsewhere the reduced degrevlex basis of (generators, quotient,
+    1 - t*s*f) in k[t, vars] is [1] exactly then (Rabinowitsch): one basis,
+    with no canonical basis and no elimination order.  The ring keeps that
+    answer per (generators, f, budgets), apart from its bases.
     """
     if f.is_zero():
         return True
-    basis = _saturated_basis(I.ring, I.canonical_basis(budgets), f, budgets)
-    return len(basis) == 1 and basis[0].is_one()
+    ring = I.ring
+    if ring.nvars == 1:
+        basis = _saturated_basis(ring, I.canonical_basis(budgets), f, budgets)
+        return len(basis) == 1 and basis[0].is_one()
+    answers = ring.__dict__.setdefault("_radicals", {})
+    key = (I.generators, f, budgets)
+    if key not in answers:
+        t = Polynomial.var(ring.field, ring.nvars + 1, 0)
+        one = Polynomial.const(ring.field, ring.nvars + 1, 1)
+        gens = [g.lift(1) for g in I.generators + ring.quotient]
+        basis = groebner_basis(gens + [one - t * (ring.inverted_product() * f).lift(1)],
+                               ring.order, budgets)
+        answers[key] = len(basis) == 1 and basis[0].is_one()
+    return answers[key]

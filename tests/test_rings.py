@@ -427,3 +427,80 @@ def test_univariate_intersection_and_colon_need_no_elimination_budget(budgets, p
     report = run_job(JobSpec("ideal", payload, Budgets(**budgets)))
     assert report.exit_code == 0, report.result
     assert report.result["generators"] == generators
+
+
+# -- the bases each answer runs, and the refusals that moved with them --------
+
+
+def test_each_ideal_answer_runs_only_the_bases_it_needs(monkeypatch):
+    """Radical membership in two or more variables runs one basis and keeps
+    its answer; a saturation runs one and an intersection three (two
+    canonical bases and the elimination), and the handle built from either
+    result has that result as its canonical basis, with no basis run."""
+    from noether import rings
+
+    calls = []
+    basis = rings.groebner_basis
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return basis(*args, **kwargs)
+
+    monkeypatch.setattr(rings, "groebner_basis", counted)
+    plain = PresentedRing(QQ, ("x", "y"))
+    localized = plain.with_inverted(plain.parse("x"))
+    for R, member in ((plain, False), (localized, True)):
+        I = R.ideal("x*y", "x^2")
+        calls.clear()
+        assert radical_membership(R.parse("y"), I) is member
+        assert (len(calls), radical_membership(R.parse("y"), I), len(calls)) == (1, member, 1)
+    work = {"saturate": lambda I: saturate(I, plain.parse("x")),
+            "intersection": lambda I: ideal_combine("intersection", I, plain.ideal("y^2 - x"))}
+    for op, expected in (("saturate", 1), ("intersection", 3)):
+        calls.clear()
+        out = work[op](plain.ideal("x^2*y - x", "x*y^2"))
+        assert len(calls) == expected, op
+        assert out.canonical_basis() == out.generators
+        assert len(calls) == expected, op
+
+
+PIN_RING = {"field": "q", "vars": ["x", "y", "z"]}
+PIN_RING_FP = {"field": "fp:32003", "vars": ["x", "y", "z"]}
+
+
+@pytest.mark.parametrize("payload,codes", [
+    # Radical membership runs one basis of (I, 1 - t*f), which processes
+    # the pairs two bases split and meets the degree of 1 - t*f at once.
+    # Each grid was [3333333, 3300000, 3300000, 3300000] ...
+    ({"op": "radical-membership", "ring": PIN_RING, "ideal": ["-x + 7", "x*y - 9*y", "6*x*z - y"],
+      "element": "y^2 - 7*y"}, ["3333333", "3330000", "3330000", "3330000"]),
+    # ... [3000000] * 4 ...
+    ({"op": "radical-membership", "ring": PIN_RING_FP,
+      "ideal": ["6928*y^2 + 25176*y", "16997*y + 22629", "4236*x + 4464"],
+      "element": "4236*x + 20809"}, ["3300000"] * 4),
+    # ... [3111111] * 4 ...
+    ({"op": "radical-membership", "ring": PIN_RING, "ideal": ["-8*x + z", "7*x*y + x*z", "z + 8"],
+      "element": "-y + 8"}, ["3311111"] * 4),
+    # ... and [3333333, 3333333, 3333311, 3333311]: where the canonical
+    # basis alone met a degree past the budget, one basis may stay inside it.
+    ({"op": "radical-membership", "ring": PIN_RING_FP,
+      "ideal": ["19495*x*y + 9324*x", "7587*x + 24718*z^2", "27197*x*z + 4229*y^2"],
+      "element": "28794*z + 2496"}, ["3333333", "3333311", "3333311", "3333311"]),
+    # The intersection's canonical basis is the elimination's result, so
+    # its pairs are not processed again under the budget.  The grid was
+    # [3333333, 3333333, 3333300, 3333300].
+    ({"op": "combine", "mode": "intersection", "ring": PIN_RING,
+      "left": ["5*x*z - y", "4*x + z"], "right": ["z - 1", "x + 9*y*z"]},
+     ["3333333", "3333300", "3333300", "3333300"]),
+])
+def test_tight_budgets_refuse_where_one_basis_does(payload, codes):
+    """Exit codes on the grid max_degree 2, 3, 4, 6 (rows) by max_pairs 0, 1,
+    2, 4, 8, 16, 32 (columns).  The comments give each grid from when
+    radical membership ran a canonical basis and then an elimination basis,
+    and a saturation or intersection's canonical basis ran Buchberger
+    again."""
+    grid = ["".join(str(run_job(JobSpec("ideal", payload, Budgets(max_pairs=pairs,
+                                                                     max_degree=degree))).exit_code)
+                    for pairs in (0, 1, 2, 4, 8, 16, 32))
+            for degree in (2, 3, 4, 6)]
+    assert grid == codes

@@ -41,3 +41,15 @@ def test_run_tower_power_rule():
     assert done.returncode == 0, done.stderr
     assert [row[:4] for row in rows(done.stdout)] == [
         ["Q", "power", "2", "True"], ["F5", "power", "2", "True"]]
+
+
+def test_report_digest_prints_one_line_per_workload():
+    done = run_script("report_digest.py", str(ROOT), "--tiny", "--seeds", "1")
+    assert done.returncode == 0, done.stderr
+    lines = [line.split() for line in done.stdout.splitlines()]
+    assert [(row[0], row[1]) for row in lines] == [("kernel", "9"), ("structures", "16"),
+                                                   ("cli", "10")]
+    assert all(len(row[2]) == 64 and int(row[2], 16) >= 0 for row in lines)
+    other = run_script("report_digest.py", str(ROOT), "--tiny", "--seeds", "2")
+    assert other.returncode == 0, other.stderr
+    assert other.stdout.splitlines()[0].split()[2] != lines[0][2]
