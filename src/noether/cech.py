@@ -227,13 +227,9 @@ class TwistData:
 def twisted_cohomology_dims(t: TwistData,
                             budgets: Budgets = DEFAULT_BUDGETS) -> Dict[int, int]:
     """Dimensions of H^i(P^n, O(d)) from the cover by the n+1 coordinate
-    charts D(x_i), one sign pattern per number r of negative charts.
-
-    Only the patterns with no negative chart (H^0) and with every chart
-    negative (H^n) have cohomology.  Their multidegrees, all exponents
-    nonnegative or all negative with sum d, number C(n + d, n) and
-    C(-d - 1, n), which the window never binds.
-    """
+    charts D(x_i), one sign pattern per number r of negative charts.  Only
+    r = 0 and r = n + 1 have cohomology, over C(n + d, n) and C(-d - 1, n)
+    multidegrees with sum d, which the window never binds."""
     n, d = t.n, t.d
     if n > 4 or abs(d) > 20:
         raise CapabilityError("supported range is n <= 4 and |d| <= 20")

@@ -213,9 +213,8 @@ def groebner_basis(
     if not gens:
         return []
     max_degree = budgets.max_degree
-    for g in gens:
-        if g.total_degree() > max_degree:
-            raise ResourceBudgetError("max_degree", max_degree)
+    if any(g.total_degree() > max_degree for g in gens):
+        raise ResourceBudgetError("max_degree", max_degree)
     F, nvars = gens[0].field, gens[0].nvars
 
     # Each element is kept as a form (see ``_reduce``): its primitive
@@ -293,13 +292,11 @@ def groebner_basis(
     members = [(leads[k], forms[k]) for k in active
                if not any(j != k and mono_divides(leads[j], leads[k]) for j in active)]
     # Auto-reduce: leading monomials never change, so one pass of replacing
-    # each member by its remainder against the others suffices.  A member
-    # none of whose terms another's leading monomial divides is its own
-    # remainder, and is kept as it is.
+    # each member by its remainder against the others suffices; a member
+    # whose lower terms no leading monomial divides is its own remainder.
     heads = [hm for hm, _ in members]
     for i, (hm, h) in enumerate(members):
-        others = heads[:i] + heads[i + 1:]
-        if any(mono_divides(gm, m) for m in h for gm in others):
+        if any(mono_divides(gm, m) for m in h if m != hm for gm in heads):
             members[i] = (hm, _reduce(h, members[:i] + members[i + 1:], order, max_degree, F.p)[0])
     members.sort(key=lambda member: order.heap_key(member[0]))
     basis = []

@@ -257,8 +257,7 @@ class Polynomial:
         )
 
     def __hash__(self):
-        # Each coefficient hashes as (numerator, denominator), which ints
-        # carry too: ``Fraction.__hash__`` would compute a modular inverse.
+        # (numerator, denominator), which ints have too, spares Fraction.__hash__.
         if self._hash is None:
             self._hash = hash((self.field, self.nvars, frozenset(
                 (m, c.numerator, c.denominator) for m, c in self.terms.items())))

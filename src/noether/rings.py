@@ -8,23 +8,18 @@ Groebner basis, computed under the caller's budgets.  ``ideal_equal``
 compares two handles over the same ring by their canonical forms, which
 makes equality decidable in R_f; a handle itself compares by identity.
 
-Every operation works in k[vars], and every basis comes from one routine,
-``_saturated_basis``: the reduced basis of (gens) : f^infinity, which the
-ring keeps per (gens, f, budgets), as it keeps its localizations; handles
-and opens keep nothing.  In k[x] it
-is the monic gcd with every factor it shares with f divided out; elsewhere
-Buchberger for a constant f, else the one Rabinowitsch construction, which
-adds 1 - t*f and eliminates t.  The canonical form saturates by the
-inverted product.  A saturation or intersection is returned as its reduced
-basis, which over a ring that inverts nothing the ring keeps as the
-canonical basis of the handle built from it.  Radical membership asks
-whether the canonical form saturated by f is the unit ideal: in k[x] by
-that saturation, elsewhere by one basis with 1 - t*s*f, s the inverted
-product, with no elimination; the ring keeps each answer per (generators,
-f, budgets).  Intersections and colons follow the
-same split: in k[x], (g) intersect (h) is the monic lcm (g / gcd(g, h)) * h
-and the colon (g) : p is lcm(g, p) / p; elsewhere they eliminate one
-auxiliary t from t*I + (1 - t)*J.
+Every operation works in k[vars].  Every basis comes from
+``_saturated_basis``, the reduced basis of (gens) : f^infinity, which the
+ring keeps per (gens, f, budgets) as it keeps its localizations: in k[x]
+the monic gcd with every factor it shares with f divided out, elsewhere
+Buchberger for a constant f, else one elimination of t from (gens,
+1 - t*f).  The canonical form saturates by the inverted product s.  A
+saturation or intersection is a handle on its reduced basis, which a ring
+inverting nothing keeps as that handle's canonical basis.  Outside k[x],
+radical membership runs one basis of (gens, 1 - t*s*f), and the ring
+keeps the answer.  In k[x], (g) intersect (h) is the monic lcm
+(g / gcd(g, h)) * h and the colon (g) : p is lcm(g, p) / p; elsewhere
+they eliminate one auxiliary t from t*I + (1 - t)*J.
 """
 
 from __future__ import annotations
@@ -52,12 +47,10 @@ class PresentedRing:
         self.vars = vars
         self.quotient = quotient
         self.inverted = inverted
-        for p in quotient + inverted:
-            if p.nvars != self.nvars or p.field != field:
-                raise DomainError("presentation polynomial from a different ring")
-        for p in inverted:
-            if p.is_zero():
-                raise DomainError("cannot invert zero")
+        if any(p.nvars != self.nvars or p.field != field for p in quotient + inverted):
+            raise DomainError("presentation polynomial from a different ring")
+        if any(p.is_zero() for p in inverted):
+            raise DomainError("cannot invert zero")
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -130,14 +123,11 @@ def _eliminate_aux(lifted: List[Polynomial], budgets: Budgets) -> List[Polynomia
 
 def _intersection_gens(field: FieldSpec, nvars: int, gi: Sequence[Polynomial],
                        gj: Sequence[Polynomial], budgets: Budgets) -> List[Polynomial]:
-    """Generators of (gi) intersect (gj).
-
-    In k[x], where each side is (g) or (0), the monic lcm (g / gcd(g, h)) * h.
-    ``max_degree`` refuses a generator times t or an lcm past it: exactly
-    where the elimination below refuses for coprime or dividing generators,
-    and at most where it refuses otherwise.  Elsewhere, eliminate t from
-    t*(gi) + (1-t)*(gj).
-    """
+    """Generators of (gi) intersect (gj): in k[x], where each side is (g) or
+    (0), the monic lcm (g / gcd(g, h)) * h, refused past ``max_degree``
+    exactly where the elimination below refuses for coprime or dividing
+    generators and at most where it refuses otherwise; elsewhere, the
+    elimination of t from t*(gi) + (1-t)*(gj)."""
     if nvars == 1:
         from .univar import exact_quotient, gcd, poly_degree
         if any(poly_degree(g) >= budgets.max_degree for g in (*gi, *gj)):
@@ -157,13 +147,11 @@ def _intersection_gens(field: FieldSpec, nvars: int, gi: Sequence[Polynomial],
 
 def _reduced_handle(ring: PresentedRing, basis: Sequence[Polynomial],
                     budgets: Budgets) -> "IdealHandle":
-    """A handle on ``basis``, the reduced basis of an ideal that contains
-    the quotient.  Over a ring that inverts nothing that is the handle's
-    canonical basis, which the ring then keeps as such under ``budgets``."""
+    """A handle on ``basis``, the reduced basis of an ideal containing the
+    quotient; a ring inverting nothing keeps it as the canonical basis."""
     basis = tuple(basis)
     if not ring.inverted:
-        key = (basis + ring.quotient, ring.inverted_product(), budgets)
-        ring.__dict__.setdefault("_bases", {})[key] = basis
+        ring.__dict__.setdefault("_bases", {})[(basis + ring.quotient, ring.one(), budgets)] = basis
     return IdealHandle(ring, basis)
 
 
@@ -182,9 +170,8 @@ def _saturated_basis(ring: PresentedRing, gens: Sequence[Polynomial], f: Polynom
     if ring.nvars == 1:
         from .univar import gcd, strip_shared
         # The degree budget Buchberger applies to its input generators, not to f.
-        for g in gens:
-            if g.total_degree() > budgets.max_degree:
-                raise ResourceBudgetError("max_degree", budgets.max_degree)
+        if any(g.total_degree() > budgets.max_degree for g in gens):
+            raise ResourceBudgetError("max_degree", budgets.max_degree)
         g = gcd(gens, ring.field)
         basis = () if g.is_zero() else (g if f.is_constant() else strip_shared(g, f),)
     elif f.is_constant():
@@ -204,30 +191,23 @@ class IdealHandle:
     """Finite generator list in a presented ring; its bases are the ring's."""
 
     def __init__(self, ring: PresentedRing, generators: Tuple[Polynomial, ...]):
-        for g in generators:
-            if g.nvars != ring.nvars or g.field != ring.field:
-                raise DomainError("generator from a different ring")
+        if any(g.nvars != ring.nvars or g.field != ring.field for g in generators):
+            raise DomainError("generator from a different ring")
         self.ring = ring
         self.generators = tuple(generators)
 
     # -- bases -------------------------------------------------------------
 
     def plain_basis(self, budgets: Budgets = DEFAULT_BUDGETS) -> Tuple[Polynomial, ...]:
-        """Reduced Groebner basis of (generators + quotient), no saturation.
-
-        Not used by the library: an ideal's one basis is
-        :meth:`canonical_basis`.
-        """
+        """Reduced Groebner basis of (generators + quotient), unsaturated; the
+        library uses only :meth:`canonical_basis`."""
         gens = self.generators + self.ring.quotient
         return _saturated_basis(self.ring, gens, self.ring.one(), budgets)
 
     def canonical_basis(self, budgets: Budgets = DEFAULT_BUDGETS) -> Tuple[Polynomial, ...]:
-        """Reduced Groebner basis of the ideal's canonical form.
-
-        The canonical form is the contraction to k[vars] of the ideal this
-        handle generates in the presented ring: generators plus quotient,
-        saturated with respect to the product of the inverted elements.
-        """
+        """Reduced Groebner basis of the ideal's canonical form: the
+        contraction to k[vars] of the ideal it generates in the presented
+        ring, (generators, quotient) : s^infinity for the inverted product s."""
         gens = self.generators + self.ring.quotient
         return _saturated_basis(self.ring, gens, self.ring.inverted_product(), budgets)
 
@@ -289,21 +269,16 @@ def ideal_combine(op: str, I: IdealHandle, J: IdealHandle,
 
 
 def saturate(I: IdealHandle, f: Polynomial, budgets: Budgets = DEFAULT_BUDGETS) -> IdealHandle:
-    """The saturation (generators, quotient) : f^infinity as a new handle
-    over the same ring, on its reduced basis; over a ring that inverts
-    nothing that basis is the handle's canonical basis, and the ring keeps
-    it as such, so it is not computed again."""
+    """The saturation (generators, quotient) : f^infinity, as a handle over
+    the same ring on its reduced basis (see ``_reduced_handle``)."""
     gens = I.generators + I.ring.quotient
     return _reduced_handle(I.ring, _saturated_basis(I.ring, gens, f, budgets), budgets)
 
 
 def colon_ideal(I: IdealHandle, p: Polynomial, budgets: Budgets = DEFAULT_BUDGETS) -> IdealHandle:
-    """The colon ideal (I : p) for a single element, via (I intersect (p))/p.
-
-    Works with the canonical basis, since colon commutes with saturation:
-    (I : p) : s^inf = (I : s^inf) : p.  The intersection is taken inside
-    k[vars], where membership in (p) is exact divisibility by p.
-    """
+    """The colon ideal (I : p) for a single element, via (I intersect (p))/p
+    in k[vars], where membership in (p) is exact divisibility by p, on the
+    canonical basis: (I : p) : s^inf = (I : s^inf) : p."""
     ring = I.ring
     if p.is_zero():
         return IdealHandle(ring, (ring.one(),))
@@ -317,17 +292,12 @@ def colon_ideal(I: IdealHandle, p: Polynomial, budgets: Budgets = DEFAULT_BUDGET
 
 
 def radical_membership(f: Polynomial, I: IdealHandle, budgets: Budgets = DEFAULT_BUDGETS) -> bool:
-    """True iff f lies in the radical of I in the presented ring.
-
-    f is in rad(I*R) iff (I^c : f^infinity) is the unit ideal, where I^c is
-    the canonical form, (generators, quotient) : s^infinity with s the
-    product of the inverted elements.  In k[x] that saturation is the
-    canonical generator with every factor it shares with f divided out.
-    Elsewhere the reduced degrevlex basis of (generators, quotient,
-    1 - t*s*f) in k[t, vars] is [1] exactly then (Rabinowitsch): one basis,
-    with no canonical basis and no elimination order.  The ring keeps that
-    answer per (generators, f, budgets), apart from its bases.
-    """
+    """True iff f lies in the radical of I in the presented ring: iff
+    (generators, quotient) : (s*f)^infinity is (1), s the inverted product.
+    In k[x] that is the canonical generator with every factor it shares
+    with f divided out.  Elsewhere one reduced degrevlex basis of
+    (generators, quotient, 1 - t*s*f) in k[t, vars] decides it, and the
+    ring keeps the answer per (generators, f, budgets), apart from bases."""
     if f.is_zero():
         return True
     ring = I.ring

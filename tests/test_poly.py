@@ -354,7 +354,8 @@ def _expression(draw, depth=3):
         factors = draw(st.lists(inner, min_size=2, max_size=3))
         return draw(st.sampled_from(["*", " * "])).join(f"({f})" for f in factors)
     if kind == 3:
-        return f"({draw(inner)}){draw(st.sampled_from(['^', '**', ' ^ ']))}{draw(st.integers(0, 9))}"
+        caret = draw(st.sampled_from(["^", "**", " ^ "]))
+        return f"({draw(inner)}){caret}{draw(st.integers(0, 9))}"
     if kind == 4:
         return draw(st.sampled_from(["-({})", "({})", "-{}", "(({}))"])).format(draw(inner))
     a, b = draw(inner), draw(inner)
