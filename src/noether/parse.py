@@ -3,8 +3,7 @@
 Grammar: integer coefficients, variables matching ``[a-z][0-9]*``, binary
 operators ``+ - * ^`` (also ``**``), unary minus, parentheses.  Whitespace
 is insignificant.  ``^`` exponents must be non-negative integer literals.
-The grammar has no division, so the parser computes on integers (mod p over
-F_p) and makes the field's coefficients once, at the end.
+With no division to do, rules compute on integers, mod p over F_p.
 A product or power whose degree would exceed the degree budget is refused
 before it is expanded, and so is every exponent past that budget, whatever
 its base, so a constant power cannot build a huge integer either.  An
@@ -40,9 +39,8 @@ def _tokenize(text: str) -> List[Tuple[str, str, int]]:
 
 
 class _Parser:
-    """Each rule returns its polynomial as ``{exponents: int}``, reduced mod p
-    over F_p and without zero coefficients, so a product or power is refused
-    by the exact degree of its factors before it is expanded."""
+    """Each rule returns ``{exponents: int}`` without zeros, mod p over F_p,
+    so a product or power is refused by its factors' exact degrees."""
 
     def __init__(self, tokens, field: FieldSpec, var_names, max_degree: int):
         self.tokens, self.i, self.p, self.max_degree = tokens, 0, field.p, max_degree
@@ -74,7 +72,7 @@ class _Parser:
         return tok
 
     def at(self, ops):
-        """The next token, taken, if it is one of the operators ``ops``."""
+        """Take and return the next token if it is an operator in ``ops``."""
         tok = self.peek()
         if tok and tok[0] == "op" and tok[1] in ops:
             self.i += 1
