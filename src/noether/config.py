@@ -90,8 +90,8 @@ class Budgets:
 
     @staticmethod
     def from_env() -> "Budgets":
-        """The defaults under every ``NOETHER_BUDGET_*`` variable."""
-        env = {var: raw for var, raw in os.environ.items() if var.startswith(ENV_PREFIX)}
+        """The defaults under every ``NOETHER_BUDGET_*`` variable, found by name."""
+        env = {var: os.environ[var] for var in os.environ if var.startswith(ENV_PREFIX)}
         return Budgets(**Budgets.checked(env, env=True))
 
 

@@ -1,7 +1,8 @@
 """Buchberger's algorithm with explicit resource budgets.
 
 Produces reduced (monic, auto-reduced) Groebner bases, which are unique for
-a given ideal and monomial order.
+a given ideal and monomial order; ``interreduce`` runs only the final steps
+on a list that is already a Groebner basis.
 
 * Leading monomials are computed once per basis element and kept in a
   ``leads`` list beside the basis.  Each input is normalized straight into
@@ -215,7 +216,7 @@ def groebner_basis(
     max_degree = budgets.max_degree
     if any(g.total_degree() > max_degree for g in gens):
         raise ResourceBudgetError("max_degree", max_degree)
-    F, nvars = gens[0].field, gens[0].nvars
+    F = gens[0].field
 
     # Each element is kept as a form (see ``_reduce``): its primitive
     # integer multiple with a positive leading coefficient over Q, its monic
@@ -262,14 +263,7 @@ def groebner_basis(
 
     seen = set()
     for g in gens:
-        hm = g.leading_monomial(order)
-        if F.p:
-            inv = pow(g.terms[hm], -1, F.p)
-            h = {m: v * inv % F.p for m, v in g.terms.items()}
-        else:
-            h = _form(g.terms, F)[0]
-            if h[hm] < 0:
-                h = {m: -v for m, v in h.items()}
+        hm, h = _member(g, order)
         distinct = frozenset(h.items())
         if distinct not in seen:
             seen.add(distinct)
@@ -286,11 +280,33 @@ def groebner_basis(
         if h:
             update(next(iter(h)), h)
 
-    # Minimalize: drop members whose leading monomial another's divides (the
-    # leading monomials of the active elements are distinct, since adding an
-    # element retires every one whose leading monomial it divides).
-    members = [(leads[k], forms[k]) for k in active
-               if not any(j != k and mono_divides(leads[j], leads[k]) for j in active)]
+    # Active leading monomials are distinct: a new one retires those it divides.
+    return _reduced([(leads[k], forms[k]) for k in active], order, F, max_degree)
+
+
+def interreduce(basis: List[Polynomial], order: MonomialOrder,
+                budgets: Budgets = DEFAULT_BUDGETS) -> List[Polynomial]:
+    """Reduced basis of the ideal of ``basis``, a Groebner basis for ``order``
+    with distinct leading monomials: ``groebner_basis``'s last steps alone."""
+    members = [_member(g, order) for g in basis if not g.is_zero()]
+    return _reduced(members, order, basis[0].field, budgets.max_degree) if members else []
+
+
+def _member(g: Polynomial, order: MonomialOrder):
+    """``(leading monomial, form)`` of a nonzero ``g``; see ``groebner_basis``."""
+    F, hm = g.field, g.leading_monomial(order)
+    if F.p:
+        inv = pow(g.terms[hm], -1, F.p)
+        return hm, {m: v * inv % F.p for m, v in g.terms.items()}
+    h = _form(g.terms, F)[0]
+    return hm, (h if h[hm] > 0 else {m: -v for m, v in h.items()})
+
+
+def _reduced(members, order: MonomialOrder, F, max_degree: int) -> List[Polynomial]:
+    """Reduced basis from the members (leading monomial, form) of a basis."""
+    # Minimalize: drop members whose leading monomial another's divides.
+    members = [(hm, h) for i, (hm, h) in enumerate(members)
+               if not any(j != i and mono_divides(gm, hm) for j, (gm, _) in enumerate(members))]
     # Auto-reduce: leading monomials never change, so one pass of replacing
     # each member by its remainder against the others suffices; a member
     # whose lower terms no leading monomial divides is its own remainder.
@@ -301,7 +317,7 @@ def groebner_basis(
     members.sort(key=lambda member: order.heap_key(member[0]))
     basis = []
     for hm, h in members:
-        g = Polynomial(F, nvars, h if F.p else {m: Fraction(v, h[hm]) for m, v in h.items()})
+        g = Polynomial(F, len(hm), h if F.p else {m: Fraction(v, h[hm]) for m, v in h.items()})
         g._lead = (order, hm)
         basis.append(g)
     return basis

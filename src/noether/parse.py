@@ -1,82 +1,61 @@
-"""Recursive-descent parser for the polynomial input grammar.
+"""Parser for the polynomial input grammar.
 
 Grammar: integer coefficients, variables matching ``[a-z][0-9]*``, binary
 operators ``+ - * ^`` (also ``**``), unary minus, parentheses.  Whitespace
 is insignificant.  ``^`` exponents must be non-negative integer literals.
-With no division to do, rules compute on integers, mod p over F_p.
-A product or power whose degree would exceed the degree budget is refused
-before it is expanded, and so is every exponent past that budget, whatever
-its base, so a constant power cannot build a huge integer either.  An
-integer literal too long for Python to convert is a ``ParseError``.
+One regex scan makes the tokens, a stray character one of its own; one
+descent multiplies each run of integer and variable factors into one term,
+on integers (mod p over F_p; there is no division).  A product or power
+past the degree budget is refused before it is expanded, and so is every
+exponent past it, whatever its base, so a constant power cannot build a
+huge integer either.  An integer literal too long for Python to convert
+is a ``ParseError``.  A ``ParseError``'s column is the offset of the
+offending character; a stray character is reported before any other error.
 """
 
 from __future__ import annotations
 
 import re
-from typing import List, Tuple
+from fractions import Fraction
+from functools import reduce
 
 from .config import Budgets, DEFAULT_BUDGETS
 from .errors import ParseError, ResourceBudgetError
 from .fields import FieldSpec
 from .poly import Polynomial, mono_mul
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([a-z][0-9]*)|(\*\*|[-+*^()]))")
+_TOKEN = re.compile(r"\d+|[a-z][0-9]*|\*\*|\S")
+_SYMBOLS = ("+", "-", "*", "**", "^", "(", ")")
 
 
-def _tokenize(text: str) -> List[Tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip() == "":
-                break
-            raise ParseError(f"unexpected character {text[pos]!r}", column=pos)
-        value = "^" if m.group(3) == "**" else m.group(m.lastindex)
-        tokens.append((("int", "var", "op")[m.lastindex - 1], value, m.start()))
-        pos = m.end()
-    return tokens
+class _Descent:
+    """Reads the tokens by index, ``""`` closing them.  A sum is
+    ``{exponents: int}`` without zeros, mod p over F_p; a product keeps its
+    exact degree, -1 for zero, and is refused by it before it is expanded."""
 
-
-class _Parser:
-    """Each rule returns ``{exponents: int}`` without zeros, mod p over F_p,
-    so a product or power is refused by its factors' exact degrees."""
-
-    def __init__(self, tokens, field: FieldSpec, var_names, max_degree: int):
-        self.tokens, self.i, self.p, self.max_degree = tokens, 0, field.p, max_degree
-        names = list(var_names)
-        self.one = (0,) * len(names)
-        self.vars = {v: tuple(int(j == i) for j in range(len(names)))
-                     for i, v in enumerate(names) if v not in names[:i]}
+    def __init__(self, text, tokens, names, p: int, max_degree: int):
+        self.text, self.tokens, self.names = text, tokens + [""], names
+        self.p, self.max_degree = p, max_degree
 
     def bound(self, degree: int) -> int:
         if degree > self.max_degree:
             raise ResourceBudgetError("max_degree", self.max_degree)
         return degree
 
-    def literal(self, tok) -> int:
+    def error(self, message: str, i: int) -> ParseError:
+        """``message`` formatted with token ``i``, its column and its length."""
+        tok = self.tokens[i]
+        if not tok:
+            return ParseError("unexpected end of input")
+        column = [m.start() for m in _TOKEN.finditer(self.text)][i]
+        shown = repr("^" if tok == "**" else tok)
+        return ParseError(message.format(shown, column, len(tok)), column=column)
+
+    def literal(self, i: int) -> int:
         try:
-            return int(tok[1])
+            return int(self.tokens[i])
         except ValueError:  # past Python's limit on digits converted
-            raise ParseError(f"integer literal at column {tok[2]} is too long "
-                             f"({len(tok[1])} digits)", column=tok[2]) from None
-
-    def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
-
-    def take(self):
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input")
-        self.i += 1
-        return tok
-
-    def at(self, ops):
-        """Take and return the next token if it is an operator in ``ops``."""
-        tok = self.peek()
-        if tok and tok[0] == "op" and tok[1] in ops:
-            self.i += 1
-            return tok
+            raise self.error("integer literal at column {1} is too long ({2} digits)", i) from None
 
     def clean(self, terms):
         if self.p:
@@ -91,66 +70,95 @@ class _Parser:
                 out[m] = out.get(m, 0) + c1 * c2
         return self.clean(out)
 
-    def expr(self):
-        # sum of signed terms, the first with an optional sign
-        tok, total = self.at("+-"), {}
+    def expr(self, i: int):
+        """``(terms, i)``: the sum of signed terms from token ``i`` on, the
+        first with an optional sign, and the index after it."""
+        toks, total = self.tokens, {}
         while True:
-            sign = -1 if tok and tok[1] == "-" else 1
-            for m, c in self.term().items():
-                total[m] = total.get(m, 0) + sign * c
-            tok = self.at("+-")
-            if not tok:
-                return self.clean(total)
+            sign = -1 if toks[i] == "-" else 1
+            if toks[i] == "-" or toks[i] == "+":
+                i += 1
+            terms, i = self.term(i)
+            for m, v in terms.items():
+                total[m] = total.get(m, 0) + sign * v
+            if toks[i] != "+" and toks[i] != "-":
+                return self.clean(total), i
 
-    def term(self):
-        p = self.power()
-        while self.at("*"):
-            q = self.power()
-            self.bound(max(map(sum, p), default=-1) + max(map(sum, q), default=-1))
-            p = self.mul(p, q)
-        return p
-
-    def power(self):
-        base = self.atom()
-        if not self.at("^"):
-            return base
-        etok = self.take()
-        if etok[0] != "int":
-            raise ParseError("exponent must be an integer literal", column=etok[2])
-        n = self.bound(self.literal(etok))
-        self.bound(max(map(sum, base), default=-1) * n)
-        result = {self.one: 1}
-        for _ in range(n):
-            result = self.mul(result, base)
-        return result
-
-    def atom(self):
-        tok = self.take()
-        if tok[0] == "int":
-            return self.clean({self.one: self.literal(tok)})
-        if tok[0] == "var":
-            if tok[1] not in self.vars:
-                raise ParseError(f"unknown variable {tok[1]!r}", column=tok[2])
-            return {self.vars[tok[1]]: 1}
-        if tok[0] == "op" and tok[1] == "(":
-            p = self.expr()
-            tok = self.take()
-            if tok[0] != "op" or tok[1] != ")":
-                raise ParseError(f"expected ')', found {tok[1]!r}", column=tok[2])
-            return p
-        if tok[0] == "op" and tok[1] == "-":
-            return self.clean({m: -c for m, c in self.atom().items()})
-        raise ParseError(f"unexpected token {tok[1]!r}", column=tok[2])
+    def term(self, i: int):
+        """``(terms, i)`` as ``expr``, for a product kept as ``c * x^e * d``,
+        ``d`` None while every factor is an integer or a variable."""
+        toks, p, names = self.tokens, self.p, self.names
+        c, e, d, deg = 1, [0] * len(names), None, None
+        while True:
+            # one factor: unary minus signs, an atom, an optional ^k
+            v, f, j, k = 1, None, None, 1
+            while toks[i] == "-":
+                v, i = -v, i + 1
+            tok = toks[i]
+            if tok == "(":
+                f, i = self.expr(i + 1)
+                if toks[i] != ")":
+                    raise self.error("expected ')', found {}", i)
+                f = f if v > 0 else self.clean({m: -w for m, w in f.items()})
+                fdeg = max(map(sum, f), default=-1)
+            elif tok.isdecimal():
+                v = v * self.literal(i) % p if p else v * self.literal(i)
+                fdeg = 0 if v else -1
+            elif "a" <= tok[:1] <= "z":
+                if tok not in names:
+                    raise self.error("unknown variable {}", i)
+                j, fdeg = names.index(tok), 1
+            else:
+                raise self.error("unexpected token {}", i)
+            i += 1
+            if toks[i] == "^" or toks[i] == "**":
+                if not toks[i + 1].isdecimal():
+                    raise self.error("exponent must be an integer literal", i + 1)
+                k = self.bound(self.literal(i + 1))
+                self.bound(fdeg * k)
+                i += 2
+                if f is None:
+                    v = pow(v, k, p) if p else v ** k
+                    fdeg = fdeg * k if v else -1
+                else:
+                    f = reduce(self.mul, [f] * k, {(0,) * len(names): 1})
+                    fdeg = fdeg * k if f else -1
+            if deg is None:
+                deg = fdeg
+            else:
+                self.bound(deg + fdeg)
+                deg = deg + fdeg if deg >= 0 and fdeg >= 0 else -1
+            if f is not None:
+                d = f if d is None else self.mul(d, f)
+            else:
+                c = c * v % p if p else c * v
+                if j is not None:
+                    e[j] += k
+            if toks[i] != "*":
+                if d is None:
+                    return {tuple(e): c}, i
+                return {mono_mul(m, e): c * v for m, v in d.items()}, i
+            i += 1
 
 
 def parse_polynomial(text: str, field: FieldSpec, var_names,
                      budgets: Budgets = DEFAULT_BUDGETS) -> Polynomial:
     if not isinstance(text, str):
         raise ParseError(f"polynomial text must be a string, got {text!r}")
-    if not text.strip():
+    tokens = _TOKEN.findall(text)
+    if not tokens:
         raise ParseError("empty polynomial text")
-    parser = _Parser(_tokenize(text), field, var_names, budgets.max_degree)
-    terms, tok = parser.expr(), parser.peek()
-    if tok is not None:
-        raise ParseError(f"trailing input at {tok[1]!r}", column=tok[2])
-    return Polynomial(field, len(parser.one), {m: field.from_int(c) for m, c in terms.items()})
+    names = tuple(var_names)
+    descent = _Descent(text, tokens, names, field.p, budgets.max_degree)
+    try:
+        terms, i = descent.expr(0)
+        if i < len(tokens):
+            raise descent.error("trailing input at {}", i)
+    except (ParseError, ResourceBudgetError):
+        for i, tok in enumerate(tokens):  # a stray character comes first
+            if not (tok in _SYMBOLS or tok.isdecimal() or "a" <= tok[0] <= "z"):
+                raise descent.error("unexpected character {}", i) from None
+        raise
+    if not field.p:
+        terms = {m: Fraction(c) for m, c in terms.items()}
+    return Polynomial(field, len(names), terms)

@@ -14,8 +14,8 @@ ring keeps per (gens, f, budgets) as it keeps its localizations: in k[x]
 the monic gcd with every factor it shares with f divided out, elsewhere
 Buchberger for a constant f, else one elimination of t from (gens,
 1 - t*f).  The canonical form saturates by the inverted product s.  A
-saturation or intersection is a handle on its reduced basis, which a ring
-inverting nothing keeps as that handle's canonical basis.  Outside k[x],
+saturation, intersection or colon is a handle on its reduced basis, which a
+ring inverting nothing keeps as that handle's canonical basis.  Outside k[x],
 radical membership runs one basis of (gens, 1 - t*s*f), and the ring
 keeps the answer.  In k[x], (g) intersect (h) is the monic lcm
 (g / gcd(g, h)) * h and the colon (g) : p is lcm(g, p) / p; elsewhere
@@ -29,7 +29,7 @@ from typing import List, Sequence, Tuple
 from .config import Budgets, DEFAULT_BUDGETS
 from .errors import DomainError, ResourceBudgetError
 from .fields import FieldSpec
-from .groebner import groebner_basis, reduces_to_zero
+from .groebner import groebner_basis, interreduce, reduces_to_zero
 from .parse import parse_polynomial
 from .poly import BlockElim, DEGREVLEX, Polynomial, exact_divmod
 
@@ -278,7 +278,9 @@ def saturate(I: IdealHandle, f: Polynomial, budgets: Budgets = DEFAULT_BUDGETS) 
 def colon_ideal(I: IdealHandle, p: Polynomial, budgets: Budgets = DEFAULT_BUDGETS) -> IdealHandle:
     """The colon ideal (I : p) for a single element, via (I intersect (p))/p
     in k[vars], where membership in (p) is exact divisibility by p, on the
-    canonical basis: (I : p) : s^inf = (I : s^inf) : p."""
+    canonical basis: (I : p) : s^inf = (I : s^inf) : p.  The quotients of
+    the intersection's reduced basis by p, a Groebner basis of I : p, are
+    only inter-reduced into the result's basis (see ``_reduced_handle``)."""
     ring = I.ring
     if p.is_zero():
         return IdealHandle(ring, (ring.one(),))
@@ -288,7 +290,7 @@ def colon_ideal(I: IdealHandle, p: Polynomial, budgets: Budgets = DEFAULT_BUDGET
         if not r.is_zero():
             raise DomainError("intersection generator not divisible by the colon element")
         gens.append(q)
-    return IdealHandle(ring, tuple(gens))
+    return _reduced_handle(ring, interreduce(gens, ring.order, budgets), budgets)
 
 
 def radical_membership(f: Polynomial, I: IdealHandle, budgets: Budgets = DEFAULT_BUDGETS) -> bool:

@@ -241,6 +241,15 @@ def test_parse_error_exit_code(capsys, monkeypatch):
     assert doc["status"] == "error"
 
 
+def test_a_stray_character_after_a_space_exits_2_naming_it(capsys, monkeypatch):
+    payload = {"op": "membership", "ring": {"field": "q", "vars": ["x"]},
+               "ideal": ["x $"], "element": "x"}
+    code, doc = run(capsys, "ideal", "-", stdin=json.dumps(payload),
+                    monkeypatch=monkeypatch)
+    assert (code, doc["status"], doc["result"]) == (
+        2, "error", {"error": "unexpected character '$'"})
+
+
 def test_unknown_op_exit_code(capsys, monkeypatch):
     code, doc = run(capsys, "ideal", "-", stdin='{"op": "nonsense"}',
                     monkeypatch=monkeypatch)

@@ -1,5 +1,6 @@
 """Polynomial arithmetic, monomial orders, and the parser."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from noether.config import Budgets
 from noether.errors import ParseError, ResourceBudgetError
 from noether.fields import GF, QQ
-from noether.parse import _tokenize, parse_polynomial
+from noether.parse import parse_polynomial
 from noether.poly import (
     DEGREVLEX,
     LEX,
@@ -99,6 +100,9 @@ def test_parse_refuses_a_product_or_power_past_the_degree_budget():
     # The degree as written passes the budget; the exact degree does not.
     assert parse_polynomial("(x^5 - x^5 + y)*x^4", QQ, VARS, small) == poly("x^4*y")
     assert parse_polynomial("(x^5 - x^5 + y)^3", QQ, VARS, small) == poly("y^3")
+    # A zero factor makes the rest of its product zero, of degree -1.
+    assert parse_polynomial("0*x^5*x^4*y", QQ, VARS, small).is_zero()
+    assert parse_polynomial("7*x^5*x^4*y", GF(7), VARS, small).is_zero()
     for text in ("(x + y + 1)^9", "x^5*y^4", "x^3*(x*y)^3"):
         with pytest.raises(ResourceBudgetError) as refused:
             parse_polynomial(text, QQ, VARS, small)
@@ -122,6 +126,28 @@ def test_parse_refuses_an_integer_literal_too_long_to_convert():
     assert refused.value.column == 0
     with pytest.raises(ParseError, match="column 2 is too long"):
         parse_polynomial("x^" + "1" * 5000, QQ, VARS)
+
+
+@pytest.mark.parametrize("text,message,column", [
+    ("x y", "trailing input at 'y'", 2),
+    ("x +  q", "unknown variable 'q'", 5),
+    ("x  )", "trailing input at ')'", 3),
+    ("x $", "unexpected character '$'", 2),
+    ("\tx +\t$", "unexpected character '$'", 5),
+    ("(x + y  z)", "expected ')', found 'z'", 8),
+    ("x ^  y", "exponent must be an integer literal", 5),
+    ("x *  ** 2", "unexpected token '^'", 5),
+])
+def test_a_parse_error_names_the_offending_character_at_its_own_column(text, message, column):
+    with pytest.raises(ParseError) as refused:
+        poly(text)
+    assert (str(refused.value), refused.value.column) == (message, column)
+
+
+def test_a_stray_character_is_reported_before_any_other_error():
+    for text in ("x + + $", "x^99 + $", "(x $"):
+        with pytest.raises(ParseError, match=r"unexpected character '\$'"):
+            parse_polynomial(text, QQ, VARS, Budgets(max_degree=8))
 
 
 def test_arithmetic_in_characteristic_two():
@@ -219,6 +245,29 @@ def test_exact_divmod_matches_rebuilt_division(case):
 
 
 # -- the parser against its Polynomial-arithmetic oracle ----------------------
+
+
+_ORACLE_TOKEN = re.compile(r"\s*(?:(\d+)|([a-z][0-9]*)|(\*\*|[-+*^()]))")
+
+
+def oracle_tokenize(text):
+    """``(kind, value, column)`` tokens, read one regex match at a time; a
+    token's column is the offset of its first character, after any
+    whitespace, and a stray character is named at its own offset."""
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _ORACLE_TOKEN.match(text, pos)
+        if not m:
+            rest = text[pos:]
+            if rest.strip() == "":
+                break
+            col = pos + len(rest) - len(rest.lstrip())
+            raise ParseError(f"unexpected character {text[col]!r}", column=col)
+        value = "^" if m.group(3) == "**" else m.group(m.lastindex)
+        tokens.append((("int", "var", "op")[m.lastindex - 1], value, m.start(m.lastindex)))
+        pos = m.end()
+    return tokens
 
 
 class OracleParser:
@@ -331,35 +380,46 @@ class OracleParser:
 def oracle_parse(text, field, var_names, budgets):
     if not text.strip():
         raise ParseError("empty polynomial text")
-    return OracleParser(_tokenize(text), field, var_names, budgets.max_degree).parse()
+    return OracleParser(oracle_tokenize(text), field, var_names, budgets.max_degree).parse()
+
+
+_PAD = st.sampled_from(["", "", " ", "\t", " \t "])
 
 
 @st.composite
 def _expression(draw, depth=3):
     """A text of nested sums, products and powers, with unary minus, both
     power spellings, cancelling differences, literals above 2^64 and
-    multiples of 7, which vanish in F_7 and so lower a factor's degree."""
-    kind = draw(st.integers(0, 5)) if depth else 0
+    multiples of 7, which vanish in F_7 and so lower a factor's degree;
+    spaces and tabs come before and after tokens."""
+    kind = draw(st.integers(0, 6)) if depth else 0
     inner = _expression(depth - 1)
     if kind == 0:
-        return draw(st.one_of(st.sampled_from(["x", "y", "z"] * 4 + ["w", "x^3*y", "z^4"]),
+        leaf = draw(st.one_of(st.sampled_from(["x", "y", "z"] * 4 + ["w", "x^3*y", "z^4"]),
                               st.integers(0, 9).map(str), st.integers(2**64, 2**70).map(str),
                               st.integers(1, 3).map(lambda k: str(7 * k))))
+        return draw(_PAD) + leaf + draw(_PAD)
     if kind == 1:
-        parts = draw(st.lists(st.tuples(st.sampled_from([" + ", " - ", "-"]), inner),
+        parts = draw(st.lists(st.tuples(st.sampled_from([" + ", " - ", "-", "\t+"]), inner),
                               min_size=2, max_size=4))
         return draw(st.sampled_from(["", "-", "+"])) + "".join(
             part if k == 0 else op + part for k, (op, part) in enumerate(parts))
     if kind == 2:
         factors = draw(st.lists(inner, min_size=2, max_size=3))
-        return draw(st.sampled_from(["*", " * "])).join(f"({f})" for f in factors)
+        return draw(st.sampled_from(["*", " * ", "\t*"])).join(f"({f})" for f in factors)
     if kind == 3:
-        caret = draw(st.sampled_from(["^", "**", " ^ "]))
+        caret = draw(st.sampled_from(["^", "**", " ^ ", "\t**\t"]))
         return f"({draw(inner)}){caret}{draw(st.integers(0, 9))}"
     if kind == 4:
-        return draw(st.sampled_from(["-({})", "({})", "-{}", "(({}))"])).format(draw(inner))
-    a, b = draw(inner), draw(inner)
-    return f"({a})*({b}) - ({b})*({a}) + {a}"
+        return draw(st.sampled_from(["-({})", "({})", "-{}", "(({}))", "( {} )"])).format(draw(inner))
+    if kind == 5:
+        a, b = draw(inner), draw(inner)
+        return f"({a})*({b}) - ({b})*({a}) + {a}"
+    # a run of integer and variable factors, each signed and powered or not
+    factors = draw(st.lists(st.tuples(st.sampled_from(["", "", "-", "--"]), _expression(0),
+                                      st.sampled_from(["", "", "^2", "**3", " ^ 0", "^9"])),
+                            min_size=2, max_size=4))
+    return "*".join(sign + leaf + power for sign, leaf, power in factors)
 
 
 @st.composite
@@ -372,7 +432,7 @@ def _texts(draw):
     if kind == 1:
         return text[:where] + text[where + 1:]
     if kind == 2:
-        return text[:where] + draw(st.sampled_from(list("()+-*^x7 #"))) + text[where:]
+        return text[:where] + draw(st.sampled_from(list("()+-*^x7 \t#"))) + text[where:]
     return text
 
 

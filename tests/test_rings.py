@@ -334,11 +334,11 @@ def test_univariate_colon_and_intersection_equal_sympy(field, a, b, c, inverted)
                                             else canonical(g.lcm(h)))
 
 
-def intersection_by_elimination(field, gi, gj, budgets=DEFAULT_BUDGETS):
-    """Generators of (gi) intersect (gj) in k[x]: the t-free part of a basis
-    of t*(gi) + (1 - t)*(gj) under an order eliminating t."""
-    t = Polynomial.var(field, 2, 0)
-    one = Polynomial.const(field, 2, 1)
+def intersection_by_elimination(field, gi, gj, budgets=DEFAULT_BUDGETS, nvars=1):
+    """Generators of (gi) intersect (gj) in k[x_1..x_nvars]: the t-free part
+    of a basis of t*(gi) + (1 - t)*(gj) under an order eliminating t."""
+    t = Polynomial.var(field, nvars + 1, 0)
+    one = Polynomial.const(field, nvars + 1, 1)
     lifted = [t * g.lift(1) for g in gi] + [(one - t) * g.lift(1) for g in gj]
     basis = groebner_basis(lifted, BlockElim(1), budgets)
     return [g.drop_aux(1) for g in basis if not g.uses_aux(1)]
@@ -346,7 +346,8 @@ def intersection_by_elimination(field, gi, gj, budgets=DEFAULT_BUDGETS):
 
 def colon_by_elimination(I, p, budgets=DEFAULT_BUDGETS):
     """Generators of (I : p) for nonzero p: (I intersect (p)) / p."""
-    meet = intersection_by_elimination(I.ring.field, I.canonical_basis(budgets), [p], budgets)
+    meet = intersection_by_elimination(I.ring.field, I.canonical_basis(budgets), [p], budgets,
+                                       I.ring.nvars)
     return [exact_divmod(g, p)[0] for g in meet]
 
 
@@ -367,7 +368,24 @@ def test_univariate_intersection_and_colon_equal_elimination(field, a, b, c, inv
     assert list(meet.generators) == intersection_by_elimination(
         field, I.canonical_basis(), J.canonical_basis())
     if not p.is_zero():
-        assert list(colon_ideal(I, p).generators) == colon_by_elimination(I, p)
+        # The colon is a handle on its reduced basis: the monic quotient.
+        assert list(colon_ideal(I, p).generators) == [
+            q.monic(DEGREVLEX) for q in colon_by_elimination(I, p)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(multivariate_radical_cases())
+def test_colon_inter_reduces_the_quotients_to_buchbergers_basis(case):
+    """The quotients of the intersection's reduced basis by p are a Groebner
+    basis of I : p, so inter-reducing them gives Buchberger's reduced basis
+    of the elimination oracle's quotients, kept as the canonical basis."""
+    I, p = case
+    if p.is_zero():
+        return
+    out = colon_ideal(I, p)
+    expected = groebner_basis(colon_by_elimination(I, p), DEGREVLEX)
+    assert list(out.generators) == expected
+    assert list(out.canonical_basis()) == expected
 
 
 # (g, h) with g | h, h | g or gcd(g, h) = 1, and the zero ideal.
@@ -434,9 +452,11 @@ def test_univariate_intersection_and_colon_need_no_elimination_budget(budgets, p
 
 def test_each_ideal_answer_runs_only_the_bases_it_needs(monkeypatch):
     """Radical membership in two or more variables runs one basis and keeps
-    its answer; a saturation runs one and an intersection three (two
-    canonical bases and the elimination), and the handle built from either
-    result has that result as its canonical basis, with no basis run."""
+    its answer; a saturation runs one, an intersection three (two canonical
+    bases and the elimination) and then a colon of the same ideal one (the
+    elimination: the ring keeps the canonical basis, and the quotients are
+    only inter-reduced), and the handle built from each result has that
+    result as its canonical basis, with no basis run."""
     from noether import rings
 
     calls = []
@@ -455,8 +475,9 @@ def test_each_ideal_answer_runs_only_the_bases_it_needs(monkeypatch):
         assert radical_membership(R.parse("y"), I) is member
         assert (len(calls), radical_membership(R.parse("y"), I), len(calls)) == (1, member, 1)
     work = {"saturate": lambda I: saturate(I, plain.parse("x")),
-            "intersection": lambda I: ideal_combine("intersection", I, plain.ideal("y^2 - x"))}
-    for op, expected in (("saturate", 1), ("intersection", 3)):
+            "intersection": lambda I: ideal_combine("intersection", I, plain.ideal("y^2 - x")),
+            "colon": lambda I: colon_ideal(I, plain.parse("y"))}
+    for op, expected in (("saturate", 1), ("intersection", 3), ("colon", 1)):
         calls.clear()
         out = work[op](plain.ideal("x^2*y - x", "x*y^2"))
         assert len(calls) == expected, op
