@@ -305,6 +305,32 @@ def test_basis_certificate_in_elimination_orders(gens, order):
     assert keys == sorted(keys, reverse=True)
 
 
+@st.composite
+def ideal_pairs(draw):
+    """Two ideals of one ring, Q or F_7 in two variables: their leading
+    monomials often agree while their other terms do not."""
+    first = draw(small_ideals(fields=(QQ, GF(7)), max_vars=2))
+    return first, draw(small_ideals(fields=(first[0].field,), max_vars=2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(ideal_pairs())
+def test_interleaved_bases_carry_nothing_between_calls(ideals):
+    """I, then J, then I again under each order: nothing one basis
+    computation derives may reach the next, so I's two bases agree, and
+    each basis is checked against sympy or a Buchberger certificate."""
+    first, second = ideals
+    field = first[0].field
+    for order in (DEGREVLEX, LEX, BlockElim(1)):
+        bases = [groebner_basis(gens, order) for gens in (first, second, first)]
+        assert bases[0] == bases[2]
+        for gens, basis in zip(ideals, bases):
+            if order is DEGREVLEX:
+                assert _as_sets(basis) == _sympy_basis(gens, field)
+            else:
+                _assert_reduced_groebner_certificate(gens, basis, order)
+
+
 def _cyclic(n, field):
     def unit(idx):
         m = [0] * n
