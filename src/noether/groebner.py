@@ -31,6 +31,11 @@ on a list that is already a Groebner basis.
   pairs and zero tests are those of exact division.  Each basis element is
   kept in that normalized form until the end; ``normal_form`` divides by
   the tracked scale.
+* Each reducer multiple q*g is built once per ``groebner_basis`` call, in a
+  table per element (by index, never by lead) keyed by q, shared by the pair
+  loop and the final auto-reduction and dropped with the call; a reduced
+  member gets a new table.  Products enter the division, and have their
+  degrees checked, as without it, so refusals do not move.
 
 Budgets (`max_pairs`, `max_degree`) fail loudly instead of hanging.
 """
@@ -90,7 +95,7 @@ def _divide(p: Polynomial, basis: List[Polynomial], order: MonomialOrder, budget
     ``basis`` (see ``_reduce``), ``scale`` times the exact one."""
     F = p.field
     terms, scale = _form(p.terms, F)
-    reducers = [(g.leading_monomial(order), _form(g.terms, F)[0])
+    reducers = [(g.leading_monomial(order), _form(g.terms, F)[0], {})
                 for g in basis if not g.is_zero()]
     remainder, r_scale = _reduce(terms, reducers, order, budgets.max_degree, F.p)
     return remainder, scale * r_scale
@@ -107,10 +112,11 @@ def _form(terms, F):
     return {m: v // content for m, v in ints.items()}, Fraction(den, content)
 
 
-def _reduce(terms, reducers, order: MonomialOrder, max_degree: int, p: int):
+def _reduce(terms, reducers, order: MonomialOrder, max_degree: int, p: int, monomials=None):
     """Fraction-free division of integer ``terms`` by integer ``reducers``,
-    given as ``(leading monomial, terms)``, over Z/p (``p`` prime) or over
-    Q (``p`` zero); returns ``(remainder, scale)``.
+    given as ``(leading monomial, terms, multiples)``, over Z/p (``p`` prime)
+    or over Q (``p`` zero); returns ``(remainder, scale)``.  ``multiples``
+    maps q to q*g's monomials, None for the lead, interned in ``monomials``.
 
     Each step takes the reducer exact division takes and computes
     ``a*work - b*q*g`` with ``a = lc(g)/e``, ``b = lc(work)/e``, ``e =
@@ -135,6 +141,7 @@ def _reduce(terms, reducers, order: MonomialOrder, max_degree: int, p: int):
     heapify(heap)
     remainder = {}
     scale = 1
+    share = ({} if monomials is None else monomials).setdefault
     while heap:
         lm = heappop(heap)[1]
         lc = work.pop(lm)
@@ -142,7 +149,7 @@ def _reduce(terms, reducers, order: MonomialOrder, max_degree: int, p: int):
             lc %= p
         if not lc:
             continue
-        for gm, gterms in reducers:
+        for gm, gterms, multiples in reducers:
             if mono_divides(gm, lm):
                 break
         else:
@@ -156,10 +163,13 @@ def _reduce(terms, reducers, order: MonomialOrder, max_degree: int, p: int):
             work = {m: a * v for m, v in work.items()}
             remainder = {m: a * v for m, v in remainder.items()}
         q = mono_div(lm, gm)
-        for t, v in gterms.items():
-            if t is gm:
+        tail = multiples.get(q)
+        if tail is None:
+            tail = multiples[q] = tuple([None if t is gm else share(m := mono_mul(q, t), m)
+                                          for t in gterms])
+        for m, v in zip(tail, gterms.values()):
+            if m is None:
                 continue
-            m = mono_mul(q, t)
             if m in work:
                 work[m] -= b * v
             else:
@@ -221,16 +231,17 @@ def groebner_basis(
     # Each element is kept as a form (see ``_reduce``): its primitive
     # integer multiple with a positive leading coefficient over Q, its monic
     # multiple mod p over F_p.  A remainder lists its leading term first.
-    forms = []  # forms[i] is the form of the i-th element
-    leads = []  # leads[i] is its leading monomial, a key of forms[i]
+    members = []  # members[i] is (leading monomial, form, multiples) of element i
+    leads = []  # leads[i] is its leading monomial, a key of its form
     active: List[int] = []  # element indices still used as reducers
     pairs = []  # heap of (deg lcm, order key of lcm, i, j, lcm)
+    monomials = {}  # see ``_reduce``
 
     def update(hm, h) -> None:
         """Add the form ``h`` with leading monomial ``hm`` and its pairs to
         the queue (Gebauer-Moeller)."""
-        new = len(forms)
-        forms.append(h)
+        new = len(members)
+        members.append((hm, h, {}))
         leads.append(hm)
         candidates = [(mono_lcm(leads[k], hm), k) for k in active]
         # Criterion M: of the new pairs, keep one per minimal lcm (the last
@@ -275,20 +286,20 @@ def groebner_basis(
         if processed > budgets.max_pairs:
             raise ResourceBudgetError("max_pairs", budgets.max_pairs)
         _, _, i, j, lcm = heappop(pairs)
-        s = _s_polynomial(forms[i], leads[i], forms[j], leads[j], lcm, F.p)
-        h = _reduce(s, [(leads[k], forms[k]) for k in active], order, max_degree, F.p)[0]
+        s = _s_polynomial(members[i][1], leads[i], members[j][1], leads[j], lcm, F.p)
+        h = _reduce(s, [members[k] for k in active], order, max_degree, F.p, monomials)[0]
         if h:
             update(next(iter(h)), h)
 
     # Active leading monomials are distinct: a new one retires those it divides.
-    return _reduced([(leads[k], forms[k]) for k in active], order, F, max_degree)
+    return _reduced([members[k] for k in active], order, F, max_degree)
 
 
 def interreduce(basis: List[Polynomial], order: MonomialOrder,
                 budgets: Budgets = DEFAULT_BUDGETS) -> List[Polynomial]:
     """Reduced basis of the ideal of ``basis``, a Groebner basis for ``order``
     with distinct leading monomials: ``groebner_basis``'s last steps alone."""
-    members = [_member(g, order) for g in basis if not g.is_zero()]
+    members = [(*_member(g, order), {}) for g in basis if not g.is_zero()]
     return _reduced(members, order, basis[0].field, budgets.max_degree) if members else []
 
 
@@ -303,20 +314,21 @@ def _member(g: Polynomial, order: MonomialOrder):
 
 
 def _reduced(members, order: MonomialOrder, F, max_degree: int) -> List[Polynomial]:
-    """Reduced basis from the members (leading monomial, form) of a basis."""
+    """Reduced basis from the members (leading monomial, form, multiples) of a basis."""
     # Minimalize: drop members whose leading monomial another's divides.
-    members = [(hm, h) for i, (hm, h) in enumerate(members)
-               if not any(j != i and mono_divides(gm, hm) for j, (gm, _) in enumerate(members))]
+    members = [(hm, h, t) for i, (hm, h, t) in enumerate(members)
+               if not any(j != i and mono_divides(gm, hm) for j, (gm, _, _) in enumerate(members))]
     # Auto-reduce: leading monomials never change, so one pass of replacing
     # each member by its remainder against the others suffices; a member
     # whose lower terms no leading monomial divides is its own remainder.
-    heads = [hm for hm, _ in members]
-    for i, (hm, h) in enumerate(members):
+    heads = [member[0] for member in members]
+    for i, (hm, h, _) in enumerate(members):
         if any(mono_divides(gm, m) for m in h if m != hm for gm in heads):
-            members[i] = (hm, _reduce(h, members[:i] + members[i + 1:], order, max_degree, F.p)[0])
+            h = _reduce(h, members[:i] + members[i + 1:], order, max_degree, F.p)[0]
+            members[i] = (hm, h, {})
     members.sort(key=lambda member: order.heap_key(member[0]))
     basis = []
-    for hm, h in members:
+    for hm, h, _ in members:
         g = Polynomial(F, len(hm), h if F.p else {m: Fraction(v, h[hm]) for m, v in h.items()})
         g._lead = (order, hm)
         basis.append(g)

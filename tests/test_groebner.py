@@ -2,8 +2,10 @@
 GF(2) linear-algebra membership oracle."""
 
 import copy
+import gc
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -380,6 +382,29 @@ def test_standard_system_over_q_matches_sympy(system, size):
     assert _as_sets(basis) == _sympy_basis(gens, QQ)
 
 
+def test_reducer_multiples_are_kept_for_one_basis_only():
+    """The table of reducer multiples lives and dies with one basis call:
+    nothing traced stays behind once a call returns, and the table of a
+    katsura-5 basis stays small."""
+    small, large = _katsura(4, GF(32003)), _katsura(5, GF(32003))
+    tracemalloc.start()
+    try:
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        after = []
+        for _ in range(2):
+            groebner_basis(small, DEGREVLEX)
+            gc.collect()
+            after.append(tracemalloc.get_traced_memory()[0])
+        tracemalloc.reset_peak()
+        groebner_basis(large, DEGREVLEX)
+        peak = tracemalloc.get_traced_memory()[1] - after[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(after[0] - before) <= 4096 and abs(after[1] - after[0]) <= 4096
+    assert peak < 2 ** 20
+
+
 # Degree grows during these lex reductions: x - y^3 turns x^3 into y^9.
 GROWING = [
     (Polynomial(QQ, 2, {(3, 0): Fraction(1)}),
@@ -445,7 +470,7 @@ def test_integer_remainder_is_a_multiple_of_the_exact_one(case, order):
     F = p.field
     budgets = Budgets(max_degree=max_degree)
     terms, p_scale = _form(p.terms, F)
-    reducers = [(_lead(g, order), _form(g.terms, F)[0]) for g in basis]
+    reducers = [(_lead(g, order), _form(g.terms, F)[0], {}) for g in basis]
     try:
         expected = _normal_form_oracle(p, basis, order, budgets)
     except ResourceBudgetError:
