@@ -259,6 +259,8 @@ def decode_object(text: str, what: str) -> Dict[str, Any]:
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON {what}: {exc.msg}",
                          line=exc.lineno, column=exc.colno) from exc
+    except (RecursionError, ValueError):  # nesting or an integer past Python's limits
+        raise ParseError(f"invalid JSON {what}: nested too deeply or integer too long") from None
     if not isinstance(doc, dict):
         raise ParseError(f"{what} must be a JSON object")
     return doc
@@ -293,7 +295,10 @@ def _field_from_json(desc: str) -> FieldSpec:
     if desc == "q":
         return QQ
     if desc.startswith("fp:") and desc[3:].isdecimal():
-        return GF(int(desc[3:]))
+        try:
+            return GF(int(desc[3:]))
+        except ValueError:  # past Python's limit on digits converted
+            raise ParseError("'field' modulus has too many digits") from None
     raise ParseError(f"unknown field descriptor {desc!r} for 'field'; "
                      "use 'q' or 'fp:<p>'")
 

@@ -154,10 +154,12 @@ def parse_polynomial(text: str, field: FieldSpec, var_names,
         terms, i = descent.expr(0)
         if i < len(tokens):
             raise descent.error("trailing input at {}", i)
-    except (ParseError, ResourceBudgetError):
+    except (ParseError, ResourceBudgetError, RecursionError) as exc:
         for i, tok in enumerate(tokens):  # a stray character comes first
             if not (tok in _SYMBOLS or tok.isdecimal() or "a" <= tok[0] <= "z"):
                 raise descent.error("unexpected character {}", i) from None
+        if isinstance(exc, RecursionError):
+            raise ParseError("parentheses nested too deeply") from None
         raise
     if not field.p:
         terms = {m: Fraction(c) for m, c in terms.items()}

@@ -716,6 +716,34 @@ def test_a_huge_power_is_refused_while_parsed():
     assert (report.exit_code, report.config["error_type"]) == (3, "ResourceBudgetError")
 
 
+_ON_Q = {"ring": {"field": "q", "vars": ["x"]}, "generators": ["x"]}
+_PAST_A_LIMIT = "invalid JSON payload: nested too deeply or integer too long"
+
+
+@pytest.mark.parametrize("command,text,message", [
+    ("groebner", "[" * 100_000 + "]" * 100_000, _PAST_A_LIMIT),
+    ("baer", '{"finite_ring": {"zmod": ' + "7" * 5000 + "}}", _PAST_A_LIMIT),
+    ("groebner", json.dumps({**_ON_Q, "ring": {"field": "fp:" + "7" * 5000, "vars": ["x"]}}),
+     "'field' modulus has too many digits"),
+    ("groebner", json.dumps({**_ON_Q, "generators": ["(" * 500 + "x" + ")" * 500]}),
+     "parentheses nested too deeply"),
+], ids=["deep-json", "long-integer", "long-modulus", "deep-parentheses"])
+def test_a_malformed_input_past_a_python_limit_exits_2(command, text, message):
+    # Each of these used to end in a RecursionError or ValueError traceback
+    # and exit 1, so each runs as its own CLI process.
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-m", "noether.cli", command, "-"], input=text,
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 2 and "Traceback" not in done.stderr, done.stderr
+    doc = json.loads(done.stdout)
+    assert (doc["status"], doc.get("result", doc).get("error")) == ("error", message)
+
+
+def test_a_long_budget_integer_in_a_job_document_is_a_parse_error():
+    with pytest.raises(ParseError, match="invalid JSON job: nested too deeply or integer too long"):
+        parse_job('{"command": "groebner", "budgets": {"max_pairs": ' + "9" * 5000 + "}}")
+
+
 def test_text_rendering(tmp_path, capsys):
     path = write_payload(tmp_path, {
         "op": "membership", "ring": {"field": "q", "vars": ["x"]},
