@@ -11,10 +11,13 @@ For each seed it builds the workload's round with the tree's own
 Each line gives the workload, the number of answers and the SHA-256 of
 their JSON.  Two trees answer alike exactly when they print the same lines,
 so answer parity between two checkouts is one run on each.  Nothing is
-written into the tree: no bytecode is cached.
+written into the tree: no bytecode is cached.  ``--workloads`` picks some
+of the three, in their order: ``--workloads kernel`` checks the kernel's
+answers without the CLI processes.
 
 Usage:
     python3 scripts/report_digest.py TREE [--seeds 1 2 3] [--tiny]
+        [--workloads kernel structures cli]
 """
 
 import argparse
@@ -58,11 +61,15 @@ def cli_answers(jobs, src):
     return answers
 
 
+WORKLOADS = ["kernel", "structures", "cli"]
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("tree", help="root of a checkout, with src/ and perfbench/")
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
     parser.add_argument("--tiny", action="store_true", help="the smoke-test rounds")
+    parser.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=WORKLOADS)
     args = parser.parse_args()
 
     tree = os.path.abspath(args.tree)
@@ -74,6 +81,8 @@ def main() -> None:
     run = {"kernel": kernel_answers, "structures": structures_answers,
            "cli": lambda jobs: cli_answers(jobs, src)}
     for workload, answer in run.items():
+        if workload not in args.workloads:
+            continue
         answers = [answer(workloads.build(workload, seed, tiny=args.tiny))
                    for seed in args.seeds]
         text = json.dumps(answers, sort_keys=True)

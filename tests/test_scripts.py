@@ -53,3 +53,8 @@ def test_report_digest_prints_one_line_per_workload():
     other = run_script("report_digest.py", str(ROOT), "--tiny", "--seeds", "2")
     assert other.returncode == 0, other.stderr
     assert other.stdout.splitlines()[0].split()[2] != lines[0][2]
+    # --workloads keeps the named ones, in the script's order, with the same digests.
+    some = run_script("report_digest.py", str(ROOT), "--tiny", "--seeds", "1",
+                      "--workloads", "structures", "kernel")
+    assert some.returncode == 0, some.stderr
+    assert [line.split() for line in some.stdout.splitlines()] == lines[:2]
