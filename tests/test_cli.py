@@ -729,8 +729,9 @@ _PAST_A_LIMIT = "invalid JSON payload: nested too deeply or integer too long"
      "parentheses nested too deeply"),
 ], ids=["deep-json", "long-integer", "long-modulus", "deep-parentheses"])
 def test_a_malformed_input_past_a_python_limit_exits_2(command, text, message):
-    # Each of these used to end in a RecursionError or ValueError traceback
-    # and exit 1, so each runs as its own CLI process.
+    # Each input passes a Python limit (recursion depth or digits converted)
+    # whose error must not escape as a traceback, so each runs as its own CLI
+    # process.
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     done = subprocess.run([sys.executable, "-m", "noether.cli", command, "-"], input=text,
                           capture_output=True, text=True, env=env, timeout=60)
