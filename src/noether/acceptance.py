@@ -17,7 +17,7 @@ from typing import Callable, Dict, List, Sequence, Tuple
 from .baer import (baer_chain, baer_step, baer_test, first_principles_injective,
                    injective_envelope_bruteforce)
 from .cech import TwistData, twisted_cohomology_dims
-from .config import Budgets, DEFAULT_BUDGETS
+from .config import Budgets, DEFAULT_BUDGETS, Record
 from .digraph import (DigraphNode, IdealDigraph, ZZSheafData, digraph_oracle,
                       evaluate_sheaf, extract_digraph, extract_zz_digraph,
                       quasi_coherent_oracle, validate_digraph, zz_sheaf_value)
@@ -32,19 +32,13 @@ from .topology import DistinguishedOpen, FiniteSpace, coordinate_ring
 from .tower import run_tower_suite, tower_ring
 
 
-class AcceptanceResult:
+class AcceptanceResult(Record):
     def __init__(self, name: str, passed: bool, detail: str, seconds: float, limit: float):
         self.name = name
         self.passed = passed
         self.detail = detail
         self.seconds = seconds
         self.limit = limit
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.name, self.passed, self.detail, self.seconds, self.limit)
-                == (other.name, other.passed, other.detail, other.seconds, other.limit))
 
 
 # ---------------------------------------------------------------------------

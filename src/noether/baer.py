@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from .config import Budgets, DEFAULT_BUDGETS
+from .config import Budgets, DEFAULT_BUDGETS, FrozenRecord, Record
 from .errors import BoundExceededError, DomainError, ValidationError
 from .finite import (FiniteModule, all_homs, coset_representatives,
                      enumerate_ideals, enumerate_submodules, free_module,
@@ -31,15 +31,10 @@ from .finite import (FiniteModule, all_homs, coset_representatives,
 # Baer's criterion
 # ---------------------------------------------------------------------------
 
-class BaerReport:
+class BaerReport(Record):
     def __init__(self, injective: bool, witness: Optional[Tuple[FrozenSet, Dict]] = None):
         self.injective = injective
         self.witness = witness
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.injective, self.witness) == (other.injective, other.witness)
 
     def as_dict(self) -> Dict:
         out = {"injective": self.injective}
@@ -72,18 +67,10 @@ def baer_test(M: FiniteModule, budgets: Budgets = DEFAULT_BUDGETS) -> BaerReport
 # The one-step extension M1 in lazy normal form
 # ---------------------------------------------------------------------------
 
-class LedgerEntry:
+class LedgerEntry(FrozenRecord):
     def __init__(self, ideal: FrozenSet, graph: Dict):
         self.ideal = ideal
         self.graph = graph  # linear map ideal -> M, as an element graph
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.ideal, self.graph) == (other.ideal, other.graph)
-
-    def __hash__(self):
-        return hash((self.ideal, self.graph))
 
 
 class BaerModule:
@@ -228,15 +215,10 @@ def _verify_slot_extension(ext: BaerModule, s: int, entry: LedgerEntry):
 # The chain
 # ---------------------------------------------------------------------------
 
-class BaerChain:
+class BaerChain(Record):
     def __init__(self, stages: List, stalled_at: Optional[int] = None):
         self.stages = stages  # M, then the BaerModule each step built
         self.stalled_at = stalled_at
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.stages, self.stalled_at) == (other.stages, other.stalled_at)
 
 
 def baer_chain(M: FiniteModule, K: int,

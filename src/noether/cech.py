@@ -25,7 +25,7 @@ import itertools
 from math import comb, gcd as igcd, lcm
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Sequence, Tuple
 
-from .config import Budgets, DEFAULT_BUDGETS
+from .config import Budgets, DEFAULT_BUDGETS, FrozenRecord, Record
 from .errors import CapabilityError, DomainError, ResourceBudgetError, ValidationError
 from .fields import FieldSpec, QQ
 
@@ -92,7 +92,7 @@ def matrix_rank(rows: List[List], field: FieldSpec) -> int:
 # Generic alternating cochain complexes
 # ---------------------------------------------------------------------------
 
-class CechComplex:
+class CechComplex(Record):
     """An alternating Čech complex with explicitly tabulated differentials.
 
     ``dims[p]`` is the dimension of the degree-p cochain group and
@@ -107,12 +107,6 @@ class CechComplex:
         self.dims = dims
         self.differentials = differentials
         self.window = {} if window is None else window
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.field, self.dims, self.differentials, self.window)
-                == (other.field, other.dims, other.differentials, other.window))
 
     def verify_d_squared(self) -> bool:
         """True iff d_(p+1) d_p = 0 for every p, on integer matrices: each
@@ -200,7 +194,7 @@ def _pattern_complex(n: int, r: int) -> CechComplex:
 # Twisted structure sheaves on projective space
 # ---------------------------------------------------------------------------
 
-class TwistData:
+class TwistData(FrozenRecord):
     """O(d) on P^n; ``window`` bounds the exponents of the monomial basis."""
 
     def __init__(self, n: int, d: int):
@@ -208,14 +202,6 @@ class TwistData:
             raise DomainError("projective dimension must be nonnegative")
         self.n = n
         self.d = d
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.n, self.d) == (other.n, other.d)
-
-    def __hash__(self):
-        return hash((self.n, self.d))
 
     @property
     def window(self) -> int:
@@ -248,22 +234,13 @@ def twisted_cohomology_dims(t: TwistData,
 # Affine quasi-coherent complexes (univariate base)
 # ---------------------------------------------------------------------------
 
-class AffineWindow:
+class AffineWindow(FrozenRecord):
     """Truncation for affine section spaces: numerators of degree at most
     base_degree + denominator_exponent * deg(chart product)."""
 
     def __init__(self, base_degree: int = 8, denominator_exponent: int = 3):
         self.base_degree = base_degree
         self.denominator_exponent = denominator_exponent
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.base_degree, self.denominator_exponent)
-                == (other.base_degree, other.denominator_exponent))
-
-    def __hash__(self):
-        return hash((self.base_degree, self.denominator_exponent))
 
 
 def cech_complex_affine(R: PresentedRing, I: IdealHandle, cover: OpenCover,

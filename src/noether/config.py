@@ -8,24 +8,42 @@ variables of the form ``NOETHER_BUDGET_<FIELD>`` override the defaults,
 e.g. ``NOETHER_BUDGET_MAX_PAIRS=500000``; any other ``NOETHER_BUDGET_*``
 name is refused, as an unknown key of a job's ``budgets`` is.
 
-``Budgets.FIELDS`` names the fields once, for ``checked``, equality,
-hashing and ``replace``; ``Budgets`` is a plain class, since importing
-``dataclasses`` would cost every CLI process 8-11 ms.
+The package's records (``Budgets`` among them) compare through
+``Record``: equal to an instance of its own class whose fields, the
+instance ``__dict__``, are equal.  A ``FrozenRecord`` is also hashed, as
+the tuple of its fields in the order its ``__init__`` sets them.  Both are
+plain classes, since importing ``dataclasses`` would cost every CLI
+process 8-11 ms.  ``Budgets.FIELDS`` names the budgets for ``checked``.
 """
 
 from __future__ import annotations
 
 import os
-from operator import attrgetter
 
 from .errors import ParseError
 
 ENV_PREFIX = "NOETHER_BUDGET_"
 
 
-class Budgets:
+class Record:
+    """Equal to an instance of its own class with equal fields; unhashable."""
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.__dict__ == other.__dict__
+
+
+class FrozenRecord(Record):
+    """A ``Record`` hashed as the tuple of its fields."""
+
+    def __hash__(self):
+        return hash(tuple(self.__dict__.values()))
+
+
+class Budgets(FrozenRecord):
     """Every budget a computation consults, by keyword or in the order of
-    ``FIELDS``; equal, and hashed alike, when every budget is equal."""
+    ``FIELDS``."""
 
     FIELDS = ("max_pairs", "max_degree", "finite_ring_bound", "digraph_node_cap",
               "tower_max_depth", "digraph_vocab_cap", "baer_bound",
@@ -54,17 +72,9 @@ class Budgets:
         # Largest Baer-step output eagerly tabulated as an explicit FiniteModule.
         self.baer_materialize_bound = baer_materialize_bound
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return _values(self) == _values(other)
-
-    def __hash__(self):
-        return hash(_values(self))
-
     def replace(self, **changes) -> "Budgets":
         """These budgets with the named ones changed."""
-        return Budgets(**dict(zip(Budgets.FIELDS, _values(self)), **changes))
+        return Budgets(**{**self.__dict__, **changes})
 
     @staticmethod
     def checked(values: dict, env: bool = False) -> dict:
@@ -95,5 +105,4 @@ class Budgets:
         return Budgets(**Budgets.checked(env, env=True))
 
 
-_values = attrgetter(*Budgets.FIELDS)
 DEFAULT_BUDGETS = Budgets()

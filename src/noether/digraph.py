@@ -26,7 +26,7 @@ import operator
 from typing import (TYPE_CHECKING, Callable, Dict, FrozenSet, Iterable, List, Optional,
                     Sequence, Set, Tuple)
 
-from .config import Budgets, DEFAULT_BUDGETS
+from .config import Budgets, DEFAULT_BUDGETS, FrozenRecord, Record
 from .errors import (
     BoundExceededError,
     CapabilityError,
@@ -59,24 +59,16 @@ if TYPE_CHECKING:
     from .finite import FiniteRing
 
 
-class DigraphNode:
+class DigraphNode(FrozenRecord):
     def __init__(self, open: DistinguishedOpen, gens: Tuple[Polynomial, ...]):
         self.open = open
         self.gens = gens
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.open, self.gens) == (other.open, other.gens)
-
-    def __hash__(self):
-        return hash((self.open, self.gens))
 
     def ideal_in(self, ring: PresentedRing) -> IdealHandle:
         return IdealHandle(ring, self.gens)
 
 
-class IdealDigraph:
+class IdealDigraph(FrozenRecord):
     def __init__(self, ring: PresentedRing, nodes: Tuple[DigraphNode, ...],
                  edges: Tuple[Tuple[int, int], ...], root: int = 0):
         self.ring = ring
@@ -84,17 +76,8 @@ class IdealDigraph:
         self.edges = edges
         self.root = root
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.ring, self.nodes, self.edges, self.root)
-                == (other.ring, other.nodes, other.edges, other.root))
 
-    def __hash__(self):
-        return hash((self.ring, self.nodes, self.edges, self.root))
-
-
-class DigraphReport:
+class DigraphReport(Record):
     def __init__(self, global_ok: bool = True, functional_ok: bool = True,
                  decreasing_ok: bool = True, increasing_ok: bool = True,
                  structural_ok: bool = True, witnesses: Dict[str, object] = None):
@@ -104,14 +87,6 @@ class DigraphReport:
         self.increasing_ok = increasing_ok
         self.structural_ok = structural_ok
         self.witnesses = {} if witnesses is None else witnesses
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.global_ok, self.functional_ok, self.decreasing_ok,
-                 self.increasing_ok, self.structural_ok, self.witnesses)
-                == (other.global_ok, other.functional_ok, other.decreasing_ok,
-                    other.increasing_ok, other.structural_ok, other.witnesses))
 
     @property
     def valid(self) -> bool:
@@ -512,7 +487,7 @@ def is_quasi_coherent(d: IdealDigraph, basis: Sequence[DistinguishedOpen],
 # -- constant-sheaf-Z analog on finite spaces -----------------------------------
 
 
-class ZZSheafData:
+class ZZSheafData(FrozenRecord):
     """Ideal sheaf n_U * Z of the constant sheaf Z on a finite space.
 
     ``assignment`` maps every nonempty connected open (frozenset of points),
@@ -522,14 +497,6 @@ class ZZSheafData:
     def __init__(self, space: FiniteSpace, assignment: Dict[FrozenSet, int]):
         self.space = space
         self.assignment = assignment
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.space, self.assignment) == (other.space, other.assignment)
-
-    def __hash__(self):
-        return hash((self.space, self.assignment))
 
     def validate(self) -> List[int]:
         """The n_U in ``connected_opens()`` order, once the assignment is
@@ -559,22 +526,13 @@ def _divides_int(a: int, b: int) -> bool:
     return b % a == 0
 
 
-class ZZDigraph:
+class ZZDigraph(FrozenRecord):
     def __init__(self, space: FiniteSpace, nodes: Tuple[Tuple[FrozenSet, int], ...],
                  edges: Tuple[Tuple[int, int], ...], root: int = 0):
         self.space = space
         self.nodes = nodes
         self.edges = edges
         self.root = root
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.space, self.nodes, self.edges, self.root)
-                == (other.space, other.nodes, other.edges, other.root))
-
-    def __hash__(self):
-        return hash((self.space, self.nodes, self.edges, self.root))
 
 
 def extract_zz_digraph(z: ZZSheafData) -> ZZDigraph:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .config import FrozenRecord
 from .errors import CapabilityError, DomainError
 
 # Miller-Rabin with the prime bases up to 41 is exact below this bound
@@ -42,7 +43,7 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-class FieldSpec:
+class FieldSpec(FrozenRecord):
     """Either the rationals (``kind='q'``) or a prime field (``kind='fp'``);
     ``p`` is the characteristic, 0 for the rationals."""
 
@@ -55,14 +56,6 @@ class FieldSpec:
             raise DomainError(f"{p} is not prime")
         self.kind = kind
         self.p = p
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.kind, self.p) == (other.kind, other.p)
-
-    def __hash__(self):
-        return hash((self.kind, self.p))
 
     # -- arithmetic on coefficient values -------------------------------
 

@@ -31,7 +31,7 @@ import itertools
 from functools import cached_property
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
-from .config import Budgets, DEFAULT_BUDGETS
+from .config import Budgets, DEFAULT_BUDGETS, Record
 from .errors import BoundExceededError, DomainError, ValidationError
 from .fields import _is_prime
 
@@ -53,7 +53,9 @@ def _memo(op: Callable) -> Callable:
 
 
 class FiniteRing:
-    """Commutative ring with unit, given by element list and operations."""
+    """Commutative ring with unit, given by element list and operations.
+    It is no ``Record``: it compares by name and elements, not by its
+    operation closures."""
 
     def __init__(self, name: str, elements: Sequence, add: Callable, mul: Callable,
                  neg: Callable, zero, one):
@@ -360,15 +362,10 @@ def free_module(R: FiniteRing, rank: int) -> FiniteModule:
                         zero, name=f"{R.name}^{rank}")
 
 
-class DirectSum:
+class DirectSum(Record):
     def __init__(self, module: FiniteModule, injections: List[Callable]):
         self.module = module
         self.injections = injections
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.module, self.injections) == (other.module, other.injections)
 
 
 def direct_sum(modules: Sequence[FiniteModule], budgets: Budgets = DEFAULT_BUDGETS) -> DirectSum:
@@ -437,7 +434,7 @@ def is_prime_ideal(R: FiniteRing, I: FrozenSet) -> bool:
     return True
 
 
-class NoetherianReport:
+class NoetherianReport(Record):
     def __init__(self, generator_lists: List[List], max_strict_chain: int,
                  ideal_count_bound: int,
                  maximal_by_subset: Dict[Tuple[int, ...], List[int]], ok: bool):
@@ -446,14 +443,6 @@ class NoetherianReport:
         self.ideal_count_bound = ideal_count_bound
         self.maximal_by_subset = maximal_by_subset
         self.ok = ok
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.generator_lists, self.max_strict_chain, self.ideal_count_bound,
-                 self.maximal_by_subset, self.ok)
-                == (other.generator_lists, other.max_strict_chain, other.ideal_count_bound,
-                    other.maximal_by_subset, other.ok))
 
 
 def noetherian_witness(R: FiniteRing, chain: Sequence[FrozenSet],

@@ -21,7 +21,7 @@ import json
 import time
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
-from .config import Budgets, DEFAULT_BUDGETS
+from .config import Budgets, DEFAULT_BUDGETS, Record
 from .errors import (BoundExceededError, CapabilityError, DomainError,
                      OracleError, ParseError, ResourceBudgetError,
                      ValidationError)
@@ -163,21 +163,15 @@ def _check(value, kind, key: str):
     return out
 
 
-class JobSpec:
+class JobSpec(Record):
     def __init__(self, command: str, payload: Dict[str, Any],
                  budgets: Budgets = DEFAULT_BUDGETS):
         self.command = command
         self.payload = payload
         self.budgets = budgets
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.command, self.payload, self.budgets)
-                == (other.command, other.payload, other.budgets))
 
-
-class Report:
+class Report(Record):
     def __init__(self, command: str, status: str, result: Any = None, witness: Any = None,
                  config: Dict[str, Any] = None, timings: Dict[str, float] = None):
         self.command = command
@@ -186,14 +180,6 @@ class Report:
         self.witness = witness
         self.config = {} if config is None else config
         self.timings = {} if timings is None else timings
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.command, self.status, self.result, self.witness, self.config,
-                 self.timings)
-                == (other.command, other.status, other.result, other.witness, other.config,
-                    other.timings))
 
     @property
     def exit_code(self) -> int:
@@ -204,9 +190,7 @@ class Report:
         return self.config.get("exit_code", EXIT_RESOURCE)
 
     def as_dict(self) -> Dict[str, Any]:
-        return {"command": self.command, "status": self.status,
-                "result": self.result, "witness": self.witness,
-                "config": self.config, "timings": self.timings}
+        return dict(self.__dict__)
 
     def to_json(self) -> str:
         return json.dumps(self.as_dict(), indent=2, sort_keys=True)

@@ -13,6 +13,7 @@ from heapq import heapify, heappop, heappush
 from operator import add, le, neg, sub
 from typing import Dict, Tuple
 
+from .config import FrozenRecord
 from .errors import DomainError
 from .fields import FieldSpec
 
@@ -69,17 +70,23 @@ def _degrevlex_heap(m: Mono) -> Tuple[int, ...]:
 
 
 class DegRevLex(MonomialOrder):
+    """Compared by identity, as ``Polynomial.leading_monomial`` compares
+    orders on every call; ``DEGREVLEX`` is the one instance in use."""
+
     graded = True
     key = staticmethod(_degrevlex)
     heap_key = staticmethod(_degrevlex_heap)
 
 
 class Lex(MonomialOrder):
+    """Compared by identity, like ``DegRevLex``; ``LEX`` is the one
+    instance in use."""
+
     def key(self, m: Mono):
         return m
 
 
-class BlockElim(MonomialOrder):
+class BlockElim(FrozenRecord, MonomialOrder):
     """Product order eliminating the first ``naux`` variables.
 
     Any monomial involving an auxiliary variable beats any that does not,
@@ -90,14 +97,6 @@ class BlockElim(MonomialOrder):
 
     def __init__(self, naux: int):
         self.naux = naux
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.naux == other.naux
-
-    def __hash__(self):
-        return hash((self.naux,))
 
     def key(self, m: Mono):
         return _degrevlex(m[: self.naux]) + _degrevlex(m[self.naux :])
@@ -118,6 +117,7 @@ class Polynomial:
     ``is``.  ``groebner_basis`` records it for the order of the basis.  A
     univariate polynomial keeps its ``(unit, dense normal form)`` in
     ``_dense_form`` once ``noether.univar`` has derived or built it.
+    It is no ``Record``: it uses ``__slots__`` and caches its hash.
     """
 
     __slots__ = ("field", "nvars", "terms", "_hash", "_lead", "_dense_form")

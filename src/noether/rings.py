@@ -37,7 +37,8 @@ from .poly import BlockElim, DEGREVLEX, Polynomial, exact_divmod
 class PresentedRing:
     """k[vars]/(quotient) with the ``inverted`` elements inverted.  Equality
     and hashing read these four and not the bases, radical-membership
-    answers, localizations and inverted product the ring keeps."""
+    answers, localizations and inverted product the ring keeps in its
+    ``__dict__``; so it is no ``Record``."""
 
     order = DEGREVLEX
 

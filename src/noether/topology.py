@@ -15,7 +15,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import TYPE_CHECKING, Dict, FrozenSet, List, Sequence, Tuple
 
-from .config import Budgets, DEFAULT_BUDGETS
+from .config import Budgets, DEFAULT_BUDGETS, FrozenRecord
 from .errors import DomainError
 from .poly import Polynomial
 from .rings import IdealHandle, PresentedRing, radical_membership
@@ -24,7 +24,7 @@ if TYPE_CHECKING:
     from .finite import FiniteRing
 
 
-class DistinguishedOpen:
+class DistinguishedOpen(FrozenRecord):
     """D(f) in Spec of ``ring``."""
 
     def __init__(self, ring: PresentedRing, f: Polynomial):
@@ -32,14 +32,6 @@ class DistinguishedOpen:
             raise DomainError("defining element from a different ring")
         self.ring = ring
         self.f = f
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.ring, self.f) == (other.ring, other.f)
-
-    def __hash__(self):
-        return hash((self.ring, self.f))
 
     def is_empty(self, budgets: Budgets = DEFAULT_BUDGETS) -> bool:
         """D(f) is empty iff f is nilpotent in the presented ring."""
@@ -78,7 +70,7 @@ def open_intersect(a: DistinguishedOpen, b: DistinguishedOpen) -> DistinguishedO
     return DistinguishedOpen(a.ring, a.f * b.f)
 
 
-class OpenCover:
+class OpenCover(FrozenRecord):
     """The ``pieces`` offered as a cover of ``target``; ``cover_check``
     decides whether they cover it."""
 
@@ -88,14 +80,6 @@ class OpenCover:
                 raise DomainError("cover piece over a different ring")
         self.target = target
         self.pieces = pieces
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.target, self.pieces) == (other.target, other.pieces)
-
-    def __hash__(self):
-        return hash((self.target, self.pieces))
 
 
 def cover_check(c: OpenCover, budgets: Budgets = DEFAULT_BUDGETS) -> bool:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from .config import Budgets, DEFAULT_BUDGETS
+from .config import Budgets, DEFAULT_BUDGETS, FrozenRecord, Record
 from .errors import DomainError, ResourceBudgetError
 from .fields import FieldSpec
 from .poly import Polynomial
@@ -38,7 +38,7 @@ def deleted_exponents(n: int, rule: str = "power") -> List[int]:
     raise DomainError(f"unknown exponent rule: {rule!r}")
 
 
-class TowerLevel:
+class TowerLevel(FrozenRecord):
     def __init__(self, n: int, ring: PresentedRing, ideal: IdealHandle, rule: str,
                  budgets: Budgets):
         self.n = n
@@ -46,15 +46,6 @@ class TowerLevel:
         self.ideal = ideal
         self.rule = rule
         self.budgets = budgets
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.n, self.ring, self.ideal, self.rule, self.budgets)
-                == (other.n, other.ring, other.ideal, other.rule, other.budgets))
-
-    def __hash__(self):
-        return hash((self.n, self.ring, self.ideal, self.rule, self.budgets))
 
     def describe(self) -> str:
         return (f"level {self.n} ({self.rule} rule): "
@@ -95,7 +86,7 @@ def tower_ring(n: int, field: FieldSpec, rule: str = "power",
     return TowerLevel(n, ring, ideal, rule, budgets)
 
 
-class CoverMapReport:
+class CoverMapReport(Record):
     def __init__(self, source: int, target: int, well_defined: bool, etale: bool,
                  compatible: bool, witness: Optional[str] = None):
         self.source = source
@@ -105,23 +96,12 @@ class CoverMapReport:
         self.compatible = compatible
         self.witness = witness
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.source, self.target, self.well_defined, self.etale, self.compatible,
-                 self.witness)
-                == (other.source, other.target, other.well_defined, other.etale,
-                    other.compatible, other.witness))
-
     @property
     def ok(self) -> bool:
         return self.well_defined and self.etale and self.compatible
 
     def as_dict(self) -> Dict:
-        return {"source": self.source, "target": self.target,
-                "well_defined": self.well_defined, "etale": self.etale,
-                "compatible": self.compatible, "ok": self.ok,
-                "witness": self.witness}
+        return {**self.__dict__, "ok": self.ok}
 
 
 def _is_unit(ring: PresentedRing, p: Polynomial,
@@ -165,7 +145,7 @@ def verify_cover_map(source: TowerLevel, target: TowerLevel) -> CoverMapReport:
                           compatible, witness)
 
 
-class StrictnessReport:
+class StrictnessReport(Record):
     def __init__(self, n: int, pullback_is_x2_minus_1: bool, strictly_smaller: bool,
                  witness_in_big: bool, witness_not_in_small: bool):
         self.n = n
@@ -174,26 +154,13 @@ class StrictnessReport:
         self.witness_in_big = witness_in_big
         self.witness_not_in_small = witness_not_in_small
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.n, self.pullback_is_x2_minus_1, self.strictly_smaller,
-                 self.witness_in_big, self.witness_not_in_small)
-                == (other.n, other.pullback_is_x2_minus_1, other.strictly_smaller,
-                    other.witness_in_big, other.witness_not_in_small))
-
     @property
     def ok(self) -> bool:
         return (self.pullback_is_x2_minus_1 and self.strictly_smaller
                 and self.witness_in_big and self.witness_not_in_small)
 
     def as_dict(self) -> Dict:
-        return {"n": self.n,
-                "pullback_is_x2_minus_1": self.pullback_is_x2_minus_1,
-                "strictly_smaller": self.strictly_smaller,
-                "witness_in_big": self.witness_in_big,
-                "witness_not_in_small": self.witness_not_in_small,
-                "ok": self.ok}
+        return {**self.__dict__, "ok": self.ok}
 
 
 def pullback_ideal(level: TowerLevel, m: int) -> IdealHandle:
@@ -225,7 +192,7 @@ def pullback_strictness(level: TowerLevel) -> StrictnessReport:
     return StrictnessReport(n, pullback_ok, strict, in_big, not_in_small)
 
 
-class MaximalityReport:
+class MaximalityReport(Record):
     def __init__(self, n: int, proper: bool, evaluations: Dict[str, str], maximal: bool,
                  witness: Optional[str] = None):
         self.n = n
@@ -234,20 +201,12 @@ class MaximalityReport:
         self.maximal = maximal
         self.witness = witness
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.n, self.proper, self.evaluations, self.maximal, self.witness)
-                == (other.n, other.proper, other.evaluations, other.maximal, other.witness))
-
     @property
     def ok(self) -> bool:
         return self.proper and self.maximal
 
     def as_dict(self) -> Dict:
-        return {"n": self.n, "proper": self.proper, "maximal": self.maximal,
-                "evaluations": self.evaluations, "witness": self.witness,
-                "ok": self.ok}
+        return {**self.__dict__, "ok": self.ok}
 
 
 def properness_and_maximality(level: TowerLevel) -> MaximalityReport:
@@ -269,7 +228,7 @@ def properness_and_maximality(level: TowerLevel) -> MaximalityReport:
     return MaximalityReport(level.n, proper, evaluations, maximal, witness)
 
 
-class TowerSuiteReport:
+class TowerSuiteReport(Record):
     def __init__(self, depth: int, field: str, rule: str, cover_maps: List[CoverMapReport],
                  strictness: List[StrictnessReport], maximality: List[MaximalityReport],
                  chain: List[str], chain_strict: bool):
@@ -281,14 +240,6 @@ class TowerSuiteReport:
         self.maximality = maximality
         self.chain = chain
         self.chain_strict = chain_strict
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.depth, self.field, self.rule, self.cover_maps, self.strictness,
-                 self.maximality, self.chain, self.chain_strict)
-                == (other.depth, other.field, other.rule, other.cover_maps,
-                    other.strictness, other.maximality, other.chain, other.chain_strict))
 
     @property
     def ok(self) -> bool:
