@@ -252,7 +252,7 @@ def cech_complex_affine(R: PresentedRing, I: IdealHandle, cover: OpenCover,
     p in I of bounded degree over the fixed denominator h^N; the Čech
     restriction maps multiply numerators by the complementary h_j^N.  An
     intersection with the piece D(0), which is empty, has no sections.
-    The denominator exponent N must be nonnegative, and N and the largest
+    The window's two bounds must be nonnegative, and N and the largest
     numerator degree, over all nonzero pieces, must be within
     ``budgets.max_degree``; all three are checked before any matrix is built.
     """
@@ -265,9 +265,10 @@ def cech_complex_affine(R: PresentedRing, I: IdealHandle, cover: OpenCover,
         raise DomainError("ideal handle over a different ring")
     hs = [piece.f for piece in cover.pieces]
     hdeg = [poly_degree(h) for h in hs]
+    for name, value in window.__dict__.items():
+        if value < 0:
+            raise DomainError(f"{name} must be nonnegative")
     npow = window.denominator_exponent
-    if npow < 0:
-        raise DomainError("denominator_exponent must be nonnegative")
     if (npow > budgets.max_degree or window.base_degree
             + npow * sum(d for d in hdeg if d >= 0) > budgets.max_degree):
         raise ResourceBudgetError("max_degree", budgets.max_degree)

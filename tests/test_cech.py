@@ -321,8 +321,9 @@ def test_affine_window_is_bounded_by_the_degree_budget(R):
         for npow in (21, 10**6):
             with pytest.raises(ResourceBudgetError):
                 check(R, R.ideal("x"), constants, AffineWindow(8, npow), budgets)
-        with pytest.raises(DomainError, match="nonnegative"):
-            check(R, R.ideal("x"), cover_of(R, "1", "1"), AffineWindow(8, -1))
+        for window in (AffineWindow(8, -1), AffineWindow(-1, 3)):
+            with pytest.raises(DomainError, match="nonnegative"):
+                check(R, R.ideal("x"), cover_of(R, "1", "1"), window)
 
 
 def test_affine_rejects_pieces_outside_target(R):

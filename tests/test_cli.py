@@ -202,6 +202,19 @@ def test_cech_affine_vanishing(tmp_path, capsys):
     assert (code, doc["status"]) == (0, "pass")
 
 
+@pytest.mark.parametrize("base_degree", [-1, -5])
+def test_cech_affine_negative_base_degree_exits_2(tmp_path, capsys, base_degree):
+    """H^1 of (x) on the cover of D(1) by D(x), D(x - 1) vanishes; a window
+    below degree 0 is refused rather than answered false."""
+    payload = {"op": "vanishing", "ring": {"field": "q", "vars": ["x"]},
+               "ideal": ["x"], "window": {"base_degree": base_degree},
+               "cover": {"target": "1", "pieces": ["x", "x - 1"]}}
+    code, doc = run(capsys, "cech-affine", write_payload(tmp_path, payload))
+    assert (code, doc["status"]) == (2, "error")
+    assert doc["config"]["error_type"] == "DomainError"
+    assert doc["result"]["error"] == "base_degree must be nonnegative"
+
+
 def test_baer_test(tmp_path, capsys):
     payload = {"op": "test", "finite_ring": {"zmod": 4},
                "module": {"kind": "ring"}}
