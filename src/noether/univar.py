@@ -4,8 +4,8 @@ coprime bases, irreducible factorization.
 Section ideals of sheaves on a univariate base need no factoring: a coprime
 base (squarefree factors refined by gcds) separates the primes as finely as
 the computation asks, using only Euclidean arithmetic.  ``irreducible_factors``
-delegates to sympy, imported only when it is called; it is kept as the
-oracle that the coprime base is tested against.
+delegates to sympy, a test dependency imported only when it is called; it
+is kept as the oracle that the coprime base is tested against.
 
 Every loop runs on dense coefficient lists of ints, lowest degree first,
 with no trailing zeros ([] is zero), each in its normal form: over F_p the

@@ -121,15 +121,28 @@ def test_univar_does_not_import_rings():
 
 NO_SYMPY_SCRIPT = """
 import contextlib, io, json, pathlib, sys
+
+
+class NoSympy:
+    \"\"\"Refuses sympy as an uninstalled package would, and records the try.\"\"\"
+    tried = []
+
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "sympy":
+            NoSympy.tried.append(name)
+            raise ImportError(f"No module named {name!r}")
+
+
+sys.meta_path.insert(0, NoSympy())
 import noether
 from noether.cli import main
-assert "sympy" not in sys.modules, "import noether"
+assert not NoSympy.tried, "import noether"
 results = []
 for argv, code in json.loads(pathlib.Path(sys.argv[1]).read_text()):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert main(argv) == code, argv
-    assert "sympy" not in sys.modules, argv[0]
+    assert not NoSympy.tried, argv[0]
     if argv[0] == "digraph-eval":
         results.append(json.loads(out.getvalue())["result"])
 print(json.dumps(results))
@@ -174,8 +187,9 @@ CLI_JOBS = [
 
 
 def test_sympy_is_imported_only_to_factor(tmp_path):
-    """sympy serves only ``irreducible_factors``, the test oracle: no CLI
-    command loads it, digraph-eval's section ideals included."""
+    """sympy, a test dependency, serves only the factorization oracle: every
+    CLI command runs with its import refused, digraph-eval's section ideals
+    included."""
     argvs = []
     for k, (command, payload, code) in enumerate(CLI_JOBS):
         path = tmp_path / f"job{k}.json"
