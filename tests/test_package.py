@@ -1,8 +1,9 @@
 """The package's exports: ``import noether`` binds each of its 118 names
-lazily, on first use, to the object its module defines.  Also five checks
+lazily, on first use, to the object its module defines.  Also six checks
 of the package source: no module imports ``dataclasses``, every budget is
-read and passed on, every private helper is used, and no module keeps a
-cache of answers; and how each record class builds, compares and hashes."""
+read and passed on, every private helper is used, no module keeps a cache
+of answers, and equality is defined in five classes only; and how each
+record class builds, compares and hashes."""
 
 import ast
 import importlib
@@ -411,6 +412,35 @@ def test_record_builds_compares_and_hashes_as_before(case):
     for n, default in defaults.items():
         if isinstance(default, dict):
             assert getattr(bare, n) is not getattr(cls(*samples[0][:len(required)]), n)
+
+
+# The classes that define ``__eq__`` or ``__hash__``: the two record bases,
+# and three classes that cannot compare their ``__dict__``.
+EQUALITY_CLASSES = {"Record", "FrozenRecord", "Polynomial", "PresentedRing", "FiniteRing"}
+
+
+def test_equality_is_defined_in_one_place_per_policy():
+    """Every other record compares through ``Record`` or ``FrozenRecord``;
+    the named orders compare by identity, as ``leading_monomial`` compares
+    orders on every call."""
+    package = Path(noether.__file__).parent
+    found = set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    names = [item.name]
+                elif isinstance(item, ast.Assign):
+                    names = [t.id for t in item.targets if isinstance(t, ast.Name)]
+                else:
+                    continue
+                if {"__eq__", "__hash__"} & set(names):
+                    found.add(node.name)
+    assert found == EQUALITY_CLASSES
+    assert type(noether.DEGREVLEX).__eq__ is object.__eq__
+    assert type(noether.LEX).__eq__ is object.__eq__
 
 
 def test_presented_ring_equality_ignores_what_it_keeps():
