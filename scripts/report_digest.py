@@ -6,18 +6,22 @@ For each seed it builds the workload's round with the tree's own
 
 * ``kernel``: every ``run_job`` report, minus ``timings``;
 * ``structures``: every task's answer, from the tree's ``perfbench/tasks.py``;
-* ``cli``: every ``noether`` CLI report, minus ``timings``, with its exit code.
+* ``cli``: every ``noether`` CLI report, minus ``timings``, with its exit code;
+* ``acceptance``: each acceptance criterion's name, outcome and detail, minus
+  its ``seconds``.  It depends on no seed, so it runs once, and it is left
+  out unless named: it takes about 3 s.
 
 Each line gives the workload, the number of answers and the SHA-256 of
 their JSON.  Two trees answer alike exactly when they print the same lines,
 so answer parity between two checkouts is one run on each.  Nothing is
 written into the tree: no bytecode is cached.  ``--workloads`` picks some
-of the three, in their order: ``--workloads kernel`` checks the kernel's
-answers without the CLI processes.
+of the four, in their order: ``--workloads kernel`` checks the kernel's
+answers without the CLI processes, and ``--workloads acceptance`` replaces
+comparing two runs of ``noether suite`` by hand.
 
 Usage:
     python3 scripts/report_digest.py TREE [--seeds 1 2 3] [--tiny]
-        [--workloads kernel structures cli]
+        [--workloads kernel structures cli acceptance]
 """
 
 import argparse
@@ -61,7 +65,13 @@ def cli_answers(jobs, src):
     return answers
 
 
-WORKLOADS = ["kernel", "structures", "cli"]
+def acceptance_answers():
+    from noether.acceptance import run_acceptance
+
+    return [[r.name, r.passed, r.detail] for r in run_acceptance()]
+
+
+WORKLOADS = ["kernel", "structures", "cli", "acceptance"]
 
 
 def main() -> None:
@@ -69,7 +79,7 @@ def main() -> None:
     parser.add_argument("tree", help="root of a checkout, with src/ and perfbench/")
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
     parser.add_argument("--tiny", action="store_true", help="the smoke-test rounds")
-    parser.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=WORKLOADS)
+    parser.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=WORKLOADS[:3])
     args = parser.parse_args()
 
     tree = os.path.abspath(args.tree)
@@ -80,11 +90,14 @@ def main() -> None:
 
     run = {"kernel": kernel_answers, "structures": structures_answers,
            "cli": lambda jobs: cli_answers(jobs, src)}
-    for workload, answer in run.items():
+    for workload in WORKLOADS:
         if workload not in args.workloads:
             continue
-        answers = [answer(workloads.build(workload, seed, tiny=args.tiny))
-                   for seed in args.seeds]
+        if workload == "acceptance":
+            answers = [acceptance_answers()]
+        else:
+            answers = [run[workload](workloads.build(workload, seed, tiny=args.tiny))
+                       for seed in args.seeds]
         text = json.dumps(answers, sort_keys=True)
         count = sum(map(len, answers))
         print(f"{workload:<10} {count:>4} {hashlib.sha256(text.encode()).hexdigest()}")

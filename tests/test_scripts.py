@@ -58,3 +58,11 @@ def test_report_digest_prints_one_line_per_workload():
                       "--workloads", "structures", "kernel")
     assert some.returncode == 0, some.stderr
     assert [line.split() for line in some.stdout.splitlines()] == lines[:2]
+
+
+def test_report_digest_acceptance_runs_once_when_named():
+    done = run_script("report_digest.py", str(ROOT), "--seeds", "1", "2",
+                      "--workloads", "acceptance")
+    assert done.returncode == 0, done.stderr
+    [(name, count, digest)] = [line.split() for line in done.stdout.splitlines()]
+    assert (name, count, len(digest)) == ("acceptance", "8", 64)
