@@ -124,7 +124,7 @@ import contextlib, io, json, pathlib, sys
 
 
 class NoSympy:
-    \"\"\"Refuses sympy as an uninstalled package would, and records the try.\"\"\"
+    # Refuses sympy as an uninstalled package would, and records the try.
     tried = []
 
     def find_spec(self, name, path=None, target=None):
