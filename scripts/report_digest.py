@@ -10,18 +10,23 @@ For each seed it builds the workload's round with the tree's own
 * ``acceptance``: each acceptance criterion's name, outcome and detail, minus
   its ``seconds``.  It depends on no seed, so it runs once, and it is left
   out unless named: it takes about 3 s.
+* ``finite``: every ``run_job`` report, minus ``timings``, of ``ideal
+  enumerate-ideals``, ``open enumerate-spec`` and ``digraph-validate
+  count-space`` over Z/2 ... Z/30 and four F_p[x]/(f).  No benchmark
+  workload runs these, so this is their parity check; like ``acceptance``
+  it runs once and only when named.
 
 Each line gives the workload, the number of answers and the SHA-256 of
 their JSON.  Two trees answer alike exactly when they print the same lines,
 so answer parity between two checkouts is one run on each.  Nothing is
 written into the tree: no bytecode is cached.  ``--workloads`` picks some
-of the four, in their order: ``--workloads kernel`` checks the kernel's
+of the five, in their order: ``--workloads kernel`` checks the kernel's
 answers without the CLI processes, and ``--workloads acceptance`` replaces
 comparing two runs of ``noether suite`` by hand.
 
 Usage:
     python3 scripts/report_digest.py TREE [--seeds 1 2 3] [--tiny]
-        [--workloads kernel structures cli acceptance]
+        [--workloads kernel structures cli acceptance finite]
 """
 
 import argparse
@@ -71,7 +76,21 @@ def acceptance_answers():
     return [[r.name, r.passed, r.detail] for r in run_acceptance()]
 
 
-WORKLOADS = ["kernel", "structures", "cli", "acceptance"]
+# F2[x]/(x^2), F3[x]/(x^2), F2[x]/(x^2 + x) and F4, as modulus coefficients.
+FINITE_RINGS = [{"zmod": n} for n in range(2, 31)] + [
+    {"gf_quotient": {"p": p, "modulus": f}}
+    for p, f in ((2, [0, 0, 1]), (3, [0, 0, 1]), (2, [0, 1, 1]), (2, [1, 1, 1]))]
+FINITE_OPS = [("ideal", "enumerate-ideals"), ("open", "enumerate-spec"),
+              ("digraph-validate", "count-space")]
+
+
+def finite_answers():
+    return kernel_answers([{"command": command, "payload": {"op": op, "finite_ring": ring}}
+                           for ring in FINITE_RINGS for command, op in FINITE_OPS])
+
+
+WORKLOADS = ["kernel", "structures", "cli", "acceptance", "finite"]
+ONCE = {"acceptance": acceptance_answers, "finite": finite_answers}
 
 
 def main() -> None:
@@ -93,8 +112,8 @@ def main() -> None:
     for workload in WORKLOADS:
         if workload not in args.workloads:
             continue
-        if workload == "acceptance":
-            answers = [acceptance_answers()]
+        if workload in ONCE:
+            answers = [ONCE[workload]()]
         else:
             answers = [run[workload](workloads.build(workload, seed, tiny=args.tiny))
                        for seed in args.seeds]

@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from .config import Budgets, DEFAULT_BUDGETS, FrozenRecord, Record
+from .config import Budgets, DEFAULT_BUDGETS, Record
 from .errors import BoundExceededError, DomainError, ValidationError
 from .finite import (FiniteModule, all_homs, coset_representatives,
                      enumerate_ideals, enumerate_submodules, free_module,
@@ -67,7 +67,7 @@ def baer_test(M: FiniteModule, budgets: Budgets = DEFAULT_BUDGETS) -> BaerReport
 # The one-step extension M1 in lazy normal form
 # ---------------------------------------------------------------------------
 
-class LedgerEntry(FrozenRecord):
+class LedgerEntry(Record):
     def __init__(self, ideal: FrozenSet, graph: Dict):
         self.ideal = ideal
         self.graph = graph  # linear map ideal -> M, as an element graph

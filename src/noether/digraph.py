@@ -16,6 +16,8 @@ Every function that takes a caller's digraph validates it first.
 Extraction is one loop, ``_extract``, for sheaves of ideals given by an
 oracle and for subsheaves of the constant sheaf Z on a finite space; the
 two differ only in which opens are expansive and how opens are compared.
+Over a finite ring, every digraph is counted on the ring's own ideal
+lattice: a localization's ideals are those containing its kernel.
 """
 
 from __future__ import annotations
@@ -487,7 +489,7 @@ def is_quasi_coherent(d: IdealDigraph, basis: Sequence[DistinguishedOpen],
 # -- constant-sheaf-Z analog on finite spaces -----------------------------------
 
 
-class ZZSheafData(FrozenRecord):
+class ZZSheafData(Record):
     """Ideal sheaf n_U * Z of the constant sheaf Z on a finite space.
 
     ``assignment`` maps every nonempty connected open (frozenset of points),
@@ -575,40 +577,20 @@ def zz_sheaf_value(d: ZZDigraph, W: FrozenSet) -> int:
 # -- desk-scale enumeration of all digraphs --------------------------------------
 
 
-def localize_finite(R: FiniteRing, a) -> Tuple[FiniteRing, Dict]:
-    """Localization of a finite ring at one element, as a quotient ring.
-
-    The kernel is {r : a^k r = 0 for some k}; a becomes invertible in the
-    quotient.  Returns the quotient ring and the projection map r -> class.
-    """
-    from .finite import FiniteRing, _memo, coset_representatives
-    powers = [R.one]
-    for _ in range(2 * R.size):
-        powers.append(R.mul(powers[-1], a))
-    kernel = frozenset(r for r in R.elements
-                       if any(R.mul(p, r) == R.zero for p in powers[1:]))
-    rep, classes = coset_representatives(R, kernel)
-    Q = FiniteRing(
-        f"{R.name}_loc", classes,
-        _memo(lambda x, y: rep[R.add(x, y)]),
-        _memo(lambda x, y: rep[R.mul(x, y)]),
-        lambda x: rep[R.neg(x)],
-        R.zero, rep[R.one],
-    )
-    return Q, rep
-
-
 def count_digraph_space(R: FiniteRing, budgets: Budgets = DEFAULT_BUDGETS) -> int:
     """Count all valid digraphs of ideals over Spec of a finite ring.
 
     Node vocabulary: one class per nonempty distinguished open (opens are
     compared as prime-ideal sets), each paired with any ideal of the
-    corresponding localization.  Counts every (node set, ideal assignment,
-    edge set) passing the digraph invariants.  Edges strictly shrink opens
-    and none enters the root, so an edge set reaches every node exactly when
-    each non-root node keeps at least one of its e edges increasing on
-    ideals: 2^e - 1 choices per node.  ``digraph_vocab_cap`` bounds the
-    ideal assignments walked for one node set.
+    corresponding localization.  R_a is R/K_a with K_a = {r : a^|R| r = 0},
+    so its ideals are the ideals of R that contain K_a, all read off R's
+    one lattice, and a parent's ideal J generates J + K_c in a child's.
+    Counts every (node set, ideal assignment, edge set) passing the digraph
+    invariants.  Edges strictly shrink opens and none enters the root, so
+    an edge set reaches every node exactly when each non-root node keeps at
+    least one of its e edges increasing on ideals: 2^e - 1 choices per
+    node.  ``digraph_vocab_cap`` bounds the ideal assignments walked for
+    one node set.
     """
     from .finite import enumerate_ideals, ideal_closure
     primes = enumerate_spec(R, budgets)
@@ -623,11 +605,16 @@ def count_digraph_space(R: FiniteRing, budgets: Budgets = DEFAULT_BUDGETS) -> in
     whole = frozenset(range(len(primes)))
     items = sorted(open_classes.items(), key=lambda kv: (-len(kv[0]), sorted(kv[0])))
     opens = [pts for pts, _ in items]
-    reps = [rep for _, rep in items]
     root_idx = opens.index(whole)
 
-    localizations = [localize_finite(R, a) for a in reps]
-    ideal_lists = [enumerate_ideals(Q, budgets) for Q, _ in localizations]
+    kernels = []
+    for _, a in items:
+        power = R.one
+        for _ in range(R.size):
+            power = R.mul(power, a)
+        kernels.append(frozenset(r for r in R.elements if R.mul(power, r) == R.zero))
+    lattice = enumerate_ideals(R, budgets)
+    ideal_lists = [[I for I in lattice if K <= I] for K in kernels]
 
     # (child, parent's ideal) -> the ideal it generates in the child's
     # localization, closed once per call.
@@ -650,9 +637,7 @@ def count_digraph_space(R: FiniteRing, budgets: Budgets = DEFAULT_BUDGETS) -> in
                     parent = ideals[node_opens.index(p)]
                     image = images.get((c, parent))
                     if image is None:
-                        Q_c, proj_c = localizations[c]
-                        image = images[c, parent] = ideal_closure(
-                            Q_c, {proj_c[x] for x in parent})
+                        image = images[c, parent] = ideal_closure(R, kernels[c], parent)
                     if image < ideals[node_opens.index(c)]:
                         usable.append((p, c))
                 count += math.prod(2 ** sum(1 for _, t in usable if t == c) - 1

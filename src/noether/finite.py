@@ -21,8 +21,9 @@ N -> N + Ra, a union of cosets of N.  ``noetherian_witness`` checks its
 family against that lattice and reads the maximal members of every
 subfamily from one bitmask of strict supersets per member.  A ring keeps
 its ideal lattice once listed, so the ideal searches over one ring (Baer
-steps, Spec, the Noetherian checks) list it once.  Everything
-here is sized for exhaustive, sub-minute brute force.
+steps, Spec, the localizations of the digraph count, the Noetherian
+checks) list it once.  Everything here is sized for exhaustive, sub-minute
+brute force.
 """
 
 from __future__ import annotations
@@ -508,14 +509,16 @@ def all_homs(A: FiniteModule, B: FiniteModule, budgets: Budgets = DEFAULT_BUDGET
     and R-linear.  Only the sums and multiples in B that the search meets
     are computed, through B's own tables where it keeps them (a Baer stage
     keeps none).  Maps come out in product order of the images (b_1 most
-    significant), keyed in ``A.elements`` order.
+    significant), keyed in ``A.elements`` order.  A search past 10**6
+    candidate maps is refused; no budget raises that limit.
     """
     if A.ring != B.ring:
         raise DomainError("modules over different rings")
     gens = module_generators(A)
     if B.size ** len(gens) > 10**6:
-        raise BoundExceededError("finite_ring_bound", budgets.finite_ring_bound,
-                                 "hom search space too large")
+        raise BoundExceededError(
+            "hom_search_space", 10**6, f"hom search space too large: {B.size}^{len(gens)} "
+            "maps, past 10^6, a limit no budget raises")
     # Per generator g: its relations as pairs (r, r*g), and the elements it
     # newly reaches as cosets (r, [(s + r*g, s) for s in S_{j-1}]).
     steps, covered = [], {A.zero}

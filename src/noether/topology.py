@@ -2,7 +2,8 @@
 
 Opens are intensional: a defining element f, compared by mutual radical
 containment (D(f) = D(g) iff f is in the radical of (g) and conversely).
-Point sets never appear except for finite rings, where Spec is enumerable.
+Point sets never appear except for finite rings, whose Spec is the maximal
+ideals of the ideal lattice the ring keeps.
 
 An open keeps nothing: its ring keeps its coordinate rings R_f and each
 basis its answers rest on, per ``budgets``, so an answer under a tighter
@@ -97,9 +98,13 @@ def coordinate_ring(u: DistinguishedOpen, budgets: Budgets = DEFAULT_BUDGETS) ->
 
 
 def enumerate_spec(R: FiniteRing, budgets: Budgets = DEFAULT_BUDGETS) -> List[FrozenSet]:
-    """All prime ideals of a finite ring, by exhaustive primality filtering."""
-    from .finite import enumerate_ideals, is_prime_ideal
-    return [I for I in enumerate_ideals(R, budgets) if is_prime_ideal(R, I)]
+    """All prime ideals of a finite ring, in its ideal lattice's order.
+
+    R/P is a finite domain, hence a field, so the primes are the maximal
+    proper ideals, read off the lattice R keeps."""
+    from .finite import enumerate_ideals
+    proper = [I for I in enumerate_ideals(R, budgets) if len(I) < R.size]
+    return [I for I in proper if not any(I < J for J in proper)]
 
 
 # -- finite topological spaces (down-sets of a preorder) ----------------------

@@ -15,7 +15,8 @@ from noether.config import DEFAULT_BUDGETS, Budgets
 from noether.errors import DomainError, OracleError, ResourceBudgetError, ValidationError
 from noether import univar
 from noether.fields import GF, QQ
-from noether.finite import enumerate_ideals, gf_poly_quotient, ideal_closure, zmod
+from noether.finite import (FiniteRing, coset_representatives, enumerate_ideals,
+                            gf_poly_quotient, ideal_closure, zmod)
 from noether.jobs import parse_job, run_job
 from noether.poly import Polynomial
 from noether.digraph import (
@@ -33,7 +34,6 @@ from noether.digraph import (
     extract_digraph,
     extract_zz_digraph,
     is_quasi_coherent,
-    localize_finite,
     quasi_coherent_oracle,
     section_membership,
     validate_digraph,
@@ -592,10 +592,25 @@ def test_count_digraph_space_zmod(n, count):
     assert count_digraph_space(zmod(n)) == count
 
 
+def localize_finite(R, a):
+    """The localization R_a built as its own ring, the quotient of R by
+    {r : a^k r = 0 for some k}, with the projection r -> class."""
+    powers = [R.one]
+    for _ in range(2 * R.size):
+        powers.append(R.mul(powers[-1], a))
+    kernel = frozenset(r for r in R.elements
+                       if any(R.mul(p, r) == R.zero for p in powers[1:]))
+    rep, classes = coset_representatives(R, kernel)
+    Q = FiniteRing(f"{R.name}_loc", classes, lambda x, y: rep[R.add(x, y)],
+                   lambda x, y: rep[R.mul(x, y)], lambda x: rep[R.neg(x)],
+                   R.zero, rep[R.one])
+    return Q, rep
+
+
 def count_by_edge_subsets(R):
     """The digraph space counted the long way: every node set, ideal
-    assignment and subset of the increasing edges, kept when the root
-    reaches every node."""
+    assignment of each open's own localized ring, and subset of the
+    increasing edges, kept when the root reaches every node."""
     primes = enumerate_spec(R)
     opens = {}
     for a in R.elements:

@@ -66,3 +66,13 @@ def test_report_digest_acceptance_runs_once_when_named():
     assert done.returncode == 0, done.stderr
     [(name, count, digest)] = [line.split() for line in done.stdout.splitlines()]
     assert (name, count, len(digest)) == ("acceptance", "8", 64)
+
+
+def test_report_digest_finite_runs_once_after_the_seeded_workloads():
+    done = run_script("report_digest.py", str(ROOT), "--tiny", "--seeds", "1", "2",
+                      "--workloads", "finite", "kernel")
+    assert done.returncode == 0, done.stderr
+    lines = [line.split() for line in done.stdout.splitlines()]
+    # Three ops over Z/2 ... Z/30 and four F_p[x]/(f), once for both seeds.
+    assert [(row[0], row[1]) for row in lines] == [("kernel", "18"), ("finite", "99")]
+    assert len(lines[1][2]) == 64

@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from noether.config import Budgets
 from noether.errors import DomainError, ResourceBudgetError
 from noether.fields import QQ
-from noether.finite import zmod
+from noether.finite import (enumerate_ideals, gf_poly_quotient, is_prime_ideal,
+                            product_ring, zmod)
 from noether.rings import PresentedRing, ideal_equal
 from noether.topology import (
     DistinguishedOpen,
@@ -122,6 +123,21 @@ def test_enumerate_spec_z12():
     primes = enumerate_spec(zmod(12))
     assert sorted(sorted(p) for p in primes) == [[0, 2, 4, 6, 8, 10],
                                                  [0, 3, 6, 9]]
+
+
+# Z/n, the four F_p[x]/(f) rings of the digraph-count oracle, and two
+# products; Z/4, F2[x]/(x^2) and the products have ideals that are prime
+# and ideals that are not.
+@pytest.mark.parametrize("ring", [zmod(n) for n in range(2, 65)] + [
+    gf_poly_quotient(2, [0, 0, 1]), gf_poly_quotient(3, [0, 0, 1]),
+    gf_poly_quotient(2, [0, 1, 1]), gf_poly_quotient(2, [1, 1, 1]),
+    product_ring([zmod(4), zmod(3)]), product_ring([gf_poly_quotient(2, [0, 0, 1]), zmod(2)])],
+    ids=lambda R: R.name)
+def test_enumerate_spec_is_the_prime_ideals(ring):
+    """The maximal ideals read off the lattice are exactly the ideals that
+    pass the primality test by products, in lattice order."""
+    assert enumerate_spec(ring) == [I for I in enumerate_ideals(ring)
+                                    if is_prime_ideal(ring, I)]
 
 
 def test_opens_of_sierpinski_space():
