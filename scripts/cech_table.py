@@ -3,7 +3,9 @@
 
 All ranks are computed exactly over Q from the alternating Cech complex of
 the standard chart cover, decomposed by multidegree sign pattern: one
-pattern per number r of negative charts, weighted by C(n + 1, r).
+pattern per number r of negative charts.  Only r = 0 and r = n + 1 have
+cohomology; they are weighted by their numbers of multidegrees of sum d,
+C(n + d, n) for r = 0 and C(-d - 1, n) for r = n + 1.
 
 Usage:
     python3 scripts/cech_table.py [--n N] [--dmin D] [--dmax D]

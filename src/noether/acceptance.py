@@ -320,19 +320,19 @@ def criterion_5(budgets: Budgets = DEFAULT_BUDGETS) -> Tuple[bool, str]:
 def criterion_6(budgets: Budgets = DEFAULT_BUDGETS) -> Tuple[bool, str]:
     for n in range(1, 4):
         for d in range(0, 6):
-            dims = twisted_cohomology_dims(TwistData(n, d), budgets=budgets)
+            dims = twisted_cohomology_dims(TwistData(n, d))
             if dims[0] != comb(n + d, n):
                 return False, f"H0(P{n}, O({d})) = {dims[0]}"
             if any(dims[i] for i in range(1, n + 1)):
                 return False, f"nonzero higher cohomology at n={n}, d={d}"
         for d in range(1, 9):
-            dims = twisted_cohomology_dims(TwistData(n, -d), budgets=budgets)
+            dims = twisted_cohomology_dims(TwistData(n, -d))
             if dims[n] != comb(d - 1, n):
                 return False, f"H{n}(P{n}, O(-{d})) = {dims[n]}"
             if any(dims[i] for i in range(n)):
                 return False, f"nonzero lower cohomology at n={n}, d=-{d}"
     for d in range(-8, 9):
-        dims = twisted_cohomology_dims(TwistData(1, d), budgets=budgets)
+        dims = twisted_cohomology_dims(TwistData(1, d))
         if dims[0] - dims[1] != d + 1:
             return False, f"Euler identity fails on P1 at d={d}"
     return True, "H0/Hn formulas, middle vanishing, and P1 Euler identity exact"
@@ -380,7 +380,7 @@ def criterion_7(budgets: Budgets = DEFAULT_BUDGETS) -> Tuple[bool, str]:
     env = injective_envelope_bruteforce(z2, budgets)
     if env is None or env.size != 4:
         return False, "envelope of Z/2 over Z/4 is not Z/4"
-    iso = any(len(set(g.values())) == 4 for g in all_homs(env, ring_as_module(R4), budgets))
+    iso = any(len(set(g.values())) == 4 for g in all_homs(env, ring_as_module(R4)))
     if not iso:
         return False, "envelope of Z/2 is not isomorphic to Z/4"
     return True, "criterion = definition on both rings; step size 8; chain and envelope exact"

@@ -286,7 +286,7 @@ def injective_envelope_bruteforce(M: FiniteModule, budgets: Budgets = DEFAULT_BU
                 candidates.append(E)
     for E in sorted(candidates, key=lambda E: E.size):
         embeds = E.size >= M.size and any(len(set(g.values())) == M.size
-                                          for g in all_homs(M, E, budgets))
+                                          for g in all_homs(M, E))
         if embeds and baer_test(E, budgets).injective:
             return E
     return None
@@ -300,12 +300,12 @@ def first_principles_injective(M: FiniteModule,
     the restrictions of the maps B -> M, each fixed by its images of A's
     generators, are as many as the maps A -> M."""
     for B in ambient_modules:
-        homs_B = all_homs(B, M, budgets)
+        homs_B = all_homs(B, M)
         # The last submodule is B, where each map is its own extension.
         for carrier in enumerate_submodules(B, budgets)[:-1]:
             A = submodule(B, carrier, name="A")
             gens = module_generators(A)
             restrictions = {tuple(big[a] for a in gens) for big in homs_B}
-            if len(restrictions) != len(all_homs(A, M, budgets)):
+            if len(restrictions) != len(all_homs(A, M)):
                 return False
     return True

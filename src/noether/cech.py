@@ -210,8 +210,7 @@ class TwistData(FrozenRecord):
         return abs(self.d) + self.n + 1
 
 
-def twisted_cohomology_dims(t: TwistData,
-                            budgets: Budgets = DEFAULT_BUDGETS) -> Dict[int, int]:
+def twisted_cohomology_dims(t: TwistData) -> Dict[int, int]:
     """Dimensions of H^i(P^n, O(d)) from the cover by the n+1 coordinate
     charts D(x_i), one sign pattern per number r of negative charts.  Only
     r = 0 and r = n + 1 have cohomology, over C(n + d, n) and C(-d - 1, n)

@@ -11,7 +11,8 @@ sheaf containing each node ideal over its open; membership is decided
 stalkwise via the subset-stratum criterion (colon ideals plus radical
 membership), and exact section ideals are computed for univariate base
 rings from a coprime base of the node data, by gcds alone: no factoring.
-Every function that takes a caller's digraph validates it first.
+Each public operation validates its own input, and the operations call
+one another only through their public names.
 
 Extraction is one loop, ``_extract``, for sheaves of ideals given by an
 oracle and for subsheaves of the constant sheaf Z on a finite space; the
@@ -238,20 +239,9 @@ def section_membership(
     Denominators are discarded after a unit check: they are units on u, and
     multiplying by a unit does not change stalk membership.
     """
-    _require_node_cap(d, budgets)
-    _require_valid(d, budgets)
-    return _section_membership(d, u, numerator, denominator, budgets)
-
-
-def _require_node_cap(d: IdealDigraph, budgets: Budgets) -> None:
-    if len(d.nodes) > budgets.digraph_node_cap:
+    if len(d.nodes) > budgets.digraph_node_cap:  # the subset loop is exponential
         raise ResourceBudgetError("digraph_node_cap", budgets.digraph_node_cap)
-
-
-def _section_membership(d: IdealDigraph, u: DistinguishedOpen, numerator: Polynomial,
-                        denominator: Optional[Polynomial], budgets: Budgets) -> bool:
-    """``section_membership`` on a digraph its caller has validated."""
-    _require_node_cap(d, budgets)  # the subset loop below is exponential
+    _require_valid(d, budgets)
     if u.is_empty(budgets):
         raise DomainError("membership over the empty open")
     if denominator is not None:
@@ -297,17 +287,11 @@ def evaluate_sheaf(d: IdealDigraph, u: DistinguishedOpen,
     """
     _require_univariate_ring(d.ring)
     _require_valid(d, budgets)
-    return _evaluate_sheaf(d, u, budgets)
-
-
-def _evaluate_sheaf(d: IdealDigraph, u: DistinguishedOpen, budgets: Budgets) -> IdealHandle:
-    """``evaluate_sheaf`` on a digraph its caller has validated."""
-    _require_univariate_ring(d.ring)
     if u.is_empty(budgets):
         raise DomainError("evaluation over the empty open")
     result = IdealHandle(coordinate_ring(u, budgets), _section_generators(d, u))
     for g in result.generators:
-        if not _section_membership(d, u, g, None, budgets):
+        if not section_membership(d, u, g, None, budgets):
             raise ValidationError(
                 "computed section ideal fails its own membership check",
                 witness=d.ring.render(g))
@@ -394,7 +378,7 @@ def digraph_oracle(d: IdealDigraph, basis: Sequence[DistinguishedOpen],
     _require_valid(d, budgets)
 
     def valuation(u: DistinguishedOpen):
-        return _evaluate_sheaf(d, u, budgets).generators
+        return evaluate_sheaf(d, u, budgets).generators
 
     return SheafOracle(d.ring, valuation, basis, budgets)
 
@@ -479,7 +463,7 @@ def is_quasi_coherent(d: IdealDigraph, basis: Sequence[DistinguishedOpen],
     for h in basis:
         if h.is_empty(budgets):
             continue
-        value = _evaluate_sheaf(d, h, budgets)
+        value = evaluate_sheaf(d, h, budgets)
         rh = coordinate_ring(h, budgets)
         if not ideal_equal(value, IdealHandle(rh, root.gens), budgets):
             return False

@@ -498,7 +498,7 @@ def noetherian_witness(R: FiniteRing, chain: Sequence[FrozenSet],
 # -- homomorphisms -----------------------------------------------------------
 
 
-def all_homs(A: FiniteModule, B: FiniteModule, budgets: Budgets = DEFAULT_BUDGETS) -> List[Dict]:
+def all_homs(A: FiniteModule, B: FiniteModule) -> List[Dict]:
     """All R-linear maps A -> B, each as a full element-graph dict.
 
     Searches one generator g_j of A at a time.  With S_{j-1} the span of the
@@ -576,7 +576,7 @@ def hom_from_ideal(R: FiniteRing, I: FrozenSet, M: FiniteModule,
     if len(I) * M.size > budgets.finite_ring_bound ** 2:
         raise BoundExceededError("finite_ring_bound", budgets.finite_ring_bound)
     Imod = submodule(ring_as_module(R), I, name="I")
-    homs = all_homs(Imod, M, budgets)
+    homs = all_homs(Imod, M)
     for h in homs:
         if not is_linear_map(Imod, M, h):
             raise ValidationError("enumerated hom is not linear")

@@ -316,11 +316,11 @@ def _bounded(base: int, exp: int, what: str, budgets: Budgets) -> None:
 def _finite_ring_from_json(desc: Dict[str, Any], budgets: Budgets) -> FiniteRing:
     from .finite import gf_poly_quotient, zmod
 
+    if (desc["zmod"] is None) == (desc["gf_quotient"] is None):
+        raise ParseError("finite ring descriptor needs exactly one of 'zmod' and 'gf_quotient'")
     if desc["zmod"] is not None:
         _bounded(desc["zmod"], 1, f"Z/{desc['zmod']}", budgets)
         return zmod(desc["zmod"])
-    if desc["gf_quotient"] is None:
-        raise ParseError("finite ring descriptor needs 'zmod' or 'gf_quotient'")
     p, modulus = desc["gf_quotient"]["p"], desc["gf_quotient"]["modulus"]
     deg = max((i for i, c in enumerate(modulus) if p and c % p), default=0)
     # Below degree 1, gf_poly_quotient refuses the modulus.
@@ -610,7 +610,7 @@ def _run_cech_projective(payload: Dict, budgets: Budgets) -> Report:
     from .cech import TwistData, twisted_cohomology_dims
 
     t = TwistData(payload["n"], payload["d"])
-    dims = twisted_cohomology_dims(t, budgets)
+    dims = twisted_cohomology_dims(t)
     return Report("cech-projective", "pass",
                   result={f"H{i}": dims[i] for i in sorted(dims)},
                   config={"n": t.n, "d": t.d, "window": t.window})

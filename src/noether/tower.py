@@ -243,10 +243,7 @@ class TowerSuiteReport(Record):
 
     @property
     def ok(self) -> bool:
-        return (all(r.ok for r in self.cover_maps)
-                and all(r.ok for r in self.strictness)
-                and all(r.ok for r in self.maximality)
-                and self.chain_strict)
+        return self.failing_level() is None  # a failing level may be 0
 
     def failing_level(self) -> Optional[int]:
         for r in self.cover_maps:

@@ -522,6 +522,18 @@ def test_wrong_payload_type_exit_code(capsys, monkeypatch, command, payload, key
     assert key in doc["result"]["error"]
 
 
+@pytest.mark.parametrize("command,op", [
+    ("baer", "test"), ("ideal", "enumerate-ideals"), ("digraph-validate", "count-space")])
+@pytest.mark.parametrize("ring", [
+    {"zmod": 4, "gf_quotient": {"p": 2, "modulus": [1, 1]}}, {}])
+def test_finite_ring_names_exactly_one_kind(capsys, monkeypatch, command, op, ring):
+    payload = {"op": op, "finite_ring": ring}
+    code, doc = run(capsys, command, "-", stdin=json.dumps(payload),
+                    monkeypatch=monkeypatch)
+    assert (code, doc["config"]["error_type"]) == (2, "ParseError")
+    assert "exactly one of 'zmod' and 'gf_quotient'" in doc["result"]["error"]
+
+
 def test_run_job_checks_a_plain_dict_payload():
     report = run_job(JobSpec("ideal", {"op": "membership", "ideal": ["x"]}))
     assert (report.exit_code, report.config["error_type"]) == (2, "ParseError")

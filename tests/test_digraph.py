@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from noether.config import DEFAULT_BUDGETS, Budgets
 from noether.errors import DomainError, OracleError, ResourceBudgetError, ValidationError
-from noether import univar
+from noether import digraph, univar
 from noether.fields import GF, QQ
 from noether.finite import (FiniteRing, coset_representatives, enumerate_ideals,
                             gf_poly_quotient, ideal_closure, zmod)
@@ -177,6 +177,18 @@ def test_section_membership_checks_the_node_cap_before_validating(R):
     assert info.value.budget_name == "digraph_node_cap"
     with pytest.raises(ValidationError):
         section_membership(cyclic_digraph(R), D(R, "x"), R.one())
+
+
+def test_evaluate_sheaf_certifies_its_generators(R, monkeypatch):
+    # G0's section ideal over D(x - 1) is zero, so x fails the membership
+    # check that every computed generator must pass.
+    u = D(R, "x - 1")
+    assert evaluate_sheaf(g0(R), u).generators == ()
+    monkeypatch.setattr(digraph, "_section_generators", lambda d, v: (R.parse("x"),))
+    with pytest.raises(ValidationError) as info:
+        evaluate_sheaf(g0(R), u)
+    assert info.value.witness == "x"
+    assert "fails its own membership check" in str(info.value)
 
 
 G0_JSON = {"ring": {"field": "q", "vars": ["x"]},

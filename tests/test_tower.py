@@ -14,6 +14,7 @@ from noether.poly import Polynomial
 from noether.rings import PresentedRing, ideal_equal, ideal_membership
 from noether.tower import (
     EXPONENT_RULES,
+    MaximalityReport,
     _power_poly,
     deleted_exponents,
     properness_and_maximality,
@@ -139,6 +140,22 @@ def test_suite_power_rule_passes_depth_five():
         rep = run_tower_suite(5, field, "power")
         assert rep.ok
         assert rep.failing_level() is None
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=["Q", "F5"])
+@pytest.mark.parametrize("rule", EXPONENT_RULES)
+@pytest.mark.parametrize("depth", range(5))
+def test_suite_ok_iff_no_failing_level(field, rule, depth):
+    rep = run_tower_suite(depth, field, rule)
+    assert rep.ok == (rep.failing_level() is None)
+    assert rep.ok == (rule == "power" or depth < 3)
+
+
+def test_suite_failing_at_level_zero_is_not_ok():
+    rep = run_tower_suite(0, QQ, "power")
+    rep.maximality[0] = MaximalityReport(0, True, {}, False, "x")
+    assert rep.failing_level() == 0
+    assert not rep.ok
 
 
 def test_suite_depth_is_a_budget():
